@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -129,54 +130,80 @@ def _subject_tag(subject: int) -> str:
     return f"S{subject:03d}"
 
 
+#: Cache layout version; ``read_epoch_cache`` accepts this one only.
+CACHE_FORMAT_VERSION = 2
+#: Sample dtype of ``epochs.npy``: little-endian float64 round-trips every
+#: sample bit for bit.
+_EPOCH_DTYPE = np.dtype("<f8")
+
+
 def write_epoch_cache(cache_dir: Path, subject: int, epochs: list[signal.Epoch],
                       channel_names: list[str], sample_rate: float) -> Path:
+    """Store one subject's epochs as ``epochs.npy`` plus ``index.json``.
+
+    The array goes first and the index last, and any old index is removed
+    before the array is written, so an interrupted write never leaves a valid
+    index over partial data.
+    """
     subj_dir = cache_dir / _subject_tag(subject)
     subj_dir.mkdir(parents=True, exist_ok=True)
-    n_samples = epochs[0].data.shape[1] if epochs else 0
+    data = np.stack([e.data for e in epochs]).astype(_EPOCH_DTYPE, copy=False)
     index = {
-        "format_version": 1,
+        "format_version": CACHE_FORMAT_VERSION,
         "subject": subject,
+        "dtype": _EPOCH_DTYPE.str,
         "n_epochs": len(epochs),
         "n_channels": len(channel_names),
-        "n_samples": n_samples,
+        "n_samples": data.shape[2],
         "sample_rate": sample_rate,
         "channel_names": list(channel_names),
         "labels": [e.label for e in epochs],
         "trials": [e.trial for e in epochs],
         "slices": [e.slice_index for e in epochs],
     }
-    (subj_dir / "index.json").write_text(
-        json.dumps(index, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    lines = []
-    for i, ep in enumerate(epochs):
-        for c in range(ep.data.shape[0]):
-            lines.append(f"{i},{c}," + ",".join(repr(float(v)) for v in ep.data[c]))
-    (subj_dir / "epochs.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    index_path = subj_dir / "index.json"
+    index_path.unlink(missing_ok=True)
+    np.save(subj_dir / "epochs.npy", data, allow_pickle=False)
+    index_path.write_text(json.dumps(index, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return subj_dir
 
 
 def read_epoch_cache(cache_dir: Path, subject: int) -> tuple[list[signal.Epoch], dict]:
+    """Load a subject written by ``write_epoch_cache``.
+
+    Raises ``FileNotFoundError`` for a missing file and ``ValueError`` naming
+    the file for an unsupported format version, an unreadable array, or an
+    array whose dtype, shape or file size disagrees with ``index.json``.
+    """
     subj_dir = cache_dir / _subject_tag(subject)
-    index = json.loads((subj_dir / "index.json").read_text(encoding="utf-8"))
-    if index.get("format_version") != 1:
-        raise ValueError(f"unsupported cache format_version {index.get('format_version')}")
-    n_epochs, n_channels, n_samples = index["n_epochs"], index["n_channels"], index["n_samples"]
-    data = np.zeros((n_epochs, n_channels, n_samples))
-    with open(subj_dir / "epochs.csv", encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            if len(parts) < 3:
-                continue
-            e, c = int(parts[0]), int(parts[1])
-            data[e, c] = [float(v) for v in parts[2:]]
+    index_path, path = subj_dir / "index.json", subj_dir / "epochs.npy"
+    index = json.loads(index_path.read_text(encoding="utf-8"))
+    version = index.get("format_version")
+    if version != CACHE_FORMAT_VERSION:
+        raise ValueError(f"{index_path}: cache format_version {version!r} is not "
+                         f"{CACHE_FORMAT_VERSION}; re-run prepare")
+    try:
+        with open(path, "rb") as fh:
+            data = np.load(fh, allow_pickle=False)
+            read_bytes, file_bytes = fh.tell(), os.fstat(fh.fileno()).st_size
+    except (ValueError, EOFError) as exc:
+        raise ValueError(f"{path}: unreadable epoch array: {exc}") from exc
+    shape = (index.get("n_epochs"), index.get("n_channels"), index.get("n_samples"))
+    if any(len(index.get(key, ())) != shape[0] for key in ("labels", "trials", "slices")):
+        raise ValueError(f"{index_path}: labels, trials and slices must each list "
+                         f"n_epochs={shape[0]} entries")
+    if (data.dtype.str, data.shape) != (_EPOCH_DTYPE.str, shape) \
+            or index.get("dtype") != _EPOCH_DTYPE.str:
+        raise ValueError(f"{path}: array is {data.dtype.str} {data.shape}; index.json declares "
+                         f"{index.get('dtype')} {shape} and the format needs {_EPOCH_DTYPE.str}")
+    if file_bytes != read_bytes:
+        raise ValueError(f"{path}: {file_bytes} bytes, header and data take {read_bytes}")
     epochs = [
         signal.Epoch(
             data[i], index["labels"][i], subject=subject,
             trial=index["trials"][i], slice_index=index["slices"][i],
         )
-        for i in range(n_epochs)
+        for i in range(shape[0])
     ]
     return epochs, index
 
@@ -321,6 +348,28 @@ def cmd_prepare(cfg: ExperimentConfig) -> dict:
     return report
 
 
+def _each_subject(cfg: ExperimentConfig, command: str, run_one) -> tuple[list, list[str]]:
+    """Apply ``run_one`` to every configured subject, in order.
+
+    A subject whose cache is missing or corrupt, or whose Fréchet mean does not
+    converge, is reported on stderr and skipped; the run continues.  Returns
+    the results and the failed subject tags; raises only when none completes.
+    """
+    results = []
+    failed: dict[str, str] = {}
+    for subject in sorted(cfg.subjects):
+        try:
+            results.append(run_one(subject))
+        except (FileNotFoundError, spdgeom.FrechetMeanError, ValueError) as exc:
+            failed[_subject_tag(subject)] = f"{type(exc).__name__}: {exc}"
+    if not results:
+        raise ValueError(f"no subject completed {command}; failures: {failed}")
+    if failed:
+        print(json.dumps({"warning": "subjects failed", "failed": failed}),
+              file=sys.stderr)
+    return results, sorted(failed)
+
+
 def _train_eval_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
                         cache_dir: Path, out_dir: Path, subject: int,
                         selections: dict[str, list[str]]) -> dict:
@@ -372,22 +421,9 @@ def cmd_train_eval(cfg: ExperimentConfig) -> dict:
     cache_dir = Path(cfg.cache_dir)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rows: list[dict] = []
     selections: dict[str, list[str]] = {}
-    failed: dict[str, str] = {}
-    for subject in sorted(cfg.subjects):
-        # missing caches and convergence failures are reported; the run continues
-        try:
-            rows.append(_train_eval_subject(cfg, layout, cache_dir, out_dir,
-                                            subject, selections))
-        except (FileNotFoundError, spdgeom.FrechetMeanError, ValueError) as exc:
-            failed[_subject_tag(subject)] = f"{type(exc).__name__}: {exc}"
-    if not rows:
-        raise ValueError(f"no subject completed train-eval; failures: {failed}")
-    if failed:
-        print(json.dumps({"warning": "subjects failed", "failed": failed}),
-              file=sys.stderr)
-
+    rows, failed = _each_subject(cfg, "train-eval", lambda subject: _train_eval_subject(
+        cfg, layout, cache_dir, out_dir, subject, selections))
     _write_rows(out_dir, rows)
     if cfg.channel_config == "feat21" and selections:
         agg = relevance.aggregate_cohort(selections)
@@ -404,8 +440,7 @@ def cmd_train_eval(cfg: ExperimentConfig) -> dict:
         bmap, wmap = _cohort_maps(agg.counts, layout, cfg.target_k)
         montage.save_spatial_map(bmap, out_dir / f"map_{tag}_binary_top{cfg.target_k}.csv")
         montage.save_spatial_map(wmap, out_dir / f"map_{tag}_weighted_counts.csv")
-    return {"rows": len(rows), "failed_subjects": sorted(failed),
-            "output_dir": str(out_dir)}
+    return {"rows": len(rows), "failed_subjects": failed, "output_dir": str(out_dir)}
 
 
 def _write_rows(out_dir: Path, rows: list[dict]) -> None:
@@ -425,26 +460,29 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _select_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
+                    cache_dir: Path, out_dir: Path, subject: int) -> tuple[str, list[str]]:
+    epochs, index = read_epoch_cache(cache_dir, subject)
+    train, _ = signal.split(epochs, signal.SplitSpec(cfg.seed, cfg.test_fraction))
+    covs = [spdgeom.covariance(e.data, cfg.shrinkage) for e in train]
+    labels = [e.label for e in train]
+    trace = spdgeom.backward_elimination(covs, labels, cfg.target_k)
+    tag = _subject_tag(subject)
+    (out_dir / f"trace_{tag}.json").write_text(
+        spdgeom.trace_to_json(trace) + "\n", encoding="utf-8"
+    )
+    scores = relevance.scores_from_trace(trace, index["channel_names"], layout)
+    return tag, sorted(relevance.top_k(scores, min(cfg.target_k, len(scores.channels))))
+
+
 def cmd_select_channels(cfg: ExperimentConfig) -> dict:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     layout = _load_layout(cfg)
     cache_dir = Path(cfg.cache_dir)
-    selections: dict[str, list[str]] = {}
-    for subject in sorted(cfg.subjects):
-        epochs, index = read_epoch_cache(cache_dir, subject)
-        train, _ = signal.split(epochs, signal.SplitSpec(cfg.seed, cfg.test_fraction))
-        covs = [spdgeom.covariance(e.data, cfg.shrinkage) for e in train]
-        labels = [e.label for e in train]
-        trace = spdgeom.backward_elimination(covs, labels, cfg.target_k)
-        tag = _subject_tag(subject)
-        (out_dir / f"trace_{tag}.json").write_text(
-            spdgeom.trace_to_json(trace) + "\n", encoding="utf-8"
-        )
-        scores = relevance.scores_from_trace(trace, index["channel_names"], layout)
-        selections[tag] = sorted(
-            relevance.top_k(scores, min(cfg.target_k, len(scores.channels)))
-        )
+    done, failed = _each_subject(cfg, "select-channels", lambda subject: _select_subject(
+        cfg, layout, cache_dir, out_dir, subject))
+    selections = dict(done)
     agg = relevance.aggregate_cohort(selections)
     cohort = {
         "model": "riemannian",
@@ -455,7 +493,8 @@ def cmd_select_channels(cfg: ExperimentConfig) -> dict:
     (out_dir / "cohort_riemannian.json").write_text(
         json.dumps(cohort, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
-    return {"subjects": len(selections), "output_dir": str(out_dir)}
+    return {"subjects": len(selections), "failed_subjects": failed,
+            "output_dir": str(out_dir)}
 
 
 def cmd_emd(cfg: ExperimentConfig, map_args: list[str], cohort_args: list[str],

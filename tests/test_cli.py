@@ -4,8 +4,11 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from emdscalp import cli, montage, relevance, transport
+from emdscalp import cli, montage, relevance, signal, transport
 from emdscalp.cli import load_config, main, render_map_svg
 
 from helpers import make_motor_recording, recording_to_edf
@@ -127,10 +130,10 @@ class TestPrepare:
         assert main(["prepare", "--config", str(cfg)]) == 0
         index_path = tmp_path / "cache" / "S001" / "index.json"
         first = index_path.read_bytes()
-        first_epochs = (tmp_path / "cache" / "S001" / "epochs.csv").read_bytes()
+        first_epochs = (tmp_path / "cache" / "S001" / "epochs.npy").read_bytes()
         assert main(["prepare", "--config", str(cfg)]) == 0
         assert index_path.read_bytes() == first
-        assert (tmp_path / "cache" / "S001" / "epochs.csv").read_bytes() == first_epochs
+        assert (tmp_path / "cache" / "S001" / "epochs.npy").read_bytes() == first_epochs
 
     def test_empty_subject_list_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "exp.cfg", subjects="")
@@ -147,6 +150,102 @@ class TestPrepare:
         warning = json.loads(captured.err.strip().splitlines()[0])
         assert warning["warning"] == "partial cohort"
         assert any("S002" in m for m in warning["missing"])
+
+
+def _cache_files(tmp_path: Path, n_epochs=3):
+    """Cache subject 1 with ``n_epochs`` epochs of 2 channels x 5 samples."""
+    rng = np.random.default_rng(3)
+    epochs = [signal.Epoch(rng.standard_normal((2, 5)), "T1", 1, i, 0) for i in range(n_epochs)]
+    subj_dir = cli.write_epoch_cache(tmp_path, 1, epochs, ["C3", "C4"], 160.0)
+    return subj_dir / "epochs.npy", subj_dir / "index.json"
+
+
+class TestEpochCache:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_round_trip_is_bit_exact(self, tmp_path_factory, data):
+        shape = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 6)))
+        # includes -0.0, subnormals, huge magnitudes, infinities and NaN payloads
+        arr = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(width=64)))
+        labels = data.draw(st.lists(st.text(max_size=4), min_size=shape[0], max_size=shape[0]))
+        trials = data.draw(st.lists(st.integers(0, 999), min_size=shape[0], max_size=shape[0]))
+        slices = data.draw(st.lists(st.integers(0, 9), min_size=shape[0], max_size=shape[0]))
+        epochs = [signal.Epoch(arr[i], labels[i], 5, trials[i], slices[i])
+                  for i in range(shape[0])]
+        names = [f"ch{c}" for c in range(shape[1])]
+        cache_dir = tmp_path_factory.mktemp("cache")
+        cli.write_epoch_cache(cache_dir, 5, epochs, names, 160.0)
+        got, index = cli.read_epoch_cache(cache_dir, 5)
+        assert [e.data.tobytes() for e in got] == [e.data.tobytes() for e in epochs]
+        assert [e.label for e in got] == labels
+        assert [e.trial for e in got] == trials
+        assert [e.slice_index for e in got] == slices
+        assert all(e.subject == 5 for e in got)
+        assert index["channel_names"] == names
+
+    def test_truncated_array_rejected(self, tmp_path):
+        npy, _ = _cache_files(tmp_path)
+        npy.write_bytes(npy.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="epochs.npy"):
+            cli.read_epoch_cache(tmp_path, 1)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        npy, _ = _cache_files(tmp_path)
+        npy.write_bytes(npy.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="epochs.npy.*bytes"):
+            cli.read_epoch_cache(tmp_path, 1)
+
+    @pytest.mark.parametrize("array", [np.zeros((2, 2, 5)), np.zeros((3, 2, 5), np.float32),
+                                       np.zeros((3, 2, 5), ">f8")])
+    def test_array_disagreeing_with_index_rejected(self, tmp_path, array):
+        npy, _ = _cache_files(tmp_path)
+        np.save(npy, array)
+        with pytest.raises(ValueError, match="epochs.npy: array is"):
+            cli.read_epoch_cache(tmp_path, 1)
+
+    def test_index_dtype_other_than_float64_rejected(self, tmp_path):
+        npy, index_path = _cache_files(tmp_path)
+        np.save(npy, np.zeros((3, 2, 5), np.float32))
+        index = json.loads(index_path.read_text())
+        index_path.write_text(json.dumps(dict(index, dtype="<f4")))
+        with pytest.raises(ValueError, match="epochs.npy: array is"):
+            cli.read_epoch_cache(tmp_path, 1)
+
+    def test_missing_array_rejected(self, tmp_path):
+        npy, _ = _cache_files(tmp_path)
+        npy.unlink()
+        with pytest.raises(FileNotFoundError, match="epochs.npy"):
+            cli.read_epoch_cache(tmp_path, 1)
+
+    def test_format_1_index_asks_for_prepare(self, tmp_path):
+        _, index_path = _cache_files(tmp_path)
+        index = json.loads(index_path.read_text())
+        index_path.write_text(json.dumps(dict(index, format_version=1)))
+        with pytest.raises(ValueError, match="index.json.*format_version 1.*re-run prepare"):
+            cli.read_epoch_cache(tmp_path, 1)
+
+    @pytest.mark.parametrize("edit", [{"labels": ["T1"]}, {"n_samples": None}])
+    def test_inconsistent_index_rejected(self, tmp_path, edit):
+        _, index_path = _cache_files(tmp_path)
+        index = json.loads(index_path.read_text())
+        index_path.write_text(json.dumps({k: v for k, v in dict(index, **edit).items()
+                                          if v is not None}))
+        with pytest.raises(ValueError, match="index.json|epochs.npy: array is"):
+            cli.read_epoch_cache(tmp_path, 1)
+
+    def test_rewrite_replaces_index_last(self, tmp_path, monkeypatch):
+        npy, index_path = _cache_files(tmp_path)
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(np, "save", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            _cache_files(tmp_path, n_epochs=4)
+        # no index survives over the array the interrupted write left behind
+        assert not index_path.exists()
+        with pytest.raises(FileNotFoundError):
+            cli.read_epoch_cache(tmp_path, 1)
 
 
 class TestTrainEval:
@@ -219,6 +318,19 @@ class TestTrainEval:
         rows = json.loads((tmp_path / "out" / "rows.json").read_text())
         assert [r["subject"] for r in rows] == [1, 2]
 
+    def test_corrupt_cache_reported_not_scored(self, workspace, capsys):
+        tmp_path, cfg = workspace
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        npy = tmp_path / "cache" / "S002" / "epochs.npy"
+        npy.write_bytes(npy.read_bytes()[: npy.stat().st_size // 2])
+        capsys.readouterr()
+        assert main(["train-eval", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["failed_subjects"] == ["S002"]
+        assert "epochs.npy" in json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
+        rows = json.loads((tmp_path / "out" / "rows.json").read_text())
+        assert [r["subject"] for r in rows] == [1]
+
     def test_same_seed_reproduces_rows_exactly(self, workspace):
         tmp_path, cfg = workspace
         assert main(["prepare", "--config", str(cfg)]) == 0
@@ -245,6 +357,29 @@ class TestSelectChannels:
         # the variance difference sits on channels C3 and C4
         assert cohort["selections"]["S001"] == ["C3", "C4"]
         assert cohort["counts"] == {"C3": 2, "C4": 2}
+
+
+    def test_missing_subject_reported_run_continues(self, workspace, capsys):
+        tmp_path, _ = workspace
+        cfg = write_config(tmp_path / "sel3.cfg", subjects="1,3", target_k=2)
+        assert main(["prepare", "--config", str(cfg)]) == 0  # warns about S003
+        capsys.readouterr()
+        assert main(["select-channels", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        assert summary["subjects"] == 1
+        assert summary["failed_subjects"] == ["S003"]
+        warning = json.loads(captured.err.splitlines()[-1])
+        assert warning["warning"] == "subjects failed" and "S003" in warning["failed"]
+        cohort = json.loads((tmp_path / "out" / "cohort_riemannian.json").read_text())
+        assert cohort["subjects"] == ["S001"]
+        assert not (tmp_path / "out" / "trace_S003.json").exists()
+
+    def test_no_subject_completing_fails(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "sel.cfg", subjects="4")
+        assert main(["select-channels", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "no subject completed select-channels" in err["message"]
 
 
 class TestEmdCommand:
