@@ -305,43 +305,62 @@ def _run_path(cfg: ExperimentConfig, subject: int, run: int) -> Path:
     return Path(cfg.dataset_root) / tag / f"{tag}R{run:02d}.{ext}"
 
 
+def _prepare_subject(cfg: ExperimentConfig, cache_dir: Path, subject: int,
+                     missing: list[str]) -> tuple[str, int] | None:
+    """Epoch and cache one subject's runs; ``None`` when no run is usable.
+
+    Every run must carry the first run's channel names, in order, and its
+    sample rate; otherwise a ``ValueError`` names the subject and the file.
+    Any earlier cache of the subject is invalidated first, so a subject that
+    fails here is not read from a stale cache by later commands.
+    """
+    tag = _subject_tag(subject)
+    (cache_dir / tag / "index.json").unlink(missing_ok=True)
+    epochs: list[signal.Epoch] = []
+    first: tuple[Path, list[str], float] | None = None
+    for run in cfg.runs:
+        path = _run_path(cfg, subject, run)
+        if not path.exists():
+            missing.append(str(path))
+            continue
+        if cfg.input_format == "edf":
+            rec = signal.read_recording(path)
+        else:
+            ann = path.with_name(path.stem + "_annotations.csv")
+            rec = signal.read_recording_csv(
+                path, ann if ann.exists() else None, sample_rate=cfg.sample_rate
+            )
+        if first is None:
+            first = (path, rec.channel_names, rec.sample_rate)
+        elif (rec.channel_names, rec.sample_rate) != first[1:]:
+            raise ValueError(
+                f"{tag}: {path} has channels {rec.channel_names} at {rec.sample_rate} Hz, "
+                f"but {first[0]} has {first[1]} at {first[2]} Hz"
+            )
+        rec = signal.bandpass(rec, cfg.band_lo, cfg.band_hi)
+        offset = max((e.trial for e in epochs), default=-1) + 1
+        epochs.extend(
+            signal.epoch_trials(rec, subject=subject, trial_offset=offset)
+        )
+    if not epochs:
+        missing.append(f"{tag}: no usable runs")
+        return None
+    write_epoch_cache(cache_dir, subject, epochs, first[1], first[2])
+    return tag, len(epochs)
+
+
 def cmd_prepare(cfg: ExperimentConfig) -> dict:
     if not cfg.subjects:
         raise ValueError("config lists no subjects")
     cache_dir = Path(cfg.cache_dir)
     missing: list[str] = []
-    summary = {}
-    for subject in sorted(cfg.subjects):
-        epochs: list[signal.Epoch] = []
-        channel_names: list[str] = []
-        sample_rate = cfg.sample_rate
-        for run in cfg.runs:
-            path = _run_path(cfg, subject, run)
-            if not path.exists():
-                missing.append(str(path))
-                continue
-            if cfg.input_format == "edf":
-                rec = signal.read_recording(path)
-            else:
-                ann = path.with_name(path.stem + "_annotations.csv")
-                rec = signal.read_recording_csv(
-                    path, ann if ann.exists() else None, sample_rate=cfg.sample_rate
-                )
-            rec = signal.bandpass(rec, cfg.band_lo, cfg.band_hi)
-            offset = max((e.trial for e in epochs), default=-1) + 1
-            epochs.extend(
-                signal.epoch_trials(rec, subject=subject, trial_offset=offset)
-            )
-            channel_names = rec.channel_names
-            sample_rate = rec.sample_rate
-        if not epochs:
-            missing.append(f"{_subject_tag(subject)}: no usable runs")
-            continue
-        write_epoch_cache(cache_dir, subject, epochs, channel_names, sample_rate)
-        summary[_subject_tag(subject)] = len(epochs)
+    done, failed = _each_subject(cfg, "prepare", lambda subject: _prepare_subject(
+        cfg, cache_dir, subject, missing))
+    summary = dict(d for d in done if d is not None)
     if not summary:
-        raise ValueError(f"no subjects could be prepared; missing: {missing}")
-    report = {"cached": summary, "missing": sorted(missing)}
+        raise ValueError(f"no subjects could be prepared; missing: {missing}; "
+                         f"failed: {failed}")
+    report = {"cached": summary, "failed_subjects": failed, "missing": sorted(missing)}
     if missing:
         print(json.dumps({"warning": "partial cohort", "missing": sorted(missing)}),
               file=sys.stderr)
@@ -351,9 +370,10 @@ def cmd_prepare(cfg: ExperimentConfig) -> dict:
 def _each_subject(cfg: ExperimentConfig, command: str, run_one) -> tuple[list, list[str]]:
     """Apply ``run_one`` to every configured subject, in order.
 
-    A subject whose cache is missing or corrupt, or whose Fréchet mean does not
-    converge, is reported on stderr and skipped; the run continues.  Returns
-    the results and the failed subject tags; raises only when none completes.
+    A subject whose input or cache is missing or corrupt, or whose Fréchet
+    mean does not converge, is reported on stderr and skipped; the run
+    continues.  Returns the results and the failed subject tags; raises only
+    when none completes.
     """
     results = []
     failed: dict[str, str] = {}

@@ -102,9 +102,12 @@ def _edf_int(raw: bytes, what: str) -> int:
 
 def _edf_float(raw: bytes, what: str) -> float:
     try:
-        return float(raw.decode("latin-1").strip())
+        value = float(raw.decode("latin-1").strip())
     except ValueError:
         raise ValueError(f"malformed header: bad {what} field {raw!r}") from None
+    if not np.isfinite(value):
+        raise ValueError(f"malformed header: bad {what} field {raw!r}")
+    return value
 
 
 def _parse_tals(buf: bytes, sample_rate: float) -> list[Annotation]:
@@ -121,17 +124,19 @@ def _parse_tals(buf: bytes, sample_rate: float) -> list[Annotation]:
         else:
             onset_b, dur_b = head, b"0"
         try:
-            onset_s = float(onset_b.decode("latin-1"))
-            dur_s = float(dur_b.decode("latin-1"))
+            onset = float(onset_b.decode("latin-1")) * sample_rate
+            duration = float(dur_b.decode("latin-1")) * sample_rate
         except ValueError:
             raise ValueError(f"unknown annotation encoding: {tal!r}") from None
+        if not (np.isfinite(onset) and np.isfinite(duration)):
+            raise ValueError(f"unknown annotation encoding: {tal!r}")
         for text in fields[1:]:
             code = text.decode("latin-1").strip()
             if code:  # empty text = record-keeping timestamp, not an event
                 annotations.append(
                     Annotation(
-                        onset=int(round(onset_s * sample_rate)),
-                        duration=int(round(dur_s * sample_rate)),
+                        onset=int(round(onset)),
+                        duration=int(round(duration)),
                         code=code,
                     )
                 )
@@ -172,6 +177,8 @@ def read_recording(path: str | Path) -> Recording:
     dmin = [_edf_int(sig_field(120, 8, i), "digital min") for i in range(ns)]
     dmax = [_edf_int(sig_field(128, 8, i), "digital max") for i in range(ns)]
     nsamp = [_edf_int(sig_field(216, 8, i), "samples per record") for i in range(ns)]
+    if min(nsamp) < 1:
+        raise ValueError(f"malformed header: {min(nsamp)} samples per record")
 
     record_samples = sum(nsamp)
     record_bytes = 2 * record_samples

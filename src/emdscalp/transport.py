@@ -2,10 +2,9 @@
 
 The distance is the optimum of the classical transportation problem: move
 the mass of one map into the other at minimum total cost, where the ground
-cost is the pairwise distance between grid cells.  The solver is an exact
-transportation simplex (basis-tree pivoting with dual potentials), not an
-entropic approximation, so results agree with a generic LP solve to
-floating-point accuracy.
+cost is the pairwise distance between grid cells.  The problem is solved
+exactly as a linear program with scipy's HiGHS, not by an entropic
+approximation.
 """
 
 from __future__ import annotations
@@ -14,6 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 from .montage import SpatialMap
 
@@ -21,6 +22,7 @@ __all__ = [
     "CostMatrix",
     "TransportPlan",
     "EMDResult",
+    "TransportError",
     "ground_cost",
     "emd",
     "rebalance",
@@ -29,6 +31,10 @@ __all__ = [
 
 #: relative tolerance for the raw-mode equal-total-mass precondition
 MASS_RTOL = 1e-9
+
+
+class TransportError(RuntimeError):
+    """The LP solver did not return an optimal transport plan."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,15 +99,12 @@ def solve_transport(
     supply: np.ndarray,
     demand: np.ndarray,
     costs: np.ndarray,
-    max_iter: int | None = None,
 ) -> np.ndarray:
     """Exact solve of the balanced transportation problem.
 
     Minimises ``sum(costs * flows)`` over nonnegative flows whose row sums
-    equal `supply` and column sums equal `demand`.  Uses the transportation
-    simplex: northwest-corner start, dual potentials from the basis tree,
-    Dantzig entering rule with a Bland fallback that guarantees termination
-    on degenerate instances.
+    equal `supply` and column sums equal `demand`, as one HiGHS linear
+    program with a sparse equality matrix.
 
     Parameters
     ----------
@@ -116,7 +119,12 @@ def solve_transport(
     Returns
     -------
     flows : ndarray, shape (m, k)
-        An optimal basic flow.
+        An optimal flow.
+
+    Raises
+    ------
+    TransportError
+        If HiGHS does not report an optimal solution.
     """
     a = np.array(supply, dtype=float)
     b = np.array(demand, dtype=float)
@@ -131,114 +139,18 @@ def solve_transport(
         raise ValueError(f"unbalanced problem: totals {ta} vs {tb}")
     b *= ta / tb
 
-    # Northwest-corner initial basis: exactly m + k - 1 basic cells, kept as
-    # a spanning tree over row nodes and column nodes.
-    flow = np.zeros((m, k))
-    basis: list[tuple[int, int]] = []
-    ra, rb = a.copy(), b.copy()
-    i = j = 0
-    while True:
-        basis.append((i, j))
-        t = min(ra[i], rb[j])
-        flow[i, j] = t
-        ra[i] -= t
-        rb[j] -= t
-        if i == m - 1 and j == k - 1:
-            break
-        if j == k - 1 or (ra[i] <= rb[j] and i < m - 1):
-            i += 1
-        else:
-            j += 1
-
-    in_basis = np.zeros((m, k), dtype=bool)
-    adj_row: list[list[int]] = [[] for _ in range(m)]
-    adj_col: list[list[int]] = [[] for _ in range(k)]
-    for (bi, bj) in basis:
-        in_basis[bi, bj] = True
-        adj_row[bi].append(bj)
-        adj_col[bj].append(bi)
-
-    scale = max(float(C.max(initial=0.0)), 1.0)
-    tol = 1e-12 * scale
-    if max_iter is None:
-        max_iter = 200 * (m + k) ** 2
-    bland_after = 20 * (m + k) ** 2
-
-    u = np.empty(m)
-    v = np.empty(k)
-    for it in range(max_iter):
-        # Dual potentials: u[i] + v[j] = C[i, j] on basic cells, rooted at u[0]=0.
-        u.fill(np.nan)
-        v.fill(np.nan)
-        u[0] = 0.0
-        stack = [(True, 0)]
-        while stack:
-            is_row, node = stack.pop()
-            if is_row:
-                for j2 in adj_row[node]:
-                    if np.isnan(v[j2]):
-                        v[j2] = C[node, j2] - u[node]
-                        stack.append((False, j2))
-            else:
-                for i2 in adj_col[node]:
-                    if np.isnan(u[i2]):
-                        u[i2] = C[i2, node] - v[node]
-                        stack.append((True, i2))
-
-        reduced = C - u[:, None] - v[None, :]
-        reduced[in_basis] = 0.0
-        if it < bland_after:
-            flat = int(np.argmin(reduced))
-            ei, ej = divmod(flat, k)
-            if reduced[ei, ej] >= -tol:
-                break
-        else:
-            candidates = np.argwhere(reduced < -tol)
-            if len(candidates) == 0:
-                break
-            ei, ej = (int(candidates[0][0]), int(candidates[0][1]))
-
-        # Unique tree path from row node ei to column node ej closes the cycle.
-        parent: dict[tuple[bool, int], tuple[bool, int] | None] = {(True, ei): None}
-        stack = [(True, ei)]
-        goal = (False, ej)
-        while goal not in parent:
-            node_t = stack.pop()
-            is_row, node = node_t
-            nbrs = adj_row[node] if is_row else adj_col[node]
-            for other in nbrs:
-                key = (not is_row, other)
-                if key not in parent:
-                    parent[key] = node_t
-                    stack.append(key)
-        path = [goal]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])  # type: ignore[arg-type]
-        path.reverse()
-        cells = []
-        for t in range(len(path) - 1):
-            (r1, n1), (r2, n2) = path[t], path[t + 1]
-            cells.append((n1, n2) if r1 else (n2, n1))
-
-        # Alternate signs around the cycle, entering cell positive.
-        cycle = [(ei, ej)] + cells[::-1]
-        minus = cycle[1::2]
-        theta = min(flow[c] for c in minus)
-        leave = min(c for c in minus if flow[c] <= theta)
-        for idx, c in enumerate(cycle):
-            flow[c] += theta if idx % 2 == 0 else -theta
-        flow[leave] = 0.0
-        in_basis[leave] = False
-        in_basis[ei, ej] = True
-        adj_row[leave[0]].remove(leave[1])
-        adj_col[leave[1]].remove(leave[0])
-        adj_row[ei].append(ej)
-        adj_col[ej].append(ei)
-    else:
-        raise RuntimeError(f"transportation simplex did not terminate in {max_iter} pivots")
-
-    np.clip(flow, 0.0, None, out=flow)
-    return flow
+    # Flow (i, j) is variable i * k + j; it enters row constraint i and
+    # column constraint m + j.
+    var = np.arange(m * k)
+    a_eq = sparse.csr_array(
+        (np.ones(2 * m * k), (np.concatenate([var // k, m + var % k]), np.tile(var, 2))),
+        shape=(m + k, m * k),
+    )
+    res = linprog(C.ravel(), A_eq=a_eq, b_eq=np.concatenate([a, b]),
+                  bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise TransportError(f"HiGHS transport solve failed: {res.message}")
+    return np.clip(res.x.reshape(m, k), 0.0, None)
 
 
 def emd(

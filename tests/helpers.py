@@ -1,8 +1,10 @@
 """Shared test utilities: independent oracles and synthetic data builders.
 
 The LP oracle solves the full flow polytope with scipy's HiGHS and shares no
-code with the transport module.  The EDF writer produces identity-scaled
-files so integer-valued samples round-trip exactly.
+code with the transport module; since the transport module also solves with
+HiGHS, the assignment oracle checks integer-mass maps with a different
+algorithm.  The EDF writer produces identity-scaled files so integer-valued
+samples round-trip exactly.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linear_sum_assignment, linprog
 from scipy.spatial.distance import cdist
 
 from emdscalp.montage import SpatialMap
@@ -43,6 +45,33 @@ def lp_emd(p: SpatialMap, q: SpatialMap, metric: str = "euclidean",
     res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     assert res.success, res.message
     return float(res.fun)
+
+
+def assignment_emd(p: SpatialMap, q: SpatialMap) -> float:
+    """Assignment reference for integer-mass maps with equal totals.
+
+    Each unit of mass becomes one node, so the transport problem becomes a
+    square assignment problem; by total unimodularity its optimum equals the
+    transport optimum.
+    """
+    pm, qm = p.mass.ravel(), q.mass.ravel()
+    assert np.array_equal(pm, np.round(pm)) and np.array_equal(qm, np.round(qm))
+    assert pm.sum() == qm.sum() > 0
+    src = np.repeat(np.arange(pm.size), pm.astype(int))
+    dst = np.repeat(np.arange(qm.size), qm.astype(int))
+    sc = np.column_stack(np.divmod(src, p.n)).astype(float)
+    dc = np.column_stack(np.divmod(dst, q.n)).astype(float)
+    cost = cdist(sc, dc)
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].sum())
+
+
+def random_integer_map_pair(rng: np.random.Generator, n: int) -> tuple[SpatialMap, SpatialMap]:
+    """Two random integer-mass maps on an n x n grid with one total below 30."""
+    total = int(rng.integers(1, 30))
+    a = np.bincount(rng.integers(0, n * n, total), minlength=n * n)
+    b = np.bincount(rng.integers(0, n * n, total), minlength=n * n)
+    return SpatialMap(n, a.reshape(n, n)), SpatialMap(n, b.reshape(n, n))
 
 
 def random_map_pair(rng: np.random.Generator, n: int,

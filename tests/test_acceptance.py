@@ -22,10 +22,12 @@ from emdscalp.transport import emd
 
 import published
 from helpers import (
+    assignment_emd,
     lp_emd,
     make_motor_recording,
     make_spd_dataset,
     rand_spd,
+    random_integer_map_pair,
     random_map_pair,
     recording_to_edf,
 )
@@ -36,7 +38,7 @@ def note(criterion: int, message: str) -> None:
     print(f"ACCEPTANCE {criterion}: PASS - {message}")
 
 
-def test_criterion_01_emd_oracle_equivalence(rng):
+def test_criterion_01_emd_oracle_equivalence(rng, layout):
     start = time.monotonic()
     n_pairs = 220
     worst = 0.0
@@ -48,10 +50,26 @@ def test_criterion_01_emd_oracle_equivalence(rng):
         rel = abs(got - want) / max(abs(want), 1e-12)
         worst = max(worst, rel)
         assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+    # The LP oracle and emd both use HiGHS; the assignment oracle does not.
+    # Integer-mass pairs on grids up to 6x6, then the paper's case: binary
+    # top-21 maps against the 21-channel baseline on the packaged layout.
+    pairs = [random_integer_map_pair(rng, int(rng.integers(2, 7))) for _ in range(n_pairs)]
+    base = relevance.mi_baseline(layout, "binary")
+    names = [e.name for e in layout.electrodes]
+    for _ in range(30):
+        top = montage.binary_map(set(rng.choice(names, 21, replace=False)), layout)
+        pairs.append((top, base))
+    worst_assignment = 0.0
+    for p, q in pairs:
+        got = emd(p, q).distance
+        want = assignment_emd(p, q)
+        worst_assignment = max(worst_assignment, abs(got - want) / max(abs(want), 1e-12))
+        assert_allclose(got, want, rtol=1e-9, atol=1e-12)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0
-    note(1, f"{n_pairs} random pairs match the LP oracle "
-            f"(worst rel err {worst:.2e}, {elapsed:.1f}s)")
+    note(1, f"{n_pairs} random pairs match the LP oracle (worst rel err "
+            f"{worst:.2e}); {len(pairs)} integer-mass pairs match the assignment "
+            f"oracle (worst rel err {worst_assignment:.2e}, {elapsed:.1f}s)")
 
 
 def test_criterion_02_emd_metric_axioms(rng):
@@ -237,10 +255,13 @@ def test_criterion_09_end_to_end_determinism(tmp_path, rng):
                      "--output-dir", str(out)]) == 0
         assert main(["plot", "--map", str(out / "map_riemannian_binary_top2.csv"),
                      "--out", str(out / "map.svg")]) == 0
+        assert main(["emd", "--config", str(cfg),
+                     "--cohorts", f"riemannian={out / 'cohort_riemannian.json'}"]) == 0
         outputs.append(out)
     files1 = sorted(p.name for p in outputs[0].iterdir())
     files2 = sorted(p.name for p in outputs[1].iterdir())
     assert files1 == files2
+    assert {"emd_table.csv", "emd_table.json"} <= set(files1)
     for name in files1:
         b1 = (outputs[0] / name).read_bytes()
         b2 = (outputs[1] / name).read_bytes()

@@ -151,6 +151,49 @@ class TestPrepare:
         assert warning["warning"] == "partial cohort"
         assert any("S002" in m for m in warning["missing"])
 
+    @pytest.mark.parametrize("channels, sample_rate", [
+        (CHANNELS_6[::-1], 160.0),  # same channels, other order
+        (CHANNELS_6[:5], 160.0),    # one channel fewer
+        (CHANNELS_6, 128.0),        # other sample rate
+    ])
+    def test_mismatched_run_fails_only_its_subject(self, workspace, rng, capsys,
+                                                   channels, sample_rate):
+        tmp_path, cfg = workspace
+        rec = make_motor_recording(rng, channels, n_trials=12, sample_rate=sample_rate)
+        recording_to_edf(tmp_path / "data" / "S002" / "S002R04.edf", rec)
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        assert list(summary["cached"]) == ["S001"]
+        assert summary["failed_subjects"] == ["S002"]
+        reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
+        assert reason.startswith("ValueError: S002: ") and "S002R04.edf" in reason
+        assert not (tmp_path / "cache" / "S002").exists()
+
+    def test_corrupt_edf_fails_only_its_subject(self, workspace, capsys):
+        tmp_path, cfg = workspace
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        run = tmp_path / "data" / "S002" / "S002R03.edf"
+        run.write_bytes(run.read_bytes()[:-100])
+        capsys.readouterr()
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["failed_subjects"] == ["S002"]
+        reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
+        assert "truncated data records" in reason
+        # the earlier cache is invalidated, so later commands skip S002
+        assert not (tmp_path / "cache" / "S002" / "index.json").exists()
+        assert main(["train-eval", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["failed_subjects"] == ["S002"]
+
+    def test_no_subject_prepared_fails(self, workspace, capsys):
+        tmp_path, cfg = workspace
+        for run in (tmp_path / "data").glob("S*/*.edf"):
+            run.write_bytes(b"0       ")
+        assert main(["prepare", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert "no subject completed prepare" in err["message"]
+
 
 def _cache_files(tmp_path: Path, n_epochs=3):
     """Cache subject 1 with ``n_epochs`` epochs of 2 channels x 5 samples."""

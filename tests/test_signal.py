@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from emdscalp.signal import (
@@ -87,6 +89,63 @@ class TestEDFReader:
         path = write_edf(tmp_path / "a.edf", data, FS, labels=["Fc5.", "C3.."])
         rec = read_recording(path)
         assert rec.channel_names == ["Fc5", "C3"]
+
+
+# Header fields as (offset, width): the fixed header, then each per-signal
+# block as (block offset, width) for a file with FUZZ_NS signals.
+FUZZ_NS = 3
+_MAIN_FIELDS = [(0, 8), (168, 8), (176, 8), (184, 8), (236, 8), (244, 8), (252, 4)]
+_SIGNAL_BLOCKS = [(0, 16), (96, 8), (104, 8), (112, 8), (120, 8), (128, 8), (216, 8)]
+FUZZ_FIELDS = _MAIN_FIELDS + [
+    (256 + block * FUZZ_NS + width * i, width)
+    for block, width in _SIGNAL_BLOCKS for i in range(FUZZ_NS)
+]
+# numeric edge cases the header and TAL parsers must reject or survive
+FUZZ_TOKENS = ["", "-1", "0", "+1", "-0", "nan", "inf", "-inf", "1e308", "1e-320",
+               "1e999", "99999999", "-9999999", "1_0", "0x10", " 3 ", "\x00",
+               "\x14", "\x15", "+1\x15nan\x14"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("edf_fuzz")
+    data = np.round(np.random.default_rng(5).normal(scale=300, size=(FUZZ_NS - 1, 48)))
+    write_edf(root / "base.edf", data, 16.0,
+              annotations=[(0.5, 1.0, "T1"), (1.5, 1.0, "T2")])
+    return root
+
+
+class TestEDFFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mutated_or_truncated_file_parses_or_raises_value_error(self, fuzz_dir, data):
+        raw = bytearray((fuzz_dir / "base.edf").read_bytes())
+        header_bytes = 256 + 256 * FUZZ_NS
+        tal_marks = [i for i in range(header_bytes, len(raw)) if raw[i] in b"+\x14\x15"]
+        token = st.one_of(st.sampled_from(FUZZ_TOKENS),
+                          st.text(st.characters(max_codepoint=255), max_size=8))
+        for _ in range(data.draw(st.integers(1, 3), label="n_mutations")):
+            kind = data.draw(st.sampled_from(["field", "tal", "bytes", "truncate"]))
+            if kind == "field":
+                start, width = data.draw(st.sampled_from(FUZZ_FIELDS))
+                value = data.draw(token).encode("latin-1")[:width].ljust(width)
+                raw[start:start + width] = value
+            elif kind == "tal":
+                start = data.draw(st.sampled_from(tal_marks))
+                value = data.draw(token).encode("latin-1")
+                raw[start:start + len(value)] = value
+            elif kind == "bytes":
+                start = data.draw(st.integers(0, len(raw)))
+                value = data.draw(st.binary(min_size=1, max_size=8))
+                raw[start:start + len(value)] = value
+            else:
+                del raw[data.draw(st.integers(0, len(raw))):]
+        path = fuzz_dir / "mutated.edf"
+        path.write_bytes(bytes(raw))
+        try:
+            read_recording(path)
+        except ValueError:
+            pass
 
 
 class TestCSVReader:

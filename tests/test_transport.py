@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from emdscalp.montage import SpatialMap
-from emdscalp.transport import emd, ground_cost, rebalance, solve_transport
+from emdscalp import transport
+from emdscalp.transport import TransportError, emd, ground_cost, rebalance, solve_transport
 
 from helpers import lp_emd, random_map_pair
 
@@ -52,6 +53,12 @@ class TestSolveTransport:
         cost = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
         f = solve_transport(np.ones(n), np.ones(n), cost)
         assert_allclose((cost * f).sum(), 0.0, atol=1e-12)
+
+    def test_solver_failure_raises_named_error(self, monkeypatch):
+        failed = type("Result", (), {"status": 4, "message": "numerical difficulties"})()
+        monkeypatch.setattr(transport, "linprog", lambda *args, **kwargs: failed)
+        with pytest.raises(TransportError, match="numerical difficulties"):
+            solve_transport(np.ones(2), np.ones(2), np.ones((2, 2)))
 
 
 class TestEMD:
