@@ -8,11 +8,16 @@ README); command-line flags override file keys.  All outputs are plain text
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import math
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -20,6 +25,8 @@ from . import montage, relevance, signal, spdgeom, stats, transport
 
 CONFIG_VERSION = 1
 CHANNEL_CONFIGS = ("all64", "mi21", "feat21")
+METRICS = ("euclidean", "manhattan")
+MASS_MODES = ("raw", "normalized")
 
 
 @dataclass(frozen=True)
@@ -40,24 +47,41 @@ class ExperimentConfig:
     test_fraction: float = 0.2
     shrinkage: float = 0.05
     target_k: int = 21
-    metric: str = "euclidean"
-    mass: str = "raw"
+    metric: str = "euclidean"  # euclidean | manhattan
+    mass: str = "raw"  # raw | normalized
     layout: str = ""  # mapping file path; empty = packaged default
     cache_dir: str = "cache"
     output_dir: str = "out"
 
     def validate(self) -> None:
+        """Raise a ``ValueError`` naming the first key with a bad value."""
         if self.version != CONFIG_VERSION:
             raise ValueError(f"unsupported config version {self.version}")
-        if self.channel_config not in CHANNEL_CONFIGS:
-            raise ValueError(
-                f"channel_config must be one of {CHANNEL_CONFIGS}, got {self.channel_config!r}"
-            )
+        for key, allowed in (("channel_config", CHANNEL_CONFIGS),
+                             ("input_format", ("edf", "csv")),
+                             ("class_mode", ("pooled", "per_class_union")),
+                             ("metric", METRICS), ("mass", MASS_MODES)):
+            if getattr(self, key) not in allowed:
+                raise ValueError(f"{key} must be one of {allowed}, got {getattr(self, key)!r}")
         external = self.relevance_source.startswith("external:")
         if not external and self.relevance_source != "riemannian":
             raise ValueError(f"unknown relevance_source {self.relevance_source!r}")
         if self.channel_config == "feat21" and external and not self.relevance_pattern:
             raise ValueError("feat21 with an external source requires relevance_pattern")
+        # NaN fails every comparison, so it is rejected too
+        for key, ok, rule in (
+            ("subjects", all(s >= 1 for s in self.subjects), "ids >= 1"),
+            ("runs", all(r >= 1 for r in self.runs), "ids >= 1"),
+            ("sample_rate", 0.0 < self.sample_rate < math.inf, "positive and finite"),
+            ("band_lo", 0.0 < self.band_lo < self.band_hi < math.inf,
+             f"in (0, band_hi = {self.band_hi!r}) with a finite band_hi"),
+            ("seed", self.seed >= 0, ">= 0"),
+            ("test_fraction", 0.0 < self.test_fraction < 1.0, "in (0, 1)"),
+            ("shrinkage", 0.0 <= self.shrinkage < 1.0, "in [0, 1)"),
+            ("target_k", self.target_k >= 1, ">= 1"),
+        ):
+            if not ok:
+                raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
 
 
 _TUPLE_INT = {"subjects", "runs"}
@@ -94,14 +118,17 @@ def load_config(path: str | Path | None, overrides: dict[str, object] | None = N
         for key, sval in raw.items():
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
-            if key in _TUPLE_INT:
-                values[key] = tuple(int(v) for v in sval.split(",") if v.strip())
-            elif key in _FLOATS:
-                values[key] = float(sval)
-            elif key in _INTS:
-                values[key] = int(sval)
-            else:
-                values[key] = sval
+            try:
+                if key in _TUPLE_INT:
+                    values[key] = tuple(int(v) for v in sval.split(",") if v.strip())
+                elif key in _FLOATS:
+                    values[key] = float(sval)
+                elif key in _INTS:
+                    values[key] = int(sval)
+                else:
+                    values[key] = sval
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
     cfg = ExperimentConfig(**values)
     # relative paths resolve against the config file's directory
     resolved = {}
@@ -141,20 +168,26 @@ def write_epoch_cache(cache_dir: Path, subject: int, epochs: list[signal.Epoch],
                       channel_names: list[str], sample_rate: float) -> Path:
     """Store one subject's epochs as ``epochs.npy`` plus ``index.json``.
 
-    The array goes first and the index last, and any old index is removed
-    before the array is written, so an interrupted write never leaves a valid
-    index over partial data.
+    The array is streamed epoch by epoch after its ``.npy`` 1.0 header, so
+    the file equals ``np.save`` of the stacked epochs without building that
+    copy.  The array goes first and the index last, and any old index is
+    removed before the array is written, so an interrupted write never
+    leaves a valid index over partial data.
     """
     subj_dir = cache_dir / _subject_tag(subject)
+    shapes = sorted({np.shape(e.data) for e in epochs})
+    if len(shapes) != 1 or len(shapes[0]) != 2:
+        raise ValueError(f"{subj_dir}: epochs must share one (channels, samples) shape, "
+                         f"got {shapes}")
+    shape = (len(epochs), *shapes[0])
     subj_dir.mkdir(parents=True, exist_ok=True)
-    data = np.stack([e.data for e in epochs]).astype(_EPOCH_DTYPE, copy=False)
     index = {
         "format_version": CACHE_FORMAT_VERSION,
         "subject": subject,
         "dtype": _EPOCH_DTYPE.str,
-        "n_epochs": len(epochs),
+        "n_epochs": shape[0],
         "n_channels": len(channel_names),
-        "n_samples": data.shape[2],
+        "n_samples": shape[2],
         "sample_rate": sample_rate,
         "channel_names": list(channel_names),
         "labels": [e.label for e in epochs],
@@ -163,9 +196,33 @@ def write_epoch_cache(cache_dir: Path, subject: int, epochs: list[signal.Epoch],
     }
     index_path = subj_dir / "index.json"
     index_path.unlink(missing_ok=True)
-    np.save(subj_dir / "epochs.npy", data, allow_pickle=False)
+    with open(subj_dir / "epochs.npy", "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, {
+            "descr": np.lib.format.dtype_to_descr(_EPOCH_DTYPE),
+            "fortran_order": False,
+            "shape": shape,
+        })
+        for e in epochs:
+            fh.write(np.ascontiguousarray(e.data, dtype=_EPOCH_DTYPE))
     index_path.write_text(json.dumps(index, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return subj_dir
+
+
+def _read_npy(path: Path, what: str) -> np.ndarray:
+    """Load a ``.npy`` file without pickle support.
+
+    Raises ``FileNotFoundError`` for a missing file and ``ValueError`` naming
+    the file when it is unreadable or holds more than the header plus data.
+    """
+    try:
+        with open(path, "rb") as fh:
+            data = np.load(fh, allow_pickle=False)
+            read_bytes, file_bytes = fh.tell(), os.fstat(fh.fileno()).st_size
+    except (ValueError, EOFError) as exc:
+        raise ValueError(f"{path}: unreadable {what}: {exc}") from exc
+    if file_bytes != read_bytes:
+        raise ValueError(f"{path}: {file_bytes} bytes, header and data take {read_bytes}")
+    return data
 
 
 def read_epoch_cache(cache_dir: Path, subject: int) -> tuple[list[signal.Epoch], dict]:
@@ -182,12 +239,7 @@ def read_epoch_cache(cache_dir: Path, subject: int) -> tuple[list[signal.Epoch],
     if version != CACHE_FORMAT_VERSION:
         raise ValueError(f"{index_path}: cache format_version {version!r} is not "
                          f"{CACHE_FORMAT_VERSION}; re-run prepare")
-    try:
-        with open(path, "rb") as fh:
-            data = np.load(fh, allow_pickle=False)
-            read_bytes, file_bytes = fh.tell(), os.fstat(fh.fileno()).st_size
-    except (ValueError, EOFError) as exc:
-        raise ValueError(f"{path}: unreadable epoch array: {exc}") from exc
+    data = _read_npy(path, "epoch array")
     shape = (index.get("n_epochs"), index.get("n_channels"), index.get("n_samples"))
     if any(len(index.get(key, ())) != shape[0] for key in ("labels", "trials", "slices")):
         raise ValueError(f"{index_path}: labels, trials and slices must each list "
@@ -196,8 +248,6 @@ def read_epoch_cache(cache_dir: Path, subject: int) -> tuple[list[signal.Epoch],
             or index.get("dtype") != _EPOCH_DTYPE.str:
         raise ValueError(f"{path}: array is {data.dtype.str} {data.shape}; index.json declares "
                          f"{index.get('dtype')} {shape} and the format needs {_EPOCH_DTYPE.str}")
-    if file_bytes != read_bytes:
-        raise ValueError(f"{path}: {file_bytes} bytes, header and data take {read_bytes}")
     epochs = [
         signal.Epoch(
             data[i], index["labels"][i], subject=subject,
@@ -206,6 +256,85 @@ def read_epoch_cache(cache_dir: Path, subject: int) -> tuple[list[signal.Epoch],
         for i in range(shape[0])
     ]
     return epochs, index
+
+
+# ---------------------------------------------------------------------------
+# derived-result memo
+
+#: Part of every memo key; bump it when ``spdgeom``'s numerics change.
+MEMO_VERSION = 1
+
+
+class DerivedMemo:
+    """One subject's class centroids and elimination traces, stored on disk.
+
+    Entries live in ``<cache_dir>/S<id>/derived/`` under content keys: a
+    centroid's key hashes the exact ``<f8`` bytes, count and shapes of its
+    class's covariances plus the Fréchet ``tol``/``max_iter``; a trace's key
+    hashes its centroids plus ``target_k``.  Other inputs give other keys,
+    so no entry can go stale.  A corrupt entry raises a ``ValueError`` that
+    names its file; it is never silently recomputed.
+    """
+
+    def __init__(self, cache_dir: Path, subject: int):
+        self.root = cache_dir / _subject_tag(subject) / "derived"
+
+    @staticmethod
+    def _key(kind: str, mats: Sequence[np.ndarray], *params) -> str:
+        h = hashlib.sha256(repr((MEMO_VERSION, kind, len(mats), *params)).encode())
+        for m in mats:  # matrix by matrix: no stacked copy
+            m = np.ascontiguousarray(m, dtype=_EPOCH_DTYPE)
+            h.update(repr(m.shape).encode())
+            h.update(m)
+        return h.hexdigest()
+
+    def _store(self, path: Path, write) -> None:
+        self.root.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=path.name + ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                write(fh)
+            os.replace(tmp, path)
+        finally:
+            Path(tmp).unlink(missing_ok=True)
+
+    def frechet_mean(self, mats: list[np.ndarray], tol: float, max_iter: int) -> np.ndarray:
+        """``spdgeom.frechet_mean`` of `mats`, computed at most once."""
+        path = self.root / f"centroid-{self._key('centroid', mats, float(tol), int(max_iter))}.npy"
+        dim = np.shape(mats[0])[0]
+        try:
+            mean = _read_npy(path, "memo centroid")
+        except FileNotFoundError:
+            mean = spdgeom.frechet_mean(mats, tol=tol, max_iter=max_iter)
+            self._store(path, lambda fh: np.save(fh, mean.astype(_EPOCH_DTYPE, copy=False),
+                                                 allow_pickle=False))
+            return mean
+        if (mean.dtype.str, mean.shape) != (_EPOCH_DTYPE.str, (dim, dim)):
+            raise ValueError(f"{path}: centroid is {mean.dtype.str} {mean.shape}, "
+                             f"expected {_EPOCH_DTYPE.str} {(dim, dim)}")
+        return mean
+
+    def elimination(self, covs: list[np.ndarray], labels: list[str],
+                    target_k: int) -> spdgeom.SelectionTrace:
+        """``spdgeom.backward_elimination`` on the class centroids of `covs`,
+        in first-appearance class order, computed at most once."""
+        centroids = spdgeom.mdm_fit(covs, labels, mean=self.frechet_mean).centroids
+        path = self.root / f"trace-{self._key('trace', centroids, int(target_k))}.json"
+        try:
+            raw = path.read_bytes()
+        except FileNotFoundError:
+            trace = spdgeom.backward_elimination(centroids, target_k)
+            self._store(path, lambda fh: fh.write(spdgeom.trace_to_json(trace).encode()))
+            return trace
+        dim = centroids[0].shape[0]
+        try:
+            trace = spdgeom.trace_from_json(raw.decode("utf-8"))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: unreadable memo trace: {exc}") from exc
+        if (len(trace.removal_order), len(trace.final_subset), len(trace.final_loo_drops)) \
+                != (dim - target_k, target_k, target_k):
+            raise ValueError(f"{path}: trace does not reduce {dim} channels to {target_k}")
+        return trace
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +353,7 @@ def _canonical_index(channel_names: list[str], layout: montage.GridLayout) -> di
 def _subset_for_config(cfg: ExperimentConfig, layout: montage.GridLayout,
                        channel_names: list[str], subject: int,
                        train_covs: list[np.ndarray], train_labels: list[str],
-                       ) -> tuple[list[int], spdgeom.SelectionTrace | None]:
+                       memo: DerivedMemo) -> tuple[list[int], spdgeom.SelectionTrace | None]:
     if cfg.channel_config == "all64":
         return list(range(len(channel_names))), None
     if cfg.channel_config == "mi21":
@@ -235,7 +364,7 @@ def _subset_for_config(cfg: ExperimentConfig, layout: montage.GridLayout,
         return sorted(lookup[c] for c in relevance.MI_BASELINE_CHANNELS), None
     # feat21
     if cfg.relevance_source == "riemannian":
-        trace = spdgeom.backward_elimination(train_covs, train_labels, cfg.target_k)
+        trace = memo.elimination(train_covs, train_labels, cfg.target_k)
         return sorted(trace.final_subset), trace
     scores = relevance.ingest_external(
         cfg.relevance_pattern.format(subject=subject), layout
@@ -311,11 +440,15 @@ def _prepare_subject(cfg: ExperimentConfig, cache_dir: Path, subject: int,
 
     Every run must carry the first run's channel names, in order, and its
     sample rate; otherwise a ``ValueError`` names the subject and the file.
-    Any earlier cache of the subject is invalidated first, so a subject that
-    fails here is not read from a stale cache by later commands.
+    Any earlier cache of the subject, and its derived-result memo, is
+    invalidated first, so a subject that fails here is not read from a stale
+    cache by later commands.
     """
     tag = _subject_tag(subject)
     (cache_dir / tag / "index.json").unlink(missing_ok=True)
+    derived = DerivedMemo(cache_dir, subject).root
+    if derived.exists():
+        shutil.rmtree(derived)
     epochs: list[signal.Epoch] = []
     first: tuple[Path, list[str], float] | None = None
     for run in cfg.runs:
@@ -400,12 +533,13 @@ def _train_eval_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
     train_labels = [e.label for e in train]
     test_labels = [e.label for e in test]
     channel_names = index["channel_names"]
+    memo = DerivedMemo(cache_dir, subject)
     subset, trace = _subset_for_config(
-        cfg, layout, channel_names, subject, train_covs, train_labels
+        cfg, layout, channel_names, subject, train_covs, train_labels, memo
     )
     classes = sorted(set(train_labels))
     model = spdgeom.mdm_fit(train_covs, train_labels, channel_subset=subset,
-                            classes=classes)
+                            classes=classes, mean=memo.frechet_mean)
     preds = [spdgeom.mdm_predict(model, spdgeom.restrict_channels(c, subset))
              for c in test_covs]
     ev = stats.evaluate(preds, test_labels, classes=classes)
@@ -486,7 +620,7 @@ def _select_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
     train, _ = signal.split(epochs, signal.SplitSpec(cfg.seed, cfg.test_fraction))
     covs = [spdgeom.covariance(e.data, cfg.shrinkage) for e in train]
     labels = [e.label for e in train]
-    trace = spdgeom.backward_elimination(covs, labels, cfg.target_k)
+    trace = DerivedMemo(cache_dir, subject).elimination(covs, labels, cfg.target_k)
     tag = _subject_tag(subject)
     (out_dir / f"trace_{tag}.json").write_text(
         spdgeom.trace_to_json(trace) + "\n", encoding="utf-8"
@@ -691,10 +825,8 @@ def _read_rows_csv(path: Path) -> list[dict]:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="experiment config file")
     p.add_argument("--seed", type=int, help="override config seed")
-    p.add_argument("--metric", choices=["euclidean", "manhattan"],
-                   help="override ground metric")
-    p.add_argument("--mass", choices=["raw", "normalized"],
-                   help="override mass mode")
+    p.add_argument("--metric", choices=METRICS, help="override ground metric")
+    p.add_argument("--mass", choices=MASS_MODES, help="override mass mode")
     p.add_argument("--output-dir", help="override output directory")
 
 

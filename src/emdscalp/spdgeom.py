@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Callable, Hashable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -244,12 +244,16 @@ def mdm_fit(
     classes: Sequence[Hashable] | None = None,
     tol: float = 1e-8,
     max_iter: int = 50,
+    mean: Callable[..., np.ndarray] | None = None,
 ) -> MDMModel:
     """Fit the minimum-distance-to-mean classifier.
 
     Covariances are restricted to `channel_subset` before averaging; one
     Fréchet-mean centroid is estimated per class.  Class order defaults to
     first appearance in `labels` and fixes the prediction tie-break.
+    `mean`, called as ``mean(mats, tol=tol, max_iter=max_iter)``, replaces
+    `frechet_mean` for each class, e.g. to return centroids the caller
+    already has.
     """
     if len(covs) != len(labels):
         raise ValueError("covs and labels lengths differ")
@@ -260,9 +264,10 @@ def mdm_fit(
     if any(c < 0 or c >= dim for c in subset):
         raise ValueError(f"channel subset out of range for dim {dim}")
     classes, groups = _class_partition(labels, classes)
+    mean = frechet_mean if mean is None else mean
     restricted = [restrict_channels(c, subset) for c in covs]
     centroids = tuple(
-        frechet_mean([restricted[i] for i in groups[c]], tol=tol, max_iter=max_iter)
+        mean([restricted[i] for i in groups[c]], tol=tol, max_iter=max_iter)
         for c in classes
     )
     return MDMModel(classes=classes, centroids=centroids, channel_subset=subset)
@@ -313,34 +318,24 @@ def _subset_distance(centroids: Sequence[np.ndarray], subset: Sequence[int]) -> 
     return total
 
 
-def backward_elimination(
-    covs: Sequence[np.ndarray],
-    labels: Sequence[Hashable],
-    target_k: int,
-    classes: Sequence[Hashable] | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 50,
-) -> SelectionTrace:
+def backward_elimination(centroids: Sequence[np.ndarray], target_k: int) -> SelectionTrace:
     """Backward-elimination channel selection on centroid distance.
 
-    Class centroids are estimated once on the full channel set.  At each
-    iteration every candidate channel is scored by the inter-class centroid
-    distance on the subset with that channel removed, and the channel whose
-    removal leaves the largest remaining distance is permanently dropped
-    (ties: lowest channel index).  Repeats until `target_k` channels
-    survive.
+    `centroids` are the class centroids on the full channel set, e.g.
+    ``mdm_fit(covs, labels).centroids``.  At each iteration every candidate
+    channel is scored by the inter-class centroid distance on the subset
+    with that channel removed, and the channel whose removal leaves the
+    largest remaining distance is permanently dropped (ties: lowest channel
+    index).  Repeats until `target_k` channels survive.
     """
-    if len(covs) == 0:
-        raise ValueError("no training examples")
-    dim = np.asarray(covs[0]).shape[0]
+    if len(centroids) < 2:
+        raise ValueError("need at least 2 class centroids")
+    centroids = [_check_square_symmetric(c, "centroid") for c in centroids]
+    dim = centroids[0].shape[0]
+    if any(c.shape != (dim, dim) for c in centroids):
+        raise ValueError("centroids differ in dimension")
     if not 2 <= target_k < dim:
         raise ValueError(f"target_k must be in [2, {dim}), got {target_k}")
-    classes, groups = _class_partition(labels, classes)
-    covs = [np.asarray(c, dtype=float) for c in covs]
-    centroids = [
-        frechet_mean([covs[i] for i in groups[c]], tol=tol, max_iter=max_iter)
-        for c in classes
-    ]
 
     subset = list(range(dim))
     steps: list[RemovalStep] = []
@@ -388,6 +383,8 @@ def trace_to_json(trace: SelectionTrace) -> str:
 
 def trace_from_json(text: str) -> SelectionTrace:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("trace JSON must be an object")
     if doc.get("format_version") != 1:
         raise ValueError(f"unsupported trace format_version: {doc.get('format_version')}")
     return SelectionTrace(

@@ -179,9 +179,7 @@ def test_criterion_06_mdm_pipeline_on_synthetic_fixture(rng):
     res = stats.evaluate(preds, [labels[i] for i in test_i])
     assert res.overall >= 0.95
 
-    trace = spdgeom.backward_elimination(
-        [covs[i] for i in train_i], [labels[i] for i in train_i], target_k=2
-    )
+    trace = spdgeom.backward_elimination(model.centroids, target_k=2)
     assert set(trace.final_subset) == {3, 7}
     elapsed = time.monotonic() - start
     assert elapsed < 120.0

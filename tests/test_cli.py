@@ -1,4 +1,7 @@
+import io
 import json
+import shutil
+from dataclasses import fields, replace
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from emdscalp import cli, montage, relevance, signal, transport
+from emdscalp import cli, montage, relevance, signal, spdgeom, transport
 from emdscalp.cli import load_config, main, render_map_svg
 
 from helpers import make_motor_recording, recording_to_edf
@@ -113,6 +116,53 @@ class TestConfig:
                 cfg = load_config(p)
                 assert cfg.channel_config == channel_config
                 assert cfg.relevance_source == source
+
+    @pytest.mark.parametrize("edit, key", [
+        ({"test_fraction": "nan"}, "test_fraction"),
+        ({"test_fraction": 1.5}, "test_fraction"),
+        ({"shrinkage": 2}, "shrinkage"),
+        ({"band_lo": 40, "band_hi": 10}, "band_lo"),
+        ({"band_hi": "inf"}, "band_lo"),
+        ({"target_k": 0}, "target_k"),
+        ({"sample_rate": 0}, "sample_rate"),
+        ({"subjects": -3}, "subjects"),
+        ({"runs": "3,0"}, "runs"),
+        ({"seed": -1}, "seed"),
+        ({"seed": "1.5"}, "seed"),
+        ({"metric": "chebyshev"}, "metric"),
+        ({"mass": "weird"}, "mass"),
+        ({"input_format": "xls"}, "input_format"),
+        ({"class_mode": "zzz"}, "class_mode"),
+    ])
+    def test_bad_value_rejected_naming_its_key(self, tmp_path, edit, key):
+        with pytest.raises(ValueError, match=key):
+            load_config(write_config(tmp_path / "a.cfg", **edit))
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=st.lists(st.one_of(
+        st.tuples(
+            st.sampled_from([f.name for f in fields(cli.ExperimentConfig)] + ["bogus"]),
+            st.one_of(
+                st.sampled_from(["", "0", "1", "-3", "2", "21", "0.2", "1.5", "40", "nan",
+                                 "-inf", "1e999", "1,2", "1,,2", "a,b", "all64", "feat21",
+                                 "riemannian", "external:x", "raw", "normalized",
+                                 "manhattan", "csv", "per_class_union", "{subject}"]),
+                st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)),
+        ).map(" = ".join),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=20),
+    ), max_size=8))
+    def test_config_grammar_fuzz(self, tmp_path_factory, lines):
+        # a config file either loads as a valid config or raises ValueError
+        path = tmp_path_factory.mktemp("cfg") / "fuzz.cfg"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        try:
+            cfg = load_config(path)
+        except ValueError:
+            return
+        # values that used to fail late, per subject, now fail here
+        signal.SplitSpec(cfg.seed, cfg.test_fraction)
+        np.random.default_rng(cfg.seed)
+        assert 0.0 <= cfg.shrinkage < 1.0 and cfg.target_k >= 1
 
 
 class TestPrepare:
@@ -226,6 +276,26 @@ class TestEpochCache:
         assert all(e.subject == 5 for e in got)
         assert index["channel_names"] == names
 
+    @settings(max_examples=40, deadline=None)
+    @given(arr=hnp.arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 4),
+                                                st.integers(1, 7)),
+                          elements=st.floats(width=64)))
+    def test_streamed_array_equals_np_save(self, tmp_path_factory, arr):
+        epochs = [signal.Epoch(arr[i], "T1", 1, i, 0) for i in range(arr.shape[0])]
+        cache_dir = tmp_path_factory.mktemp("cache")
+        names = [f"ch{c}" for c in range(arr.shape[1])]
+        subj_dir = cli.write_epoch_cache(cache_dir, 1, epochs, names, 160.0)
+        expected = io.BytesIO()
+        np.save(expected, np.stack([e.data for e in epochs]), allow_pickle=False)
+        assert (subj_dir / "epochs.npy").read_bytes() == expected.getvalue()
+
+    def test_epochs_of_differing_shapes_rejected(self, tmp_path):
+        epochs = [signal.Epoch(np.zeros((2, 5)), "T1", 1, 0, 0),
+                  signal.Epoch(np.zeros((3, 5)), "T1", 1, 1, 0)]
+        with pytest.raises(ValueError, match="S001: epochs must share one"):
+            cli.write_epoch_cache(tmp_path, 1, epochs, ["C3", "C4"], 160.0)
+        assert not (tmp_path / "S001" / "epochs.npy").exists()
+
     def test_truncated_array_rejected(self, tmp_path):
         npy, _ = _cache_files(tmp_path)
         npy.write_bytes(npy.read_bytes()[:-8])
@@ -282,7 +352,7 @@ class TestEpochCache:
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(np, "save", interrupted)
+        monkeypatch.setattr(np.lib.format, "write_array_header_1_0", interrupted)
         with pytest.raises(KeyboardInterrupt):
             _cache_files(tmp_path, n_epochs=4)
         # no index survives over the array the interrupted write left behind
@@ -423,6 +493,122 @@ class TestSelectChannels:
         assert main(["select-channels", "--config", str(cfg)]) == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "no subject completed select-channels" in err["message"]
+
+
+def _memo_entries(tmp_path: Path, subject: str = "S002") -> list[Path]:
+    return sorted((tmp_path / "cache" / subject / "derived").iterdir())
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+class TestDerivedMemo:
+    CHAIN = (("train-eval", "all64"), ("train-eval", "feat21"), ("select-channels", "all64"))
+
+    def _chain(self, tmp_path: Path, out: Path, clear_memo: bool = False) -> None:
+        for command, channel_config in self.CHAIN:
+            if clear_memo:
+                for derived in (tmp_path / "cache").glob("S*/derived"):
+                    shutil.rmtree(derived)
+            cfg = write_config(tmp_path / f"{channel_config}.cfg",
+                               channel_config=channel_config, target_k=2)
+            assert main([command, "--config", str(cfg), "--output-dir",
+                         str(out / f"{command}-{channel_config}")]) == 0
+
+    def test_each_class_mean_and_elimination_computed_once(self, workspace, monkeypatch):
+        tmp_path, cfg = workspace
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        dims, eliminations = [], []
+        frechet_mean, backward_elimination = spdgeom.frechet_mean, spdgeom.backward_elimination
+
+        def counted_mean(mats, **kwargs):
+            dims.append(np.shape(mats[0])[0])
+            return frechet_mean(mats, **kwargs)
+
+        def counted_elimination(*args, **kwargs):
+            eliminations.append(args)
+            return backward_elimination(*args, **kwargs)
+
+        monkeypatch.setattr(spdgeom, "frechet_mean", counted_mean)
+        monkeypatch.setattr(spdgeom, "backward_elimination", counted_elimination)
+        self._chain(tmp_path, tmp_path / "out")
+        # two subjects x two classes on all 6 channels, then on feat21's 2
+        assert dims.count(6) == 4 and dims.count(2) == 4 and len(dims) == 8
+        assert len(eliminations) == 2
+
+    def test_warm_memo_outputs_byte_identical(self, workspace):
+        tmp_path, cfg = workspace
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        self._chain(tmp_path, tmp_path / "cold", clear_memo=True)
+        self._chain(tmp_path, tmp_path / "warm")
+        cold, warm = _tree(tmp_path / "cold"), _tree(tmp_path / "warm")
+        assert len(cold) == 12 and cold == warm
+
+    @pytest.mark.parametrize("kind", ["centroid", "trace"])
+    @pytest.mark.parametrize("damage", ["truncate", "garbage", "wrong shape"])
+    def test_corrupt_entry_fails_its_subject(self, workspace, capsys, kind, damage):
+        tmp_path, _ = workspace
+        cfg = write_config(tmp_path / "feat.cfg", channel_config="feat21", target_k=2)
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        assert main(["train-eval", "--config", str(cfg)]) == 0
+        entry = next(p for p in _memo_entries(tmp_path) if p.name.startswith(kind))
+        if damage == "truncate":
+            entry.write_bytes(entry.read_bytes()[:-9])
+        elif damage == "garbage":
+            entry.write_bytes(b"\x93NUMPY garbage \xff")
+        elif kind == "centroid":
+            np.save(entry, np.eye(3))
+        else:
+            trace = spdgeom.trace_from_json(entry.read_text())
+            entry.write_text(spdgeom.trace_to_json(replace(
+                trace, final_subset=trace.final_subset[1:])))
+        damaged = entry.read_bytes()
+        capsys.readouterr()
+        assert main(["train-eval", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["failed_subjects"] == ["S002"]
+        reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
+        assert reason.startswith(f"ValueError: {entry}: ")
+        assert entry.read_bytes() == damaged  # never silently recomputed
+        rows = json.loads((tmp_path / "out" / "rows.json").read_text())
+        assert [r["subject"] for r in rows] == [1]
+
+    def test_prepare_clears_memo(self, workspace):
+        tmp_path, cfg = workspace
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        assert main(["train-eval", "--config", str(cfg)]) == 0
+        assert len(_memo_entries(tmp_path)) == 2
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        assert not (tmp_path / "cache" / "S002" / "derived").exists()
+
+    @pytest.mark.parametrize("edit, n_means", [
+        ({"shrinkage": 0.1}, 8),  # 2 subjects x 2 classes, on 6 and on 2 channels
+        ({"seed": 8}, 8),
+        ({"target_k": 3}, 4),  # same covariances: only the 3-channel means are new
+    ])
+    def test_other_inputs_miss_the_memo(self, workspace, monkeypatch, edit, n_means):
+        tmp_path, _ = workspace
+        cfg = write_config(tmp_path / "feat.cfg", channel_config="feat21", target_k=2)
+        other = write_config(tmp_path / "other.cfg", **{"channel_config": "feat21",
+                                                         "target_k": 2, **edit})
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        assert main(["train-eval", "--config", str(other), "--output-dir",
+                     str(tmp_path / "fresh")]) == 0
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        assert main(["train-eval", "--config", str(cfg)]) == 0
+        calls = []
+        frechet_mean = spdgeom.frechet_mean
+        monkeypatch.setattr(spdgeom, "frechet_mean",
+                            lambda mats, **kw: calls.append(1) or frechet_mean(mats, **kw))
+        assert main(["train-eval", "--config", str(other), "--output-dir",
+                     str(tmp_path / "after")]) == 0
+        assert len(calls) == n_means
+        after, fresh = _tree(tmp_path / "after"), _tree(tmp_path / "fresh")
+        assert after == fresh
+        # the elimination traces depend on shrinkage, split and target_k
+        assert after["trace_S001.json"] != (tmp_path / "out" / "trace_S001.json").read_bytes()
 
 
 class TestEmdCommand:

@@ -13,7 +13,7 @@ from emdscalp.relevance import (
     scores_from_trace,
     top_k,
 )
-from emdscalp.spdgeom import backward_elimination
+from emdscalp.spdgeom import backward_elimination, mdm_fit
 from emdscalp.transport import emd
 
 from helpers import make_spd_dataset
@@ -216,7 +216,7 @@ class TestMIBaseline:
 class TestScoresFromTrace:
     def test_survivors_outrank_removed(self, rng, layout):
         covs, labels = make_spd_dataset(rng, 20, dim=6, discriminative=(2, 5))
-        trace = backward_elimination(covs, labels, target_k=2)
+        trace = backward_elimination(mdm_fit(covs, labels).centroids, target_k=2)
         names = ["C3", "C4", "Cz", "Pz", "Fz", "Oz"]
         scores = scores_from_trace(trace, names, layout)
         assert scores.source == "riemannian"
@@ -226,7 +226,7 @@ class TestScoresFromTrace:
 
     def test_rank_order_matches_removal_order(self, rng, layout):
         covs, labels = make_spd_dataset(rng, 10, dim=4, discriminative=(1,))
-        trace = backward_elimination(covs, labels, target_k=2)
+        trace = backward_elimination(mdm_fit(covs, labels).centroids, target_k=2)
         names = ["C3", "C4", "Cz", "Pz"]
         scores = scores_from_trace(trace, names, layout)
         first_removed = names[trace.removal_order[0].removed]

@@ -236,18 +236,18 @@ class TestBackwardElimination:
     def test_removal_record_count_64_to_21(self, rng):
         # single-example classes make centroid estimation immediate
         a, b = rand_spd(rng, 64, spread=0.3), rand_spd(rng, 64, spread=0.3)
-        trace = backward_elimination([a, b], ["Left", "Right"], target_k=21)
+        trace = backward_elimination([a, b], target_k=21)
         assert len(trace.removal_order) == 43
         assert len(trace.final_subset) == 21
 
     def test_recovers_discriminative_channels(self, rng):
         covs, labels = make_spd_dataset(rng, 30, dim=8, discriminative=(3, 7))
-        trace = backward_elimination(covs, labels, target_k=2)
+        trace = backward_elimination(mdm_fit(covs, labels).centroids, target_k=2)
         assert set(trace.final_subset) == {3, 7}
 
     def test_each_step_is_candidate_maximum(self, rng):
         covs, labels = make_spd_dataset(rng, 10, dim=6)
-        trace = backward_elimination(covs, labels, target_k=3)
+        trace = backward_elimination(mdm_fit(covs, labels).centroids, target_k=3)
         # independent re-scan with reversed candidate order
         classes = ("Left", "Right")
         centroids = [
@@ -272,7 +272,7 @@ class TestBackwardElimination:
 
     def test_strictly_decreasing_subset_chain(self, rng):
         covs, labels = make_spd_dataset(rng, 10, dim=6)
-        trace = backward_elimination(covs, labels, target_k=2)
+        trace = backward_elimination(mdm_fit(covs, labels).centroids, target_k=2)
         removed = [s.removed for s in trace.removal_order]
         assert len(set(removed)) == len(removed)
         assert set(removed) | set(trace.final_subset) == set(range(6))
@@ -281,18 +281,27 @@ class TestBackwardElimination:
         # permutation-symmetric class structure: all candidates tie
         a = np.eye(4)
         b = 2.0 * np.eye(4)
-        trace = backward_elimination([a, b], ["Left", "Right"], target_k=2)
+        trace = backward_elimination([a, b], target_k=2)
         assert [s.removed for s in trace.removal_order] == [0, 1]
 
     def test_target_k_range(self, rng):
         covs, labels = make_spd_dataset(rng, 4, dim=4)
         with pytest.raises(ValueError, match="target_k"):
-            backward_elimination(covs, labels, target_k=1)
+            backward_elimination(mdm_fit(covs, labels).centroids, target_k=1)
         with pytest.raises(ValueError, match="target_k"):
-            backward_elimination(covs, labels, target_k=4)
+            backward_elimination(mdm_fit(covs, labels).centroids, target_k=4)
+
+    def test_centroids_checked(self, rng):
+        a = rand_spd(rng, 4)
+        with pytest.raises(ValueError, match="at least 2"):
+            backward_elimination([a], target_k=2)
+        with pytest.raises(ValueError, match="differ in dimension"):
+            backward_elimination([a, rand_spd(rng, 5)], target_k=2)
+        with pytest.raises(ValueError, match="not symmetric"):
+            backward_elimination([a, a + np.triu(np.ones((4, 4)), 1)], target_k=2)
 
     def test_trace_json_round_trip(self, rng):
         covs, labels = make_spd_dataset(rng, 6, dim=5)
-        trace = backward_elimination(covs, labels, target_k=2)
+        trace = backward_elimination(mdm_fit(covs, labels).centroids, target_k=2)
         back = trace_from_json(trace_to_json(trace))
         assert back == trace
