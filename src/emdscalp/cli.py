@@ -8,6 +8,7 @@ README); command-line flags override file keys.  All outputs are plain text
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -350,31 +351,44 @@ def _canonical_index(channel_names: list[str], layout: montage.GridLayout) -> di
     return out
 
 
+def _riemannian_selection(cfg: ExperimentConfig, layout: montage.GridLayout,
+                          memo: DerivedMemo, channel_names: list[str],
+                          train_covs: list[np.ndarray], train_labels: list[str]
+                          ) -> tuple[list[int], list[str], spdgeom.SelectionTrace]:
+    """One subject's elimination selection, for ``train-eval feat21`` and
+    ``select-channels`` alike: the surviving channel indices in order, their
+    sorted montage names (channels outside the montage left out) and the
+    trace."""
+    trace = memo.elimination(train_covs, train_labels, cfg.target_k)
+    subset = sorted(trace.final_subset)
+    names = {i: name for name, i in _canonical_index(channel_names, layout).items()}
+    return subset, sorted(names[i] for i in subset if i in names), trace
+
+
 def _subset_for_config(cfg: ExperimentConfig, layout: montage.GridLayout,
                        channel_names: list[str], subject: int,
                        train_covs: list[np.ndarray], train_labels: list[str],
-                       memo: DerivedMemo) -> tuple[list[int], spdgeom.SelectionTrace | None]:
+                       memo: DerivedMemo
+                       ) -> tuple[list[int], list[str] | None, spdgeom.SelectionTrace | None]:
+    """Channel indices to train on; ``feat21`` also gives the selection's
+    montage names, and the riemannian source its trace."""
     if cfg.channel_config == "all64":
-        return list(range(len(channel_names))), None
+        return list(range(len(channel_names))), None, None
+    if cfg.channel_config == "feat21" and cfg.relevance_source == "riemannian":
+        return _riemannian_selection(cfg, layout, memo, channel_names, train_covs, train_labels)
+    lookup = _canonical_index(channel_names, layout)
     if cfg.channel_config == "mi21":
-        lookup = _canonical_index(channel_names, layout)
         missing = [c for c in relevance.MI_BASELINE_CHANNELS if c not in lookup]
         if missing:
             raise ValueError(f"recording lacks baseline channels: {missing}")
-        return sorted(lookup[c] for c in relevance.MI_BASELINE_CHANNELS), None
-    # feat21
-    if cfg.relevance_source == "riemannian":
-        trace = memo.elimination(train_covs, train_labels, cfg.target_k)
-        return sorted(trace.final_subset), trace
-    scores = relevance.ingest_external(
-        cfg.relevance_pattern.format(subject=subject), layout
-    )
+        return sorted(lookup[c] for c in relevance.MI_BASELINE_CHANNELS), None, None
+    # feat21 from an external source
+    scores = relevance.ingest_external(cfg.relevance_pattern.format(subject=subject), layout)
     selected = relevance.top_k(scores, cfg.target_k, class_mode=cfg.class_mode)
-    lookup = _canonical_index(channel_names, layout)
     missing = [c for c in selected if c not in lookup]
     if missing:
         raise ValueError(f"relevance names not present in recording: {sorted(missing)}")
-    return sorted(lookup[c] for c in selected), None
+    return sorted(lookup[c] for c in selected), sorted(selected), None
 
 
 def _cohort_maps(counts: dict[str, int], layout: montage.GridLayout, k: int
@@ -523,18 +537,48 @@ def _each_subject(cfg: ExperimentConfig, command: str, run_one) -> tuple[list, l
     return results, sorted(failed)
 
 
-def _train_eval_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
-                        cache_dir: Path, out_dir: Path, subject: int,
-                        selections: dict[str, list[str]]) -> dict:
+def _read_split(cfg: ExperimentConfig, cache_dir: Path, subject: int
+                ) -> tuple[list[str], list[signal.Epoch], list[signal.Epoch], list[np.ndarray]]:
+    """A subject's channel names, training and test epochs, and training
+    covariances."""
     epochs, index = read_epoch_cache(cache_dir, subject)
     train, test = signal.split(epochs, signal.SplitSpec(cfg.seed, cfg.test_fraction))
     train_covs = [spdgeom.covariance(e.data, cfg.shrinkage) for e in train]
+    return index["channel_names"], train, test, train_covs
+
+
+def _write_trace(out_dir: Path, subject: int, trace: spdgeom.SelectionTrace) -> None:
+    (out_dir / f"trace_{_subject_tag(subject)}.json").write_text(
+        spdgeom.trace_to_json(trace) + "\n", encoding="utf-8"
+    )
+
+
+def _write_cohort(out_dir: Path, model: str, selections: dict[str, list[str]]
+                  ) -> tuple[str, dict[str, int]]:
+    """Write ``cohort_<tag>.json``; return the tag and the channel counts."""
+    agg = relevance.aggregate_cohort(selections)
+    cohort = {
+        "model": model,
+        "subjects": list(agg.subjects),
+        "selections": {s: selections[s] for s in agg.subjects},
+        "counts": dict(sorted(agg.counts.items())),
+    }
+    tag = model.replace("external:", "")
+    (out_dir / f"cohort_{tag}.json").write_text(
+        json.dumps(cohort, sort_keys=True, indent=2) + "\n", encoding="utf-8"
+    )
+    return tag, agg.counts
+
+
+def _train_eval_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
+                        cache_dir: Path, out_dir: Path, subject: int,
+                        selections: dict[str, list[str]]) -> dict:
+    channel_names, train, test, train_covs = _read_split(cfg, cache_dir, subject)
     test_covs = [spdgeom.covariance(e.data, cfg.shrinkage) for e in test]
     train_labels = [e.label for e in train]
     test_labels = [e.label for e in test]
-    channel_names = index["channel_names"]
     memo = DerivedMemo(cache_dir, subject)
-    subset, trace = _subset_for_config(
+    subset, names, trace = _subset_for_config(
         cfg, layout, channel_names, subject, train_covs, train_labels, memo
     )
     classes = sorted(set(train_labels))
@@ -559,14 +603,9 @@ def _train_eval_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
         row[f"recall_{c}"] = ev.per_class_recall[c]
         row[f"support_{c}"] = ev.support[c]
     if trace is not None:
-        (out_dir / f"trace_{_subject_tag(subject)}.json").write_text(
-            spdgeom.trace_to_json(trace) + "\n", encoding="utf-8"
-        )
-    if cfg.channel_config in ("feat21", "mi21"):
-        lookup = {i: name for name, i in _canonical_index(channel_names, layout).items()}
-        selections[_subject_tag(subject)] = sorted(
-            lookup[i] for i in subset if i in lookup
-        )
+        _write_trace(out_dir, subject, trace)
+    if names is not None:
+        selections[_subject_tag(subject)] = names
     return row
 
 
@@ -579,54 +618,35 @@ def cmd_train_eval(cfg: ExperimentConfig) -> dict:
     rows, failed = _each_subject(cfg, "train-eval", lambda subject: _train_eval_subject(
         cfg, layout, cache_dir, out_dir, subject, selections))
     _write_rows(out_dir, rows)
-    if cfg.channel_config == "feat21" and selections:
-        agg = relevance.aggregate_cohort(selections)
-        cohort = {
-            "model": cfg.relevance_source,
-            "subjects": list(agg.subjects),
-            "selections": {s: selections[s] for s in agg.subjects},
-            "counts": dict(sorted(agg.counts.items())),
-        }
-        tag = cfg.relevance_source.replace("external:", "")
-        (out_dir / f"cohort_{tag}.json").write_text(
-            json.dumps(cohort, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
-        bmap, wmap = _cohort_maps(agg.counts, layout, cfg.target_k)
+    if selections:  # feat21
+        tag, counts = _write_cohort(out_dir, cfg.relevance_source, selections)
+        bmap, wmap = _cohort_maps(counts, layout, cfg.target_k)
         montage.save_spatial_map(bmap, out_dir / f"map_{tag}_binary_top{cfg.target_k}.csv")
         montage.save_spatial_map(wmap, out_dir / f"map_{tag}_weighted_counts.csv")
     return {"rows": len(rows), "failed_subjects": failed, "output_dir": str(out_dir)}
 
 
 def _write_rows(out_dir: Path, rows: list[dict]) -> None:
-    columns = list(rows[0].keys())
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row.get(c, "")) for c in columns))
-    (out_dir / "rows.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """``rows.csv`` takes its columns from the first row; a later row's
+    missing columns are left empty and its extra ones dropped."""
+    with open(out_dir / "rows.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, list(rows[0]), restval="", extrasaction="ignore",
+                                lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
     (out_dir / "rows.json").write_text(
         json.dumps(rows, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _select_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
                     cache_dir: Path, out_dir: Path, subject: int) -> tuple[str, list[str]]:
-    epochs, index = read_epoch_cache(cache_dir, subject)
-    train, _ = signal.split(epochs, signal.SplitSpec(cfg.seed, cfg.test_fraction))
-    covs = [spdgeom.covariance(e.data, cfg.shrinkage) for e in train]
-    labels = [e.label for e in train]
-    trace = DerivedMemo(cache_dir, subject).elimination(covs, labels, cfg.target_k)
-    tag = _subject_tag(subject)
-    (out_dir / f"trace_{tag}.json").write_text(
-        spdgeom.trace_to_json(trace) + "\n", encoding="utf-8"
-    )
-    scores = relevance.scores_from_trace(trace, index["channel_names"], layout)
-    return tag, sorted(relevance.top_k(scores, min(cfg.target_k, len(scores.channels))))
+    channel_names, train, _, train_covs = _read_split(cfg, cache_dir, subject)
+    _, names, trace = _riemannian_selection(
+        cfg, layout, DerivedMemo(cache_dir, subject), channel_names, train_covs,
+        [e.label for e in train])
+    _write_trace(out_dir, subject, trace)
+    return _subject_tag(subject), names
 
 
 def cmd_select_channels(cfg: ExperimentConfig) -> dict:
@@ -636,18 +656,8 @@ def cmd_select_channels(cfg: ExperimentConfig) -> dict:
     cache_dir = Path(cfg.cache_dir)
     done, failed = _each_subject(cfg, "select-channels", lambda subject: _select_subject(
         cfg, layout, cache_dir, out_dir, subject))
-    selections = dict(done)
-    agg = relevance.aggregate_cohort(selections)
-    cohort = {
-        "model": "riemannian",
-        "subjects": list(agg.subjects),
-        "selections": selections,
-        "counts": dict(sorted(agg.counts.items())),
-    }
-    (out_dir / "cohort_riemannian.json").write_text(
-        json.dumps(cohort, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    return {"subjects": len(selections), "failed_subjects": failed,
+    _write_cohort(out_dir, "riemannian", dict(done))
+    return {"subjects": len(done), "failed_subjects": failed,
             "output_dir": str(out_dir)}
 
 
@@ -657,43 +667,30 @@ def cmd_emd(cfg: ExperimentConfig, map_args: list[str], cohort_args: list[str],
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if baseline_map:
-        base_binary = montage.load_spatial_map(baseline_map)
+        base_binary = base_weighted = montage.load_spatial_map(baseline_map)
     else:
         base_binary = relevance.mi_baseline(layout, "binary")
-    base_weighted = relevance.mi_baseline(layout, "uniform-weighted") if not baseline_map \
-        else base_binary
+        base_weighted = relevance.mi_baseline(layout, "uniform-weighted")
 
-    def parse_named(args: list[str]) -> list[tuple[str, str]]:
-        pairs = []
+    def parse_named(args: list[str]) -> list[list[str]]:
         for item in args:
             if "=" not in item:
                 raise ValueError(f"expected NAME=PATH, got {item!r}")
-            name, path = item.split("=", 1)
-            pairs.append((name, path))
-        return pairs
+        return [item.split("=", 1) for item in args]
 
-    results = []
-    for name, path in parse_named(map_args):
-        smap = montage.load_spatial_map(path)
-        p, q = smap, base_binary
+    def score(p: montage.SpatialMap, q: montage.SpatialMap) -> float:
         if cfg.mass == "raw":
             p, q = transport.rebalance(p, q, rebalance_to)
-        res = transport.emd(p, q, metric=cfg.metric, mass_mode=cfg.mass)
-        results.append({"model": name, "emd_binary": res.distance, "emd_weighted": None})
+        return transport.emd(p, q, metric=cfg.metric, mass_mode=cfg.mass).distance
+
+    results = [{"model": name, "emd_binary": score(montage.load_spatial_map(path), base_binary),
+                "emd_weighted": None} for name, path in parse_named(map_args)]
     for name, path in parse_named(cohort_args):
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         counts = {k: int(v) for k, v in doc["counts"].items()}
         bmap, wmap = _cohort_maps(counts, layout, cfg.target_k)
-        pb, qb = bmap, base_binary
-        pw, qw = wmap, base_weighted
-        if cfg.mass == "raw":
-            pb, qb = transport.rebalance(pb, qb, rebalance_to)
-            pw, qw = transport.rebalance(pw, qw, rebalance_to)
-        res_b = transport.emd(pb, qb, metric=cfg.metric, mass_mode=cfg.mass)
-        res_w = transport.emd(pw, qw, metric=cfg.metric, mass_mode=cfg.mass)
-        results.append(
-            {"model": name, "emd_binary": res_b.distance, "emd_weighted": res_w.distance}
-        )
+        results.append({"model": name, "emd_binary": score(bmap, base_binary),
+                        "emd_weighted": score(wmap, base_weighted)})
     if not results:
         raise ValueError("no model maps given; use --maps and/or --cohorts")
     results.sort(key=lambda r: (r["emd_binary"], r["model"]))
@@ -812,11 +809,11 @@ def cmd_report(cfg: ExperimentConfig, row_files: list[str]) -> dict:
 
 
 def _read_rows_csv(path: Path) -> list[dict]:
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines:
-        return []
-    header = lines[0].split(",")
-    return [dict(zip(header, line.split(","))) for line in lines[1:] if line.strip()]
+    """Rows of a ``rows.csv``; a short row lacks its missing columns and a
+    long row's extra fields are dropped."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [{k: v for k, v in row.items() if k is not None and v is not None}
+                for row in csv.DictReader(fh)]
 
 
 # ---------------------------------------------------------------------------

@@ -162,12 +162,11 @@ def frechet_mean(
     mats: Sequence[np.ndarray],
     tol: float = 1e-8,
     max_iter: int = 50,
-    step: float = 1.0,
 ) -> np.ndarray:
     """Fréchet (Karcher) mean of SPD matrices under the affine metric.
 
     Fixed-point gradient iteration started at the arithmetic mean:
-    ``M <- M^{1/2} exp(step * mean_i log(M^{-1/2} A_i M^{-1/2})) M^{1/2}``.
+    ``M <- M^{1/2} exp(mean_i log(M^{-1/2} A_i M^{-1/2})) M^{1/2}``.
     Convergence is declared when the summed tangent-space gradient
     ``|| sum_i log(M^{-1/2} A_i M^{-1/2}) ||_F`` drops to `tol`.
 
@@ -193,7 +192,7 @@ def frechet_mean(
         residual = float(np.linalg.norm(grad, "fro"))
         if residual <= tol:
             return mean
-        mean = sq @ _spectral((step / n) * grad, np.exp, clamp=False) @ sq
+        mean = sq @ _spectral((1.0 / n) * grad, np.exp, clamp=False) @ sq
     raise FrechetMeanError(
         f"no convergence after {max_iter} iterations (residual {residual:.3e})",
         residual=residual,

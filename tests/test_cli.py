@@ -457,20 +457,35 @@ class TestTrainEval:
 
 
 class TestSelectChannels:
-    def test_writes_traces_and_cohort(self, workspace):
-        tmp_path, _ = workspace
-        cfg = write_config(tmp_path / "sel.cfg", target_k=2)
+    @pytest.mark.parametrize("channels, discriminative, selected", [
+        (CHANNELS_6, (1, 2), ["C3", "C4"]),
+        (CHANNELS_6 + ["EXG1"], (1, 2), ["C3", "C4"]),
+        # EXG1 carries a class difference but has no montage name
+        (CHANNELS_6 + ["EXG1"], (1, 6), ["C3"]),
+    ], ids=["montage", "exg1", "exg1-selected"])
+    def test_writes_traces_and_cohort(self, tmp_path, rng, layout, channels,
+                                      discriminative, selected):
+        build_dataset(tmp_path / "data", [1, 2], [3, 4], channels, rng,
+                      discriminative=discriminative)
+        cfg = write_config(tmp_path / "sel.cfg", target_k=2, output_dir="sel")
+        feat = write_config(tmp_path / "feat.cfg", target_k=2, output_dir="feat",
+                            channel_config="feat21")
         assert main(["prepare", "--config", str(cfg)]) == 0
         assert main(["select-channels", "--config", str(cfg)]) == 0
-        out = tmp_path / "out"
-        assert (out / "trace_S001.json").exists()
-        assert (out / "trace_S002.json").exists()
-        cohort = json.loads((out / "cohort_riemannian.json").read_text())
+        assert main(["train-eval", "--config", str(feat)]) == 0
+        cohort, feat21 = (json.loads((tmp_path / d / "cohort_riemannian.json").read_text())
+                          for d in ("sel", "feat"))
         assert cohort["model"] == "riemannian"
-        # the variance difference sits on channels C3 and C4
-        assert cohort["selections"]["S001"] == ["C3", "C4"]
-        assert cohort["counts"] == {"C3": 2, "C4": 2}
-
+        assert cohort["selections"] == feat21["selections"] == {"S001": selected,
+                                                                "S002": selected}
+        assert cohort["counts"] == {name: 2 for name in selected}
+        assert all(name in layout for name in cohort["counts"])
+        for tag in ("S001", "S002"):
+            trace = (tmp_path / "sel" / f"trace_{tag}.json").read_bytes()
+            assert trace == (tmp_path / "feat" / f"trace_{tag}.json").read_bytes()
+        # the classifier trains on both surviving channels, named or not
+        rows = json.loads((tmp_path / "feat" / "rows.json").read_text())
+        assert [r["n_channels"] for r in rows] == [2, 2]
 
     def test_missing_subject_reported_run_continues(self, workspace, capsys):
         tmp_path, _ = workspace
@@ -713,6 +728,14 @@ def write_fixture_rows(path: Path) -> Path:
     return path
 
 
+#: Text for a rows.csv cell, commas and quotes included.  Config values
+#: hold no line breaks (parse_config_text splits on them), and neither do
+#: the other row values.
+_CSV_CELL = st.text(st.sampled_from(',"') | st.characters(
+    blacklist_categories=("Cs",),
+    blacklist_characters="\x00\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"))
+
+
 class TestReportCommand:
     def test_published_fixture_footer(self, tmp_path):
         rows = write_fixture_rows(tmp_path / "rows.csv")
@@ -756,6 +779,42 @@ class TestReportCommand:
         p.write_text("")
         cfg = write_config(tmp_path / "exp.cfg")
         assert main(["report", "--config", str(cfg), "--rows", str(p)]) == 1
+
+    @pytest.fixture(params=["riemannian", "external:a,b"])
+    def train_eval_rows(self, request, tmp_path) -> Path:
+        """The published table as ``rows.csv`` written by ``train-eval``'s writer."""
+        rows = [
+            {"subject": sid, "channel_config": config, "relevance_source": request.param,
+             "n_channels": 21, "n_train": 36, "n_test": 10, "chance": chance / 100,
+             "overall": ov / 100, "overall_macro": (lf + rt) / 200,
+             "recall_Left": lf / 100, "support_Left": 5,
+             "recall_Right": rt / 100, "support_Right": 5}
+            for sid, chance, *accs in MDM_TABLE
+            for config, (ov, lf, rt) in zip(cli.CHANNEL_CONFIGS, accs)
+        ]
+        (tmp_path / "te").mkdir()
+        cli._write_rows(tmp_path / "te", rows)
+        return tmp_path / "te" / "rows.csv"
+
+    def test_train_eval_rows_give_published_table(self, tmp_path, train_eval_rows):
+        cfg = write_config(tmp_path / "exp.cfg")
+        fixture = write_fixture_rows(tmp_path / "fixture.csv")
+        assert main(["report", "--config", str(cfg), "--rows", str(train_eval_rows)]) == 0
+        assert main(["report", "--config", str(cfg), "--rows", str(fixture),
+                     "--output-dir", str(tmp_path / "ref")]) == 0
+        table = (tmp_path / "out" / "table.csv").read_text()
+        footer = table.splitlines()[-1].split(",")
+        assert footer[1] == "58.14±0.94"  # chance
+        assert table == (tmp_path / "ref" / "table.csv").read_text()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_CSV_CELL, min_size=1, max_size=4, unique=True).flatmap(
+        lambda cols: st.lists(st.fixed_dictionaries({c: _CSV_CELL for c in cols}),
+                              min_size=1, max_size=4)))
+    def test_rows_csv_round_trip(self, tmp_path_factory, rows):
+        out = tmp_path_factory.mktemp("rows")
+        cli._write_rows(out, rows)
+        assert cli._read_rows_csv(out / "rows.csv") == rows
 
 
 class TestErrorContract:
