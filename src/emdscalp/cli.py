@@ -263,7 +263,7 @@ def read_epoch_cache(cache_dir: Path, subject: int) -> tuple[list[signal.Epoch],
 # derived-result memo
 
 #: Part of every memo key; bump it when ``spdgeom``'s numerics change.
-MEMO_VERSION = 1
+MEMO_VERSION = 2
 
 
 class DerivedMemo:
@@ -639,6 +639,11 @@ def _write_rows(out_dir: Path, rows: list[dict]) -> None:
     )
 
 
+def _write_csv(path: Path, rows: list[list]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
 def _select_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
                     cache_dir: Path, out_dir: Path, subject: int) -> tuple[str, list[str]]:
     channel_names, train, _, train_covs = _read_split(cfg, cache_dir, subject)
@@ -697,11 +702,10 @@ def cmd_emd(cfg: ExperimentConfig, map_args: list[str], cohort_args: list[str],
     for rank, row in enumerate(results, start=1):
         row["rank"] = rank
 
-    lines = ["model,rank,emd_binary,emd_weighted"]
-    for row in results:
-        ew = "" if row["emd_weighted"] is None else repr(row["emd_weighted"])
-        lines.append(f'{row["model"]},{row["rank"]},{repr(row["emd_binary"])},{ew}')
-    (out_dir / "emd_table.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(out_dir / "emd_table.csv", [["model", "rank", "emd_binary", "emd_weighted"]] + [
+        [row["model"], row["rank"], repr(row["emd_binary"]),
+         "" if row["emd_weighted"] is None else repr(row["emd_weighted"])]
+        for row in results])
     (out_dir / "emd_table.json").write_text(
         json.dumps(results, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
@@ -770,8 +774,7 @@ def cmd_report(cfg: ExperimentConfig, row_files: list[str]) -> dict:
             summary[col] = [mean, sd]
         else:
             footer.append("")
-    lines = [",".join(header)] + [",".join(t) for t in table] + [",".join(footer)]
-    (out_dir / "table.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(out_dir / "table.csv", [header, *table, footer])
 
     # pairwise signed-rank p-values across configurations, on overall columns
     pvalues: dict[str, dict[str, float | None]] = {}
@@ -792,13 +795,9 @@ def cmd_report(cfg: ExperimentConfig, row_files: list[str]) -> dict:
                 pvalues[c1][c2] = res.p_value
             except ValueError:
                 pvalues[c1][c2] = None
-    plines = ["," + ",".join(configs)]
-    for c1 in configs:
-        cells = [
-            "" if pvalues[c1][c2] is None else repr(pvalues[c1][c2]) for c2 in configs
-        ]
-        plines.append(c1 + "," + ",".join(cells))
-    (out_dir / "pvalues.csv").write_text("\n".join(plines) + "\n", encoding="utf-8")
+    _write_csv(out_dir / "pvalues.csv", [["", *configs]] + [
+        [c1, *("" if pvalues[c1][c2] is None else repr(pvalues[c1][c2]) for c2 in configs)]
+        for c1 in configs])
 
     report = {"configs": configs, "subjects": subjects, "summary": summary,
               "pvalues": pvalues}

@@ -25,7 +25,6 @@ __all__ = [
     "RemovalStep",
     "SelectionTrace",
     "clamped_eigenvalue_count",
-    "check_spd",
     "covariance",
     "riemannian_distance",
     "frechet_mean",
@@ -35,12 +34,12 @@ __all__ = [
     "backward_elimination",
     "trace_to_json",
     "trace_from_json",
-    "model_to_json",
-    "model_from_json",
 ]
 
 SYMMETRY_RTOL = 1e-10
 EIG_CLAMP_REL = 1e-12
+#: Residual differences mixed per step of `frechet_mean`'s Anderson iteration.
+_ANDERSON_DEPTH = 5
 
 _n_clamped = 0
 
@@ -99,13 +98,33 @@ def _spectral(m: np.ndarray, fn, clamp: bool = True) -> np.ndarray:
     return (V * fn(w)) @ V.T
 
 
-def check_spd(m: np.ndarray) -> None:
-    """Raise ValueError unless `m` is symmetric positive definite."""
-    m = _check_square_symmetric(m)
-    try:
-        np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        raise ValueError("matrix is not positive definite") from None
+def _sym_vec(s: np.ndarray) -> np.ndarray:
+    # Upper triangle, off-diagonal entries times sqrt(2): the vector's
+    # Euclidean norm is the matrix's Frobenius norm.
+    iu = np.triu_indices(len(s))
+    return s[iu] * np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+
+
+def _sym_unvec(v: np.ndarray) -> np.ndarray:
+    dim = int(np.sqrt(2 * len(v)))  # len(v) == dim * (dim + 1) / 2
+    iu = np.triu_indices(dim)
+    s = np.zeros((dim, dim))
+    s[iu] = v / np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+    return s + np.triu(s, 1).T
+
+
+def _anderson_coefficients(df: np.ndarray, f: np.ndarray) -> np.ndarray:
+    # gamma minimising || f - df @ gamma ||_2 (Walker & Ni 2011, eq. 3.1).
+    # While the columns (oldest first) are numerically dependent, the oldest
+    # is dropped (coefficient 0), as in Walker & Ni's Section 4, rather than
+    # taking the minimum-norm solution: that would keep mixing in stale
+    # differences, e.g. ones taken across a clamped eigenvalue.
+    k = df.shape[1]
+    for first in range(k):
+        gamma, _, rank, _ = np.linalg.lstsq(df[:, first:], f, rcond=None)
+        if rank == k - first:
+            return np.concatenate([np.zeros(first), gamma])
+    return np.zeros(k)
 
 
 def covariance(epoch: np.ndarray, shrinkage: float = 0.05) -> np.ndarray:
@@ -165,10 +184,18 @@ def frechet_mean(
 ) -> np.ndarray:
     """Fréchet (Karcher) mean of SPD matrices under the affine metric.
 
-    Fixed-point gradient iteration started at the arithmetic mean:
-    ``M <- M^{1/2} exp(mean_i log(M^{-1/2} A_i M^{-1/2})) M^{1/2}``.
-    Convergence is declared when the summed tangent-space gradient
-    ``|| sum_i log(M^{-1/2} A_i M^{-1/2}) ||_F`` drops to `tol`.
+    Anderson-accelerated fixed-point iteration started at the arithmetic
+    mean.  The plain step is
+    ``G(M) = M^{1/2} exp(mean_i log(M^{-1/2} A_i M^{-1/2})) M^{1/2}``; each
+    iteration mixes the plain steps of the last few accepted iterates by
+    least squares on their residuals ``log G(M) - log M`` (type-II Anderson
+    acceleration, Walker & Ni 2011), in the log coordinates of `_sym_vec`.
+    A mixed iterate that does not lower the residual below the last
+    accepted one is dropped for the plain step from that point, and the
+    history restarts.  Convergence is declared when the summed
+    tangent-space gradient ``|| sum_i log(M^{-1/2} A_i M^{-1/2}) ||_F``
+    drops to `tol`; each evaluation of it, rejected or not, counts against
+    `max_iter`.
 
     Raises
     ------
@@ -181,18 +208,38 @@ def frechet_mean(
     stack = np.stack([_check_square_symmetric(m) for m in mats])
     n = len(stack)
     mean = stack.mean(axis=0)
-    residual = np.inf
+    residual = best = np.inf
+    mixed = False
+    gs: list[np.ndarray] = []  # log G(M) of the accepted iterates, newest last
+    fs: list[np.ndarray] = []  # their residuals log G(M) - log M
     for _ in range(max_iter):
         w, V = _clamped_eigh(mean)
         isq = (V * (1.0 / np.sqrt(w))) @ V.T
-        sq = (V * np.sqrt(w)) @ V.T
         grad = np.zeros_like(mean)
         for mat in stack:
             grad += _spectral(isq @ mat @ isq, np.log)
         residual = float(np.linalg.norm(grad, "fro"))
         if residual <= tol:
             return mean
-        mean = sq @ _spectral((1.0 / n) * grad, np.exp, clamp=False) @ sq
+        if mixed and residual >= best:
+            mean, mixed = step, False
+            gs.clear()
+            fs.clear()
+            continue
+        best = residual
+        sq = (V * np.sqrt(w)) @ V.T
+        step = sq @ _spectral((1.0 / n) * grad, np.exp, clamp=False) @ sq
+        g = _sym_vec(_spectral(step, np.log))
+        gs.append(g)
+        fs.append(g - _sym_vec((V * np.log(w)) @ V.T))
+        del gs[:-_ANDERSON_DEPTH - 1], fs[:-_ANDERSON_DEPTH - 1]
+        mixed = len(gs) > 1
+        if mixed:
+            gamma = _anderson_coefficients(np.diff(fs, axis=0).T, fs[-1])
+            mean = _spectral(_sym_unvec(g - np.diff(gs, axis=0).T @ gamma), np.exp,
+                             clamp=False)
+        else:
+            mean = step
     raise FrechetMeanError(
         f"no convergence after {max_iter} iterations (residual {residual:.3e})",
         residual=residual,
@@ -393,25 +440,4 @@ def trace_from_json(text: str) -> SelectionTrace:
         ),
         final_subset=tuple(int(c) for c in doc["final_subset"]),
         final_loo_drops=tuple(float(d) for d in doc["final_loo_drops"]),
-    )
-
-
-def model_to_json(model: MDMModel) -> str:
-    doc = {
-        "format_version": 1,
-        "classes": list(model.classes),
-        "channel_subset": list(model.channel_subset),
-        "centroids": [c.tolist() for c in model.centroids],
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def model_from_json(text: str) -> MDMModel:
-    doc = json.loads(text)
-    if doc.get("format_version") != 1:
-        raise ValueError(f"unsupported model format_version: {doc.get('format_version')}")
-    return MDMModel(
-        classes=tuple(doc["classes"]),
-        centroids=tuple(np.array(c, dtype=float) for c in doc["centroids"]),
-        channel_subset=tuple(int(c) for c in doc["channel_subset"]),
     )

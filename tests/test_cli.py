@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import shutil
@@ -590,6 +591,22 @@ class TestDerivedMemo:
         rows = json.loads((tmp_path / "out" / "rows.json").read_text())
         assert [r["subject"] for r in rows] == [1]
 
+    def test_entries_of_an_older_memo_version_are_not_read(self, workspace, monkeypatch):
+        tmp_path, cfg = workspace
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        with monkeypatch.context() as old:
+            old.setattr(cli, "MEMO_VERSION", 1)
+            assert main(["train-eval", "--config", str(cfg)]) == 0
+        assert cli.MEMO_VERSION != 1
+        stored = _memo_entries(tmp_path)
+        calls = []
+        frechet_mean = spdgeom.frechet_mean
+        monkeypatch.setattr(spdgeom, "frechet_mean",
+                            lambda mats, **kw: calls.append(1) or frechet_mean(mats, **kw))
+        assert main(["train-eval", "--config", str(cfg)]) == 0
+        assert len(calls) == 4  # 2 subjects x 2 classes
+        assert set(stored) < set(_memo_entries(tmp_path))
+
     def test_prepare_clears_memo(self, workspace):
         tmp_path, cfg = workspace
         assert main(["prepare", "--config", str(cfg)]) == 0
@@ -627,6 +644,16 @@ class TestDerivedMemo:
 
 
 class TestEmdCommand:
+    def test_model_name_with_comma_stays_one_field(self, tmp_path, layout):
+        montage.save_spatial_map(relevance.mi_baseline(layout), tmp_path / "m.csv")
+        cfg = write_config(tmp_path / "exp.cfg")
+        assert main(["emd", "--config", str(cfg), "--maps", f"a,b={tmp_path/'m.csv'}",
+                     f"c={tmp_path/'m.csv'}"]) == 0
+        with open(tmp_path / "out" / "emd_table.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["model", "rank", "emd_binary", "emd_weighted"],
+                        ["a,b", "1", "0.0", ""], ["c", "2", "0.0", ""]]
+
     def test_baseline_vs_itself_is_zero(self, tmp_path, layout):
         base = relevance.mi_baseline(layout)
         montage.save_spatial_map(base, tmp_path / "m.csv")

@@ -7,13 +7,10 @@ from emdscalp.spdgeom import (
     EigenvalueClampWarning,
     FrechetMeanError,
     backward_elimination,
-    check_spd,
     covariance,
     frechet_mean,
     mdm_fit,
     mdm_predict,
-    model_from_json,
-    model_to_json,
     restrict_channels,
     riemannian_distance,
     trace_from_json,
@@ -21,6 +18,30 @@ from emdscalp.spdgeom import (
 )
 
 from helpers import make_spd_dataset, rand_spd
+
+
+def plain_frechet_mean(mats, tol):
+    """Reference for `frechet_mean`, written without `spdgeom`: the plain
+    fixed-point step ``M <- M^{1/2} exp(mean_i log(M^{-1/2} A_i M^{-1/2}))
+    M^{1/2}`` from the arithmetic mean.  Returns the mean and the number of
+    gradient evaluations it took."""
+    def fn(m, f):
+        w, v = np.linalg.eigh(m)
+        return (v * f(w)) @ v.T
+
+    mean = np.mean(mats, axis=0)
+    for evaluations in range(1, 1001):
+        isq = fn(mean, lambda w: 1 / np.sqrt(w))
+        grad = sum(fn(isq @ a @ isq, np.log) for a in mats)
+        if np.linalg.norm(grad) <= tol:
+            return mean, evaluations
+        sq = fn(mean, np.sqrt)
+        mean = sq @ fn(grad / len(mats), np.exp) @ sq
+    raise AssertionError("plain iteration did not converge")
+
+
+def rel_diff(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
 class TestCovariance:
@@ -34,7 +55,6 @@ class TestCovariance:
         epoch = rng.normal(size=(3, 50))
         epoch = np.vstack([epoch, epoch[0]])  # duplicated channel
         cov = covariance(epoch, shrinkage=0.01)
-        check_spd(cov)
         assert np.linalg.eigvalsh(cov).min() > 0
 
     def test_matches_direct_formula(self):
@@ -143,6 +163,33 @@ class TestFrechetMean:
         with pytest.raises(ValueError, match="at least one"):
             frechet_mean([])
 
+    @pytest.mark.parametrize("dim", [2, 4, 16, 64])
+    def test_agrees_with_plain_iteration(self, rng, dim):
+        mats = [rand_spd(rng, dim) for _ in range(10)]
+        expected, _ = plain_frechet_mean(mats, tol=1e-10)
+        assert rel_diff(frechet_mean(mats, tol=1e-10), expected) <= 1e-10
+
+    def test_converges_in_half_the_plain_iterations(self, rng):
+        mats = [rand_spd(rng, 8, spread=1.5) for _ in range(20)]
+        expected, n_plain = plain_frechet_mean(mats, tol=1e-10)
+        assert n_plain >= 20
+        mean = frechet_mean(mats, tol=1e-10, max_iter=n_plain // 2 + 1)
+        assert rel_diff(mean, expected) <= 1e-10
+
+    def test_bad_mixing_falls_back_to_plain_steps(self, rng, monkeypatch):
+        mats = [rand_spd(rng, 8) for _ in range(20)]
+        expected, _ = plain_frechet_mean(mats, tol=1e-10)
+        mixes = []
+
+        def bad_coefficients(df, f):
+            mixes.append(df.shape)
+            return np.full(df.shape[1], 3.0)
+
+        monkeypatch.setattr(spdgeom, "_anderson_coefficients", bad_coefficients)
+        mean = frechet_mean(mats, tol=1e-10)
+        assert mixes
+        assert rel_diff(mean, expected) <= 1e-10
+
 
 class TestEigenClamping:
     def test_clamping_warns_and_counts(self, rng):
@@ -221,15 +268,6 @@ class TestMDM:
         direct = mdm_fit([restrict_channels(c, sub) for c in covs], labels)
         for c1, c2 in zip(model.centroids, direct.centroids):
             assert_allclose(c1, c2, atol=1e-10)
-
-    def test_model_json_round_trip(self, rng):
-        covs, labels = make_spd_dataset(rng, 4, dim=4)
-        model = mdm_fit(covs, labels, channel_subset=(0, 2))
-        back = model_from_json(model_to_json(model))
-        assert back.classes == model.classes
-        assert back.channel_subset == model.channel_subset
-        for c1, c2 in zip(back.centroids, model.centroids):
-            assert_allclose(c1, c2)
 
 
 class TestBackwardElimination:
