@@ -263,7 +263,7 @@ def read_epoch_cache(cache_dir: Path, subject: int) -> tuple[list[signal.Epoch],
 # derived-result memo
 
 #: Part of every memo key; bump it when ``spdgeom``'s numerics change.
-MEMO_VERSION = 2
+MEMO_VERSION = 3
 
 
 class DerivedMemo:
@@ -769,7 +769,10 @@ def cmd_report(cfg: ExperimentConfig, row_files: list[str]) -> dict:
     for col in header[1:]:
         vals = numeric[col]
         if vals:
-            mean, sd = stats.cohort_summary(vals)
+            try:
+                mean, sd = stats.cohort_summary(vals)
+            except ValueError as exc:
+                raise ValueError(f"rows column {col!r}: {exc}") from None
             footer.append(f"{mean:.2f}±{sd:.2f}")
             summary[col] = [mean, sd]
         else:

@@ -147,6 +147,8 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float],
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("x and y must be 1-d vectors of equal length")
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ValueError("x and y must be finite")
     d = x - y
     zeros = int(np.count_nonzero(d == 0))
     d = d[d != 0]
@@ -185,5 +187,7 @@ def cohort_summary(values: Sequence[float]) -> tuple[float, float]:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("values must be nonempty")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("values must be finite")
     sd = 0.0 if arr.size == 1 else float(arr.std(ddof=1))
     return float(arr.mean()), sd

@@ -209,8 +209,8 @@ def rebalance(
     p: SpatialMap, q: SpatialMap, target_total: float
 ) -> tuple[SpatialMap, SpatialMap]:
     """Scale both maps so each totals `target_total`; zeros stay zero."""
-    if target_total <= 0:
-        raise ValueError("target_total must be positive")
+    if not 0 < target_total < np.inf:
+        raise ValueError(f"target_total must be positive and finite, got {target_total}")
     tp, tq = p.total, q.total
     if tp <= 0 or tq <= 0:
         raise ValueError("cannot rebalance a zero-mass map")

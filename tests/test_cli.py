@@ -698,6 +698,15 @@ class TestEmdCommand:
         assert [r["model"] for r in table] == ["near", "far"]
         assert [r["rank"] for r in table] == [1, 2]
 
+    def test_non_finite_rebalance_target_rejected(self, tmp_path, layout, capsys):
+        montage.save_spatial_map(relevance.mi_baseline(layout), tmp_path / "m.csv")
+        cfg = write_config(tmp_path / "exp.cfg")
+        assert main(["emd", "--config", str(cfg), "--rebalance-to", "nan",
+                     "--maps", f"m={tmp_path/'m.csv'}"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert "target_total must be positive and finite" in err["message"]
+
     def test_no_maps_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "exp.cfg")
         assert main(["emd", "--config", str(cfg)]) == 1
@@ -775,6 +784,18 @@ class TestReportCommand:
         assert footer[header.index("mi21_overall")] == "69.64±7.35"
         assert footer[header.index("feat21_overall")] == "68.56±5.69"
         assert footer[header.index("chance")] == "58.14±0.94"
+
+    def test_non_finite_accuracy_rejected_naming_its_column(self, tmp_path, capsys):
+        rows = write_fixture_rows(tmp_path / "rows.csv")
+        lines = rows.read_text().splitlines()
+        cells = lines[1].split(",")
+        cells[3] = "nan"  # first subject's all64 overall
+        lines[1] = ",".join(cells)
+        rows.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path / "exp.cfg")
+        assert main(["report", "--config", str(cfg), "--rows", str(rows)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == "rows column 'all64_overall': values must be finite"
 
     def test_pvalue_matrix_shape(self, tmp_path):
         rows = write_fixture_rows(tmp_path / "rows.csv")

@@ -1,5 +1,7 @@
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 from emdscalp import spdgeom
@@ -283,30 +285,91 @@ class TestBackwardElimination:
         trace = backward_elimination(mdm_fit(covs, labels).centroids, target_k=2)
         assert set(trace.final_subset) == {3, 7}
 
-    def test_each_step_is_candidate_maximum(self, rng):
-        covs, labels = make_spd_dataset(rng, 10, dim=6)
-        trace = backward_elimination(mdm_fit(covs, labels).centroids, target_k=3)
-        # independent re-scan with reversed candidate order
-        classes = ("Left", "Right")
-        centroids = [
-            frechet_mean([c for c, l in zip(covs, labels) if l == cl])
-            for cl in classes
-        ]
-        subset = list(range(6))
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    @pytest.mark.parametrize("kind", ["random", "scaled_identity", "planted"])
+    @pytest.mark.parametrize("dim, target_k", [(3, 2), (8, 2), (20, 2), (64, 59)])
+    def test_each_step_is_candidate_maximum(self, rng, dim, target_k, kind, n_classes):
+        # Independent re-scan: every candidate subset solved on its own
+        # with `riemannian_distance`.
+        if kind == "random":
+            centroids = [rand_spd(rng, dim, spread=0.3) for _ in range(n_classes)]
+        elif kind == "scaled_identity":  # one eigenvalue of multiplicity dim
+            centroids = [(c + 1.0) * np.eye(dim) for c in range(n_classes)]
+        else:  # classes differ on channels 1 and dim - 1 only
+            noise = rand_spd(rng, dim - 2, spread=0.3)
+            order = np.argsort([1, dim - 1] + [c for c in range(dim) if c not in (1, dim - 1)])
+            centroids = [scipy.linalg.block_diag(rand_spd(rng, 2), noise)[np.ix_(order, order)]
+                         for _ in range(n_classes)]
+        trace = backward_elimination(centroids, target_k=target_k)
+
+        def distance(subset):
+            return sum(
+                riemannian_distance(restrict_channels(a, subset), restrict_channels(b, subset))
+                for i, a in enumerate(centroids) for b in centroids[i + 1:])
+
+        subset = list(range(dim))
         for step in trace.removal_order:
-            best_d, best_ch = -np.inf, None
-            for ch in reversed(subset):
-                cand = [c for c in subset if c != ch]
-                d = riemannian_distance(
-                    restrict_channels(centroids[0], cand),
-                    restrict_channels(centroids[1], cand),
-                )
-                if d > best_d or (d == best_d and ch < best_ch):
-                    best_d, best_ch = d, ch
-            assert step.removed == best_ch
-            assert_allclose(step.distance, best_d, rtol=1e-10)
+            scores = {ch: distance([c for c in subset if c != ch]) for ch in subset}
+            best = max(scores.values())
+            assert_allclose(step.distance, best, rtol=1e-12)
+            # the removed channel is the maximum, up to ties within rounding
+            assert scores[step.removed] >= best * (1 - 1e-12)
             subset.remove(step.removed)
         assert tuple(subset) == trace.final_subset
+        full = distance(subset)
+        drops = [full - distance([c for c in subset if c != ch]) for ch in subset]
+        assert_allclose(trace.final_loo_drops, drops, rtol=1e-12, atol=1e-12 * full)
+        if kind == "scaled_identity":  # exact ties: lowest channel index first
+            assert [s.removed for s in trace.removal_order] == list(range(dim - target_k))
+        if kind == "planted":
+            assert set(trace.final_subset) >= {1, dim - 1}
+
+    @pytest.mark.parametrize("case, size", [("near-identical", 1e-2), ("near-identical", 1e-5),
+                                            ("near-identical", 1e-8), ("ill-conditioned", 1e3),
+                                            ("ill-conditioned", 1e6)])
+    def test_distances_against_40_digit_oracle(self, rng, case, size):
+        def exact(a, b, subset):
+            # sqrt(sum log^2) of the generalized eigenvalues, at 40 digits
+            with mpmath.workdps(40):
+                chol = mpmath.cholesky(mpmath.matrix(restrict_channels(b, subset).tolist()))
+                inv = chol ** -1
+                w = mpmath.eigsy(inv * mpmath.matrix(restrict_channels(a, subset).tolist())
+                                 * inv.T, eigvals_only=True)
+                return float(mpmath.sqrt(sum(mpmath.log(x) ** 2 for x in w)))
+
+        dim, eps = 5, np.finfo(float).eps
+        for _ in range(3):
+            if case == "near-identical":  # B = W (I + size G) W^T with A = W W^T
+                a = rand_spd(rng, dim, spread=0.5)
+                g = rng.normal(size=(dim, dim))
+                w = np.linalg.cholesky(a)
+                b = w @ (np.eye(dim) + size * (g + g.T) / 2) @ w.T
+                # distances are O(size), from log-eigenvalues with absolute
+                # rounding: relative errors of order eps / size are inherent
+                bound = 20 * eps / size
+            else:  # condition number `size`
+                q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+                a = (q * np.logspace(0, np.log10(size), dim)) @ q.T
+                b = rand_spd(rng, dim)
+                bound = 1e-12
+            trace = backward_elimination([a, b], target_k=2)
+            subset = list(range(dim))
+            for step in trace.removal_order:
+                subset.remove(step.removed)
+                assert abs(step.distance - exact(a, b, subset)) <= bound * step.distance
+            full = exact(a, b, subset)
+            for ch, drop in zip(subset, trace.final_loo_drops):
+                rest = exact(a, b, [c for c in subset if c != ch])
+                assert abs(drop - (full - rest)) <= bound * full
+
+    @pytest.mark.parametrize("first", [True, False])
+    def test_indefinite_centroid_rejected(self, rng, first):
+        a = rand_spd(rng, 5)
+        w, v = np.linalg.eigh(rand_spd(rng, 5))
+        indefinite = (v * np.where(np.arange(5) == 2, -w, w)) @ v.T
+        pair = [indefinite, a] if first else [a, indefinite]
+        with pytest.raises(ValueError, match="positive definite"):
+            backward_elimination(pair, target_k=2)
 
     def test_strictly_decreasing_subset_chain(self, rng):
         covs, labels = make_spd_dataset(rng, 10, dim=6)

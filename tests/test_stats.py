@@ -185,6 +185,17 @@ class TestWilcoxon:
         with pytest.raises(ValueError, match="equal length"):
             wilcoxon_signed_rank([1.0, 2.0], [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pair_rejected(self, bad):
+        # the NaN difference would otherwise fall out of ranking and report
+        # p = 0 with statistic nan
+        x = [0.5, 0.6, 0.7, 0.8, 0.9, bad]
+        y = [0.4, 0.3, 0.2, 0.1, 0.0, 0.5]
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_signed_rank(x, y)
+        with pytest.raises(ValueError, match="finite"):
+            wilcoxon_signed_rank(y, x)
+
     def test_too_few_pairs(self):
         with pytest.raises(ValueError, match="at least 5"):
             wilcoxon_signed_rank([1.0, 2.0, 3.0, 4.0], [0.0, 0.0, 0.0, 0.0])
@@ -230,3 +241,8 @@ class TestCohortSummary:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
             cohort_summary([])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            cohort_summary([0.5, bad])

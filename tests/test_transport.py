@@ -175,6 +175,11 @@ class TestRebalance:
         with pytest.raises(ValueError, match="zero-mass"):
             rebalance(zero, unit_at(3, 0, 0), 1.0)
 
+    @pytest.mark.parametrize("target", [0.0, -1.0, np.nan, np.inf])
+    def test_target_must_be_positive_and_finite(self, target):
+        with pytest.raises(ValueError, match="target_total must be positive and finite"):
+            rebalance(unit_at(3, 0, 0), unit_at(3, 1, 1), target)
+
     def test_scale_then_emd_homogeneity(self, rng):
         p, q = random_map_pair(rng, 4)
         d = emd(p, q).distance
