@@ -19,6 +19,7 @@ import tempfile
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -159,52 +160,33 @@ def _subject_tag(subject: int) -> str:
 
 
 #: Cache layout version; ``read_epoch_cache`` accepts this one only.
-CACHE_FORMAT_VERSION = 2
-#: Sample dtype of ``epochs.npy``: little-endian float64 round-trips every
-#: sample bit for bit.
+CACHE_FORMAT_VERSION = 3
+#: dtype of ``epochs.npy``: little-endian float64 round-trips every bit.
 _EPOCH_DTYPE = np.dtype("<f8")
 
 
-def write_epoch_cache(cache_dir: Path, subject: int, epochs: list[signal.Epoch],
-                      channel_names: list[str], sample_rate: float) -> Path:
+def write_epoch_cache(cache_dir: Path, subject: int, covs: list[np.ndarray],
+                      index: dict) -> Path:
     """Store one subject's epochs as ``epochs.npy`` plus ``index.json``.
 
-    The array is streamed epoch by epoch after its ``.npy`` 1.0 header, so
-    the file equals ``np.save`` of the stacked epochs without building that
-    copy.  The array goes first and the index last, and any old index is
-    removed before the array is written, so an interrupted write never
-    leaves a valid index over partial data.
+    `covs` holds each epoch's ``spdgeom.covariance(data, 0.0)``; `index`
+    gives ``channel_names``, ``sample_rate`` and per-epoch ``labels``,
+    ``trials`` and ``slices``.  The array goes first and the index last, and
+    any old index is removed before the array is written, so an interrupted
+    write never leaves a valid index over partial data.
     """
     subj_dir = cache_dir / _subject_tag(subject)
-    shapes = sorted({np.shape(e.data) for e in epochs})
-    if len(shapes) != 1 or len(shapes[0]) != 2:
-        raise ValueError(f"{subj_dir}: epochs must share one (channels, samples) shape, "
-                         f"got {shapes}")
-    shape = (len(epochs), *shapes[0])
+    dim = len(index["channel_names"])
+    shapes = sorted({np.shape(c) for c in covs})
+    if shapes != [(dim, dim)]:
+        raise ValueError(f"{subj_dir}: epoch covariances must each be {dim}x{dim} for "
+                         f"{dim} channel names, got {shapes}")
+    index = dict(index, format_version=CACHE_FORMAT_VERSION, subject=subject,
+                 dtype=_EPOCH_DTYPE.str, n_epochs=len(covs), n_channels=dim)
     subj_dir.mkdir(parents=True, exist_ok=True)
-    index = {
-        "format_version": CACHE_FORMAT_VERSION,
-        "subject": subject,
-        "dtype": _EPOCH_DTYPE.str,
-        "n_epochs": shape[0],
-        "n_channels": len(channel_names),
-        "n_samples": shape[2],
-        "sample_rate": sample_rate,
-        "channel_names": list(channel_names),
-        "labels": [e.label for e in epochs],
-        "trials": [e.trial for e in epochs],
-        "slices": [e.slice_index for e in epochs],
-    }
     index_path = subj_dir / "index.json"
     index_path.unlink(missing_ok=True)
-    with open(subj_dir / "epochs.npy", "wb") as fh:
-        np.lib.format.write_array_header_1_0(fh, {
-            "descr": np.lib.format.dtype_to_descr(_EPOCH_DTYPE),
-            "fortran_order": False,
-            "shape": shape,
-        })
-        for e in epochs:
-            fh.write(np.ascontiguousarray(e.data, dtype=_EPOCH_DTYPE))
+    np.save(subj_dir / "epochs.npy", np.asarray(covs, dtype=_EPOCH_DTYPE), allow_pickle=False)
     index_path.write_text(json.dumps(index, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return subj_dir
 
@@ -226,12 +208,14 @@ def _read_npy(path: Path, what: str) -> np.ndarray:
     return data
 
 
-def read_epoch_cache(cache_dir: Path, subject: int) -> tuple[list[signal.Epoch], dict]:
-    """Load a subject written by ``write_epoch_cache``.
+def read_epoch_cache(cache_dir: Path, subject: int) -> tuple[np.ndarray, dict]:
+    """Load a subject written by ``write_epoch_cache``: the unshrunk epoch
+    covariances, shape ``(n_epochs, n_channels, n_channels)``, and the index.
 
     Raises ``FileNotFoundError`` for a missing file and ``ValueError`` naming
-    the file for an unsupported format version, an unreadable array, or an
-    array whose dtype, shape or file size disagrees with ``index.json``.
+    the file for an unsupported format version, an index whose lists
+    disagree with its counts, an unreadable array, or an array whose dtype,
+    shape or file size disagrees with ``index.json``.
     """
     subj_dir = cache_dir / _subject_tag(subject)
     index_path, path = subj_dir / "index.json", subj_dir / "epochs.npy"
@@ -240,23 +224,18 @@ def read_epoch_cache(cache_dir: Path, subject: int) -> tuple[list[signal.Epoch],
     if version != CACHE_FORMAT_VERSION:
         raise ValueError(f"{index_path}: cache format_version {version!r} is not "
                          f"{CACHE_FORMAT_VERSION}; re-run prepare")
-    data = _read_npy(path, "epoch array")
-    shape = (index.get("n_epochs"), index.get("n_channels"), index.get("n_samples"))
-    if any(len(index.get(key, ())) != shape[0] for key in ("labels", "trials", "slices")):
+    data = _read_npy(path, "epoch covariance array")
+    n_epochs, dim = index.get("n_epochs"), index.get("n_channels")
+    if any(len(index.get(key, ())) != n_epochs for key in ("labels", "trials", "slices")) \
+            or len(index.get("channel_names", ())) != dim:
         raise ValueError(f"{index_path}: labels, trials and slices must each list "
-                         f"n_epochs={shape[0]} entries")
+                         f"n_epochs={n_epochs} entries and channel_names n_channels={dim}")
+    shape = (n_epochs, dim, dim)
     if (data.dtype.str, data.shape) != (_EPOCH_DTYPE.str, shape) \
             or index.get("dtype") != _EPOCH_DTYPE.str:
         raise ValueError(f"{path}: array is {data.dtype.str} {data.shape}; index.json declares "
                          f"{index.get('dtype')} {shape} and the format needs {_EPOCH_DTYPE.str}")
-    epochs = [
-        signal.Epoch(
-            data[i], index["labels"][i], subject=subject,
-            trial=index["trials"][i], slice_index=index["slices"][i],
-        )
-        for i in range(shape[0])
-    ]
-    return epochs, index
+    return data, index
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +362,11 @@ def _subset_for_config(cfg: ExperimentConfig, layout: montage.GridLayout,
             raise ValueError(f"recording lacks baseline channels: {missing}")
         return sorted(lookup[c] for c in relevance.MI_BASELINE_CHANNELS), None, None
     # feat21 from an external source
-    scores = relevance.ingest_external(cfg.relevance_pattern.format(subject=subject), layout)
+    path = cfg.relevance_pattern.format(subject=subject)
+    try:
+        scores = relevance.ingest_external(path, layout)
+    except (KeyError, TypeError, AttributeError) as exc:  # unknown channel, malformed field
+        raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from exc
     selected = relevance.top_k(scores, cfg.target_k, class_mode=cfg.class_mode)
     missing = [c for c in selected if c not in lookup]
     if missing:
@@ -433,7 +416,7 @@ def render_map_svg(smap: montage.SpatialMap, layout: montage.GridLayout,
             )
         parts.append(
             f'<text x="{cx:.2f}" y="{cy + 3.0:.2f}" font-size="7" '
-            f'text-anchor="middle" font-family="sans-serif">{e.name}</text>'
+            f'text-anchor="middle" font-family="sans-serif">{escape(e.name)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -452,8 +435,9 @@ def _prepare_subject(cfg: ExperimentConfig, cache_dir: Path, subject: int,
                      missing: list[str]) -> tuple[str, int] | None:
     """Epoch and cache one subject's runs; ``None`` when no run is usable.
 
-    Every run must carry the first run's channel names, in order, and its
-    sample rate; otherwise a ``ValueError`` names the subject and the file.
+    Every run must hold only finite samples and carry the first run's channel
+    names, in order, and its sample rate; otherwise a ``ValueError`` names
+    the subject and the file.
     Any earlier cache of the subject, and its derived-result memo, is
     invalidated first, so a subject that fails here is not read from a stale
     cache by later commands.
@@ -463,7 +447,8 @@ def _prepare_subject(cfg: ExperimentConfig, cache_dir: Path, subject: int,
     derived = DerivedMemo(cache_dir, subject).root
     if derived.exists():
         shutil.rmtree(derived)
-    epochs: list[signal.Epoch] = []
+    covs: list[np.ndarray] = []
+    index: dict[str, list] = {"labels": [], "trials": [], "slices": []}
     first: tuple[Path, list[str], float] | None = None
     for run in cfg.runs:
         path = _run_path(cfg, subject, run)
@@ -484,16 +469,21 @@ def _prepare_subject(cfg: ExperimentConfig, cache_dir: Path, subject: int,
                 f"{tag}: {path} has channels {rec.channel_names} at {rec.sample_rate} Hz, "
                 f"but {first[0]} has {first[1]} at {first[2]} Hz"
             )
+        if not np.isfinite(rec.data).all():
+            raise ValueError(f"{tag}: {path} holds non-finite samples")
         rec = signal.bandpass(rec, cfg.band_lo, cfg.band_hi)
-        offset = max((e.trial for e in epochs), default=-1) + 1
-        epochs.extend(
-            signal.epoch_trials(rec, subject=subject, trial_offset=offset)
-        )
-    if not epochs:
+        offset = max(index["trials"], default=-1) + 1
+        for e in signal.epoch_trials(rec, subject=subject, trial_offset=offset):
+            covs.append(spdgeom.covariance(e.data, 0.0))
+            index["labels"].append(e.label)
+            index["trials"].append(e.trial)
+            index["slices"].append(e.slice_index)
+    if not covs:
         missing.append(f"{tag}: no usable runs")
         return None
-    write_epoch_cache(cache_dir, subject, epochs, first[1], first[2])
-    return tag, len(epochs)
+    write_epoch_cache(cache_dir, subject, covs,
+                      dict(index, channel_names=first[1], sample_rate=first[2]))
+    return tag, len(covs)
 
 
 def cmd_prepare(cfg: ExperimentConfig) -> dict:
@@ -537,14 +527,21 @@ def _each_subject(cfg: ExperimentConfig, command: str, run_one) -> tuple[list, l
     return results, sorted(failed)
 
 
+_Part = tuple[list[np.ndarray], list[str]]
+
+
 def _read_split(cfg: ExperimentConfig, cache_dir: Path, subject: int
-                ) -> tuple[list[str], list[signal.Epoch], list[signal.Epoch], list[np.ndarray]]:
-    """A subject's channel names, training and test epochs, and training
-    covariances."""
-    epochs, index = read_epoch_cache(cache_dir, subject)
-    train, test = signal.split(epochs, signal.SplitSpec(cfg.seed, cfg.test_fraction))
-    train_covs = [spdgeom.covariance(e.data, cfg.shrinkage) for e in train]
-    return index["channel_names"], train, test, train_covs
+                ) -> tuple[list[str], _Part, _Part]:
+    """A subject's channel names, then the shrunk covariances and labels of
+    its training and of its test epochs."""
+    covs, index = read_epoch_cache(cache_dir, subject)
+    labels = index["labels"]
+
+    def part(idx: list[int]) -> _Part:
+        return [spdgeom.shrink(covs[i], cfg.shrinkage) for i in idx], [labels[i] for i in idx]
+
+    train, test = signal.split(labels, signal.SplitSpec(cfg.seed, cfg.test_fraction))
+    return index["channel_names"], part(train), part(test)
 
 
 def _write_trace(out_dir: Path, subject: int, trace: spdgeom.SelectionTrace) -> None:
@@ -573,10 +570,8 @@ def _write_cohort(out_dir: Path, model: str, selections: dict[str, list[str]]
 def _train_eval_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
                         cache_dir: Path, out_dir: Path, subject: int,
                         selections: dict[str, list[str]]) -> dict:
-    channel_names, train, test, train_covs = _read_split(cfg, cache_dir, subject)
-    test_covs = [spdgeom.covariance(e.data, cfg.shrinkage) for e in test]
-    train_labels = [e.label for e in train]
-    test_labels = [e.label for e in test]
+    channel_names, (train_covs, train_labels), (test_covs, test_labels) = _read_split(
+        cfg, cache_dir, subject)
     memo = DerivedMemo(cache_dir, subject)
     subset, names, trace = _subset_for_config(
         cfg, layout, channel_names, subject, train_covs, train_labels, memo
@@ -593,7 +588,7 @@ def _train_eval_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
         "channel_config": cfg.channel_config,
         "relevance_source": cfg.relevance_source,
         "n_channels": len(subset),
-        "n_train": len(train),
+        "n_train": len(train_labels),
         "n_test": ev.n_test,
         "chance": chance,
         "overall": ev.overall,
@@ -646,10 +641,9 @@ def _write_csv(path: Path, rows: list[list]) -> None:
 
 def _select_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
                     cache_dir: Path, out_dir: Path, subject: int) -> tuple[str, list[str]]:
-    channel_names, train, _, train_covs = _read_split(cfg, cache_dir, subject)
+    channel_names, (train_covs, train_labels), _ = _read_split(cfg, cache_dir, subject)
     _, names, trace = _riemannian_selection(
-        cfg, layout, DerivedMemo(cache_dir, subject), channel_names, train_covs,
-        [e.label for e in train])
+        cfg, layout, DerivedMemo(cache_dir, subject), channel_names, train_covs, train_labels)
     _write_trace(out_dir, subject, trace)
     return _subject_tag(subject), names
 
@@ -671,11 +665,9 @@ def cmd_emd(cfg: ExperimentConfig, map_args: list[str], cohort_args: list[str],
     layout = _load_layout(cfg)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if baseline_map:
-        base_binary = base_weighted = montage.load_spatial_map(baseline_map)
-    else:
-        base_binary = relevance.mi_baseline(layout, "binary")
-        base_weighted = relevance.mi_baseline(layout, "uniform-weighted")
+    # one baseline for both columns: the uniform-weighted one (weight 1.0) equals it
+    base = (montage.load_spatial_map(baseline_map) if baseline_map
+            else relevance.mi_baseline(layout, "binary"))
 
     def parse_named(args: list[str]) -> list[list[str]]:
         for item in args:
@@ -688,14 +680,14 @@ def cmd_emd(cfg: ExperimentConfig, map_args: list[str], cohort_args: list[str],
             p, q = transport.rebalance(p, q, rebalance_to)
         return transport.emd(p, q, metric=cfg.metric, mass_mode=cfg.mass).distance
 
-    results = [{"model": name, "emd_binary": score(montage.load_spatial_map(path), base_binary),
+    results = [{"model": name, "emd_binary": score(montage.load_spatial_map(path), base),
                 "emd_weighted": None} for name, path in parse_named(map_args)]
     for name, path in parse_named(cohort_args):
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         counts = {k: int(v) for k, v in doc["counts"].items()}
         bmap, wmap = _cohort_maps(counts, layout, cfg.target_k)
-        results.append({"model": name, "emd_binary": score(bmap, base_binary),
-                        "emd_weighted": score(wmap, base_weighted)})
+        results.append({"model": name, "emd_binary": score(bmap, base),
+                        "emd_weighted": score(wmap, base)})
     if not results:
         raise ValueError("no model maps given; use --maps and/or --cohorts")
     results.sort(key=lambda r: (r["emd_binary"], r["model"]))

@@ -11,6 +11,7 @@ import csv
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 from scipy.signal import butter, filtfilt
@@ -304,17 +305,18 @@ def epoch_trials(
     return epochs
 
 
-def split(epochs: list[Epoch], spec: SplitSpec) -> tuple[list[Epoch], list[Epoch]]:
-    """Seeded stratified partition into (train, test).
+def split(epoch_labels: Sequence[str], spec: SplitSpec) -> tuple[list[int], list[int]]:
+    """Seeded stratified partition of epochs, given by their labels, into
+    (train, test) index lists, each in ascending order.
 
     Total test size is ``round(test_fraction * n)``, allocated per class by
     largest remainder and clamped so both classes appear on both sides.
     Deterministic given the seed; train and test together are exactly the
-    input epochs.
+    indices ``0 .. n-1``.
     """
     by_label: dict[str, list[int]] = {}
-    for i, ep in enumerate(epochs):
-        by_label.setdefault(ep.label, []).append(i)
+    for i, label in enumerate(epoch_labels):
+        by_label.setdefault(label, []).append(i)
     labels = sorted(by_label)
     if len(labels) < 2:
         raise ValueError("need at least 2 classes to split")
@@ -322,7 +324,7 @@ def split(epochs: list[Epoch], spec: SplitSpec) -> tuple[list[Epoch], list[Epoch
         if len(by_label[lab]) < 2:
             raise ValueError(f"class {lab!r} has fewer than 2 epochs")
 
-    n = len(epochs)
+    n = len(epoch_labels)
     total_test = int(round(spec.test_fraction * n))
     ideal = {lab: spec.test_fraction * len(by_label[lab]) for lab in labels}
     counts = {lab: int(np.floor(ideal[lab])) for lab in labels}
@@ -338,6 +340,4 @@ def split(epochs: list[Epoch], spec: SplitSpec) -> tuple[list[Epoch], list[Epoch
     for lab in labels:
         perm = rng.permutation(len(by_label[lab]))
         test_idx.update(by_label[lab][p] for p in perm[:counts[lab]])
-    train = [epochs[i] for i in range(n) if i not in test_idx]
-    test = [epochs[i] for i in range(n) if i in test_idx]
-    return train, test
+    return [i for i in range(n) if i not in test_idx], sorted(test_idx)

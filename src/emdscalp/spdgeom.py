@@ -29,6 +29,7 @@ __all__ = [
     "SelectionTrace",
     "clamped_eigenvalue_count",
     "covariance",
+    "shrink",
     "riemannian_distance",
     "frechet_mean",
     "restrict_channels",
@@ -153,11 +154,16 @@ def covariance(epoch: np.ndarray, shrinkage: float = 0.05) -> np.ndarray:
         raise ValueError("epoch needs at least 2 samples")
     if not np.all(np.isfinite(epoch)):
         raise ValueError("epoch contains non-finite samples")
+    return shrink(np.atleast_2d(np.cov(epoch)), shrinkage)
+
+
+def shrink(cov: np.ndarray, shrinkage: float) -> np.ndarray:
+    """`covariance`'s blend towards the scaled identity: shrinking
+    ``covariance(epoch, 0.0)`` gives the bytes of ``covariance(epoch, shrinkage)``."""
     if not 0.0 <= shrinkage < 1.0:
         raise ValueError(f"shrinkage must be in [0, 1), got {shrinkage}")
-    s = np.atleast_2d(np.cov(epoch))
-    dim = s.shape[0]
-    return (1.0 - shrinkage) * s + shrinkage * (np.trace(s) / dim) * np.eye(dim)
+    dim = cov.shape[0]
+    return (1.0 - shrinkage) * cov + shrinkage * (np.trace(cov) / dim) * np.eye(dim)
 
 
 def riemannian_distance(a: np.ndarray, b: np.ndarray) -> float:

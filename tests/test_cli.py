@@ -237,6 +237,28 @@ class TestPrepare:
         assert main(["train-eval", "--config", str(cfg)]) == 0
         assert json.loads(capsys.readouterr().out)["failed_subjects"] == ["S002"]
 
+    def test_non_finite_sample_fails_its_subject(self, tmp_path, rng, capsys):
+        for sid in (1, 2):
+            rec = make_motor_recording(rng, ["C3", "C4"], n_trials=8, discriminative=(1,))
+            if sid == 2:
+                rec.data[0, rec.annotations[0].onset + 10] = np.nan
+            run = tmp_path / "data" / f"S{sid:03d}" / f"S{sid:03d}R03.csv"
+            run.parent.mkdir(parents=True)
+            with open(run, "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh).writerows([rec.channel_names, *rec.data.T.tolist()])
+            with open(run.with_name(run.stem + "_annotations.csv"), "w",
+                      encoding="utf-8", newline="") as fh:
+                csv.writer(fh).writerows((a.onset, a.duration, a.code) for a in rec.annotations)
+        cfg = write_config(tmp_path / "exp.cfg", runs="3", input_format="csv")
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        assert (list(summary["cached"]), summary["failed_subjects"]) == (["S001"], ["S002"])
+        reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
+        bad_run = tmp_path / "data" / "S002" / "S002R03.csv"
+        assert reason == f"ValueError: S002: {bad_run} holds non-finite samples"
+        assert not (tmp_path / "cache" / "S002" / "index.json").exists()
+
     def test_no_subject_prepared_fails(self, workspace, capsys):
         tmp_path, cfg = workspace
         for run in (tmp_path / "data").glob("S*/*.edf"):
@@ -246,11 +268,18 @@ class TestPrepare:
         assert "no subject completed prepare" in err["message"]
 
 
+def _index(n_epochs: int, channel_names=("C3", "C4")) -> dict:
+    return {"channel_names": list(channel_names), "sample_rate": 160.0,
+            "labels": ["T1"] * n_epochs, "trials": list(range(n_epochs)),
+            "slices": [0] * n_epochs}
+
+
 def _cache_files(tmp_path: Path, n_epochs=3):
-    """Cache subject 1 with ``n_epochs`` epochs of 2 channels x 5 samples."""
+    """Cache subject 1 with the covariances of ``n_epochs`` epochs of 2
+    channels x 5 samples."""
     rng = np.random.default_rng(3)
-    epochs = [signal.Epoch(rng.standard_normal((2, 5)), "T1", 1, i, 0) for i in range(n_epochs)]
-    subj_dir = cli.write_epoch_cache(tmp_path, 1, epochs, ["C3", "C4"], 160.0)
+    covs = [spdgeom.covariance(rng.standard_normal((2, 5)), 0.0) for _ in range(n_epochs)]
+    subj_dir = cli.write_epoch_cache(tmp_path, 1, covs, _index(n_epochs))
     return subj_dir / "epochs.npy", subj_dir / "index.json"
 
 
@@ -258,44 +287,50 @@ class TestEpochCache:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_round_trip_is_bit_exact(self, tmp_path_factory, data):
-        shape = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 6)))
+        n, dim = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 3)))
         # includes -0.0, subnormals, huge magnitudes, infinities and NaN payloads
-        arr = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(width=64)))
-        labels = data.draw(st.lists(st.text(max_size=4), min_size=shape[0], max_size=shape[0]))
-        trials = data.draw(st.lists(st.integers(0, 999), min_size=shape[0], max_size=shape[0]))
-        slices = data.draw(st.lists(st.integers(0, 9), min_size=shape[0], max_size=shape[0]))
-        epochs = [signal.Epoch(arr[i], labels[i], 5, trials[i], slices[i])
-                  for i in range(shape[0])]
-        names = [f"ch{c}" for c in range(shape[1])]
+        arr = data.draw(hnp.arrays(np.float64, (n, dim, dim), elements=st.floats(width=64)))
+        labels = data.draw(st.lists(st.text(max_size=4), min_size=n, max_size=n))
+        trials = data.draw(st.lists(st.integers(0, 999), min_size=n, max_size=n))
+        slices = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
+        names = [f"ch{c}" for c in range(dim)]
         cache_dir = tmp_path_factory.mktemp("cache")
-        cli.write_epoch_cache(cache_dir, 5, epochs, names, 160.0)
+        cli.write_epoch_cache(cache_dir, 5, list(arr), {
+            "channel_names": names, "sample_rate": 160.0,
+            "labels": labels, "trials": trials, "slices": slices})
         got, index = cli.read_epoch_cache(cache_dir, 5)
-        assert [e.data.tobytes() for e in got] == [e.data.tobytes() for e in epochs]
-        assert [e.label for e in got] == labels
-        assert [e.trial for e in got] == trials
-        assert [e.slice_index for e in got] == slices
-        assert all(e.subject == 5 for e in got)
-        assert index["channel_names"] == names
+        assert got.tobytes() == arr.tobytes()
+        assert (index["labels"], index["trials"], index["slices"]) == (labels, trials, slices)
+        assert (index["subject"], index["channel_names"]) == (5, names)
 
-    @settings(max_examples=40, deadline=None)
-    @given(arr=hnp.arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 4),
-                                                st.integers(1, 7)),
-                          elements=st.floats(width=64)))
-    def test_streamed_array_equals_np_save(self, tmp_path_factory, arr):
-        epochs = [signal.Epoch(arr[i], "T1", 1, i, 0) for i in range(arr.shape[0])]
+    @settings(max_examples=60, deadline=None)
+    @given(epoch=hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(2, 8)),
+                            elements=st.floats(-1e100, 1e100)),
+           shrinkage=st.floats(0.0, 1.0, exclude_max=True))
+    def test_shrunk_cached_covariance_equals_covariance(self, tmp_path_factory, epoch,
+                                                        shrinkage):
         cache_dir = tmp_path_factory.mktemp("cache")
-        names = [f"ch{c}" for c in range(arr.shape[1])]
-        subj_dir = cli.write_epoch_cache(cache_dir, 1, epochs, names, 160.0)
-        expected = io.BytesIO()
-        np.save(expected, np.stack([e.data for e in epochs]), allow_pickle=False)
-        assert (subj_dir / "epochs.npy").read_bytes() == expected.getvalue()
+        names = [f"ch{c}" for c in range(epoch.shape[0])]
+        cli.write_epoch_cache(cache_dir, 1, [spdgeom.covariance(epoch, 0.0)],
+                              _index(1, names))
+        cached, _ = cli.read_epoch_cache(cache_dir, 1)
+        assert spdgeom.shrink(cached[0], shrinkage).tobytes() \
+            == spdgeom.covariance(epoch, shrinkage).tobytes()
 
     def test_epochs_of_differing_shapes_rejected(self, tmp_path):
-        epochs = [signal.Epoch(np.zeros((2, 5)), "T1", 1, 0, 0),
-                  signal.Epoch(np.zeros((3, 5)), "T1", 1, 1, 0)]
-        with pytest.raises(ValueError, match="S001: epochs must share one"):
-            cli.write_epoch_cache(tmp_path, 1, epochs, ["C3", "C4"], 160.0)
+        covs = [np.zeros((2, 2)), np.zeros((3, 3))]
+        with pytest.raises(ValueError, match="S001: epoch covariances must each be 2x2"):
+            cli.write_epoch_cache(tmp_path, 1, covs, _index(2))
         assert not (tmp_path / "S001" / "epochs.npy").exists()
+
+    def test_format_2_cache_asks_for_prepare(self, tmp_path):
+        # format 2 stored the samples, (n_epochs, n_channels, n_samples)
+        npy, index_path = _cache_files(tmp_path)
+        np.save(npy, np.zeros((3, 2, 5)))
+        index = json.loads(index_path.read_text())
+        index_path.write_text(json.dumps(dict(index, format_version=2, n_samples=5)))
+        with pytest.raises(ValueError, match="index.json.*format_version 2.*re-run prepare"):
+            cli.read_epoch_cache(tmp_path, 1)
 
     def test_truncated_array_rejected(self, tmp_path):
         npy, _ = _cache_files(tmp_path)
@@ -309,8 +344,8 @@ class TestEpochCache:
         with pytest.raises(ValueError, match="epochs.npy.*bytes"):
             cli.read_epoch_cache(tmp_path, 1)
 
-    @pytest.mark.parametrize("array", [np.zeros((2, 2, 5)), np.zeros((3, 2, 5), np.float32),
-                                       np.zeros((3, 2, 5), ">f8")])
+    @pytest.mark.parametrize("array", [np.zeros((2, 2, 2)), np.zeros((3, 2, 2), np.float32),
+                                       np.zeros((3, 2, 2), ">f8"), np.zeros((3, 2, 5))])
     def test_array_disagreeing_with_index_rejected(self, tmp_path, array):
         npy, _ = _cache_files(tmp_path)
         np.save(npy, array)
@@ -319,7 +354,7 @@ class TestEpochCache:
 
     def test_index_dtype_other_than_float64_rejected(self, tmp_path):
         npy, index_path = _cache_files(tmp_path)
-        np.save(npy, np.zeros((3, 2, 5), np.float32))
+        np.save(npy, np.zeros((3, 2, 2), np.float32))
         index = json.loads(index_path.read_text())
         index_path.write_text(json.dumps(dict(index, dtype="<f4")))
         with pytest.raises(ValueError, match="epochs.npy: array is"):
@@ -338,7 +373,8 @@ class TestEpochCache:
         with pytest.raises(ValueError, match="index.json.*format_version 1.*re-run prepare"):
             cli.read_epoch_cache(tmp_path, 1)
 
-    @pytest.mark.parametrize("edit", [{"labels": ["T1"]}, {"n_samples": None}])
+    @pytest.mark.parametrize("edit", [{"labels": ["T1"]}, {"n_channels": None},
+                                      {"channel_names": ["C3"]}])
     def test_inconsistent_index_rejected(self, tmp_path, edit):
         _, index_path = _cache_files(tmp_path)
         index = json.loads(index_path.read_text())
@@ -353,7 +389,7 @@ class TestEpochCache:
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(np.lib.format, "write_array_header_1_0", interrupted)
+        monkeypatch.setattr(np, "save", interrupted)
         with pytest.raises(KeyboardInterrupt):
             _cache_files(tmp_path, n_epochs=4)
         # no index survives over the array the interrupted write left behind
@@ -387,6 +423,27 @@ class TestTrainEval:
         assert cohort["selections"]["S001"] == ["C3", "C4"]
         assert (tmp_path / "out" / "trace_S001.json").exists()
         assert (tmp_path / "out" / "map_riemannian_binary_top2.csv").exists()
+
+    @pytest.mark.parametrize("edit", [{"channels": ["FC5", "C3", "C4", "Cz", "Fp1", "XYZ"]},
+                                      {"channels": 5}, {"per_class": [1, 2]}])
+    def test_bad_external_relevance_file_fails_its_subject(self, workspace, capsys, edit):
+        tmp_path, _ = workspace
+        doc = {"channels": ["FC5", "C3", "C4", "Cz", "Fp1", "Oz"],
+               "pooled": [0.1, 0.9, 0.8, 0.7, 0.0, 0.2]}
+        (tmp_path / "rel_001.json").write_text(json.dumps(doc))
+        (tmp_path / "rel_002.json").write_text(json.dumps(dict(doc, **edit)))
+        cfg = write_config(tmp_path / "ext.cfg", channel_config="feat21",
+                           relevance_source="external:xnet",
+                           relevance_pattern="rel_{subject:03d}.json", target_k=3)
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["train-eval", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["failed_subjects"] == ["S002"]
+        reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
+        assert reason.startswith("ValueError: ") and "rel_002.json" in reason
+        rows = json.loads((tmp_path / "out" / "rows.json").read_text())
+        assert [r["subject"] for r in rows] == [1]
 
     def test_feat21_external_matches_top_k(self, workspace):
         tmp_path, _ = workspace
@@ -742,6 +799,13 @@ class TestPlotCommand:
             assert main(["plot", "--map", str(tmp_path / "m.csv"),
                          "--out", str(tmp_path / name)]) == 0
         assert (tmp_path / "a.svg").read_bytes() == (tmp_path / "b.svg").read_bytes()
+
+    def test_electrode_names_are_escaped(self):
+        layout = montage.GridLayout(2, (montage.Electrode("A&B", 0, 0),
+                                        montage.Electrode("C<D", 1, 1)))
+        svg = render_map_svg(montage.SpatialMap(2, np.eye(2)), layout)
+        texts = ElementTree.fromstring(svg).iter("{http://www.w3.org/2000/svg}text")
+        assert [t.text for t in texts] == ["A&B", "C<D"]
 
     def test_render_rejects_mismatched_grid(self, layout):
         small = montage.SpatialMap(3, np.zeros((3, 3)))

@@ -260,56 +260,43 @@ class TestEpochTrials:
 
 
 class TestSplit:
-    def _epochs(self, rng, n_left, n_right):
-        rec = make_motor_recording(rng, ["a"], n_trials=2)
-        base = epoch_trials(rec)[0]
-        out = []
-        for i in range(n_left + n_right):
-            label = "Left" if i < n_left else "Right"
-            out.append(type(base)(base.data, label, 0, i, 0))
-        return out
+    @staticmethod
+    def _labels(n_left, n_right):
+        return ["Left"] * n_left + ["Right"] * n_right
 
-    def test_sizes_80_20(self, rng):
-        epochs = self._epochs(rng, 50, 50)
-        train, test = split(epochs, SplitSpec(seed=1, test_fraction=0.2))
+    def test_sizes_80_20(self):
+        train, test = split(self._labels(50, 50), SplitSpec(seed=1, test_fraction=0.2))
         assert len(train) == 80
         assert len(test) == 20
 
-    def test_total_matches_round_with_unequal_classes(self, rng):
-        epochs = self._epochs(rng, 56 * 4, 37 * 4)
-        train, test = split(epochs, SplitSpec(seed=3, test_fraction=0.2))
-        assert len(test) == round(0.2 * len(epochs))
+    def test_total_matches_round_with_unequal_classes(self):
+        labels = self._labels(56 * 4, 37 * 4)
+        train, test = split(labels, SplitSpec(seed=3, test_fraction=0.2))
+        assert len(test) == round(0.2 * len(labels))
 
-    def test_same_seed_same_split(self, rng):
-        epochs = self._epochs(rng, 30, 20)
+    def test_same_seed_same_split(self):
+        labels = self._labels(30, 20)
         spec = SplitSpec(seed=99, test_fraction=0.25)
-        t1 = [e.trial for e in split(epochs, spec)[1]]
-        t2 = [e.trial for e in split(epochs, spec)[1]]
-        assert t1 == t2
+        assert split(labels, spec) == split(labels, spec)
 
-    def test_different_seed_differs(self, rng):
-        epochs = self._epochs(rng, 40, 40)
-        a = {e.trial for e in split(epochs, SplitSpec(seed=1))[1]}
-        b = {e.trial for e in split(epochs, SplitSpec(seed=2))[1]}
-        assert a != b
+    def test_different_seed_differs(self):
+        labels = self._labels(40, 40)
+        assert split(labels, SplitSpec(seed=1))[1] != split(labels, SplitSpec(seed=2))[1]
 
-    def test_partition(self, rng):
-        epochs = self._epochs(rng, 23, 17)
-        train, test = split(epochs, SplitSpec(seed=5, test_fraction=0.3))
-        ids = lambda lst: {e.trial for e in lst}
-        assert ids(train) | ids(test) == ids(epochs)
-        assert ids(train) & ids(test) == set()
+    def test_partition(self):
+        train, test = split(self._labels(23, 17), SplitSpec(seed=5, test_fraction=0.3))
+        assert sorted(train + test) == list(range(40))
+        assert train == sorted(train) and test == sorted(test)
 
-    def test_stratified_both_sides(self, rng):
-        epochs = self._epochs(rng, 8, 40)
-        train, test = split(epochs, SplitSpec(seed=7, test_fraction=0.1))
+    def test_stratified_both_sides(self):
+        labels = self._labels(8, 40)
+        train, test = split(labels, SplitSpec(seed=7, test_fraction=0.1))
         for part in (train, test):
-            assert {e.label for e in part} == {"Left", "Right"}
+            assert {labels[i] for i in part} == {"Left", "Right"}
 
-    def test_too_few_epochs_rejected(self, rng):
-        epochs = self._epochs(rng, 1, 5)
+    def test_too_few_epochs_rejected(self):
         with pytest.raises(ValueError, match="fewer than 2"):
-            split(epochs, SplitSpec(seed=0))
+            split(self._labels(1, 5), SplitSpec(seed=0))
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError, match="test_fraction"):
