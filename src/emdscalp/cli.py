@@ -16,9 +16,10 @@ import os
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass, fields, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -86,9 +87,8 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be {rule}, got {getattr(self, key)!r}")
 
 
-_TUPLE_INT = {"subjects", "runs"}
-_FLOATS = {"sample_rate", "band_lo", "band_hi", "test_fraction", "shrinkage"}
-_INTS = {"version", "seed", "target_k"}
+#: Each config key's declared type: ``int``, ``float``, ``str`` or ``tuple[int, ...]``.
+_KEY_TYPES = get_type_hints(ExperimentConfig)
 _PATH_KEYS = {"dataset_root", "cache_dir", "output_dir", "layout", "relevance_pattern"}
 
 
@@ -116,19 +116,13 @@ def load_config(path: str | Path | None, overrides: dict[str, object] | None = N
     if path is not None:
         base = Path(path).resolve().parent
         raw = parse_config_text(Path(path).read_text(encoding="utf-8"))
-        known = {f.name for f in fields(ExperimentConfig)}
         for key, sval in raw.items():
-            if key not in known:
+            kind = _KEY_TYPES.get(key)
+            if kind is None:
                 raise ValueError(f"unknown config key {key!r}")
             try:
-                if key in _TUPLE_INT:
-                    values[key] = tuple(int(v) for v in sval.split(",") if v.strip())
-                elif key in _FLOATS:
-                    values[key] = float(sval)
-                elif key in _INTS:
-                    values[key] = int(sval)
-                else:
-                    values[key] = sval
+                values[key] = (tuple(int(v) for v in sval.split(",") if v.strip())
+                               if kind == tuple[int, ...] else kind(sval))
             except ValueError as exc:
                 raise ValueError(f"config key {key!r}: {exc}") from None
     cfg = ExperimentConfig(**values)
@@ -150,6 +144,33 @@ def _load_layout(cfg: ExperimentConfig) -> montage.GridLayout:
     if cfg.layout:
         return montage.load_grid_layout_file(cfg.layout)
     return montage.default_layout()
+
+
+# ---------------------------------------------------------------------------
+# JSON files and input errors
+
+def _write_json(path: Path, doc) -> None:
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+@contextmanager
+def _reading(path: str | Path):
+    """Re-raise a failure to parse the one input file `path` as a
+    ``ValueError`` that starts with the path; ``FileNotFoundError`` passes."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from exc
+
+
+def _read_json(path: Path) -> dict:
+    """The JSON object in `path`; any other content is a ``ValueError``
+    that starts with the path."""
+    with _reading(path):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +208,7 @@ def write_epoch_cache(cache_dir: Path, subject: int, covs: list[np.ndarray],
     index_path = subj_dir / "index.json"
     index_path.unlink(missing_ok=True)
     np.save(subj_dir / "epochs.npy", np.asarray(covs, dtype=_EPOCH_DTYPE), allow_pickle=False)
-    index_path.write_text(json.dumps(index, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_json(index_path, index)
     return subj_dir
 
 
@@ -219,7 +240,7 @@ def read_epoch_cache(cache_dir: Path, subject: int) -> tuple[np.ndarray, dict]:
     """
     subj_dir = cache_dir / _subject_tag(subject)
     index_path, path = subj_dir / "index.json", subj_dir / "epochs.npy"
-    index = json.loads(index_path.read_text(encoding="utf-8"))
+    index = _read_json(index_path)
     version = index.get("format_version")
     if version != CACHE_FORMAT_VERSION:
         raise ValueError(f"{index_path}: cache format_version {version!r} is not "
@@ -301,19 +322,18 @@ class DerivedMemo:
         centroids = spdgeom.mdm_fit(covs, labels, mean=self.frechet_mean).centroids
         path = self.root / f"trace-{self._key('trace', centroids, int(target_k))}.json"
         try:
-            raw = path.read_bytes()
+            with _reading(path):
+                trace = spdgeom.trace_from_json(path.read_text(encoding="utf-8"))
         except FileNotFoundError:
             trace = spdgeom.backward_elimination(centroids, target_k)
             self._store(path, lambda fh: fh.write(spdgeom.trace_to_json(trace).encode()))
             return trace
         dim = centroids[0].shape[0]
-        try:
-            trace = spdgeom.trace_from_json(raw.decode("utf-8"))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ValueError(f"{path}: unreadable memo trace: {exc}") from exc
-        if (len(trace.removal_order), len(trace.final_subset), len(trace.final_loo_drops)) \
-                != (dim - target_k, target_k, target_k):
-            raise ValueError(f"{path}: trace does not reduce {dim} channels to {target_k}")
+        channels = [step.removed for step in trace.removal_order] + list(trace.final_subset)
+        if sorted(channels) != list(range(dim)) \
+                or (len(trace.final_subset), len(trace.final_loo_drops)) != (target_k, target_k):
+            raise ValueError(f"{path}: trace does not reduce channels 0..{dim - 1} to "
+                             f"{target_k}, removing or keeping each once")
         return trace
 
 
@@ -363,10 +383,8 @@ def _subset_for_config(cfg: ExperimentConfig, layout: montage.GridLayout,
         return sorted(lookup[c] for c in relevance.MI_BASELINE_CHANNELS), None, None
     # feat21 from an external source
     path = cfg.relevance_pattern.format(subject=subject)
-    try:
+    with _reading(path):
         scores = relevance.ingest_external(path, layout)
-    except (KeyError, TypeError, AttributeError) as exc:  # unknown channel, malformed field
-        raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from exc
     selected = relevance.top_k(scores, cfg.target_k, class_mode=cfg.class_mode)
     missing = [c for c in selected if c not in lookup]
     if missing:
@@ -455,13 +473,11 @@ def _prepare_subject(cfg: ExperimentConfig, cache_dir: Path, subject: int,
         if not path.exists():
             missing.append(str(path))
             continue
-        if cfg.input_format == "edf":
-            rec = signal.read_recording(path)
-        else:
-            ann = path.with_name(path.stem + "_annotations.csv")
-            rec = signal.read_recording_csv(
-                path, ann if ann.exists() else None, sample_rate=cfg.sample_rate
-            )
+        ann = path.with_name(path.stem + "_annotations.csv")
+        with _reading(path):
+            rec = (signal.read_recording(path) if cfg.input_format == "edf" else
+                   signal.read_recording_csv(path, ann if ann.exists() else None,
+                                             sample_rate=cfg.sample_rate))
         if first is None:
             first = (path, rec.channel_names, rec.sample_rate)
         elif (rec.channel_names, rec.sample_rate) != first[1:]:
@@ -561,9 +577,7 @@ def _write_cohort(out_dir: Path, model: str, selections: dict[str, list[str]]
         "counts": dict(sorted(agg.counts.items())),
     }
     tag = model.replace("external:", "")
-    (out_dir / f"cohort_{tag}.json").write_text(
-        json.dumps(cohort, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / f"cohort_{tag}.json", cohort)
     return tag, agg.counts
 
 
@@ -629,9 +643,7 @@ def _write_rows(out_dir: Path, rows: list[dict]) -> None:
                                 lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
-    (out_dir / "rows.json").write_text(
-        json.dumps(rows, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "rows.json", rows)
 
 
 def _write_csv(path: Path, rows: list[list]) -> None:
@@ -683,8 +695,9 @@ def cmd_emd(cfg: ExperimentConfig, map_args: list[str], cohort_args: list[str],
     results = [{"model": name, "emd_binary": score(montage.load_spatial_map(path), base),
                 "emd_weighted": None} for name, path in parse_named(map_args)]
     for name, path in parse_named(cohort_args):
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        counts = {k: int(v) for k, v in doc["counts"].items()}
+        doc = _read_json(Path(path))
+        with _reading(path):
+            counts = {k: int(v) for k, v in doc["counts"].items()}
         bmap, wmap = _cohort_maps(counts, layout, cfg.target_k)
         results.append({"model": name, "emd_binary": score(bmap, base),
                         "emd_weighted": score(wmap, base)})
@@ -698,9 +711,7 @@ def cmd_emd(cfg: ExperimentConfig, map_args: list[str], cohort_args: list[str],
         [row["model"], row["rank"], repr(row["emd_binary"]),
          "" if row["emd_weighted"] is None else repr(row["emd_weighted"])]
         for row in results])
-    (out_dir / "emd_table.json").write_text(
-        json.dumps(results, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "emd_table.json", results)
     return {"models": len(results), "output_dir": str(out_dir)}
 
 
@@ -715,90 +726,62 @@ def cmd_plot(cfg: ExperimentConfig, map_path: str, out_path: str) -> dict:
 
 
 def cmd_report(cfg: ExperimentConfig, row_files: list[str]) -> dict:
-    rows: list[dict] = []
-    for path in row_files:
-        rows.extend(_read_rows_csv(Path(path)))
+    rows = [row for path in row_files for row in _read_rows_csv(Path(path))]
     if not rows:
         raise ValueError("no rows to report")
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    configs = [c for c in CHANNEL_CONFIGS
-               if any(r["channel_config"] == c for r in rows)]
+    configs = [c for c in CHANNEL_CONFIGS if any(r["channel_config"] == c for r in rows)]
     subjects = sorted({int(r["subject"]) for r in rows})
-    cell: dict[tuple[int, str], dict] = {
-        (int(r["subject"]), r["channel_config"]): r for r in rows
-    }
-    recall_cols = sorted(
-        {k for r in rows for k in r if k.startswith("recall_")}
-    )
+    cell = {(int(r["subject"]), r["channel_config"]): r for r in rows}
+    recalls = sorted({k for r in rows for k in r if k.startswith("recall_")})
 
-    header = ["ID", "chance"]
+    def values(config: str, key: str) -> dict[int, float]:
+        return {s: float(cell[s, config][key]) for s in subjects
+                if key in cell.get((s, config), {})}
+
+    # every table column, in header order, as {subject: percent}; chance
+    # comes from each subject's first config
+    first = {s: next(cell[s, c] for c in configs if (s, c) in cell) for s in subjects}
+    columns = {"chance": {s: 100 * float(first[s]["chance"]) for s in subjects}}
     for c in configs:
-        header.append(f"{c}_overall")
-        header.extend(f"{c}_{rc.removeprefix('recall_')}" for rc in recall_cols)
-    table: list[list[str]] = []
-    numeric: dict[str, list[float]] = {h: [] for h in header[1:]}
-    for s in subjects:
-        first = next(cell[(s, c)] for c in configs if (s, c) in cell)
-        line = [str(s), f"{100 * float(first['chance']):.2f}"]
-        numeric["chance"].append(100 * float(first["chance"]))
-        for c in configs:
-            r = cell.get((s, c))
-            for col, key in [(f"{c}_overall", "overall")] + [
-                (f"{c}_{rc.removeprefix('recall_')}", rc) for rc in recall_cols
-            ]:
-                if r is None or key not in r:
-                    line.append("")
-                else:
-                    val = 100 * float(r[key])
-                    line.append(f"{val:.2f}")
-                    numeric[col].append(val)
-        table.append(line)
-
-    footer = ["Mean±SD"]
-    summary = {}
-    for col in header[1:]:
-        vals = numeric[col]
-        if vals:
-            try:
-                mean, sd = stats.cohort_summary(vals)
-            except ValueError as exc:
-                raise ValueError(f"rows column {col!r}: {exc}") from None
-            footer.append(f"{mean:.2f}±{sd:.2f}")
-            summary[col] = [mean, sd]
-        else:
+        for key in ("overall", *recalls):
+            columns[f"{c}_{key.removeprefix('recall_')}"] = {
+                s: 100 * v for s, v in values(c, key).items()}
+    table = [[str(s), *(f"{col[s]:.2f}" if s in col else "" for col in columns.values())]
+             for s in subjects]
+    footer, summary = ["Mean±SD"], {}
+    for name, col in columns.items():
+        if not col:
             footer.append("")
-    _write_csv(out_dir / "table.csv", [header, *table, footer])
+            continue
+        try:
+            mean, sd = stats.cohort_summary(list(col.values()))
+        except ValueError as exc:
+            raise ValueError(f"rows column {name!r}: {exc}") from None
+        footer.append(f"{mean:.2f}±{sd:.2f}")
+        summary[name] = [mean, sd]
+    _write_csv(out_dir / "table.csv", [["ID", *columns], *table, footer])
 
-    # pairwise signed-rank p-values across configurations, on overall columns
-    pvalues: dict[str, dict[str, float | None]] = {}
-    for c1 in configs:
-        pvalues[c1] = {}
-        for c2 in configs:
-            if c1 == c2:
-                pvalues[c1][c2] = 1.0
-                continue
-            paired = [
-                (float(cell[(s, c1)]["overall"]), float(cell[(s, c2)]["overall"]))
-                for s in subjects if (s, c1) in cell and (s, c2) in cell
-            ]
-            try:
-                res = stats.wilcoxon_signed_rank(
-                    [p[0] for p in paired], [p[1] for p in paired]
-                )
-                pvalues[c1][c2] = res.p_value
-            except ValueError:
-                pvalues[c1][c2] = None
+    # pairwise signed-rank p-values across configurations, on overall accuracies
+    overall = {c: values(c, "overall") for c in configs}
+
+    def pvalue(a: dict[int, float], b: dict[int, float]) -> float | None:
+        paired = [s for s in a if s in b]
+        try:
+            return stats.wilcoxon_signed_rank([a[s] for s in paired],
+                                              [b[s] for s in paired]).p_value
+        except ValueError:
+            return None
+
+    pvalues = {c1: {c2: 1.0 if c1 == c2 else pvalue(overall[c1], overall[c2])
+                    for c2 in configs} for c1 in configs}
     _write_csv(out_dir / "pvalues.csv", [["", *configs]] + [
         [c1, *("" if pvalues[c1][c2] is None else repr(pvalues[c1][c2]) for c2 in configs)]
         for c1 in configs])
-
-    report = {"configs": configs, "subjects": subjects, "summary": summary,
-              "pvalues": pvalues}
-    (out_dir / "report.json").write_text(
-        json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(out_dir / "report.json", {"configs": configs, "subjects": subjects,
+                                          "summary": summary, "pvalues": pvalues})
     return {"output_dir": str(out_dir), "subjects": len(subjects)}
 
 

@@ -54,6 +54,16 @@ def write_config(path: Path, **overrides) -> Path:
     return path
 
 
+def write_csv_run(run: Path, rec: signal.Recording) -> None:
+    """`rec` as a CSV run file plus its annotation sidecar."""
+    run.parent.mkdir(parents=True, exist_ok=True)
+    with open(run, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([rec.channel_names, *rec.data.T.tolist()])
+    with open(run.with_name(run.stem + "_annotations.csv"), "w",
+              encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows((a.onset, a.duration, a.code) for a in rec.annotations)
+
+
 @pytest.fixture
 def workspace(tmp_path, rng):
     build_dataset(tmp_path / "data", [1, 2], [3, 4], CHANNELS_6, rng)
@@ -242,13 +252,7 @@ class TestPrepare:
             rec = make_motor_recording(rng, ["C3", "C4"], n_trials=8, discriminative=(1,))
             if sid == 2:
                 rec.data[0, rec.annotations[0].onset + 10] = np.nan
-            run = tmp_path / "data" / f"S{sid:03d}" / f"S{sid:03d}R03.csv"
-            run.parent.mkdir(parents=True)
-            with open(run, "w", encoding="utf-8", newline="") as fh:
-                csv.writer(fh).writerows([rec.channel_names, *rec.data.T.tolist()])
-            with open(run.with_name(run.stem + "_annotations.csv"), "w",
-                      encoding="utf-8", newline="") as fh:
-                csv.writer(fh).writerows((a.onset, a.duration, a.code) for a in rec.annotations)
+            write_csv_run(tmp_path / "data" / f"S{sid:03d}" / f"S{sid:03d}R03.csv", rec)
         cfg = write_config(tmp_path / "exp.cfg", runs="3", input_format="csv")
         assert main(["prepare", "--config", str(cfg)]) == 0
         captured = capsys.readouterr()
@@ -258,6 +262,39 @@ class TestPrepare:
         bad_run = tmp_path / "data" / "S002" / "S002R03.csv"
         assert reason == f"ValueError: S002: {bad_run} holds non-finite samples"
         assert not (tmp_path / "cache" / "S002" / "index.json").exists()
+
+    def test_bad_edf_header_field_names_its_run(self, workspace, capsys):
+        tmp_path, cfg = workspace
+        run = tmp_path / "data" / "S002" / "S002R03.edf"
+        raw = bytearray(run.read_bytes())
+        raw[236:244] = b"many    "  # record count
+        run.write_bytes(bytes(raw))
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["failed_subjects"] == ["S002"]
+        reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
+        assert reason.startswith(f"ValueError: {run}: ValueError: malformed header: ")
+
+    @pytest.mark.parametrize("data, annotations", [
+        ("", None), (None, "onset,duration,code\n160,640\n")
+    ], ids=["no header row", "annotation row without code"])
+    def test_unparsable_csv_run_fails_only_its_subject(self, tmp_path, rng, capsys,
+                                                       data, annotations):
+        for sid in (1, 2):
+            rec = make_motor_recording(rng, ["C3", "C4"], n_trials=8, discriminative=(1,))
+            write_csv_run(tmp_path / "data" / f"S{sid:03d}" / f"S{sid:03d}R03.csv", rec)
+        run = tmp_path / "data" / "S001" / "S001R03.csv"
+        if data is not None:
+            run.write_text(data)
+        if annotations is not None:
+            run.with_name("S001R03_annotations.csv").write_text(annotations)
+        cfg = write_config(tmp_path / "exp.cfg", runs="3", input_format="csv")
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        assert (list(summary["cached"]), summary["failed_subjects"]) == (["S002"], ["S001"])
+        reason = json.loads(captured.err.splitlines()[-1])["failed"]["S001"]
+        assert reason.startswith(f"ValueError: {run}: ValueError: ")
 
     def test_no_subject_prepared_fails(self, workspace, capsys):
         tmp_path, cfg = workspace
@@ -425,13 +462,17 @@ class TestTrainEval:
         assert (tmp_path / "out" / "map_riemannian_binary_top2.csv").exists()
 
     @pytest.mark.parametrize("edit", [{"channels": ["FC5", "C3", "C4", "Cz", "Fp1", "XYZ"]},
-                                      {"channels": 5}, {"per_class": [1, 2]}])
+                                      {"channels": 5}, {"per_class": [1, 2]},
+                                      pytest.param("{", id="truncated"),
+                                      pytest.param("[1, 2]", id="list")])
     def test_bad_external_relevance_file_fails_its_subject(self, workspace, capsys, edit):
+        """`edit` is a change to a valid document, or the file's whole text."""
         tmp_path, _ = workspace
         doc = {"channels": ["FC5", "C3", "C4", "Cz", "Fp1", "Oz"],
                "pooled": [0.1, 0.9, 0.8, 0.7, 0.0, 0.2]}
         (tmp_path / "rel_001.json").write_text(json.dumps(doc))
-        (tmp_path / "rel_002.json").write_text(json.dumps(dict(doc, **edit)))
+        bad = tmp_path / "rel_002.json"
+        bad.write_text(edit if isinstance(edit, str) else json.dumps(dict(doc, **edit)))
         cfg = write_config(tmp_path / "ext.cfg", channel_config="feat21",
                            relevance_source="external:xnet",
                            relevance_pattern="rel_{subject:03d}.json", target_k=3)
@@ -441,7 +482,7 @@ class TestTrainEval:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["failed_subjects"] == ["S002"]
         reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
-        assert reason.startswith("ValueError: ") and "rel_002.json" in reason
+        assert reason.startswith(f"ValueError: {bad}: ")
         rows = json.loads((tmp_path / "out" / "rows.json").read_text())
         assert [r["subject"] for r in rows] == [1]
 
@@ -499,6 +540,21 @@ class TestTrainEval:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["failed_subjects"] == ["S002"]
         assert "epochs.npy" in json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
+        rows = json.loads((tmp_path / "out" / "rows.json").read_text())
+        assert [r["subject"] for r in rows] == [1]
+
+    @pytest.mark.parametrize("text", ["{", "[1, 2]"])
+    def test_unparsable_index_fails_its_subject(self, workspace, capsys, text):
+        tmp_path, cfg = workspace
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        index = tmp_path / "cache" / "S002" / "index.json"
+        index.write_text(text)
+        capsys.readouterr()
+        assert main(["train-eval", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["failed_subjects"] == ["S002"]
+        reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
+        assert reason.startswith(f"ValueError: {index}: ")
         rows = json.loads((tmp_path / "out" / "rows.json").read_text())
         assert [r["subject"] for r in rows] == [1]
 
@@ -619,8 +675,10 @@ class TestDerivedMemo:
         cold, warm = _tree(tmp_path / "cold"), _tree(tmp_path / "warm")
         assert len(cold) == 12 and cold == warm
 
-    @pytest.mark.parametrize("kind", ["centroid", "trace"])
-    @pytest.mark.parametrize("damage", ["truncate", "garbage", "wrong shape"])
+    @pytest.mark.parametrize("damage, kind", [
+        (damage, kind) for damage in ("truncate", "garbage", "wrong shape")
+        for kind in ("centroid", "trace")
+    ] + [("channel out of range", "trace"), ("channel kept twice", "trace")])
     def test_corrupt_entry_fails_its_subject(self, workspace, capsys, kind, damage):
         tmp_path, _ = workspace
         cfg = write_config(tmp_path / "feat.cfg", channel_config="feat21", target_k=2)
@@ -635,8 +693,10 @@ class TestDerivedMemo:
             np.save(entry, np.eye(3))
         else:
             trace = spdgeom.trace_from_json(entry.read_text())
+            final_subset = {"wrong shape": trace.final_subset[1:],
+                            "channel out of range": (1, 99), "channel kept twice": (1, 1)}
             entry.write_text(spdgeom.trace_to_json(replace(
-                trace, final_subset=trace.final_subset[1:])))
+                trace, final_subset=final_subset[damage])))
         damaged = entry.read_bytes()
         capsys.readouterr()
         assert main(["train-eval", "--config", str(cfg)]) == 0
@@ -741,6 +801,15 @@ class TestEmdCommand:
         table = json.loads((tmp_path / "out" / "emd_table.json").read_text())
         assert table[0]["emd_binary"] == 0.0
         assert table[0]["emd_weighted"] == 0.0
+
+    @pytest.mark.parametrize("text", ["{", "[1, 2]", '{"model": "m"}', '{"counts": [1]}'])
+    def test_bad_cohort_file_named_in_error(self, tmp_path, capsys, text):
+        bad = tmp_path / "cohort.json"
+        bad.write_text(text)
+        cfg = write_config(tmp_path / "exp.cfg")
+        assert main(["emd", "--config", str(cfg), "--cohorts", f"m={bad}"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and err["message"].startswith(f"{bad}: ")
 
     def test_models_ordered_by_distance(self, tmp_path, layout):
         base = relevance.mi_baseline(layout)

@@ -1,5 +1,6 @@
 import logging
 import os
+import re
 
 import numpy as np
 import pytest
@@ -163,6 +164,21 @@ class TestCSVReader:
         assert rec.channel_names == ["chA", "chB", "chC"]
         assert_allclose(rec.data, data)
         assert rec.annotations == [Annotation(160, 640, "T1")]
+
+    def test_data_file_without_header_rejected(self, tmp_path):
+        p = tmp_path / "rec.csv"
+        p.write_text("")
+        with pytest.raises(ValueError, match="no header row"):
+            read_recording_csv(p)
+
+    def test_short_annotation_row_rejected(self, tmp_path):
+        p = tmp_path / "rec.csv"
+        p.write_text("chA\n" + "0.5\n" * 800)
+        a = tmp_path / "rec_annotations.csv"
+        a.write_text("onset,duration,code\n160,640,T1\n480,640\n")
+        expected = f"{a} line 3: expected onset,duration,code"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            read_recording_csv(p, a)
 
 
 class TestBandpass:
