@@ -392,6 +392,11 @@ def _subset_for_config(cfg: ExperimentConfig, layout: montage.GridLayout,
     return sorted(lookup[c] for c in selected), sorted(selected), None
 
 
+def _read_map(path: str) -> montage.SpatialMap:
+    with _reading(path):
+        return montage.load_spatial_map(path)
+
+
 def _cohort_maps(counts: dict[str, int], layout: montage.GridLayout, k: int
                  ) -> tuple[montage.SpatialMap, montage.SpatialMap]:
     ranked = sorted(counts, key=lambda n: (-counts[n], layout.montage_rank(n)))
@@ -403,12 +408,15 @@ def _cohort_maps(counts: dict[str, int], layout: montage.GridLayout, k: int
 # ---------------------------------------------------------------------------
 # SVG rendering
 
-def render_map_svg(smap: montage.SpatialMap, layout: montage.GridLayout,
-                   cell: int = 40, margin: int = 20) -> str:
+#: Side of one grid cell and width of the border around the grid, in pixels.
+SVG_CELL, SVG_MARGIN = 40, 20
+
+
+def render_map_svg(smap: montage.SpatialMap, layout: montage.GridLayout) -> str:
     """Deterministic SVG: one marker per montage electrode, scaled by mass."""
     if smap.n != layout.n:
         raise ValueError(f"map order {smap.n} does not match layout order {layout.n}")
-    size = 2 * margin + layout.n * cell
+    size = 2 * SVG_MARGIN + layout.n * SVG_CELL
     peak = float(smap.mass.max())
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
@@ -416,8 +424,8 @@ def render_map_svg(smap: montage.SpatialMap, layout: montage.GridLayout,
         f'<rect width="{size}" height="{size}" fill="white"/>',
     ]
     for e in layout.electrodes:
-        cx = margin + (e.col + 0.5) * cell
-        cy = margin + (e.row + 0.5) * cell
+        cx = SVG_MARGIN + (e.col + 0.5) * SVG_CELL
+        cy = SVG_MARGIN + (e.row + 0.5) * SVG_CELL
         m = float(smap.mass[e.row, e.col])
         rel = m / peak if peak > 0 else 0.0
         if m > 0:
@@ -489,7 +497,7 @@ def _prepare_subject(cfg: ExperimentConfig, cache_dir: Path, subject: int,
             raise ValueError(f"{tag}: {path} holds non-finite samples")
         rec = signal.bandpass(rec, cfg.band_lo, cfg.band_hi)
         offset = max(index["trials"], default=-1) + 1
-        for e in signal.epoch_trials(rec, subject=subject, trial_offset=offset):
+        for e in signal.epoch_trials(rec, trial_offset=offset):
             covs.append(spdgeom.covariance(e.data, 0.0))
             index["labels"].append(e.label)
             index["trials"].append(e.trial)
@@ -596,7 +604,7 @@ def _train_eval_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
     preds = [spdgeom.mdm_predict(model, spdgeom.restrict_channels(c, subset))
              for c in test_covs]
     ev = stats.evaluate(preds, test_labels, classes=classes)
-    chance = stats.chance_level(test_labels, method="majority")
+    chance = stats.chance_level(test_labels)
     row = {
         "subject": subject,
         "channel_config": cfg.channel_config,
@@ -677,9 +685,9 @@ def cmd_emd(cfg: ExperimentConfig, map_args: list[str], cohort_args: list[str],
     layout = _load_layout(cfg)
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # one baseline for both columns: the uniform-weighted one (weight 1.0) equals it
-    base = (montage.load_spatial_map(baseline_map) if baseline_map
-            else relevance.mi_baseline(layout, "binary"))
+    # one baseline for both columns: rebalancing or normalizing makes a
+    # uniform-weighted baseline equal to the binary one
+    base = _read_map(baseline_map) if baseline_map else relevance.mi_baseline(layout)
 
     def parse_named(args: list[str]) -> list[list[str]]:
         for item in args:
@@ -692,13 +700,13 @@ def cmd_emd(cfg: ExperimentConfig, map_args: list[str], cohort_args: list[str],
             p, q = transport.rebalance(p, q, rebalance_to)
         return transport.emd(p, q, metric=cfg.metric, mass_mode=cfg.mass).distance
 
-    results = [{"model": name, "emd_binary": score(montage.load_spatial_map(path), base),
+    results = [{"model": name, "emd_binary": score(_read_map(path), base),
                 "emd_weighted": None} for name, path in parse_named(map_args)]
     for name, path in parse_named(cohort_args):
         doc = _read_json(Path(path))
         with _reading(path):
-            counts = {k: int(v) for k, v in doc["counts"].items()}
-        bmap, wmap = _cohort_maps(counts, layout, cfg.target_k)
+            bmap, wmap = _cohort_maps({k: int(v) for k, v in doc["counts"].items()},
+                                      layout, cfg.target_k)
         results.append({"model": name, "emd_binary": score(bmap, base),
                         "emd_weighted": score(wmap, base)})
     if not results:
@@ -717,8 +725,7 @@ def cmd_emd(cfg: ExperimentConfig, map_args: list[str], cohort_args: list[str],
 
 def cmd_plot(cfg: ExperimentConfig, map_path: str, out_path: str) -> dict:
     layout = _load_layout(cfg)
-    smap = montage.load_spatial_map(map_path)
-    svg = render_map_svg(smap, layout)
+    svg = render_map_svg(_read_map(map_path), layout)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(svg, encoding="utf-8")
@@ -726,25 +733,24 @@ def cmd_plot(cfg: ExperimentConfig, map_path: str, out_path: str) -> dict:
 
 
 def cmd_report(cfg: ExperimentConfig, row_files: list[str]) -> dict:
-    rows = [row for path in row_files for row in _read_rows_csv(Path(path))]
+    rows = [row for path in row_files for row in _report_rows(Path(path))]
     if not rows:
         raise ValueError("no rows to report")
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     configs = [c for c in CHANNEL_CONFIGS if any(r["channel_config"] == c for r in rows)]
-    subjects = sorted({int(r["subject"]) for r in rows})
-    cell = {(int(r["subject"]), r["channel_config"]): r for r in rows}
+    subjects = sorted({r["subject"] for r in rows})
+    cell = {(r["subject"], r["channel_config"]): r for r in rows}
     recalls = sorted({k for r in rows for k in r if k.startswith("recall_")})
 
     def values(config: str, key: str) -> dict[int, float]:
-        return {s: float(cell[s, config][key]) for s in subjects
-                if key in cell.get((s, config), {})}
+        return {s: cell[s, config][key] for s in subjects if key in cell.get((s, config), {})}
 
     # every table column, in header order, as {subject: percent}; chance
     # comes from each subject's first config
     first = {s: next(cell[s, c] for c in configs if (s, c) in cell) for s in subjects}
-    columns = {"chance": {s: 100 * float(first[s]["chance"]) for s in subjects}}
+    columns = {"chance": {s: 100 * first[s]["chance"] for s in subjects}}
     for c in configs:
         for key in ("overall", *recalls):
             columns[f"{c}_{key.removeprefix('recall_')}"] = {
@@ -783,6 +789,24 @@ def cmd_report(cfg: ExperimentConfig, row_files: list[str]) -> dict:
     _write_json(out_dir / "report.json", {"configs": configs, "subjects": subjects,
                                           "summary": summary, "pvalues": pvalues})
     return {"output_dir": str(out_dir), "subjects": len(subjects)}
+
+
+def _report_rows(path: Path) -> list[dict]:
+    """The rows of one ``rows.csv`` for ``report``, each with an int
+    ``subject``, a ``channel_config`` from `CHANNEL_CONFIGS`, a float
+    ``chance`` and, where present, a float ``overall`` and ``recall_*``;
+    any other row is a ``ValueError`` that starts with the path."""
+    rows = _read_rows_csv(path)
+    with _reading(path):
+        for row in rows:
+            if row["channel_config"] not in CHANNEL_CONFIGS:
+                raise ValueError(f"channel_config must be one of {CHANNEL_CONFIGS}, "
+                                 f"got {row['channel_config']!r}")
+            row["subject"], row["chance"] = int(row["subject"]), float(row["chance"])
+            for key in row:
+                if key == "overall" or key.startswith("recall_"):
+                    row[key] = float(row[key])
+    return rows
 
 
 def _read_rows_csv(path: Path) -> list[dict]:

@@ -126,22 +126,21 @@ class SpatialMap:
         return float(self.mass.sum())
 
 
-def load_grid_layout(source: str, n: int | None = None) -> GridLayout:
+def load_grid_layout(source: str) -> GridLayout:
     """Parse mapping-file content into a validated GridLayout.
 
     Parameters
     ----------
     source : str
         Mapping text, one ``NAME,row,col`` record per line.  ``#`` starts a
-        comment; blank lines are ignored.
-    n : int, optional
-        Grid order.  Defaults to ``max(row, col) + 1`` over all records.
+        comment; blank lines are ignored.  The grid order is
+        ``max(row, col) + 1`` over all records.
 
     Raises
     ------
     ValueError
-        On malformed records, duplicate names, duplicate cells, or
-        coordinates outside the grid.
+        On malformed records, duplicate names, duplicate cells, or negative
+        coordinates.
     """
     electrodes: list[Electrode] = []
     seen_names: set[str] = set()
@@ -169,16 +168,12 @@ def load_grid_layout(source: str, n: int | None = None) -> GridLayout:
         electrodes.append(Electrode(name, row, col))
     if not electrodes:
         raise ValueError("mapping contains no electrodes")
-    required = max(max(e.row for e in electrodes), max(e.col for e in electrodes)) + 1
-    if n is None:
-        n = required
-    elif n < required:
-        raise ValueError(f"grid order {n} too small, coordinates require {required}")
+    n = max(max(e.row for e in electrodes), max(e.col for e in electrodes)) + 1
     return GridLayout(n=n, electrodes=tuple(electrodes))
 
 
-def load_grid_layout_file(path: str | Path, n: int | None = None) -> GridLayout:
-    return load_grid_layout(Path(path).read_text(encoding="utf-8"), n=n)
+def load_grid_layout_file(path: str | Path) -> GridLayout:
+    return load_grid_layout(Path(path).read_text(encoding="utf-8"))
 
 
 @lru_cache(maxsize=1)

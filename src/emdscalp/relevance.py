@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .montage import GridLayout, SpatialMap, binary_map, default_layout, weighted_map
+from .montage import GridLayout, SpatialMap, binary_map, default_layout
 from .spdgeom import SelectionTrace
 
 __all__ = [
@@ -72,13 +72,12 @@ class CohortAggregate:
     subjects: tuple[str, ...]
 
 
-def ingest_external(file: str | Path, layout: GridLayout | None = None) -> RelevanceScores:
+def ingest_external(file: str | Path, layout: GridLayout) -> RelevanceScores:
     """Load and validate an external relevance JSON document.
 
     Channel names are resolved against the montage (case-insensitive);
     unknown names, misaligned arrays, and non-finite scores are rejected.
     """
-    layout = layout or default_layout()
     doc = json.loads(Path(file).read_text(encoding="utf-8"))
     for key in ("channels", "pooled"):
         if key not in doc:
@@ -178,21 +177,10 @@ def aggregate_cohort(selections: Mapping[str, Iterable[str]]) -> CohortAggregate
     return CohortAggregate(counts=counts, subjects=tuple(sorted(selections)))
 
 
-def mi_baseline(
-    layout: GridLayout,
-    weighting: str = "binary",
-    uniform_weight: float = 1.0,
-) -> SpatialMap:
-    """Spatial map of the 21 motor-cortex baseline channels.
-
-    ``binary`` marks each channel with 1 (total mass 21);
-    ``uniform-weighted`` gives each the same configurable weight.
-    """
+def mi_baseline(layout: GridLayout) -> SpatialMap:
+    """Binary spatial map of the 21 motor-cortex baseline channels: each
+    channel's cell holds 1, so the total mass is 21."""
     missing = [c for c in MI_BASELINE_CHANNELS if c not in layout]
     if missing:
         raise ValueError(f"layout is missing baseline channels: {missing}")
-    if weighting == "binary":
-        return binary_map(MI_BASELINE_CHANNELS, layout)
-    if weighting == "uniform-weighted":
-        return weighted_map({c: uniform_weight for c in MI_BASELINE_CHANNELS}, layout)
-    raise ValueError(f"unknown weighting {weighting!r}")
+    return binary_map(MI_BASELINE_CHANNELS, layout)

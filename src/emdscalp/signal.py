@@ -30,8 +30,11 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-#: default annotation code -> epoch label mapping (fist movement/imagery)
-DEFAULT_LABEL_CODES = {"T1": "Left", "T2": "Right"}
+#: annotation code -> epoch label (fist movement/imagery); other codes are rest
+LABEL_CODES = {"T1": "Left", "T2": "Right"}
+#: each labeled trial's first 4 s are cut into four 1 s epochs
+EPOCH_S = 1.0
+EPOCHS_PER_TRIAL = 4
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,6 @@ class Epoch:
 
     data: np.ndarray
     label: str
-    subject: int
     trial: int
     slice_index: int
 
@@ -270,42 +272,33 @@ def bandpass(rec: Recording, lo: float = 8.0, hi: float = 30.0) -> Recording:
     return Recording(list(rec.channel_names), rec.sample_rate, filtered, list(rec.annotations))
 
 
-def epoch_trials(
-    rec: Recording,
-    slice_len_s: float = 1.0,
-    trial_len_s: float = 4.0,
-    label_codes: dict[str, str] | None = None,
-    subject: int = 0,
-    trial_offset: int = 0,
-) -> list[Epoch]:
+def epoch_trials(rec: Recording, trial_offset: int = 0) -> list[Epoch]:
     """Cut labeled trials into consecutive non-overlapping epochs.
 
-    Each annotated trial contributes ``trial_len_s / slice_len_s`` epochs
-    drawn from the first `trial_len_s` seconds after onset, all inheriting
-    the trial label.  Unlabeled codes (rest) are ignored.  Trials extending
-    past the end of the data are skipped; the count is logged.
+    Each trial labeled by `LABEL_CODES` contributes `EPOCHS_PER_TRIAL`
+    epochs of `EPOCH_S` seconds from its onset, all inheriting the trial
+    label; trials are numbered from `trial_offset`.  Other codes (rest) are
+    ignored.  Trials extending past the end of the data are skipped; the
+    count is logged.
     """
-    if label_codes is None:
-        label_codes = DEFAULT_LABEL_CODES
-    slice_len = int(round(slice_len_s * rec.sample_rate))
-    n_slices = int(round(trial_len_s / slice_len_s))
-    if slice_len < 1 or n_slices < 1:
-        raise ValueError("slice length and trial length must be positive")
+    slice_len = int(round(EPOCH_S * rec.sample_rate))
+    if slice_len < 1:
+        raise ValueError(f"sample rate {rec.sample_rate} Hz gives empty {EPOCH_S} s epochs")
     epochs: list[Epoch] = []
     trial = trial_offset
     skipped = 0
     for ann in rec.annotations:
-        label = label_codes.get(ann.code)
+        label = LABEL_CODES.get(ann.code)
         if label is None:
             continue
-        end = ann.onset + n_slices * slice_len
+        end = ann.onset + EPOCHS_PER_TRIAL * slice_len
         if end > rec.n_samples:
             skipped += 1
             continue
-        for s in range(n_slices):
+        for s in range(EPOCHS_PER_TRIAL):
             start = ann.onset + s * slice_len
             seg = np.array(rec.data[:, start:start + slice_len])
-            epochs.append(Epoch(seg, label, subject=subject, trial=trial, slice_index=s))
+            epochs.append(Epoch(seg, label, trial=trial, slice_index=s))
         trial += 1
     if skipped:
         log.warning("skipped %d truncated trial(s) extending past end of data", skipped)

@@ -1,9 +1,9 @@
 """Evaluation metrics and paired hypothesis testing.
 
 Per-class recall with both overall-accuracy conventions (support-weighted
-and macro), chance-level estimates, cohort subject selection, the Wilcoxon
-signed-rank test (exact sign enumeration up to n=20, tie-corrected normal
-approximation beyond), and cohort mean/SD summaries.
+and macro), the majority-class chance level, cohort subject selection, the
+Wilcoxon signed-rank test (exact sign enumeration up to n=20, tie-corrected
+normal approximation beyond), and cohort mean/SD summaries.
 """
 
 from __future__ import annotations
@@ -84,23 +84,14 @@ def evaluate(preds: Sequence[Hashable], labels: Sequence[Hashable],
     )
 
 
-def chance_level(labels: Sequence[Hashable], method: str = "majority",
-                 alpha: float = 0.05) -> float:
-    """Chance-level accuracy estimate for a test label set.
-
-    ``majority`` is the majority-class proportion.  ``binomial_ci`` is the
-    one-sided upper bound on a random binary guesser's accuracy,
-    ``0.5 + z_(1-alpha) * sqrt(0.25 / n)``.
-    """
+def chance_level(labels: Sequence[Hashable]) -> float:
+    """Chance-level accuracy of a test label set: the majority-class
+    proportion."""
     n = len(labels)
     if n == 0:
         raise ValueError("labels must be nonempty")
-    if method == "majority":
-        _, counts = np.unique(np.asarray(labels, dtype=object), return_counts=True)
-        return float(counts.max() / n)
-    if method == "binomial_ci":
-        return float(0.5 + norm.ppf(1.0 - alpha) * np.sqrt(0.25 / n))
-    raise ValueError(f"unknown method {method!r}")
+    _, counts = np.unique(np.asarray(labels, dtype=object), return_counts=True)
+    return float(counts.max() / n)
 
 
 def select_subjects(results: Mapping[str, EvalResult], chance: Mapping[str, float],
@@ -134,14 +125,14 @@ def _exact_pvalue(ranks: np.ndarray, w_plus: float) -> float:
     return float(np.mean(np.abs(w - mu) >= observed - 1e-12))
 
 
-def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float],
-                         mode: str = "auto") -> PairedTestResult:
+def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> PairedTestResult:
     """Two-sided Wilcoxon signed-rank test on paired samples.
 
     Zero differences are dropped; tied absolute differences receive
-    midranks.  ``exact`` enumerates all sign assignments (n <= 20);
-    ``normal-approx`` uses the tie-corrected Gaussian with
-    ``Var(W+) = sum(ranks^2) / 4``; ``auto`` picks exact when n <= 20.
+    midranks.  With n <= `EXACT_LIMIT` nonzero differences the p-value
+    enumerates all sign assignments (mode ``exact``); beyond, it uses the
+    tie-corrected Gaussian with ``Var(W+) = sum(ranks^2) / 4`` (mode
+    ``normal-approx``).
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -160,19 +151,15 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float],
     ranks = rankdata(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
 
-    if mode == "auto":
-        mode = "exact" if n <= EXACT_LIMIT else "normal-approx"
-    if mode == "exact":
-        if n > EXACT_LIMIT:
-            raise ValueError(f"exact enumeration limited to n <= {EXACT_LIMIT}, got {n}")
+    if n <= EXACT_LIMIT:
+        mode = "exact"
         p = _exact_pvalue(ranks, w_plus)
-    elif mode == "normal-approx":
+    else:
+        mode = "normal-approx"
         mu = ranks.sum() / 2.0
         sigma = np.sqrt((ranks**2).sum() / 4.0)
         z = (w_plus - mu) / sigma
         p = float(2.0 * norm.sf(abs(z)))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
     return PairedTestResult(
         statistic=w_plus, p_value=min(p, 1.0), n_pairs=n, zeros_dropped=zeros, mode=mode
     )

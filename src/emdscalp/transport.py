@@ -19,7 +19,6 @@ from scipy.optimize import linprog
 from .montage import SpatialMap
 
 __all__ = [
-    "CostMatrix",
     "TransportPlan",
     "EMDResult",
     "TransportError",
@@ -35,22 +34,6 @@ MASS_RTOL = 1e-9
 
 class TransportError(RuntimeError):
     """The LP solver did not return an optimal transport plan."""
-
-
-@dataclass(frozen=True, eq=False)
-class CostMatrix:
-    """Pairwise ground costs between source and destination cells."""
-
-    costs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.costs, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError("costs must be a 2-d array")
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-            raise ValueError("costs must be finite and nonnegative")
-        arr.setflags(write=False)
-        object.__setattr__(self, "costs", arr)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +59,7 @@ def ground_cost(
     src: Sequence[tuple[int, int]],
     dst: Sequence[tuple[int, int]],
     metric: str = "euclidean",
-) -> CostMatrix:
+) -> np.ndarray:
     """Ground-cost matrix between two lists of grid-cell coordinates.
 
     `metric` is ``euclidean`` or ``manhattan``, in grid-cell units.
@@ -87,12 +70,10 @@ def ground_cost(
     b = np.asarray(dst, dtype=float).reshape(len(dst), 2)
     diff = a[:, None, :] - b[None, :, :]
     if metric == "euclidean":
-        costs = np.sqrt((diff**2).sum(axis=-1))
-    elif metric == "manhattan":
-        costs = np.abs(diff).sum(axis=-1)
-    else:
-        raise ValueError(f"unknown metric {metric!r}")
-    return CostMatrix(costs)
+        return np.sqrt((diff**2).sum(axis=-1))
+    if metric == "manhattan":
+        return np.abs(diff).sum(axis=-1)
+    raise ValueError(f"unknown metric {metric!r}")
 
 
 def solve_transport(
@@ -196,8 +177,8 @@ def emd(
     src_cells = [(int(c) // n, int(c) % n) for c in src_idx]
     dst_cells = [(int(c) // n, int(c) % n) for c in dst_idx]
     cost = ground_cost(src_cells, dst_cells, metric=metric)
-    flows = solve_transport(pm[src_idx], qm[dst_idx], cost.costs)
-    distance = float((cost.costs * flows).sum())
+    flows = solve_transport(pm[src_idx], qm[dst_idx], cost)
+    distance = float((cost * flows).sum())
 
     full = np.zeros((n * n, n * n))
     full[np.ix_(src_idx, dst_idx)] = flows

@@ -54,7 +54,7 @@ def test_criterion_01_emd_oracle_equivalence(rng, layout):
     # Integer-mass pairs on grids up to 6x6, then the paper's case: binary
     # top-21 maps against the 21-channel baseline on the packaged layout.
     pairs = [random_integer_map_pair(rng, int(rng.integers(2, 7))) for _ in range(n_pairs)]
-    base = relevance.mi_baseline(layout, "binary")
+    base = relevance.mi_baseline(layout)
     names = [e.name for e in layout.electrodes]
     for _ in range(30):
         top = montage.binary_map(set(rng.choice(names, 21, replace=False)), layout)
@@ -117,7 +117,8 @@ def test_criterion_03_table_statistics_reproduction():
         (published.MDM_ALL, published.EEGNET_ALL, published.PVALUES["mdm_vs_eegnet"]),
     ]
     for x, y, want_p in pairs:
-        res = stats.wilcoxon_signed_rank(x, y, mode="exact")
+        res = stats.wilcoxon_signed_rank(x, y)
+        assert res.mode == "exact"
         assert abs(res.p_value - want_p) <= 0.003
 
     deltas = [
@@ -145,7 +146,7 @@ def test_criterion_04_row_consistency():
 
 
 def test_criterion_05_spatial_agreement_properties(layout):
-    base = relevance.mi_baseline(layout, "binary")
+    base = relevance.mi_baseline(layout)
     # (a) self distance
     assert emd(base, base).distance <= 1e-12
 

@@ -802,7 +802,8 @@ class TestEmdCommand:
         assert table[0]["emd_binary"] == 0.0
         assert table[0]["emd_weighted"] == 0.0
 
-    @pytest.mark.parametrize("text", ["{", "[1, 2]", '{"model": "m"}', '{"counts": [1]}'])
+    @pytest.mark.parametrize("text", ["{", "[1, 2]", '{"model": "m"}', '{"counts": [1]}',
+                                      '{"counts": {"XX": 1}}'])
     def test_bad_cohort_file_named_in_error(self, tmp_path, capsys, text):
         bad = tmp_path / "cohort.json"
         bad.write_text(text)
@@ -955,6 +956,22 @@ class TestReportCommand:
         footer = (tmp_path / "out" / "table.csv").read_text().splitlines()[-1]
         assert "90.00±0.00" in footer
 
+    @pytest.mark.parametrize("text", [
+        "subject,channel_config,chance,overall\n99,all32,0.5,0.9\n",  # unknown config only
+        "subject,channel_config,overall\n99,all64,0.9\n",  # no chance column
+        "subject,channel_config,chance,overall\n99,all64,,0.9\n",  # empty chance
+        "subject,channel_config,chance,overall\nS1,all64,0.5,0.9\n",  # non-integer subject
+        "subject,channel_config,chance,overall\n99,all64,0.5,\n",  # empty overall
+    ])
+    def test_bad_rows_file_named_in_error(self, tmp_path, capsys, text):
+        good = write_fixture_rows(tmp_path / "good.csv")
+        bad = tmp_path / "rows.csv"
+        bad.write_text(text)
+        cfg = write_config(tmp_path / "exp.cfg")
+        assert main(["report", "--config", str(cfg), "--rows", str(good), str(bad)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and err["message"].startswith(f"{bad}: ")
+
     def test_no_rows_rejected(self, tmp_path, capsys):
         p = tmp_path / "rows.csv"
         p.write_text("")
@@ -999,6 +1016,20 @@ class TestReportCommand:
 
 
 class TestErrorContract:
+    @pytest.mark.parametrize("text", ["1,2,3\n", "1,x\n0,1\n", "-1\n"])
+    @pytest.mark.parametrize("command", ["emd --maps m={bad}",
+                                         "emd --baseline-map {bad} --maps m={good}",
+                                         "plot --map {bad} --out {tmp}/m.svg"])
+    def test_bad_map_file_named_in_error(self, tmp_path, layout, capsys, command, text):
+        bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+        bad.write_text(text)
+        montage.save_spatial_map(relevance.mi_baseline(layout), good)
+        cfg = write_config(tmp_path / "exp.cfg")
+        argv = command.format(bad=bad, good=good, tmp=tmp_path).split()
+        assert main([*argv, "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and err["message"].startswith(f"{bad}: ")
+
     def test_missing_config_gives_error_json(self, capsys):
         assert main(["train-eval", "--config", "/nonexistent/path.cfg"]) == 1
         err = json.loads(capsys.readouterr().err.strip())

@@ -181,25 +181,21 @@ class TestAggregateCohort:
 
 class TestMIBaseline:
     def test_binary_total_21(self, layout):
-        m = mi_baseline(layout, "binary")
+        m = mi_baseline(layout)
         assert m.total == 21.0
 
-    def test_uniform_weight_total(self, layout):
-        m = mi_baseline(layout, "uniform-weighted", uniform_weight=14.0)
-        assert m.total == 294.0
-
     def test_zero_distance_to_itself(self, layout):
-        m = mi_baseline(layout, "binary")
+        m = mi_baseline(layout)
         assert emd(m, m).distance <= 1e-12
 
     def test_channels_live_on_fc_c_cp_rows(self, layout):
-        m = mi_baseline(layout, "binary")
+        m = mi_baseline(layout)
         rows = {r for r in range(layout.n) for c in range(layout.n) if m.mass[r, c] > 0}
         assert rows == {4, 5, 6}
 
     def test_matches_binary_map_of_list(self, layout):
         assert np.array_equal(
-            mi_baseline(layout, "binary").mass,
+            mi_baseline(layout).mass,
             binary_map(set(MI_BASELINE_CHANNELS), layout).mass,
         )
 
@@ -207,10 +203,6 @@ class TestMIBaseline:
         small = load_grid_layout("C3,0,0\nC4,0,1\n")
         with pytest.raises(ValueError, match="missing baseline channels"):
             mi_baseline(small)
-
-    def test_unknown_weighting(self, layout):
-        with pytest.raises(ValueError, match="weighting"):
-            mi_baseline(layout, "exponential")
 
 
 class TestScoresFromTrace:

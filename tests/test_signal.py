@@ -232,11 +232,10 @@ class TestEpochTrials:
         data = rng.normal(size=(3, int(6 * FS)))
         rec = Recording(["a", "b", "c"], FS, data,
                         [Annotation(int(FS), int(4 * FS), "T1")])
-        epochs = epoch_trials(rec, subject=7)
+        epochs = epoch_trials(rec)
         assert len(epochs) == 4
         assert all(e.label == "Left" for e in epochs)
         assert all(e.data.shape == (3, 160) for e in epochs)
-        assert all(e.subject == 7 for e in epochs)
         assert [e.slice_index for e in epochs] == [0, 1, 2, 3]
 
     def test_epoching_is_lossless_over_trial(self, rng):
@@ -341,7 +340,7 @@ class TestEDFMotorPipeline:
         back = read_recording(path)
         assert back.channel_names == ["Fc5", "C3", "C4", "Cz"]
         filtered = bandpass(back)
-        epochs = epoch_trials(filtered, subject=1)
+        epochs = epoch_trials(filtered)
         assert len(epochs) == 40
         labels = {e.label for e in epochs}
         assert labels == {"Left", "Right"}

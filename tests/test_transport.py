@@ -18,16 +18,16 @@ def unit_at(n, row, col, mass=1.0):
 class TestGroundCost:
     def test_three_four_five(self):
         c = ground_cost([(0, 0)], [(3, 4)], "euclidean")
-        assert c.costs[0, 0] == 5.0
+        assert c[0, 0] == 5.0
 
     def test_zero_diagonal_on_identical_lists(self):
         cells = [(0, 0), (1, 2), (3, 3)]
         c = ground_cost(cells, cells, "euclidean")
-        assert_allclose(np.diag(c.costs), 0.0)
+        assert_allclose(np.diag(c), 0.0)
 
     def test_manhattan(self):
         c = ground_cost([(0, 0)], [(1, 1)], "manhattan")
-        assert c.costs[0, 0] == 2.0
+        assert c[0, 0] == 2.0
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
@@ -133,7 +133,7 @@ class TestEMD:
         p, q = random_map_pair(rng, 5)
         res = emd(p, q)
         cells = [(i, j) for i in range(5) for j in range(5)]
-        full_cost = ground_cost(cells, cells).costs
+        full_cost = ground_cost(cells, cells)
         assert_allclose((full_cost * res.plan.flows).sum(), res.distance,
                         rtol=1e-9, atol=1e-12)
 
