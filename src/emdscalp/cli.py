@@ -263,7 +263,7 @@ def read_epoch_cache(cache_dir: Path, subject: int) -> tuple[np.ndarray, dict]:
 # derived-result memo
 
 #: Part of every memo key; bump it when ``spdgeom``'s numerics change.
-MEMO_VERSION = 3
+MEMO_VERSION = 4
 
 
 class DerivedMemo:
@@ -392,9 +392,13 @@ def _subset_for_config(cfg: ExperimentConfig, layout: montage.GridLayout,
     return sorted(lookup[c] for c in selected), sorted(selected), None
 
 
-def _read_map(path: str) -> montage.SpatialMap:
+def _read_map(path: str, order: int | None) -> montage.SpatialMap:
+    """The spatial map in `path`, of grid order `order` unless that is None."""
     with _reading(path):
-        return montage.load_spatial_map(path)
+        smap = montage.load_spatial_map(path)
+        if order is not None and smap.n != order:
+            raise ValueError(f"grid order {smap.n}, expected {order}")
+    return smap
 
 
 def _cohort_maps(counts: dict[str, int], layout: montage.GridLayout, k: int
@@ -687,7 +691,9 @@ def cmd_emd(cfg: ExperimentConfig, map_args: list[str], cohort_args: list[str],
     out_dir.mkdir(parents=True, exist_ok=True)
     # one baseline for both columns: rebalancing or normalizing makes a
     # uniform-weighted baseline equal to the binary one
-    base = _read_map(baseline_map) if baseline_map else relevance.mi_baseline(layout)
+    # (cohort maps are drawn on the layout, so with cohorts it fixes the order)
+    base = (_read_map(baseline_map, layout.n if cohort_args else None) if baseline_map
+            else relevance.mi_baseline(layout))
 
     def parse_named(args: list[str]) -> list[list[str]]:
         for item in args:
@@ -700,7 +706,7 @@ def cmd_emd(cfg: ExperimentConfig, map_args: list[str], cohort_args: list[str],
             p, q = transport.rebalance(p, q, rebalance_to)
         return transport.emd(p, q, metric=cfg.metric, mass_mode=cfg.mass).distance
 
-    results = [{"model": name, "emd_binary": score(_read_map(path), base),
+    results = [{"model": name, "emd_binary": score(_read_map(path, base.n), base),
                 "emd_weighted": None} for name, path in parse_named(map_args)]
     for name, path in parse_named(cohort_args):
         doc = _read_json(Path(path))
@@ -725,7 +731,7 @@ def cmd_emd(cfg: ExperimentConfig, map_args: list[str], cohort_args: list[str],
 
 def cmd_plot(cfg: ExperimentConfig, map_path: str, out_path: str) -> dict:
     layout = _load_layout(cfg)
-    svg = render_map_svg(_read_map(map_path), layout)
+    svg = render_map_svg(_read_map(map_path, layout.n), layout)
     out = Path(out_path)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(svg, encoding="utf-8")

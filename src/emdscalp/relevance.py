@@ -1,15 +1,15 @@
 """Channel-relevance ingestion, top-k extraction, and cohort aggregation.
 
-Relevance scores may come from the elimination trace of the covariance
-classifier or from external per-model JSON exports (schema below).  The
-module also builds the 21-channel motor-cortex baseline map that
-data-driven selections are compared against.
+Relevance scores come from external per-model JSON exports (schema below);
+the covariance classifier's own selection is the final subset of its
+elimination trace.  The module also builds the 21-channel motor-cortex
+baseline map that data-driven selections are compared against.
 
 External relevance JSON schema::
 
     {
-      "subject": str,
-      "model": str,
+      "subject": str,                      # optional, not read
+      "model": str,                        # optional, not read
       "channels": [str, ...],
       "pooled": [float, ...],              # aligned with channels
       "per_class": {"<label>": [float, ...], ...}   # optional
@@ -24,15 +24,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .montage import GridLayout, SpatialMap, binary_map, default_layout
-from .spdgeom import SelectionTrace
+from .montage import GridLayout, SpatialMap, binary_map
 
 __all__ = [
     "RelevanceScores",
     "CohortAggregate",
     "MI_BASELINE_CHANNELS",
     "ingest_external",
-    "scores_from_trace",
     "top_k",
     "aggregate_cohort",
     "mi_baseline",
@@ -56,12 +54,9 @@ class RelevanceScores:
     for class-discriminative sources.
     """
 
-    source: str
     channels: tuple[str, ...]
     pooled: dict[str, float]
     per_class: dict[str, dict[str, float]] | None = None
-    subject: str | None = None
-    model: str | None = None
 
 
 @dataclass(frozen=True)
@@ -103,40 +98,7 @@ def ingest_external(file: str | Path, layout: GridLayout) -> RelevanceScores:
     if doc.get("per_class"):
         per_class = {str(lab): aligned(v, f"per_class[{lab}]") for lab, v in doc["per_class"].items()}
     order = sorted(names, key=layout.montage_rank)
-    return RelevanceScores(
-        source="external",
-        channels=tuple(order),
-        pooled=pooled,
-        per_class=per_class,
-        subject=doc.get("subject"),
-        model=doc.get("model"),
-    )
-
-
-def scores_from_trace(
-    trace: SelectionTrace,
-    channel_names: list[str],
-    layout: GridLayout | None = None,
-) -> RelevanceScores:
-    """Relevance ranking implied by an elimination trace.
-
-    Channels removed earlier score lower; the surviving subset scores
-    highest, ordered among themselves by how much the inter-class distance
-    drops when each is left out.  Scores are rank values 0..dim-1.  This
-    source is class agnostic, so `per_class` is None.
-    """
-    layout = layout or default_layout()
-    order = [step.removed for step in trace.removal_order]
-    survivors = sorted(
-        range(len(trace.final_subset)),
-        key=lambda pos: (trace.final_loo_drops[pos], trace.final_subset[pos]),
-    )
-    order.extend(trace.final_subset[pos] for pos in survivors)
-    pooled = {
-        layout.resolve(channel_names[ch]): float(rank) for rank, ch in enumerate(order)
-    }
-    names = sorted(pooled, key=layout.montage_rank)
-    return RelevanceScores(source="riemannian", channels=tuple(names), pooled=pooled)
+    return RelevanceScores(channels=tuple(order), pooled=pooled, per_class=per_class)
 
 
 def _ranked(scores: Mapping[str, float], order: tuple[str, ...]) -> list[str]:

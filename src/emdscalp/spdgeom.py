@@ -2,10 +2,11 @@
 
 Affine-invariant distance, Fréchet (geometric) mean, the minimum-distance-
 to-mean classifier, and backward-elimination channel selection driven by
-inter-class centroid distance.  Each elimination step solves every class
-pair's generalized eigenproblem once and scores all leave-one-channel-out
-candidates from it with a contour-integral trace formula
-(`_leave_one_out_sq`).  Matrices are plain float ndarrays; matrix
+inter-class centroid distance.  The Fréchet mean takes safeguarded
+Riemannian Newton steps (`_newton_direction`).  Each elimination step
+solves every class pair's generalized eigenproblem once and scores all
+leave-one-channel-out candidates from it with a contour-integral trace
+formula (`_leave_one_out_sq`).  Matrices are plain float ndarrays; matrix
 square roots and logarithms go through symmetric eigendecomposition with
 eigenvalues clamped at 1e-12 of the largest, never silently (see
 `clamped_eigenvalue_count`).
@@ -42,8 +43,8 @@ __all__ = [
 
 SYMMETRY_RTOL = 1e-10
 EIG_CLAMP_REL = 1e-12
-#: Residual differences mixed per step of `frechet_mean`'s Anderson iteration.
-_ANDERSON_DEPTH = 5
+#: Relative residual at which `_newton_direction`'s conjugate gradients stop.
+_CG_RTOL = 1e-4
 
 _n_clamped = 0
 
@@ -94,41 +95,39 @@ def _clamped_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, V
 
 
-def _spectral(m: np.ndarray, fn, clamp: bool = True) -> np.ndarray:
-    if clamp:
-        w, V = _clamped_eigh(m)
-    else:
-        w, V = np.linalg.eigh((m + m.T) / 2.0)
+def _spectral(m: np.ndarray, fn) -> np.ndarray:
+    w, V = np.linalg.eigh((m + m.T) / 2.0)
     return (V * fn(w)) @ V.T
 
 
-def _sym_vec(s: np.ndarray) -> np.ndarray:
-    # Upper triangle, off-diagonal entries times sqrt(2): the vector's
-    # Euclidean norm is the matrix's Frobenius norm.
-    iu = np.triu_indices(len(s))
-    return s[iu] * np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
+def _newton_direction(grad: np.ndarray, logw: np.ndarray, us: np.ndarray) -> np.ndarray:
+    """Newton step xi of `frechet_mean` for its n whitened matrices
+    ``W_i = U_i diag(exp(logw_i)) U_i^T`` (``us[i]``, ``logw[i]``): the
+    solution of ``H xi = grad`` by conjugate gradients from ``grad / n``.
+    ``H xi = sum_i U_i (G_i * U_i^T xi U_i) U_i^T``, elementwise in G_i, is
+    minus the derivative of ``sum_i log(exp(-xi/2) W_i exp(-xi/2))`` at 0,
+    with ``G_i[j, k] = (d/2) coth(d/2) >= 1`` for ``d = logw_ij - logw_ik``
+    (1 where d = 0), so H is positive definite.
+    """
+    def hess(xi: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(xi)
+        for lw, u in zip(logw, us):
+            half = (lw[:, None] - lw) / 2.0
+            g = np.divide(half, np.tanh(half), out=np.ones_like(half), where=half != 0)
+            out += u @ (g * (u.T @ xi @ u)) @ u.T
+        return out
 
-
-def _sym_unvec(v: np.ndarray) -> np.ndarray:
-    dim = int(np.sqrt(2 * len(v)))  # len(v) == dim * (dim + 1) / 2
-    iu = np.triu_indices(dim)
-    s = np.zeros((dim, dim))
-    s[iu] = v / np.where(iu[0] == iu[1], 1.0, np.sqrt(2.0))
-    return s + np.triu(s, 1).T
-
-
-def _anderson_coefficients(df: np.ndarray, f: np.ndarray) -> np.ndarray:
-    # gamma minimising || f - df @ gamma ||_2 (Walker & Ni 2011, eq. 3.1).
-    # While the columns (oldest first) are numerically dependent, the oldest
-    # is dropped (coefficient 0), as in Walker & Ni's Section 4, rather than
-    # taking the minimum-norm solution: that would keep mixing in stale
-    # differences, e.g. ones taken across a clamped eigenvalue.
-    k = df.shape[1]
-    for first in range(k):
-        gamma, _, rank, _ = np.linalg.lstsq(df[:, first:], f, rcond=None)
-        if rank == k - first:
-            return np.concatenate([np.zeros(first), gamma])
-    return np.zeros(k)
+    xi = grad / len(us)
+    r = grad - hess(xi)
+    p, rr = r, np.vdot(r, r)
+    stop = (_CG_RTOL * np.linalg.norm(grad)) ** 2
+    while rr > stop:
+        hp = hess(p)
+        alpha = rr / np.vdot(p, hp)
+        xi, r = xi + alpha * p, r - alpha * hp
+        rr, old = np.vdot(r, r), rr
+        p = r + (rr / old) * p
+    return xi
 
 
 def covariance(epoch: np.ndarray, shrinkage: float = 0.05) -> np.ndarray:
@@ -193,18 +192,15 @@ def frechet_mean(
 ) -> np.ndarray:
     """Fréchet (Karcher) mean of SPD matrices under the affine metric.
 
-    Anderson-accelerated fixed-point iteration started at the arithmetic
-    mean.  The plain step is
-    ``G(M) = M^{1/2} exp(mean_i log(M^{-1/2} A_i M^{-1/2})) M^{1/2}``; each
-    iteration mixes the plain steps of the last few accepted iterates by
-    least squares on their residuals ``log G(M) - log M`` (type-II Anderson
-    acceleration, Walker & Ni 2011), in the log coordinates of `_sym_vec`.
-    A mixed iterate that does not lower the residual below the last
-    accepted one is dropped for the plain step from that point, and the
-    history restarts.  Convergence is declared when the summed
-    tangent-space gradient ``|| sum_i log(M^{-1/2} A_i M^{-1/2}) ||_F``
-    drops to `tol`; each evaluation of it, rejected or not, counts against
-    `max_iter`.
+    Riemannian Newton iteration started at the arithmetic mean (Ferreira et
+    al. 2006; Jeuris, Vandebril & Vandereycken 2012).  Each iteration
+    diagonalizes every whitened ``W_i = M^{-1/2} A_i M^{-1/2}`` once, for the
+    residual ``|| sum_i log W_i ||_F`` and for `_newton_direction`'s step xi
+    to ``M^{1/2} exp(xi) M^{1/2}``.  A Newton iterate that does not lower the
+    residual below the last accepted one is replaced by the plain step
+    ``M^{1/2} exp(mean_i log W_i) M^{1/2}`` from that point.  Convergence is
+    declared when the residual drops to `tol`; each evaluation of it,
+    rejected or not, counts against `max_iter`.
 
     Raises
     ------
@@ -215,40 +211,29 @@ def frechet_mean(
     if len(mats) == 0:
         raise ValueError("need at least one matrix")
     stack = np.stack([_check_square_symmetric(m) for m in mats])
-    n = len(stack)
     mean = stack.mean(axis=0)
+    us, logw = np.empty_like(stack), np.empty(stack.shape[:2])
     residual = best = np.inf
-    mixed = False
-    gs: list[np.ndarray] = []  # log G(M) of the accepted iterates, newest last
-    fs: list[np.ndarray] = []  # their residuals log G(M) - log M
+    newton = False
     for _ in range(max_iter):
         w, V = _clamped_eigh(mean)
         isq = (V * (1.0 / np.sqrt(w))) @ V.T
         grad = np.zeros_like(mean)
-        for mat in stack:
-            grad += _spectral(isq @ mat @ isq, np.log)
+        for i, mat in enumerate(stack):
+            wi, us[i] = _clamped_eigh(isq @ mat @ isq)
+            logw[i] = np.log(wi)
+            grad += (us[i] * logw[i]) @ us[i].T
         residual = float(np.linalg.norm(grad, "fro"))
         if residual <= tol:
             return mean
-        if mixed and residual >= best:
-            mean, mixed = step, False
-            gs.clear()
-            fs.clear()
+        if newton and residual >= best:
+            mean, newton = plain, False
             continue
         best = residual
         sq = (V * np.sqrt(w)) @ V.T
-        step = sq @ _spectral((1.0 / n) * grad, np.exp, clamp=False) @ sq
-        g = _sym_vec(_spectral(step, np.log))
-        gs.append(g)
-        fs.append(g - _sym_vec((V * np.log(w)) @ V.T))
-        del gs[:-_ANDERSON_DEPTH - 1], fs[:-_ANDERSON_DEPTH - 1]
-        mixed = len(gs) > 1
-        if mixed:
-            gamma = _anderson_coefficients(np.diff(fs, axis=0).T, fs[-1])
-            mean = _spectral(_sym_unvec(g - np.diff(gs, axis=0).T @ gamma), np.exp,
-                             clamp=False)
-        else:
-            mean = step
+        plain = sq @ _spectral(grad / len(stack), np.exp) @ sq
+        mean = sq @ _spectral(_newton_direction(grad, logw, us), np.exp) @ sq
+        newton = True
     raise FrechetMeanError(
         f"no convergence after {max_iter} iterations (residual {residual:.3e})",
         residual=residual,

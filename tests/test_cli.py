@@ -1030,6 +1030,25 @@ class TestErrorContract:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ValueError" and err["message"].startswith(f"{bad}: ")
 
+    @pytest.mark.parametrize("command", ["emd --maps m={small}",
+                                         "emd --baseline-map {small} --cohorts m={cohort}"])
+    def test_emd_map_of_other_order_named_in_error(self, tmp_path, capsys, command):
+        small, cohort = tmp_path / "small.csv", tmp_path / "cohort.json"
+        montage.save_spatial_map(montage.SpatialMap(3, np.eye(3)), small)
+        cohort.write_text(json.dumps({"counts": {"C3": 1}}))
+        cfg = write_config(tmp_path / "exp.cfg")
+        argv = command.format(small=small, cohort=cohort).split()
+        assert main([*argv, "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == f"{small}: ValueError: grid order 3, expected 11"
+
+    def test_plot_map_of_other_order_named_in_error(self, tmp_path, capsys):
+        small = tmp_path / "small.csv"
+        montage.save_spatial_map(montage.SpatialMap(3, np.eye(3)), small)
+        assert main(["plot", "--map", str(small), "--out", str(tmp_path / "m.svg")]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == f"{small}: ValueError: grid order 3, expected 11"
+
     def test_missing_config_gives_error_json(self, capsys):
         assert main(["train-eval", "--config", "/nonexistent/path.cfg"]) == 1
         err = json.loads(capsys.readouterr().err.strip())

@@ -10,13 +10,9 @@ from emdscalp.relevance import (
     aggregate_cohort,
     ingest_external,
     mi_baseline,
-    scores_from_trace,
     top_k,
 )
-from emdscalp.spdgeom import backward_elimination, mdm_fit
 from emdscalp.transport import emd
-
-from helpers import make_spd_dataset
 
 
 def write_relevance(tmp_path, layout, pooled, per_class=None, name="rel.json"):
@@ -39,10 +35,8 @@ class TestIngestExternal:
         pooled = {name: float(rng.random()) for name in layout.names}
         path = write_relevance(tmp_path, layout, pooled)
         scores = ingest_external(path, layout)
-        assert scores.source == "external"
         assert set(scores.channels) == set(layout.names)
         assert scores.per_class is None
-        assert scores.subject == "S007"
 
     def test_per_class_maps_retained(self, tmp_path, layout):
         pooled = {"C3": 1.0, "C4": 0.5}
@@ -87,9 +81,7 @@ class TestIngestExternal:
 class TestTopK:
     def _scores(self, layout, pooled, per_class=None):
         order = tuple(sorted(pooled, key=layout.montage_rank))
-        return relevance.RelevanceScores(
-            source="external", channels=order, pooled=pooled, per_class=per_class
-        )
+        return relevance.RelevanceScores(channels=order, pooled=pooled, per_class=per_class)
 
     def test_k_equals_channel_count(self, layout):
         pooled = {n: 1.0 for n in ("C3", "C4", "Cz")}
@@ -203,23 +195,3 @@ class TestMIBaseline:
         small = load_grid_layout("C3,0,0\nC4,0,1\n")
         with pytest.raises(ValueError, match="missing baseline channels"):
             mi_baseline(small)
-
-
-class TestScoresFromTrace:
-    def test_survivors_outrank_removed(self, rng, layout):
-        covs, labels = make_spd_dataset(rng, 20, dim=6, discriminative=(2, 5))
-        trace = backward_elimination(mdm_fit(covs, labels).centroids, target_k=2)
-        names = ["C3", "C4", "Cz", "Pz", "Fz", "Oz"]
-        scores = scores_from_trace(trace, names, layout)
-        assert scores.source == "riemannian"
-        assert scores.per_class is None
-        survivors = {names[c] for c in trace.final_subset}
-        assert top_k(scores, 2) == survivors
-
-    def test_rank_order_matches_removal_order(self, rng, layout):
-        covs, labels = make_spd_dataset(rng, 10, dim=4, discriminative=(1,))
-        trace = backward_elimination(mdm_fit(covs, labels).centroids, target_k=2)
-        names = ["C3", "C4", "Cz", "Pz"]
-        scores = scores_from_trace(trace, names, layout)
-        first_removed = names[trace.removal_order[0].removed]
-        assert scores.pooled[first_removed] == 0.0
