@@ -1,6 +1,9 @@
 """Quantifying agreement between EEG channel-relevance maps and motor-cortex
 domain knowledge with exact earth mover's distance, plus the Riemannian
 minimum-distance-to-mean classification pipeline that produces those maps.
+
+Modules import scipy inside the functions that call it, so importing the
+package loads numpy alone and each command pays only for the scipy it uses.
 """
 
 from .montage import (

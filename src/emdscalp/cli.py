@@ -159,7 +159,7 @@ def _reading(path: str | Path):
     ``ValueError`` that starts with the path; ``FileNotFoundError`` passes."""
     try:
         yield
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -711,8 +711,11 @@ def cmd_emd(cfg: ExperimentConfig, map_args: list[str], cohort_args: list[str],
     for name, path in parse_named(cohort_args):
         doc = _read_json(Path(path))
         with _reading(path):
-            bmap, wmap = _cohort_maps({k: int(v) for k, v in doc["counts"].items()},
-                                      layout, cfg.target_k)
+            counts = doc["counts"]
+            for channel, count in counts.items():
+                if type(count) is not int:  # bool is a subclass of int
+                    raise ValueError(f"count of {channel!r} must be an integer, got {count!r}")
+            bmap, wmap = _cohort_maps(counts, layout, cfg.target_k)
         results.append({"model": name, "emd_binary": score(bmap, base),
                         "emd_weighted": score(wmap, base)})
     if not results:
@@ -739,7 +742,14 @@ def cmd_plot(cfg: ExperimentConfig, map_path: str, out_path: str) -> dict:
 
 
 def cmd_report(cfg: ExperimentConfig, row_files: list[str]) -> dict:
-    rows = [row for path in row_files for row in _report_rows(Path(path))]
+    cell: dict[tuple[int, str], dict] = {}
+    for path in row_files:
+        for row in _report_rows(Path(path)):
+            key = row["subject"], row["channel_config"]
+            if key in cell:
+                raise ValueError(f"{path}: second row for subject {key[0]}, {key[1]}")
+            cell[key] = row
+    rows = list(cell.values())
     if not rows:
         raise ValueError("no rows to report")
     out_dir = Path(cfg.output_dir)
@@ -747,7 +757,6 @@ def cmd_report(cfg: ExperimentConfig, row_files: list[str]) -> dict:
 
     configs = [c for c in CHANNEL_CONFIGS if any(r["channel_config"] == c for r in rows)]
     subjects = sorted({r["subject"] for r in rows})
-    cell = {(r["subject"], r["channel_config"]): r for r in rows}
     recalls = sorted({k for r in rows for k in r if k.startswith("recall_")})
 
     def values(config: str, key: str) -> dict[int, float]:

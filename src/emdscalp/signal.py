@@ -14,7 +14,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import butter, filtfilt
 
 __all__ = [
     "Annotation",
@@ -267,6 +266,8 @@ def bandpass(rec: Recording, lo: float = 8.0, hi: float = 30.0) -> Recording:
     nyq = rec.sample_rate / 2.0
     if not 0.0 < lo < hi < nyq:
         raise ValueError(f"invalid band edges ({lo}, {hi}) for Nyquist {nyq}")
+    from scipy.signal import butter, filtfilt
+
     b, a = butter(4, [lo / nyq, hi / nyq], btype="bandpass")
     filtered = filtfilt(b, a, rec.data, axis=1)
     return Recording(list(rec.channel_names), rec.sample_rate, filtered, list(rec.annotations))

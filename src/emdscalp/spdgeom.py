@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "EigenvalueClampWarning",
@@ -176,9 +175,11 @@ def riemannian_distance(a: np.ndarray, b: np.ndarray) -> float:
     b = _check_square_symmetric(b, "second matrix")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+    import scipy.linalg
+
     try:
         w = scipy.linalg.eigvalsh(a, b)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+    except np.linalg.LinAlgError:
         raise ValueError("inputs must be positive definite") from None
     if w[0] <= 0 or not np.all(np.isfinite(w)):
         raise ValueError("inputs must be positive definite")
@@ -348,9 +349,11 @@ class SelectionTrace:
 
 def _pencil(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Generalized eigenpairs A x = lam B x with X^T B X = I, lam ascending.
+    import scipy.linalg
+
     try:
         lam, x = scipy.linalg.eigh(a, b)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
+    except np.linalg.LinAlgError:
         raise ValueError("centroids must be positive definite") from None
     if lam[0] <= 0 or not np.all(np.isfinite(lam)):
         raise ValueError("centroids must be positive definite")

@@ -8,11 +8,11 @@ normal approximation beyond), and cohort mean/SD summaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import norm, rankdata
 
 __all__ = [
     "EvalResult",
@@ -108,6 +108,18 @@ def select_subjects(results: Mapping[str, EvalResult], chance: Mapping[str, floa
     )
 
 
+def _midranks(a: np.ndarray) -> np.ndarray:
+    # 1-based ranks; a tie group spanning sorted positions [start, end)
+    # shares their mean rank (start + end + 1) / 2, an exact half.
+    order = np.argsort(a, kind="stable")
+    s = a[order]
+    starts = np.flatnonzero(np.r_[True, s[1:] != s[:-1]])
+    ends = np.r_[starts[1:], len(s)]
+    ranks = np.empty(len(a))
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def _exact_pvalue(ranks: np.ndarray, w_plus: float) -> float:
     # Null distribution of W+ over all 2^n sign assignments, enumerated by
     # meet-in-the-middle; symmetric around sum(ranks)/2 even with midranks.
@@ -148,7 +160,7 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> PairedTestRe
         raise ValueError("all differences are zero; test undefined")
     if n < 5:
         raise ValueError(f"need at least 5 nonzero differences, got {n}")
-    ranks = rankdata(np.abs(d))
+    ranks = _midranks(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
 
     if n <= EXACT_LIMIT:
@@ -159,7 +171,7 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> PairedTestRe
         mu = ranks.sum() / 2.0
         sigma = np.sqrt((ranks**2).sum() / 4.0)
         z = (w_plus - mu) / sigma
-        p = float(2.0 * norm.sf(abs(z)))
+        p = math.erfc(abs(z) / math.sqrt(2.0))
     return PairedTestResult(
         statistic=w_plus, p_value=min(p, 1.0), n_pairs=n, zeros_dropped=zeros, mode=mode
     )

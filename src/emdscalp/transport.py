@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .montage import SpatialMap
 
@@ -119,6 +117,9 @@ def solve_transport(
     if abs(ta - tb) > MASS_RTOL * max(ta, tb):
         raise ValueError(f"unbalanced problem: totals {ta} vs {tb}")
     b *= ta / tb
+
+    from scipy import sparse
+    from scipy.optimize import linprog
 
     # Flow (i, j) is variable i * k + j; it enters row constraint i and
     # column constraint m + j.

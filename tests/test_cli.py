@@ -802,8 +802,12 @@ class TestEmdCommand:
         assert table[0]["emd_binary"] == 0.0
         assert table[0]["emd_weighted"] == 0.0
 
-    @pytest.mark.parametrize("text", ["{", "[1, 2]", '{"model": "m"}', '{"counts": [1]}',
-                                      '{"counts": {"XX": 1}}'])
+    @pytest.mark.parametrize("text", [
+        "{", "[1, 2]", '{"model": "m"}', '{"counts": [1]}', '{"counts": {"XX": 1}}',
+        '{"counts": {"C3": 2.7, "C4": 1}}', '{"counts": {"C3": "2"}}',
+        '{"counts": {"C3": true}}', '{"counts": {"C3": 1e400}}',
+        pytest.param('{"counts": {"C3": 1%s}}' % ("0" * 400), id="int-too-large-for-float"),
+    ])
     def test_bad_cohort_file_named_in_error(self, tmp_path, capsys, text):
         bad = tmp_path / "cohort.json"
         bad.write_text(text)
@@ -971,6 +975,25 @@ class TestReportCommand:
         assert main(["report", "--config", str(cfg), "--rows", str(good), str(bad)]) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ValueError" and err["message"].startswith(f"{bad}: ")
+
+    def test_repeated_row_in_one_file_named_in_error(self, tmp_path, capsys):
+        rows = tmp_path / "rows.csv"
+        rows.write_text("subject,channel_config,chance,overall\n"
+                        "1,all64,0.5,0.6\n2,all64,0.5,0.7\n1,all64,0.5,0.9\n")
+        cfg = write_config(tmp_path / "exp.cfg")
+        assert main(["report", "--config", str(cfg), "--rows", str(rows)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and err["message"].startswith(f"{rows}: ")
+
+    def test_repeated_row_across_files_named_in_error(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("subject,channel_config,chance,overall\n1,all64,0.5,0.6\n")
+        b.write_text("subject,channel_config,chance,overall\n1,mi21,0.5,0.7\n"
+                     "1,all64,0.5,0.9\n")
+        cfg = write_config(tmp_path / "exp.cfg")
+        assert main(["report", "--config", str(cfg), "--rows", str(a), str(b)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and err["message"].startswith(f"{b}: ")
 
     def test_no_rows_rejected(self, tmp_path, capsys):
         p = tmp_path / "rows.csv"

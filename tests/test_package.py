@@ -1,9 +1,16 @@
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 import emdscalp
+from emdscalp import montage, relevance
 
 MODULES = [emdscalp, *(importlib.import_module(f"emdscalp.{info.name}")
                        for info in pkgutil.iter_modules(emdscalp.__path__))]
@@ -13,3 +20,47 @@ MODULES = [emdscalp, *(importlib.import_module(f"emdscalp.{info.name}")
 def test_every_exported_name_resolves(module):
     assert [name for name in getattr(module, "__all__", ())
             if not hasattr(module, name)] == []
+
+
+#: Run in a fresh interpreter (pytest itself has scipy loaded): run
+#: ``cli.main`` on the arguments when there are any, then print the scipy
+#: modules that are loaded.
+_LOADED_SCIPY = """
+import json, sys
+import emdscalp.cli
+emdscalp.montage.default_layout()
+if sys.argv[1:]:
+    assert emdscalp.cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def loaded_scipy(*argv: str) -> list[str]:
+    src = str(Path(emdscalp.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, *argv], env=env,
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    assert loaded_scipy() == []
+
+
+def test_report_loads_no_scipy_and_emd_no_stats_or_signal(tmp_path):
+    rows = tmp_path / "rows.csv"
+    rows.write_text("subject,channel_config,chance,overall\n" + "".join(
+        f"{s},{c},0.5,{0.6 + 0.01 * s + (c == 'all64') * 0.001 * s}\n"
+        for s in range(1, 7) for c in ("all64", "mi21")))
+    out = str(tmp_path / "out")
+    assert loaded_scipy("report", "--rows", str(rows), "--output-dir", out) == []
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["pvalues"]["all64"]["mi21"] is not None  # the signed-rank test ran
+
+    layout = montage.default_layout()
+    shifted = montage.SpatialMap(layout.n, np.roll(relevance.mi_baseline(layout).mass, 1, axis=0))
+    montage.save_spatial_map(shifted, tmp_path / "m.csv")
+    loaded = loaded_scipy("emd", "--maps", f"m={tmp_path / 'm.csv'}", "--output-dir", out)
+    assert "scipy.optimize" in loaded
+    assert not [m for m in loaded if m.startswith(("scipy.stats", "scipy.signal"))]

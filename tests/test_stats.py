@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats as sps
 
 from emdscalp.stats import (
+    _midranks,
     chance_level,
     cohort_summary,
     evaluate,
@@ -119,6 +122,20 @@ class TestSelectSubjects:
 class _FakeResult:
     def __init__(self, overall):
         self.overall = overall
+
+
+#: Float vectors drawn from a pool of at most 6 values, so most have ties.
+_TIED_VECTORS = st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                         min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=40))
+
+
+class TestMidranks:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_TIED_VECTORS)
+    def test_equals_scipy_rankdata(self, values):
+        a = np.array(values)
+        assert np.array_equal(_midranks(a), sps.rankdata(a))
 
 
 class TestWilcoxon:

@@ -3,7 +3,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from emdscalp.montage import SpatialMap
-from emdscalp import transport
 from emdscalp.transport import TransportError, emd, ground_cost, rebalance, solve_transport
 
 from helpers import lp_emd, random_map_pair
@@ -56,7 +55,7 @@ class TestSolveTransport:
 
     def test_solver_failure_raises_named_error(self, monkeypatch):
         failed = type("Result", (), {"status": 4, "message": "numerical difficulties"})()
-        monkeypatch.setattr(transport, "linprog", lambda *args, **kwargs: failed)
+        monkeypatch.setattr("scipy.optimize.linprog", lambda *args, **kwargs: failed)
         with pytest.raises(TransportError, match="numerical difficulties"):
             solve_transport(np.ones(2), np.ones(2), np.ones((2, 2)))
 
