@@ -263,7 +263,7 @@ def read_epoch_cache(cache_dir: Path, subject: int) -> tuple[np.ndarray, dict]:
 # derived-result memo
 
 #: Part of every memo key; bump it when ``spdgeom``'s numerics change.
-MEMO_VERSION = 4
+MEMO_VERSION = 5
 
 
 class DerivedMemo:
@@ -403,7 +403,8 @@ def _read_map(path: str, order: int | None) -> montage.SpatialMap:
 
 def _cohort_maps(counts: dict[str, int], layout: montage.GridLayout, k: int
                  ) -> tuple[montage.SpatialMap, montage.SpatialMap]:
-    ranked = sorted(counts, key=lambda n: (-counts[n], layout.montage_rank(n)))
+    ranked = sorted((n for n in counts if counts[n] > 0),
+                    key=lambda n: (-counts[n], layout.montage_rank(n)))
     top = ranked[:min(k, len(ranked))]
     weighted = montage.weighted_map({n: float(c) for n, c in counts.items()}, layout)
     return montage.binary_map(top, layout), weighted
@@ -605,8 +606,8 @@ def _train_eval_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
     classes = sorted(set(train_labels))
     model = spdgeom.mdm_fit(train_covs, train_labels, channel_subset=subset,
                             classes=classes, mean=memo.frechet_mean)
-    preds = [spdgeom.mdm_predict(model, spdgeom.restrict_channels(c, subset))
-             for c in test_covs]
+    preds = spdgeom.mdm_predict(model, [spdgeom.restrict_channels(c, subset)
+                                        for c in test_covs])
     ev = stats.evaluate(preds, test_labels, classes=classes)
     chance = stats.chance_level(test_labels)
     row = {
@@ -715,6 +716,8 @@ def cmd_emd(cfg: ExperimentConfig, map_args: list[str], cohort_args: list[str],
             for channel, count in counts.items():
                 if type(count) is not int:  # bool is a subclass of int
                     raise ValueError(f"count of {channel!r} must be an integer, got {count!r}")
+            if not any(count > 0 for count in counts.values()):
+                raise ValueError("counts must hold at least one positive count")
             bmap, wmap = _cohort_maps(counts, layout, cfg.target_k)
         results.append({"model": name, "emd_binary": score(bmap, base),
                         "emd_weighted": score(wmap, base)})

@@ -176,7 +176,7 @@ def test_criterion_06_mdm_pipeline_on_synthetic_fixture(rng):
     n_test = 24
     test_i, train_i = idx[:n_test], idx[n_test:]
     model = spdgeom.mdm_fit([covs[i] for i in train_i], [labels[i] for i in train_i])
-    preds = [spdgeom.mdm_predict(model, covs[i]) for i in test_i]
+    preds = spdgeom.mdm_predict(model, [covs[i] for i in test_i])
     res = stats.evaluate(preds, [labels[i] for i in test_i])
     assert res.overall >= 0.95
 

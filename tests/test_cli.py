@@ -806,6 +806,7 @@ class TestEmdCommand:
         "{", "[1, 2]", '{"model": "m"}', '{"counts": [1]}', '{"counts": {"XX": 1}}',
         '{"counts": {"C3": 2.7, "C4": 1}}', '{"counts": {"C3": "2"}}',
         '{"counts": {"C3": true}}', '{"counts": {"C3": 1e400}}',
+        '{"counts": {}}', '{"counts": {"C3": 0}}',
         pytest.param('{"counts": {"C3": 1%s}}' % ("0" * 400), id="int-too-large-for-float"),
     ])
     def test_bad_cohort_file_named_in_error(self, tmp_path, capsys, text):
@@ -815,6 +816,13 @@ class TestEmdCommand:
         assert main(["emd", "--config", str(cfg), "--cohorts", f"m={bad}"]) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ValueError" and err["message"].startswith(f"{bad}: ")
+
+    def test_cohort_binary_map_ranks_only_selected_channels(self, layout):
+        binary, weighted = cli._cohort_maps({"C3": 0, "C4": 3}, layout, 21)
+        assert binary.total == 1.0
+        assert binary.mass[layout.position("C4")] == 1.0
+        assert weighted.total == 3.0
+        assert weighted.mass[layout.position("C4")] == 3.0
 
     def test_models_ordered_by_distance(self, tmp_path, layout):
         base = relevance.mi_baseline(layout)

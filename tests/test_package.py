@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 import emdscalp
-from emdscalp import montage, relevance
+from emdscalp import cli, montage, relevance
+
+from helpers import make_motor_recording, recording_to_edf
 
 MODULES = [emdscalp, *(importlib.import_module(f"emdscalp.{info.name}")
                        for info in pkgutil.iter_modules(emdscalp.__path__))]
@@ -64,3 +66,17 @@ def test_report_loads_no_scipy_and_emd_no_stats_or_signal(tmp_path):
     loaded = loaded_scipy("emd", "--maps", f"m={tmp_path / 'm.csv'}", "--output-dir", out)
     assert "scipy.optimize" in loaded
     assert not [m for m in loaded if m.startswith(("scipy.stats", "scipy.signal"))]
+
+
+def test_train_eval_all64_loads_no_scipy(tmp_path, rng):
+    (tmp_path / "data" / "S001").mkdir(parents=True)
+    for run in (3, 4):
+        rec = make_motor_recording(rng, ["Fc5.", "C3..", "C4..", "Cz.."], n_trials=8,
+                                   discriminative=(1, 2))
+        recording_to_edf(tmp_path / "data" / "S001" / f"S001R{run:02d}.edf", rec)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("version = 1\ndataset_root = data\nsubjects = 1\nruns = 3,4\n"
+                   "channel_config = all64\ncache_dir = cache\noutput_dir = out\n")
+    assert cli.main(["prepare", "--config", str(cfg)]) == 0
+    assert loaded_scipy("train-eval", "--config", str(cfg)) == []
+    assert (tmp_path / "out" / "rows.csv").exists()

@@ -2,6 +2,9 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 from emdscalp import spdgeom
@@ -178,6 +181,17 @@ class TestFrechetMean:
         mean = frechet_mean(mats, tol=1e-10, max_iter=6)
         assert rel_diff(mean, expected) <= 1e-10
 
+    def test_paper_shaped_set_converges_in_three_evaluations(self):
+        # 144 shrunk covariances of mixed 64-channel, 160-sample epochs with
+        # per-epoch scales, like a class set of one paper subject.  Three
+        # evaluations need the second Newton step's CG solve to reach tol/4.
+        rng = np.random.default_rng(0)
+        mix = np.eye(64) + rng.normal(size=(64, 64)) / 8
+        mats = [covariance(s * mix @ rng.normal(size=(64, 160)), 0.05)
+                for s in rng.uniform(0.5, 2.0, 144)]
+        expected, _ = plain_frechet_mean(mats, tol=1e-8)
+        assert rel_diff(frechet_mean(mats, max_iter=3), expected) <= 1e-9
+
     def test_overshooting_newton_step_falls_back_to_plain_steps(self, rng, monkeypatch):
         mats = [rand_spd(rng, 8) for _ in range(20)]
         expected, _ = plain_frechet_mean(mats, tol=1e-10)
@@ -213,8 +227,7 @@ class TestMDM:
     def test_predict_centroid_recovers_class(self, rng):
         covs, labels = make_spd_dataset(rng, 10, dim=4, discriminative=(1,))
         model = mdm_fit(covs, labels)
-        for c, label in zip(model.centroids, model.classes):
-            assert mdm_predict(model, c) == label
+        assert mdm_predict(model, model.centroids) == list(model.classes)
 
     def test_separable_data_accuracy(self, rng):
         covs, labels = make_spd_dataset(rng, 40, dim=8)
@@ -223,7 +236,7 @@ class TestMDM:
         test = covs[30:40] + covs[70:80]
         test_labels = labels[30:40] + labels[70:80]
         model = mdm_fit(train, train_labels)
-        preds = [mdm_predict(model, c) for c in test]
+        preds = mdm_predict(model, test)
         acc = np.mean([p == t for p, t in zip(preds, test_labels)])
         assert acc >= 0.95
 
@@ -239,7 +252,7 @@ class TestMDM:
     def test_equidistant_tie_goes_to_first_declared_class(self):
         a, b = np.diag([1.0, 4.0]), np.diag([4.0, 1.0])
         model = mdm_fit([a, b], ["Left", "Right"])
-        assert mdm_predict(model, np.eye(2)) == "Left"
+        assert mdm_predict(model, [np.eye(2)]) == ["Left"]
 
     def test_decision_congruence_invariance(self, rng):
         covs, labels = make_spd_dataset(rng, 6, dim=4)
@@ -248,8 +261,53 @@ class TestMDM:
         transformed = mdm_fit(
             [w @ c @ w.T for c in covs], labels, classes=model.classes
         )
-        for c in covs[:6]:
-            assert mdm_predict(model, c) == mdm_predict(transformed, w @ c @ w.T)
+        assert mdm_predict(model, covs[:6]) == mdm_predict(
+            transformed, [w @ c @ w.T for c in covs[:6]])
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_predict_is_argmin_of_distances(self, data):
+        dim = data.draw(st.integers(2, 5), label="dim")
+        n_classes = data.draw(st.integers(2, 3), label="n_classes")
+        n_test = data.draw(st.integers(1, 6), label="n_test")
+        factor = hnp.arrays(np.float64, (dim, dim), elements=st.floats(-3.0, 3.0))
+
+        def spd():
+            b = data.draw(factor)
+            return b @ b.T + 0.1 * np.eye(dim)
+
+        model = spdgeom.MDMModel(classes=tuple(f"c{k}" for k in range(n_classes)),
+                                 centroids=tuple(spd() for _ in range(n_classes)),
+                                 channel_subset=tuple(range(dim)))
+        covs = [spd() for _ in range(n_test)]
+        preds = mdm_predict(model, covs)
+        for x, pred in zip(covs, preds):
+            d = [riemannian_distance(c, x) for c in model.centroids]
+            best = min(d)
+            # the pencil and the whitening round differently: a near-tie may
+            # go either way, but never to a class that is not nearest
+            assert d[model.classes.index(pred)] <= best * (1 + 1e-9) + 1e-12
+            if sorted(d)[1] > best * (1 + 1e-9) + 1e-12:
+                assert pred == model.classes[int(np.argmin(d))]
+
+        j = data.draw(st.integers(0, n_test - 1), label="bad index")
+        kind = data.draw(st.sampled_from(["indefinite", "asymmetric", "nan"]), label="kind")
+        bad = covs[j].copy()
+        if kind == "indefinite":
+            bad -= (np.linalg.eigvalsh(bad)[0] + 0.5) * np.eye(dim)
+            message = f"covariance {j} must be finite and positive definite"
+        elif kind == "asymmetric":
+            bad[0, 1] += 1e-6 * np.abs(bad).max()
+            message = f"covariance {j} is not symmetric"
+        else:
+            bad[-1, -1] = np.nan
+            message = f"covariance {j} must be finite and positive definite"
+        with pytest.raises(ValueError, match=message):
+            mdm_predict(model, covs[:j] + [bad] + covs[j + 1:])
+
+    def test_predict_empty_sequence(self, rng):
+        covs, labels = make_spd_dataset(rng, 4, dim=4)
+        assert mdm_predict(mdm_fit(covs, labels), []) == []
 
     def test_missing_class_rejected(self, rng):
         a = rand_spd(rng, 3)
@@ -262,7 +320,7 @@ class TestMDM:
         covs, labels = make_spd_dataset(rng, 4, dim=4)
         model = mdm_fit(covs, labels, channel_subset=(0, 1))
         with pytest.raises(ValueError, match="does not match"):
-            mdm_predict(model, covs[0])
+            mdm_predict(model, [covs[0]])
 
     def test_subset_restriction_before_averaging(self, rng):
         covs, labels = make_spd_dataset(rng, 6, dim=5)
