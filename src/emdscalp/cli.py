@@ -20,7 +20,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence, get_type_hints
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -235,8 +234,8 @@ def read_epoch_cache(cache_dir: Path, subject: int) -> tuple[np.ndarray, dict]:
 
     Raises ``FileNotFoundError`` for a missing file and ``ValueError`` naming
     the file for an unsupported format version, an index whose lists
-    disagree with its counts, an unreadable array, or an array whose dtype,
-    shape or file size disagrees with ``index.json``.
+    disagree with its counts, an unreadable array, an array whose dtype,
+    shape or file size disagrees with ``index.json``, or a non-finite entry.
     """
     subj_dir = cache_dir / _subject_tag(subject)
     index_path, path = subj_dir / "index.json", subj_dir / "epochs.npy"
@@ -256,6 +255,9 @@ def read_epoch_cache(cache_dir: Path, subject: int) -> tuple[np.ndarray, dict]:
             or index.get("dtype") != _EPOCH_DTYPE.str:
         raise ValueError(f"{path}: array is {data.dtype.str} {data.shape}; index.json declares "
                          f"{index.get('dtype')} {shape} and the format needs {_EPOCH_DTYPE.str}")
+    finite = np.isfinite(data).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"{path}: epoch {int(np.argmin(finite))} has a non-finite entry")
     return data, index
 
 
@@ -299,7 +301,7 @@ class DerivedMemo:
         finally:
             Path(tmp).unlink(missing_ok=True)
 
-    def frechet_mean(self, mats: list[np.ndarray], tol: float, max_iter: int) -> np.ndarray:
+    def frechet_mean(self, mats: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
         """``spdgeom.frechet_mean`` of `mats`, computed at most once."""
         path = self.root / f"centroid-{self._key('centroid', mats, float(tol), int(max_iter))}.npy"
         dim = np.shape(mats[0])[0]
@@ -315,7 +317,7 @@ class DerivedMemo:
                              f"expected {_EPOCH_DTYPE.str} {(dim, dim)}")
         return mean
 
-    def elimination(self, covs: list[np.ndarray], labels: list[str],
+    def elimination(self, covs: np.ndarray, labels: list[str],
                     target_k: int) -> spdgeom.SelectionTrace:
         """``spdgeom.backward_elimination`` on the class centroids of `covs`,
         in first-appearance class order, computed at most once."""
@@ -352,7 +354,7 @@ def _canonical_index(channel_names: list[str], layout: montage.GridLayout) -> di
 
 def _riemannian_selection(cfg: ExperimentConfig, layout: montage.GridLayout,
                           memo: DerivedMemo, channel_names: list[str],
-                          train_covs: list[np.ndarray], train_labels: list[str]
+                          train_covs: np.ndarray, train_labels: list[str]
                           ) -> tuple[list[int], list[str], spdgeom.SelectionTrace]:
     """One subject's elimination selection, for ``train-eval feat21`` and
     ``select-channels`` alike: the surviving channel indices in order, their
@@ -366,7 +368,7 @@ def _riemannian_selection(cfg: ExperimentConfig, layout: montage.GridLayout,
 
 def _subset_for_config(cfg: ExperimentConfig, layout: montage.GridLayout,
                        channel_names: list[str], subject: int,
-                       train_covs: list[np.ndarray], train_labels: list[str],
+                       train_covs: np.ndarray, train_labels: list[str],
                        memo: DerivedMemo
                        ) -> tuple[list[int], list[str] | None, spdgeom.SelectionTrace | None]:
     """Channel indices to train on; ``feat21`` also gives the selection's
@@ -417,6 +419,11 @@ def _cohort_maps(counts: dict[str, int], layout: montage.GridLayout, k: int
 SVG_CELL, SVG_MARGIN = 40, 20
 
 
+def _escape(text: str) -> str:
+    """`text` as SVG character data: ``&``, ``<`` and ``>`` as entities."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def render_map_svg(smap: montage.SpatialMap, layout: montage.GridLayout) -> str:
     """Deterministic SVG: one marker per montage electrode, scaled by mass."""
     if smap.n != layout.n:
@@ -447,7 +454,7 @@ def render_map_svg(smap: montage.SpatialMap, layout: montage.GridLayout) -> str:
             )
         parts.append(
             f'<text x="{cx:.2f}" y="{cy + 3.0:.2f}" font-size="7" '
-            f'text-anchor="middle" font-family="sans-serif">{escape(e.name)}</text>'
+            f'text-anchor="middle" font-family="sans-serif">{_escape(e.name)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
@@ -556,18 +563,18 @@ def _each_subject(cfg: ExperimentConfig, command: str, run_one) -> tuple[list, l
     return results, sorted(failed)
 
 
-_Part = tuple[list[np.ndarray], list[str]]
+_Part = tuple[np.ndarray, list[str]]
 
 
 def _read_split(cfg: ExperimentConfig, cache_dir: Path, subject: int
                 ) -> tuple[list[str], _Part, _Part]:
-    """A subject's channel names, then the shrunk covariances and labels of
-    its training and of its test epochs."""
+    """A subject's channel names, then the shrunk covariances, one
+    ``(n, d, d)`` array, and labels of its training and of its test epochs."""
     covs, index = read_epoch_cache(cache_dir, subject)
-    labels = index["labels"]
+    covs, labels = spdgeom.shrink(covs, cfg.shrinkage), index["labels"]
 
     def part(idx: list[int]) -> _Part:
-        return [spdgeom.shrink(covs[i], cfg.shrinkage) for i in idx], [labels[i] for i in idx]
+        return covs[idx], [labels[i] for i in idx]
 
     train, test = signal.split(labels, signal.SplitSpec(cfg.seed, cfg.test_fraction))
     return index["channel_names"], part(train), part(test)
@@ -606,8 +613,7 @@ def _train_eval_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
     classes = sorted(set(train_labels))
     model = spdgeom.mdm_fit(train_covs, train_labels, channel_subset=subset,
                             classes=classes, mean=memo.frechet_mean)
-    preds = spdgeom.mdm_predict(model, [spdgeom.restrict_channels(c, subset)
-                                        for c in test_covs])
+    preds = spdgeom.mdm_predict(model, spdgeom.restrict_channels(test_covs, subset))
     ev = stats.evaluate(preds, test_labels, classes=classes)
     chance = stats.chance_level(test_labels)
     row = {

@@ -8,10 +8,11 @@ whole sequence with one whitening per centroid and one batched eigenvalue
 solve, in numpy alone.  Each elimination step
 solves every class pair's generalized eigenproblem once and scores all
 leave-one-channel-out candidates from it with a contour-integral trace
-formula (`_leave_one_out_sq`).  Matrices are plain float ndarrays; matrix
-square roots and logarithms go through symmetric eigendecomposition with
-eigenvalues clamped at 1e-12 of the largest, never silently (see
-`clamped_eigenvalue_count`).
+formula (`_leave_one_out_sq`).  Matrices are plain float ndarrays; a set
+of them is one ``(n, d, d)`` array, which the kernels work through in blocks
+of `_BLOCK` matrices.  Matrix square roots and logarithms go through
+symmetric eigendecomposition with eigenvalues clamped at 1e-12 of the
+largest, never silently (see `clamped_eigenvalue_count`).
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ EIG_CLAMP_REL = 1e-12
 #: Relative residual at which `_newton_direction`'s conjugate gradients stop
 #: (unless ``tol / 4`` is larger).
 _CG_RTOL = 1e-6
+#: Matrices per batched call: blocks bound the stacked temporaries (whitened
+#: matrices, eigenvectors, Hessian products) at ``_BLOCK x d x d``.
+_BLOCK = 32
 
 _n_clamped = 0
 
@@ -68,28 +72,44 @@ def clamped_eigenvalue_count() -> int:
     return _n_clamped
 
 
-def _check_square_symmetric(m: np.ndarray, what: str = "matrix") -> np.ndarray:
+def _blocks(n: int):
+    """Slices of ``range(n)`` of at most `_BLOCK` items, in order."""
+    return (slice(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK))
+
+
+def _check_square_symmetric(m: np.ndarray, what: str = "matrix", ndim: int = 2
+                            ) -> np.ndarray:
+    """`m` as a float array of `ndim` 2 (one matrix) or 3 (a stack); errors
+    about a stack's matrix j call it ``what j``."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
-    scale = max(float(np.abs(m).max(initial=0.0)), 1e-300)
-    if float(np.abs(m - m.T).max(initial=0.0)) > SYMMETRY_RTOL * scale:
-        raise ValueError(f"{what} is not symmetric within {SYMMETRY_RTOL} relative")
+    stack = m.reshape(-1, *m.shape[-2:])
+    for s in _blocks(len(stack)):
+        b = stack[s]
+        scale = np.maximum(np.abs(b).max(axis=(1, 2), initial=0.0), 1e-300)
+        asym = np.abs(b - b.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
+        bad = np.flatnonzero(asym > SYMMETRY_RTOL * scale)
+        if bad.size:
+            name = what if ndim == 2 else f"{what} {s.start + bad[0]}"
+            raise ValueError(f"{name} is not symmetric within {SYMMETRY_RTOL} relative")
     return m
 
 
 def _clamped_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # For sqrt/log inputs only: these need strictly positive spectra.
+    # For sqrt/log inputs only: these need strictly positive spectra.  `m`
+    # is one matrix or a stack; each matrix has its own floor.
     global _n_clamped
-    w, V = np.linalg.eigh((m + m.T) / 2.0)
-    floor = EIG_CLAMP_REL * max(float(w[-1]), 0.0)
-    if floor <= 0:
+    w, V = np.linalg.eigh((m + np.swapaxes(m, -1, -2)) / 2.0)
+    floor = EIG_CLAMP_REL * np.maximum(w[..., -1:], 0.0)
+    if (floor <= 0).any():
         raise ValueError("matrix has no positive eigenvalue")
     below = int(np.count_nonzero(w < floor))
     if below:
         _n_clamped += below
         warnings.warn(
-            f"clamped {below} eigenvalue(s) below {floor:.3e}",
+            f"clamped {below} eigenvalue(s) below {EIG_CLAMP_REL:g} of their "
+            "matrix's largest",
             EigenvalueClampWarning,
             stacklevel=3,
         )
@@ -111,25 +131,32 @@ def _newton_direction(grad: np.ndarray, logw: np.ndarray, us: np.ndarray,
     minus the derivative of ``sum_i log(exp(-xi/2) W_i exp(-xi/2))`` at 0,
     with ``G_i[j, k] = (d/2) coth(d/2) >= 1`` for ``d = logw_ij - logw_ik``
     (1 where d = 0), so H is positive definite.  The G_i are built once per
-    call, matrix by matrix: a stacked build's temporaries add 10-20 MB of
-    peak memory at 154 64x64 matrices.  CG stops at
+    call, into one array; they and each Hessian product go block by block,
+    because whole-stack temporaries add 10-20 MB of peak memory at 154
+    64x64 matrices.  CG stops at
     ``||r|| <= max(_CG_RTOL ||grad||, tol / 4)``: near the mean the
     absolute term lets the next residual reach `tol` in one step, where a
     relative one alone leaves it at ``_CG_RTOL ||grad||``.
     """
-    def weights(lw: np.ndarray) -> np.ndarray:
-        half = (lw[:, None] - lw) / 2.0
-        return np.divide(half, np.tanh(half), out=np.ones_like(half), where=half != 0)
-
-    gs = [weights(lw) for lw in logw]
+    n = len(us)
+    uts, gs = us.transpose(0, 2, 1), np.ones_like(us)
+    for s in _blocks(n):
+        half = (logw[s, :, None] - logw[s, None, :]) / 2.0
+        np.divide(half, np.tanh(half), out=gs[s], where=half != 0)
+    bufs = np.empty((2, min(n, _BLOCK), *grad.shape))
 
     def hess(xi: np.ndarray) -> np.ndarray:
         out = np.zeros_like(xi)
-        for g, u in zip(gs, us):
-            out += u @ (g * (u.T @ xi @ u)) @ u.T
+        for s in _blocks(n):
+            a, b = bufs[:, :s.stop - s.start]
+            np.matmul(np.matmul(uts[s], xi, out=a), us[s], out=b)
+            b *= gs[s]
+            np.matmul(np.matmul(us[s], b, out=a), uts[s], out=b)
+            for term in b:  # in matrix order
+                out += term
         return out
 
-    xi = grad / len(us)
+    xi = grad / n
     r = grad - hess(xi)
     p, rr = r, np.vdot(r, r)
     stop = max(_CG_RTOL * np.linalg.norm(grad), tol / 4.0) ** 2
@@ -169,12 +196,21 @@ def covariance(epoch: np.ndarray, shrinkage: float = 0.05) -> np.ndarray:
 
 
 def shrink(cov: np.ndarray, shrinkage: float) -> np.ndarray:
-    """`covariance`'s blend towards the scaled identity: shrinking
-    ``covariance(epoch, 0.0)`` gives the bytes of ``covariance(epoch, shrinkage)``."""
+    """`covariance`'s blend towards the scaled identity, of one matrix or of
+    each in a stack ``(..., d, d)``: shrinking ``covariance(epoch, 0.0)``
+    gives the bytes of ``covariance(epoch, shrinkage)``, and shrinking a
+    stack the bytes of its matrices shrunk one by one."""
     if not 0.0 <= shrinkage < 1.0:
         raise ValueError(f"shrinkage must be in [0, 1), got {shrinkage}")
-    dim = cov.shape[0]
-    return (1.0 - shrinkage) * cov + shrinkage * (np.trace(cov) / dim) * np.eye(dim)
+    cov = np.asarray(cov, dtype=float)
+    dim = cov.shape[-1]
+    out, eye = np.empty_like(cov), np.eye(dim)
+    flat, flat_out = cov.reshape(-1, dim, dim), out.reshape(-1, dim, dim)
+    for s in _blocks(len(flat)):
+        scale = shrinkage * (np.trace(flat[s], axis1=1, axis2=2) / dim)
+        np.multiply(flat[s], 1.0 - shrinkage, out=flat_out[s])
+        flat_out[s] += scale[:, None, None] * eye
+    return out
 
 
 def riemannian_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -210,21 +246,32 @@ def frechet_mean(
     al. 2006; Jeuris, Vandebril & Vandereycken 2012).  Each iteration
     diagonalizes every whitened ``W_i = M^{-1/2} A_i M^{-1/2}`` once, for the
     residual ``|| sum_i log W_i ||_F`` and for `_newton_direction`'s step xi
-    to ``M^{1/2} exp(xi) M^{1/2}``.  A Newton iterate that does not lower the
-    residual below the last accepted one is replaced by the plain step
+    to ``M^{1/2} exp(xi) M^{1/2}``, in blocks of `_BLOCK` matrices summed
+    in matrix order.  A Newton iterate that does not lower the residual
+    below the last accepted one is replaced by the plain step
     ``M^{1/2} exp(mean_i log W_i) M^{1/2}`` from that point.  Convergence is
     declared when the residual drops to `tol`; each evaluation of it,
     rejected or not, counts against `max_iter`.
 
+    `mats` is a sequence of matrices or one ``(n, d, d)`` array; both give
+    the same bytes.
+
     Raises
     ------
+    ValueError
+        If a matrix is not square, not symmetric or not finite.
     FrechetMeanError
         If the residual is still above `tol` after `max_iter` iterations;
         the exception carries the last residual.
     """
     if len(mats) == 0:
         raise ValueError("need at least one matrix")
-    stack = np.stack([_check_square_symmetric(m) for m in mats])
+    # one memory layout for every caller, so sums run in the same order
+    stack = np.ascontiguousarray(mats, dtype=float)
+    finite = np.isfinite(stack.reshape(len(stack), -1)).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"matrix {int(np.argmin(finite))} has a non-finite entry")
+    stack = _check_square_symmetric(stack, ndim=3)
     mean = stack.mean(axis=0)
     us, logw = np.empty_like(stack), np.empty(stack.shape[:2])
     residual = best = np.inf
@@ -233,10 +280,11 @@ def frechet_mean(
         w, V = _clamped_eigh(mean)
         isq = (V * (1.0 / np.sqrt(w))) @ V.T
         grad = np.zeros_like(mean)
-        for i, mat in enumerate(stack):
-            wi, us[i] = _clamped_eigh(isq @ mat @ isq)
-            logw[i] = np.log(wi)
-            grad += (us[i] * logw[i]) @ us[i].T
+        for s in _blocks(len(stack)):
+            ws, us[s] = _clamped_eigh(isq @ stack[s] @ isq)
+            logw[s] = np.log(ws)
+            for term in (us[s] * logw[s, None, :]) @ us[s].transpose(0, 2, 1):
+                grad += term  # in matrix order
         residual = float(np.linalg.norm(grad, "fro"))
         if residual <= tol:
             return mean
@@ -268,9 +316,10 @@ class MDMModel:
 
 
 def restrict_channels(cov: np.ndarray, subset: Sequence[int]) -> np.ndarray:
-    """Principal submatrix of a covariance on the given channel indices."""
+    """Principal submatrix on the given channel indices, of one covariance
+    or of each in a stack ``(..., d, d)``."""
     idx = np.asarray(subset, dtype=int)
-    return np.asarray(cov, dtype=float)[np.ix_(idx, idx)]
+    return np.asarray(cov, dtype=float)[..., idx[:, None], idx]
 
 
 def _class_partition(labels: Sequence[Hashable], classes=None) -> tuple[tuple, dict]:
@@ -302,10 +351,12 @@ def mdm_fit(
 ) -> MDMModel:
     """Fit the minimum-distance-to-mean classifier.
 
+    `covs` is a sequence of matrices or one ``(n, d, d)`` array.
     Covariances are restricted to `channel_subset` before averaging; one
     Fréchet-mean centroid is estimated per class.  Class order defaults to
     first appearance in `labels` and fixes the prediction tie-break.
-    `mean`, called as ``mean(mats, tol=tol, max_iter=max_iter)``, replaces
+    `mean`, called as ``mean(mats, tol=tol, max_iter=max_iter)`` with the
+    class's restricted covariances as one ``(n_c, k, k)`` array, replaces
     `frechet_mean` for each class, e.g. to return centroids the caller
     already has.
     """
@@ -313,36 +364,43 @@ def mdm_fit(
         raise ValueError("covs and labels lengths differ")
     if len(covs) == 0:
         raise ValueError("no training examples")
-    dim = np.asarray(covs[0]).shape[0]
+    covs = np.asarray(covs, dtype=float)
+    if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
+        raise ValueError(f"covs must be n square matrices, got shape {covs.shape}")
+    dim = covs.shape[1]
     subset = tuple(range(dim)) if channel_subset is None else tuple(int(c) for c in channel_subset)
     if any(c < 0 or c >= dim for c in subset):
         raise ValueError(f"channel subset out of range for dim {dim}")
     classes, groups = _class_partition(labels, classes)
     mean = frechet_mean if mean is None else mean
-    restricted = [restrict_channels(c, subset) for c in covs]
     centroids = tuple(
-        mean([restricted[i] for i in groups[c]], tol=tol, max_iter=max_iter)
+        mean(covs[np.ix_(groups[c], subset, subset)], tol=tol, max_iter=max_iter)
         for c in classes
     )
     return MDMModel(classes=classes, centroids=centroids, channel_subset=subset)
 
 
 def mdm_predict(model: MDMModel, covs: Sequence[np.ndarray]) -> list[Hashable]:
-    """Class of the nearest centroid for each covariance in `covs`; ties go
-    to the first declared class.
+    """Class of the nearest centroid for each covariance in `covs` (a
+    sequence of matrices or one ``(n, d, d)`` array); ties go to the first
+    declared class.
 
     Each centroid C whitens the whole stack once, and one batched
     eigenvalue solve gives every ``riemannian_distance(C, X)^2 =
     sum log^2 eig(C^{-1/2} X C^{-1/2})``.  Each covariance must match the
-    model's dimension and be symmetric, finite and positive definite.
+    model's dimension and be symmetric, finite and positive definite; an
+    error names the index j of the first that is not.
     """
     dim = model.dim
-    stack = np.empty((len(covs), dim, dim))
-    for j, cov in enumerate(covs):
-        cov = np.asarray(cov, dtype=float)
-        if cov.shape != (dim, dim):
-            raise ValueError(f"covariance {j} dim {cov.shape} does not match model dim {dim}")
-        stack[j] = _check_square_symmetric(cov, f"covariance {j}")
+    if not isinstance(covs, np.ndarray):
+        for j, cov in enumerate(covs):
+            if np.shape(cov) != (dim, dim):
+                raise ValueError(f"covariance {j} dim {np.shape(cov)} does not match "
+                                 f"model dim {dim}")
+        covs = np.asarray(covs, dtype=float).reshape(len(covs), dim, dim)
+    elif covs.shape[1:] != (dim, dim):
+        raise ValueError(f"covariance 0 dim {covs.shape[1:]} does not match model dim {dim}")
+    stack = _check_square_symmetric(covs, "covariance", ndim=3)
     whitened = np.empty((len(model.centroids), *stack.shape))
     for k, c in enumerate(model.centroids):
         w, V = np.linalg.eigh(_check_square_symmetric(c, "centroid"))

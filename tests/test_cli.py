@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import re
 import shutil
 from dataclasses import fields, replace
 from pathlib import Path
@@ -335,6 +336,13 @@ class TestEpochCache:
         cli.write_epoch_cache(cache_dir, 5, list(arr), {
             "channel_names": names, "sample_rate": 160.0,
             "labels": labels, "trials": trials, "slices": slices})
+        finite = np.isfinite(arr).all(axis=(1, 2))
+        if not finite.all():
+            npy = cache_dir / "S005" / "epochs.npy"
+            with pytest.raises(ValueError, match=f"^{re.escape(str(npy))}: epoch "
+                                                 f"{int(np.argmin(finite))} has a non-finite"):
+                cli.read_epoch_cache(cache_dir, 5)
+            return
         got, index = cli.read_epoch_cache(cache_dir, 5)
         assert got.tobytes() == arr.tobytes()
         assert (index["labels"], index["trials"], index["slices"]) == (labels, trials, slices)
@@ -540,6 +548,25 @@ class TestTrainEval:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["failed_subjects"] == ["S002"]
         assert "epochs.npy" in json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
+        rows = json.loads((tmp_path / "out" / "rows.json").read_text())
+        assert [r["subject"] for r in rows] == [1]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_training_epoch_fails_its_subject(self, workspace, capsys, value):
+        tmp_path, cfg = workspace
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        npy = tmp_path / "cache" / "S002" / "epochs.npy"
+        covs, index = cli.read_epoch_cache(tmp_path / "cache", 2)
+        c = load_config(cfg)
+        train, _ = signal.split(index["labels"], signal.SplitSpec(c.seed, c.test_fraction))
+        covs[train[1], 0, 2] = covs[train[1], 2, 0] = value
+        np.save(npy, covs)
+        capsys.readouterr()
+        assert main(["train-eval", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["failed_subjects"] == ["S002"]
+        reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
+        assert reason.startswith(f"ValueError: {npy}: epoch {train[1]} has a non-finite")
         rows = json.loads((tmp_path / "out" / "rows.json").read_text())
         assert [r["subject"] for r in rows] == [1]
 

@@ -216,6 +216,66 @@ class TestEigenClamping:
             frechet_mean([nearly, np.eye(2)], max_iter=5, tol=1e-6)
         assert spdgeom.clamped_eigenvalue_count() > before
 
+    def test_stack_clamps_what_its_matrices_clamp(self, rng):
+        # 40 matrices: more than one block, rank-deficient members in several
+        mats = np.stack([rand_spd(rng, 6) for _ in range(40)])
+        for j, rank in ((3, 4), (17, 5), (35, 2)):
+            w, v = np.linalg.eigh(mats[j])
+            mats[j] = (v * np.where(np.arange(6) < 6 - rank, 0.0, w)) @ v.T
+            mats[j] = (mats[j] + mats[j].T) / 2
+        count = spdgeom.clamped_eigenvalue_count
+        before = count()
+        with pytest.warns(EigenvalueClampWarning):
+            singles = [spdgeom._clamped_eigh(m) for m in mats]
+        per_matrix = count() - before
+        assert per_matrix >= 2 + 1 + 4
+        with pytest.warns(EigenvalueClampWarning):
+            w, v = spdgeom._clamped_eigh(mats)
+        assert count() - before == 2 * per_matrix
+        assert w.tobytes() == np.stack([s[0] for s in singles]).tobytes()
+        assert v.tobytes() == np.stack([s[1] for s in singles]).tobytes()
+        with pytest.warns(EigenvalueClampWarning):
+            frechet_mean(mats, max_iter=2, tol=1e6)
+
+
+class TestStackedKernels:
+    """A stack of matrices gives the bytes of its matrices one by one."""
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_shrink_of_a_stack_is_shrink_of_each(self, data):
+        n = data.draw(st.integers(1, 70), label="n")  # up to three blocks
+        dim = data.draw(st.integers(1, 20), label="dim")
+        # includes -0.0 and subnormals
+        stack = data.draw(hnp.arrays(np.float64, (n, dim, dim),
+                                     elements=st.floats(-1e100, 1e100)), label="stack")
+        shrinkage = data.draw(st.floats(0.0, 1.0, exclude_max=True), label="shrinkage")
+        # the one-matrix formula
+        expected = np.stack([(1.0 - shrinkage) * m + shrinkage * (np.trace(m) / dim)
+                             * np.eye(dim) for m in stack])
+        assert spdgeom.shrink(stack, shrinkage).tobytes() == expected.tobytes()
+        assert np.stack([spdgeom.shrink(m, shrinkage) for m in stack]).tobytes() \
+            == expected.tobytes()
+
+    @pytest.mark.parametrize("dim", [2, 21, 64])
+    @pytest.mark.parametrize("n", [5, 40])
+    def test_frechet_mean_of_a_stack_is_that_of_the_list(self, rng, monkeypatch, dim, n):
+        mats = np.stack([rand_spd(rng, dim) for _ in range(n)])
+        mean = frechet_mean(mats)
+        assert mean.tobytes() == frechet_mean(list(mats)).tobytes()
+        monkeypatch.setattr(spdgeom, "_BLOCK", 1)  # one matrix per batched call
+        assert mean.tobytes() == frechet_mean(mats).tobytes()
+
+    @pytest.mark.parametrize("dim", [8, 64])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_frechet_mean_rejects_non_finite_input(self, rng, dim, value):
+        mats = [rand_spd(rng, dim) for _ in range(20)]
+        mats[13][1, 4] = mats[13][4, 1] = value
+        with pytest.raises(ValueError, match="matrix 13 has a non-finite entry"):
+            frechet_mean(mats)
+        with pytest.raises(ValueError, match="matrix 13 has a non-finite entry"):
+            frechet_mean(np.stack(mats))
+
 
 class TestMDM:
     def test_single_example_classes_yield_those_centroids(self, rng):
@@ -302,8 +362,9 @@ class TestMDM:
         else:
             bad[-1, -1] = np.nan
             message = f"covariance {j} must be finite and positive definite"
-        with pytest.raises(ValueError, match=message):
-            mdm_predict(model, covs[:j] + [bad] + covs[j + 1:])
+        for given_as in (list, np.stack):
+            with pytest.raises(ValueError, match=message):
+                mdm_predict(model, given_as(covs[:j] + [bad] + covs[j + 1:]))
 
     def test_predict_empty_sequence(self, rng):
         covs, labels = make_spd_dataset(rng, 4, dim=4)
@@ -321,6 +382,10 @@ class TestMDM:
         model = mdm_fit(covs, labels, channel_subset=(0, 1))
         with pytest.raises(ValueError, match="does not match"):
             mdm_predict(model, [covs[0]])
+        with pytest.raises(ValueError, match=r"covariance 1 dim \(4, 4\) does not match"):
+            mdm_predict(model, [covs[0][:2, :2], covs[0]])
+        with pytest.raises(ValueError, match=r"covariance 0 dim \(4, 4\) does not match"):
+            mdm_predict(model, np.stack(covs[:3]))
 
     def test_subset_restriction_before_averaging(self, rng):
         covs, labels = make_spd_dataset(rng, 6, dim=5)
