@@ -185,28 +185,29 @@ CACHE_FORMAT_VERSION = 3
 _EPOCH_DTYPE = np.dtype("<f8")
 
 
-def write_epoch_cache(cache_dir: Path, subject: int, covs: list[np.ndarray],
+def write_epoch_cache(cache_dir: Path, subject: int, covs: np.ndarray,
                       index: dict) -> Path:
     """Store one subject's epochs as ``epochs.npy`` plus ``index.json``.
 
-    `covs` holds each epoch's ``spdgeom.covariance(data, 0.0)``; `index`
-    gives ``channel_names``, ``sample_rate`` and per-epoch ``labels``,
-    ``trials`` and ``slices``.  The array goes first and the index last, and
-    any old index is removed before the array is written, so an interrupted
-    write never leaves a valid index over partial data.
+    `covs` is the ``(n_epochs, d, d)`` array of the epochs'
+    ``spdgeom.covariance``; `index` gives ``channel_names`` (d of them),
+    ``sample_rate`` and per-epoch ``labels``, ``trials`` and ``slices``.
+    The array goes first and the index last, and any old index is removed
+    before the array is written, so an interrupted write never leaves a
+    valid index over partial data.
     """
     subj_dir = cache_dir / _subject_tag(subject)
     dim = len(index["channel_names"])
-    shapes = sorted({np.shape(c) for c in covs})
-    if shapes != [(dim, dim)]:
-        raise ValueError(f"{subj_dir}: epoch covariances must each be {dim}x{dim} for "
-                         f"{dim} channel names, got {shapes}")
+    covs = np.asarray(covs, dtype=_EPOCH_DTYPE)
+    if covs.shape[1:] != (dim, dim):
+        raise ValueError(f"{subj_dir}: epoch covariances must be (n_epochs, {dim}, {dim}) "
+                         f"for {dim} channel names, got {covs.shape}")
     index = dict(index, format_version=CACHE_FORMAT_VERSION, subject=subject,
                  dtype=_EPOCH_DTYPE.str, n_epochs=len(covs), n_channels=dim)
     subj_dir.mkdir(parents=True, exist_ok=True)
     index_path = subj_dir / "index.json"
     index_path.unlink(missing_ok=True)
-    np.save(subj_dir / "epochs.npy", np.asarray(covs, dtype=_EPOCH_DTYPE), allow_pickle=False)
+    np.save(subj_dir / "epochs.npy", covs, allow_pickle=False)
     _write_json(index_path, index)
     return subj_dir
 
@@ -312,9 +313,17 @@ class DerivedMemo:
             self._store(path, lambda fh: np.save(fh, mean.astype(_EPOCH_DTYPE, copy=False),
                                                  allow_pickle=False))
             return mean
-        if (mean.dtype.str, mean.shape) != (_EPOCH_DTYPE.str, (dim, dim)):
-            raise ValueError(f"{path}: centroid is {mean.dtype.str} {mean.shape}, "
-                             f"expected {_EPOCH_DTYPE.str} {(dim, dim)}")
+        with _reading(path):
+            if (mean.dtype.str, mean.shape) != (_EPOCH_DTYPE.str, (dim, dim)):
+                raise ValueError(f"centroid is {mean.dtype.str} {mean.shape}, "
+                                 f"expected {_EPOCH_DTYPE.str} {(dim, dim)}")
+            if not np.isfinite(mean).all():
+                raise ValueError("centroid has a non-finite entry")
+            if np.abs(mean - mean.T).max() > spdgeom.SYMMETRY_RTOL * np.abs(mean).max():
+                raise ValueError(f"centroid is not symmetric within {spdgeom.SYMMETRY_RTOL} "
+                                 "relative")
+            if not np.linalg.eigvalsh(mean)[0] > 0:
+                raise ValueError("centroid is not positive definite")
         return mean
 
     def elimination(self, covs: np.ndarray, labels: list[str],
@@ -485,7 +494,7 @@ def _prepare_subject(cfg: ExperimentConfig, cache_dir: Path, subject: int,
     derived = DerivedMemo(cache_dir, subject).root
     if derived.exists():
         shutil.rmtree(derived)
-    covs: list[np.ndarray] = []
+    covs: list[np.ndarray] = []  # one (n_epochs, c, c) array per run
     index: dict[str, list] = {"labels": [], "trials": [], "slices": []}
     first: tuple[Path, list[str], float] | None = None
     for run in cfg.runs:
@@ -509,17 +518,20 @@ def _prepare_subject(cfg: ExperimentConfig, cache_dir: Path, subject: int,
             raise ValueError(f"{tag}: {path} holds non-finite samples")
         rec = signal.bandpass(rec, cfg.band_lo, cfg.band_hi)
         offset = max(index["trials"], default=-1) + 1
-        for e in signal.epoch_trials(rec, trial_offset=offset):
-            covs.append(spdgeom.covariance(e.data, 0.0))
-            index["labels"].append(e.label)
-            index["trials"].append(e.trial)
-            index["slices"].append(e.slice_index)
+        epochs = signal.epoch_trials(rec, trial_offset=offset)
+        if epochs:
+            covs.append(spdgeom.covariance([e.data for e in epochs]))
+        index["labels"] += [e.label for e in epochs]
+        index["trials"] += [e.trial for e in epochs]
+        index["slices"] += [e.slice_index for e in epochs]
+        # the epochs are views into the recording: free both before the next read
+        del rec, epochs
     if not covs:
         missing.append(f"{tag}: no usable runs")
         return None
-    write_epoch_cache(cache_dir, subject, covs,
+    write_epoch_cache(cache_dir, subject, np.concatenate(covs),
                       dict(index, channel_names=first[1], sample_rate=first[2]))
-    return tag, len(covs)
+    return tag, len(index["labels"])
 
 
 def cmd_prepare(cfg: ExperimentConfig) -> dict:
@@ -786,10 +798,7 @@ def cmd_report(cfg: ExperimentConfig, row_files: list[str]) -> dict:
         if not col:
             footer.append("")
             continue
-        try:
-            mean, sd = stats.cohort_summary(list(col.values()))
-        except ValueError as exc:
-            raise ValueError(f"rows column {name!r}: {exc}") from None
+        mean, sd = stats.cohort_summary(list(col.values()))
         footer.append(f"{mean:.2f}±{sd:.2f}")
         summary[name] = [mean, sd]
     _write_csv(out_dir / "table.csv", [["ID", *columns], *table, footer])
@@ -818,18 +827,23 @@ def cmd_report(cfg: ExperimentConfig, row_files: list[str]) -> dict:
 def _report_rows(path: Path) -> list[dict]:
     """The rows of one ``rows.csv`` for ``report``, each with an int
     ``subject``, a ``channel_config`` from `CHANNEL_CONFIGS`, a float
-    ``chance`` and, where present, a float ``overall`` and ``recall_*``;
-    any other row is a ``ValueError`` that starts with the path."""
+    ``chance`` and, where present, a float ``overall`` and ``recall_*``,
+    each of these in [0, 1]; any other row is a ``ValueError`` that starts
+    with the path."""
     rows = _read_rows_csv(path)
     with _reading(path):
         for row in rows:
             if row["channel_config"] not in CHANNEL_CONFIGS:
                 raise ValueError(f"channel_config must be one of {CHANNEL_CONFIGS}, "
                                  f"got {row['channel_config']!r}")
-            row["subject"], row["chance"] = int(row["subject"]), float(row["chance"])
+            row["subject"] = int(row["subject"])
+            if "chance" not in row:
+                raise ValueError("row has no chance value")
             for key in row:
-                if key == "overall" or key.startswith("recall_"):
+                if key in ("chance", "overall") or key.startswith("recall_"):
                     row[key] = float(row[key])
+                    if not 0.0 <= row[key] <= 1.0:
+                        raise ValueError(f"{key} must be in [0, 1], got {row[key]}")
     return rows
 
 

@@ -280,7 +280,8 @@ def epoch_trials(rec: Recording, trial_offset: int = 0) -> list[Epoch]:
     epochs of `EPOCH_S` seconds from its onset, all inheriting the trial
     label; trials are numbered from `trial_offset`.  Other codes (rest) are
     ignored.  Trials extending past the end of the data are skipped; the
-    count is logged.
+    count is logged.  Each ``Epoch.data`` is a view into ``rec.data``, not a
+    copy: it keeps the recording alive and changes with it.
     """
     slice_len = int(round(EPOCH_S * rec.sample_rate))
     if slice_len < 1:
@@ -298,8 +299,8 @@ def epoch_trials(rec: Recording, trial_offset: int = 0) -> list[Epoch]:
             continue
         for s in range(EPOCHS_PER_TRIAL):
             start = ann.onset + s * slice_len
-            seg = np.array(rec.data[:, start:start + slice_len])
-            epochs.append(Epoch(seg, label, trial=trial, slice_index=s))
+            epochs.append(Epoch(rec.data[:, start:start + slice_len], label,
+                                trial=trial, slice_index=s))
         trial += 1
     if skipped:
         log.warning("skipped %d truncated trial(s) extending past end of data", skipped)

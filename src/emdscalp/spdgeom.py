@@ -169,37 +169,47 @@ def _newton_direction(grad: np.ndarray, logw: np.ndarray, us: np.ndarray,
     return xi
 
 
-def covariance(epoch: np.ndarray, shrinkage: float = 0.05) -> np.ndarray:
-    """Shrunk sample covariance of one epoch.
+def covariance(epochs: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
+    """Unshrunk sample covariances of epochs, one ``(n, c, c)`` array.
 
-    Parameters
-    ----------
-    epoch : ndarray, shape (n_channels, n_samples)
-        Raw signal segment; sample count should exceed channel count.
-    shrinkage : float in [0, 1)
-        Blend factor towards the scaled identity:
-        ``(1 - shrinkage) * S + shrinkage * (tr(S)/dim) * I``.
-        Any positive value forces positive definiteness of the result.
-
-    Returns
-    -------
-    ndarray, shape (n_channels, n_channels)
+    `epochs` is a sequence of ``(c, t)`` arrays (views into a recording do)
+    or one ``(n, c, t)`` array; each matrix has the bytes of ``np.cov`` of
+    its epoch.  Epochs are copied `_BLOCK` at a time, so the temporaries stay
+    at ``_BLOCK x c x t``.  `shrink` blends the result towards the scaled
+    identity.  An epoch of another shape than epoch 0, with fewer than 2
+    samples or with a non-finite sample raises a ``ValueError`` naming
+    ``epoch j``.
     """
-    epoch = np.asarray(epoch, dtype=float)
-    if epoch.ndim != 2:
-        raise ValueError(f"epoch must be 2-d (channels x samples), got {epoch.shape}")
-    if epoch.shape[1] < 2:
-        raise ValueError("epoch needs at least 2 samples")
-    if not np.all(np.isfinite(epoch)):
-        raise ValueError("epoch contains non-finite samples")
-    return shrink(np.atleast_2d(np.cov(epoch)), shrinkage)
+    if len(epochs) == 0:
+        raise ValueError("need at least one epoch")
+    shape = np.shape(epochs[0])
+    if not isinstance(epochs, np.ndarray):
+        for j, e in enumerate(epochs):
+            if np.shape(e) != shape:
+                raise ValueError(f"epoch {j} has shape {np.shape(e)}, epoch 0 {shape}")
+    if len(shape) != 2:
+        raise ValueError(f"epoch 0 must be 2-d (channels x samples), got shape {shape}")
+    if shape[1] < 2:
+        raise ValueError("epoch 0 needs at least 2 samples")
+    out = np.empty((len(epochs), shape[0], shape[0]))
+    for s in _blocks(len(epochs)):
+        x = np.array(epochs[s], dtype=float)
+        finite = np.isfinite(x).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"epoch {s.start + int(np.argmin(finite))} has a non-finite "
+                             "sample")
+        x -= x.mean(axis=2, keepdims=True)
+        np.matmul(x, x.transpose(0, 2, 1), out=out[s])
+        out[s] *= 1.0 / (shape[1] - 1)
+    return out
 
 
 def shrink(cov: np.ndarray, shrinkage: float) -> np.ndarray:
-    """`covariance`'s blend towards the scaled identity, of one matrix or of
-    each in a stack ``(..., d, d)``: shrinking ``covariance(epoch, 0.0)``
-    gives the bytes of ``covariance(epoch, shrinkage)``, and shrinking a
-    stack the bytes of its matrices shrunk one by one."""
+    """Blend towards the scaled identity,
+    ``(1 - shrinkage) * S + shrinkage * (tr(S)/dim) * I``, of one matrix or
+    of each in a stack ``(..., d, d)``; a stack gives the bytes of its
+    matrices shrunk one by one.  Any positive `shrinkage` makes a
+    covariance positive definite."""
     if not 0.0 <= shrinkage < 1.0:
         raise ValueError(f"shrinkage must be in [0, 1), got {shrinkage}")
     cov = np.asarray(cov, dtype=float)
@@ -567,12 +577,14 @@ def trace_to_json(trace: SelectionTrace) -> str:
 
 
 def trace_from_json(text: str) -> SelectionTrace:
+    """The trace in `text`; a ``ValueError`` unless its distances and drops
+    are finite and its steps are numbered 1..n in order."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("trace JSON must be an object")
     if doc.get("format_version") != 1:
         raise ValueError(f"unsupported trace format_version: {doc.get('format_version')}")
-    return SelectionTrace(
+    trace = SelectionTrace(
         removal_order=tuple(
             RemovalStep(int(s["iteration"]), int(s["removed"]), float(s["distance"]))
             for s in doc["removal_order"]
@@ -580,3 +592,9 @@ def trace_from_json(text: str) -> SelectionTrace:
         final_subset=tuple(int(c) for c in doc["final_subset"]),
         final_loo_drops=tuple(float(d) for d in doc["final_loo_drops"]),
     )
+    steps = trace.removal_order
+    if [s.iteration for s in steps] != list(range(1, len(steps) + 1)):
+        raise ValueError("trace iterations must be 1..n in order")
+    if not np.isfinite([s.distance for s in steps] + list(trace.final_loo_drops)).all():
+        raise ValueError("trace distances and drops must be finite")
+    return trace

@@ -223,16 +223,16 @@ def make_spd_dataset(
     shrinkage: float = 0.05,
 ) -> tuple[list[np.ndarray], list[str]]:
     """Two-class covariance set where only `discriminative` channels differ."""
-    from emdscalp.spdgeom import covariance
+    from emdscalp.spdgeom import covariance, shrink
 
     if discriminative is None:
         discriminative = (3, 7) if dim >= 8 else (dim - 1,)
-    covs, labels = [], []
+    epochs, labels = [], []
     for label in ("Left", "Right"):
         for _ in range(n_per_class):
             x = rng.normal(size=(dim, n_samples))
             if label == "Right":
                 x[np.array(discriminative)] *= np.sqrt(var_ratio)
-            covs.append(covariance(x, shrinkage))
+            epochs.append(x)
             labels.append(label)
-    return covs, labels
+    return list(shrink(covariance(epochs), shrinkage)), labels

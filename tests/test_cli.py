@@ -3,6 +3,7 @@ import io
 import json
 import re
 import shutil
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 from xml.etree import ElementTree
@@ -187,6 +188,49 @@ class TestPrepare:
         index = json.loads((tmp_path / "cache" / "S001" / "index.json").read_text())
         assert abs(index["n_epochs"] - 372) <= 0.05 * 372
 
+    def test_one_covariance_call_per_run(self, workspace, monkeypatch):
+        tmp_path, cfg = workspace
+        calls = []
+        covariance = spdgeom.covariance
+        monkeypatch.setattr(spdgeom, "covariance",
+                            lambda epochs: calls.append(len(epochs)) or covariance(epochs))
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        n_epochs = [json.loads((tmp_path / "cache" / tag / "index.json").read_text())["n_epochs"]
+                    for tag in ("S001", "S002")]
+        assert len(calls) == 4  # 2 subjects x 2 runs
+        assert sum(calls) == sum(n_epochs)
+
+    def test_cache_holds_np_cov_of_each_epoch(self, workspace):
+        tmp_path, cfg = workspace
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        covs, _ = cli.read_epoch_cache(tmp_path / "cache", 1)
+        expected = [np.cov(e.data) for run in ("S001R03.edf", "S001R04.edf")
+                    for e in signal.epoch_trials(signal.bandpass(
+                        signal.read_recording(tmp_path / "data" / "S001" / run)))]
+        assert covs.tobytes() == np.stack(expected).tobytes()
+
+    def test_no_run_is_alive_at_the_next_read(self, workspace, monkeypatch):
+        tmp_path, cfg = workspace
+        arrays, alive = [], []
+        read, bandpass = signal.read_recording, signal.bandpass
+
+        def tracked(fn):
+            def call(*args):
+                rec = fn(*args)
+                # the array that owns the samples (filtfilt returns a view)
+                arrays.append(weakref.ref(rec.data if rec.data.base is None else rec.data.base))
+                return rec
+            return call
+
+        def read_after_check(path):
+            alive.append(sum(ref() is not None for ref in arrays))
+            return tracked(read)(path)
+
+        monkeypatch.setattr(signal, "read_recording", read_after_check)
+        monkeypatch.setattr(signal, "bandpass", tracked(bandpass))
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        assert alive == [0, 0, 0, 0] and len(arrays) == 8
+
     def test_rerun_is_byte_identical(self, workspace):
         tmp_path, cfg = workspace
         assert main(["prepare", "--config", str(cfg)]) == 0
@@ -316,7 +360,7 @@ def _cache_files(tmp_path: Path, n_epochs=3):
     """Cache subject 1 with the covariances of ``n_epochs`` epochs of 2
     channels x 5 samples."""
     rng = np.random.default_rng(3)
-    covs = [spdgeom.covariance(rng.standard_normal((2, 5)), 0.0) for _ in range(n_epochs)]
+    covs = spdgeom.covariance(rng.standard_normal((n_epochs, 2, 5)))
     subj_dir = cli.write_epoch_cache(tmp_path, 1, covs, _index(n_epochs))
     return subj_dir / "epochs.npy", subj_dir / "index.json"
 
@@ -333,7 +377,7 @@ class TestEpochCache:
         slices = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
         names = [f"ch{c}" for c in range(dim)]
         cache_dir = tmp_path_factory.mktemp("cache")
-        cli.write_epoch_cache(cache_dir, 5, list(arr), {
+        cli.write_epoch_cache(cache_dir, 5, arr, {
             "channel_names": names, "sample_rate": 160.0,
             "labels": labels, "trials": trials, "slices": slices})
         finite = np.isfinite(arr).all(axis=(1, 2))
@@ -356,16 +400,17 @@ class TestEpochCache:
                                                         shrinkage):
         cache_dir = tmp_path_factory.mktemp("cache")
         names = [f"ch{c}" for c in range(epoch.shape[0])]
-        cli.write_epoch_cache(cache_dir, 1, [spdgeom.covariance(epoch, 0.0)],
-                              _index(1, names))
+        cli.write_epoch_cache(cache_dir, 1, spdgeom.covariance([epoch]), _index(1, names))
         cached, _ = cli.read_epoch_cache(cache_dir, 1)
-        assert spdgeom.shrink(cached[0], shrinkage).tobytes() \
-            == spdgeom.covariance(epoch, shrinkage).tobytes()
+        assert spdgeom.shrink(cached, shrinkage).tobytes() \
+            == spdgeom.shrink(np.atleast_2d(np.cov(epoch))[None], shrinkage).tobytes()
 
-    def test_epochs_of_differing_shapes_rejected(self, tmp_path):
-        covs = [np.zeros((2, 2)), np.zeros((3, 3))]
-        with pytest.raises(ValueError, match="S001: epoch covariances must each be 2x2"):
-            cli.write_epoch_cache(tmp_path, 1, covs, _index(2))
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (2, 2), (1, 2, 2, 2)])
+    def test_array_of_other_shape_rejected(self, tmp_path, shape):
+        with pytest.raises(ValueError, match=re.escape(
+                f"S001: epoch covariances must be (n_epochs, 2, 2) for 2 channel names, "
+                f"got {shape}")):
+            cli.write_epoch_cache(tmp_path, 1, np.zeros(shape), _index(2))
         assert not (tmp_path / "S001" / "epochs.npy").exists()
 
     def test_format_2_cache_asks_for_prepare(self, tmp_path):
@@ -705,7 +750,10 @@ class TestDerivedMemo:
     @pytest.mark.parametrize("damage, kind", [
         (damage, kind) for damage in ("truncate", "garbage", "wrong shape")
         for kind in ("centroid", "trace")
-    ] + [("channel out of range", "trace"), ("channel kept twice", "trace")])
+    ] + [(damage, "centroid") for damage in ("NaN", "asymmetric", "negative definite")]
+      + [(damage, "trace") for damage in (
+          "channel out of range", "channel kept twice", "NaN distance", "infinite drop",
+          "iterations out of order")])
     def test_corrupt_entry_fails_its_subject(self, workspace, capsys, kind, damage):
         tmp_path, _ = workspace
         cfg = write_config(tmp_path / "feat.cfg", channel_config="feat21", target_k=2)
@@ -717,13 +765,28 @@ class TestDerivedMemo:
         elif damage == "garbage":
             entry.write_bytes(b"\x93NUMPY garbage \xff")
         elif kind == "centroid":
-            np.save(entry, np.eye(3))
+            centroid = np.load(entry)
+            dim = len(centroid)
+            if damage == "NaN":
+                centroid[0, 0] = np.nan
+            elif damage == "asymmetric":
+                centroid[0, 1] += np.abs(centroid).max()
+            np.save(entry, {"wrong shape": np.eye(3),
+                            "negative definite": -np.eye(dim)}.get(damage, centroid))
         else:
             trace = spdgeom.trace_from_json(entry.read_text())
-            final_subset = {"wrong shape": trace.final_subset[1:],
-                            "channel out of range": (1, 99), "channel kept twice": (1, 1)}
-            entry.write_text(spdgeom.trace_to_json(replace(
-                trace, final_subset=final_subset[damage])))
+            first, second, *rest = trace.removal_order
+            entry.write_text(spdgeom.trace_to_json({
+                "wrong shape": replace(trace, final_subset=trace.final_subset[1:]),
+                "channel out of range": replace(trace, final_subset=(1, 99)),
+                "channel kept twice": replace(trace, final_subset=(1, 1)),
+                "NaN distance": replace(trace, removal_order=(
+                    replace(first, distance=float("nan")), second, *rest)),
+                "infinite drop": replace(trace, final_loo_drops=(
+                    float("inf"), *trace.final_loo_drops[1:])),
+                "iterations out of order": replace(trace, removal_order=(
+                    replace(first, iteration=2), replace(second, iteration=1), *rest)),
+            }[damage]))
         damaged = entry.read_bytes()
         capsys.readouterr()
         assert main(["train-eval", "--config", str(cfg)]) == 0
@@ -968,7 +1031,7 @@ class TestReportCommand:
         cfg = write_config(tmp_path / "exp.cfg")
         assert main(["report", "--config", str(cfg), "--rows", str(rows)]) == 1
         err = json.loads(capsys.readouterr().err.strip())
-        assert err["message"] == "rows column 'all64_overall': values must be finite"
+        assert err["message"] == f"{rows}: ValueError: overall must be in [0, 1], got nan"
 
     def test_pvalue_matrix_shape(self, tmp_path):
         rows = write_fixture_rows(tmp_path / "rows.csv")
@@ -1001,6 +1064,10 @@ class TestReportCommand:
         "subject,channel_config,chance,overall\n99,all64,,0.9\n",  # empty chance
         "subject,channel_config,chance,overall\nS1,all64,0.5,0.9\n",  # non-integer subject
         "subject,channel_config,chance,overall\n99,all64,0.5,\n",  # empty overall
+        "subject,channel_config,chance,overall\n99,all64,0.5,nan\n",
+        "subject,channel_config,chance,overall\n99,all64,inf,0.9\n",
+        "subject,channel_config,chance,overall\n99,all64,0.5,5\n",  # a percentage
+        "subject,channel_config,chance,overall,recall_Left\n99,all64,0.5,0.9,-0.1\n",
     ])
     def test_bad_rows_file_named_in_error(self, tmp_path, capsys, text):
         good = write_fixture_rows(tmp_path / "good.csv")

@@ -1,3 +1,5 @@
+import inspect
+
 import mpmath
 import numpy as np
 import pytest
@@ -53,13 +55,12 @@ class TestCovariance:
     def test_white_noise_near_scaled_identity(self, rng):
         sigma = 2.0
         epoch = rng.normal(scale=sigma, size=(4, 20000))
-        cov = covariance(epoch, shrinkage=0.0)
-        assert_allclose(cov, sigma**2 * np.eye(4), atol=0.1 * sigma**2)
+        assert_allclose(covariance([epoch])[0], sigma**2 * np.eye(4), atol=0.1 * sigma**2)
 
     def test_rank_deficient_epoch_still_spd(self, rng):
         epoch = rng.normal(size=(3, 50))
         epoch = np.vstack([epoch, epoch[0]])  # duplicated channel
-        cov = covariance(epoch, shrinkage=0.01)
+        cov = spdgeom.shrink(covariance([epoch])[0], 0.01)
         assert np.linalg.eigvalsh(cov).min() > 0
 
     def test_matches_direct_formula(self):
@@ -71,21 +72,52 @@ class TestCovariance:
         s = centered @ centered.T / (epoch.shape[1] - 1)
         lam = 0.05
         expected = (1 - lam) * s + lam * (np.trace(s) / 2) * np.eye(2)
-        assert_allclose(covariance(epoch, 0.05), expected, rtol=1e-12)
+        assert_allclose(covariance([epoch]), [s], rtol=1e-12)
+        assert_allclose(spdgeom.shrink(covariance([epoch])[0], lam), expected, rtol=1e-12)
+
+    def test_has_no_shrinkage_parameter(self):
+        assert list(inspect.signature(covariance).parameters) == ["epochs"]
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_stack_matches_np_cov_of_each_epoch(self, data):
+        n = data.draw(st.integers(1, 70), label="n")  # up to three blocks
+        c = data.draw(st.sampled_from([1, 2, 5, 21]), label="c")
+        t = data.draw(st.integers(2, 40), label="t")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        recording = rng.normal(size=(c, n * t + 3)) * rng.uniform(1e-3, 1e3, size=(c, 1))
+        views = [recording[:, 3 + j * t:3 + (j + 1) * t] for j in range(n)]
+        expected = np.stack([np.atleast_2d(np.cov(e)) for e in views])
+        for epochs in (views, np.stack(views)):
+            got = covariance(epochs)
+            assert got.shape == (n, c, c)
+            assert_allclose(got, expected, rtol=1e-12, atol=0)
+        assert covariance(views).tobytes() == covariance(np.stack(views)).tobytes()
 
     def test_too_few_samples(self):
-        with pytest.raises(ValueError, match="at least 2 samples"):
-            covariance(np.ones((3, 1)))
+        with pytest.raises(ValueError, match="epoch 0 needs at least 2 samples"):
+            covariance([np.ones((3, 1))])
 
-    def test_non_finite_rejected(self):
-        bad = np.ones((2, 10))
-        bad[0, 3] = np.inf
-        with pytest.raises(ValueError, match="non-finite"):
-            covariance(bad)
+    @pytest.mark.parametrize("j", [0, 2, 40])
+    def test_non_finite_rejected(self, rng, j):
+        epochs = rng.normal(size=(45, 2, 10))
+        epochs[j, 1, 3] = np.inf
+        for given_as in (epochs, list(epochs)):
+            with pytest.raises(ValueError, match=f"^epoch {j} has a non-finite sample"):
+                covariance(given_as)
+
+    def test_shape_mismatch_named(self):
+        with pytest.raises(ValueError, match=r"^epoch 2 has shape \(3, 5\)"):
+            covariance([np.ones((2, 5)), np.ones((2, 5)), np.ones((3, 5))])
+        with pytest.raises(ValueError, match="epoch 0 must be 2-d"):
+            covariance([np.ones(5)])
+        with pytest.raises(ValueError, match="at least one epoch"):
+            covariance([])
 
     def test_shrinkage_range(self):
         with pytest.raises(ValueError, match="shrinkage"):
-            covariance(np.random.default_rng(0).normal(size=(2, 10)), shrinkage=1.0)
+            spdgeom.shrink(np.eye(2), 1.0)
 
 
 class TestRiemannianDistance:
@@ -187,8 +219,8 @@ class TestFrechetMean:
         # evaluations need the second Newton step's CG solve to reach tol/4.
         rng = np.random.default_rng(0)
         mix = np.eye(64) + rng.normal(size=(64, 64)) / 8
-        mats = [covariance(s * mix @ rng.normal(size=(64, 160)), 0.05)
-                for s in rng.uniform(0.5, 2.0, 144)]
+        mats = spdgeom.shrink(covariance([s * mix @ rng.normal(size=(64, 160))
+                                          for s in rng.uniform(0.5, 2.0, 144)]), 0.05)
         expected, _ = plain_frechet_mean(mats, tol=1e-8)
         assert rel_diff(frechet_mean(mats, max_iter=3), expected) <= 1e-9
 
