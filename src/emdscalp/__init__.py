@@ -4,6 +4,9 @@ minimum-distance-to-mean classification pipeline that produces those maps.
 
 Modules import scipy inside the functions that call it, so importing the
 package loads numpy alone and each command pays only for the scipy it uses.
+Preprocessing needs none: `signal.bandpass` designs its Butterworth filter
+and runs the zero-phase recurrence in numpy, in blocks of 64 samples, to
+within about 1e-13 of scipy's ``filtfilt``.
 """
 
 from .montage import (

@@ -185,6 +185,13 @@ CACHE_FORMAT_VERSION = 3
 _EPOCH_DTYPE = np.dtype("<f8")
 
 
+def _check_index_lists(where: Path, index: dict, n_epochs: int, dim: int) -> None:
+    if any(len(index.get(key, ())) != n_epochs for key in ("labels", "trials", "slices")) \
+            or len(index.get("channel_names", ())) != dim:
+        raise ValueError(f"{where}: labels, trials and slices must each list "
+                         f"n_epochs={n_epochs} entries and channel_names n_channels={dim}")
+
+
 def write_epoch_cache(cache_dir: Path, subject: int, covs: np.ndarray,
                       index: dict) -> Path:
     """Store one subject's epochs as ``epochs.npy`` plus ``index.json``.
@@ -194,7 +201,9 @@ def write_epoch_cache(cache_dir: Path, subject: int, covs: np.ndarray,
     ``sample_rate`` and per-epoch ``labels``, ``trials`` and ``slices``.
     The array goes first and the index last, and any old index is removed
     before the array is written, so an interrupted write never leaves a
-    valid index over partial data.
+    valid index over partial data.  An index that ``read_epoch_cache`` would
+    reject for its list lengths raises the same ``ValueError``, naming the
+    subject directory, before any file is written or removed.
     """
     subj_dir = cache_dir / _subject_tag(subject)
     dim = len(index["channel_names"])
@@ -202,6 +211,7 @@ def write_epoch_cache(cache_dir: Path, subject: int, covs: np.ndarray,
     if covs.shape[1:] != (dim, dim):
         raise ValueError(f"{subj_dir}: epoch covariances must be (n_epochs, {dim}, {dim}) "
                          f"for {dim} channel names, got {covs.shape}")
+    _check_index_lists(subj_dir, index, len(covs), dim)
     index = dict(index, format_version=CACHE_FORMAT_VERSION, subject=subject,
                  dtype=_EPOCH_DTYPE.str, n_epochs=len(covs), n_channels=dim)
     subj_dir.mkdir(parents=True, exist_ok=True)
@@ -247,10 +257,7 @@ def read_epoch_cache(cache_dir: Path, subject: int) -> tuple[np.ndarray, dict]:
                          f"{CACHE_FORMAT_VERSION}; re-run prepare")
     data = _read_npy(path, "epoch covariance array")
     n_epochs, dim = index.get("n_epochs"), index.get("n_channels")
-    if any(len(index.get(key, ())) != n_epochs for key in ("labels", "trials", "slices")) \
-            or len(index.get("channel_names", ())) != dim:
-        raise ValueError(f"{index_path}: labels, trials and slices must each list "
-                         f"n_epochs={n_epochs} entries and channel_names n_channels={dim}")
+    _check_index_lists(index_path, index, n_epochs, dim)
     shape = (n_epochs, dim, dim)
     if (data.dtype.str, data.shape) != (_EPOCH_DTYPE.str, shape) \
             or index.get("dtype") != _EPOCH_DTYPE.str:

@@ -299,11 +299,11 @@ def frechet_mean(
         if residual <= tol:
             return mean
         if newton and residual >= best:
-            mean, newton = plain, False
+            # plain step from the last accepted point, whose sq and grad are kept
+            mean, newton = sq @ _spectral(accepted / len(stack), np.exp) @ sq, False
             continue
-        best = residual
+        best, accepted = residual, grad
         sq = (V * np.sqrt(w)) @ V.T
-        plain = sq @ _spectral(grad / len(stack), np.exp) @ sq
         mean = sq @ _spectral(_newton_direction(grad, logw, us, tol), np.exp) @ sq
         newton = True
     raise FrechetMeanError(

@@ -217,7 +217,7 @@ class TestPrepare:
         def tracked(fn):
             def call(*args):
                 rec = fn(*args)
-                # the array that owns the samples (filtfilt returns a view)
+                # the array that owns the samples (bandpass returns a view of its buffer)
                 arrays.append(weakref.ref(rec.data if rec.data.base is None else rec.data.base))
                 return rec
             return call
@@ -412,6 +412,21 @@ class TestEpochCache:
                 f"got {shape}")):
             cli.write_epoch_cache(tmp_path, 1, np.zeros(shape), _index(2))
         assert not (tmp_path / "S001" / "epochs.npy").exists()
+
+    @pytest.mark.parametrize("key", ["labels", "trials", "slices"])
+    def test_index_lists_of_other_length_rejected_before_writing(self, tmp_path, key):
+        covs = np.broadcast_to(np.eye(2), (3, 2, 2))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{tmp_path / 'S001'}: labels, trials and slices must each list "
+                f"n_epochs=3 entries and channel_names n_channels=2")):
+            cli.write_epoch_cache(tmp_path, 1, covs, dict(_index(3), **{key: _index(1)[key]}))
+        assert not (tmp_path / "S001").exists()
+        # an existing cache is left as it was
+        npy, index_path = _cache_files(tmp_path)
+        before = npy.read_bytes(), index_path.read_bytes()
+        with pytest.raises(ValueError, match="n_epochs=3 entries"):
+            cli.write_epoch_cache(tmp_path, 1, covs, dict(_index(3), **{key: _index(1)[key]}))
+        assert (npy.read_bytes(), index_path.read_bytes()) == before
 
     def test_format_2_cache_asks_for_prepare(self, tmp_path):
         # format 2 stored the samples, (n_epochs, n_channels, n_samples)

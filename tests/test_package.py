@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -37,11 +38,12 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def run_fresh(code: str, *argv: str):
+def run_fresh(code: str, *argv: str, env: dict[str, str] | None = None):
     """Run `code` with `argv` in a fresh interpreter that imports this
-    package; return the JSON value on its last line of output."""
+    package, with `env` added to the environment; return the JSON value on
+    its last line of output."""
     src = str(Path(emdscalp.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, check=True)
@@ -86,6 +88,37 @@ def test_train_eval_all64_loads_no_scipy(tmp_path, rng):
     assert cli.main(["prepare", "--config", str(cfg)]) == 0
     assert loaded_scipy("train-eval", "--config", str(cfg)) == []
     assert (tmp_path / "out" / "rows.csv").exists()
+
+
+def test_prepare_loads_no_scipy(tmp_path, rng):
+    (tmp_path / "data" / "S001").mkdir(parents=True)
+    rec = make_motor_recording(rng, ["Fc5.", "C3..", "C4..", "Cz.."], n_trials=8)
+    recording_to_edf(tmp_path / "data" / "S001" / "S001R03.edf", rec)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("version = 1\ndataset_root = data\nsubjects = 1\nruns = 3\n"
+                   "cache_dir = cache\noutput_dir = out\n")
+    assert loaded_scipy("prepare", "--config", str(cfg)) == []
+    assert (tmp_path / "cache" / "S001" / "epochs.npy").exists()
+
+
+def test_prepare_is_byte_identical_across_blas_thread_counts(tmp_path, rng):
+    # 64 channels: the filter's block products and the covariances are large
+    # enough for OpenBLAS to split them over two threads
+    (tmp_path / "data" / "S001").mkdir(parents=True)
+    rec = make_motor_recording(rng, [f"Ch{i}" for i in range(64)], n_trials=4)
+    recording_to_edf(tmp_path / "data" / "S001" / "S001R03.edf", rec)
+    digests = []
+    for threads in ("1", "2"):
+        cfg = tmp_path / f"exp{threads}.cfg"
+        cfg.write_text(f"version = 1\ndataset_root = data\nsubjects = 1\nruns = 3\n"
+                       f"cache_dir = cache{threads}\noutput_dir = out\n")
+        assert run_fresh("import json, sys, emdscalp.cli; "
+                         "print(json.dumps(emdscalp.cli.main(sys.argv[1:])))",
+                         "prepare", "--config", str(cfg),
+                         env={"OPENBLAS_NUM_THREADS": threads}) == 0
+        npy = tmp_path / f"cache{threads}" / "S001" / "epochs.npy"
+        digests.append(hashlib.sha256(npy.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
 
 
 def test_import_loads_no_network_or_mail_modules():

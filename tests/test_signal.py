@@ -1,13 +1,17 @@
+import json
 import logging
 import os
 import re
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from emdscalp import cli, signal
 from emdscalp.signal import (
     Annotation,
     Recording,
@@ -225,6 +229,95 @@ class TestBandpass:
             bandpass(rec, 30.0, 8.0)
         with pytest.raises(ValueError, match="band edges"):
             bandpass(rec, 8.0, 90.0)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(fs=st.floats(1.0, 5000.0),
+           edges=st.lists(st.floats(0.001, 0.999), min_size=2, max_size=2, unique=True))
+    def test_coefficients_equal_scipy_butter(self, fs, edges):
+        nyq = fs / 2.0
+        lo, hi = sorted(e * nyq for e in edges)
+        assert 0.0 < lo < hi < nyq
+        b, a = signal._butter_bandpass(lo / nyq, hi / nyq)
+        expected = scipy.signal.butter(4, [lo / nyq, hi / nyq], btype="bandpass")
+        assert (b.tobytes(), a.tobytes()) == tuple(c.tobytes() for c in expected)
+
+    @pytest.mark.parametrize("n_channels", [1, 64])
+    @pytest.mark.parametrize("n_samples", [28, 63, 64, 65, 129, 12054])
+    def test_agrees_with_scipy_filtfilt(self, rng, n_channels, n_samples):
+        # white noise on a DC offset, as in a raw EEG channel
+        x = rng.normal(scale=50.0, size=(n_channels, n_samples)) \
+            + rng.normal(scale=300.0, size=(n_channels, 1))
+        y = bandpass(Recording([f"c{i}" for i in range(n_channels)], FS, x), 8.0, 30.0).data
+        b, a = scipy.signal.butter(4, [8.0 / 80.0, 30.0 / 80.0], btype="bandpass")
+        expected = scipy.signal.filtfilt(b, a, x, axis=1)
+        assert np.abs(y - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    def test_error_no_larger_than_scipy_filtfilt(self, rng):
+        x = rng.normal(scale=50.0, size=(2, 1600)) + rng.normal(scale=300.0, size=(2, 1))
+        b, a = signal._butter_bandpass(8.0 / 80.0, 30.0 / 80.0)
+        exact = np.array([mp_filtfilt(b, a, row) for row in x])
+        ours = bandpass(Recording(["a", "b"], FS, x)).data
+        theirs = scipy.signal.filtfilt(b, a, x, axis=1)
+        rms = lambda y: np.sqrt(np.mean((y - exact) ** 2))
+        assert rms(ours) <= rms(theirs)
+        assert np.abs(ours - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("n_samples", [1, 27])
+    def test_run_too_short_to_pad_rejected(self, n_samples):
+        rec = Recording(["a", "b"], FS, np.ones((2, n_samples)))
+        with pytest.raises(ValueError, match=f"{n_samples} samples are too few to filter: "
+                                             f"need more than 27"):
+            bandpass(rec)
+
+    def test_run_too_short_to_pad_fails_only_its_subject(self, tmp_path, rng, capsys):
+        for sid in (1, 2):
+            (tmp_path / "data" / f"S{sid:03d}").mkdir(parents=True)
+        good = make_motor_recording(rng, ["C3", "C4"], n_trials=8, discriminative=(1,))
+        recording_to_edf(tmp_path / "data" / "S001" / "S001R03.edf", good)
+        short = tmp_path / "data" / "S002" / "S002R03.edf"
+        write_edf(short, np.zeros((2, 16)), FS, labels=["C3", "C4"], record_seconds=0.1)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("version = 1\ndataset_root = data\nsubjects = 1,2\nruns = 3\n"
+                       "cache_dir = cache\noutput_dir = out\n")
+        assert cli.main(["prepare", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        assert (list(summary["cached"]), summary["failed_subjects"]) == (["S001"], ["S002"])
+        reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
+        assert reason == "ValueError: 16 samples are too few to filter: need more than 27"
+
+
+def mp_filtfilt(b, a, x):
+    """``scipy.signal.filtfilt(b, a, x)`` of one channel by its definition:
+    odd extension, then the direct-form-II-transposed recurrence forward and
+    backward from the scaled step-response steady state, sample by sample in
+    40-digit arithmetic on the float64 coefficients."""
+    with mpmath.workdps(40):
+        b, a, x = ([mpmath.mpf(float(v)) for v in seq] for seq in (b, a, x))
+        m, edge = len(a) - 1, 3 * len(a)
+        # (I - A) zi = B for A = companion(a).T, B = b[1:] - a[1:] b[0]
+        i_minus_a = mpmath.eye(m)
+        for i in range(m):
+            i_minus_a[i, 0] += a[i + 1]
+            if i + 1 < m:
+                i_minus_a[i, i + 1] = -1
+        zi = mpmath.lu_solve(i_minus_a, mpmath.matrix([b[i + 1] - a[i + 1] * b[0]
+                                                       for i in range(m)]))
+
+        def lfilter(seq):
+            z, out = [zi[i] * seq[0] for i in range(m)], []
+            for v in seq:
+                y = b[0] * v + z[0]
+                z = [z[i + 1] + b[i + 1] * v - a[i + 1] * y for i in range(m - 1)] \
+                    + [b[m] * v - a[m] * y]
+                out.append(y)
+            return out
+
+        n = len(x)
+        ext = ([2 * x[0] - x[i] for i in range(edge, 0, -1)] + x
+               + [2 * x[-1] - x[n - 2 - i] for i in range(edge)])
+        y = lfilter(lfilter(ext)[::-1])[::-1]
+        return [float(v) for v in y[edge:edge + n]]
 
 
 class TestEpochTrials:
