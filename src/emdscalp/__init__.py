@@ -2,11 +2,12 @@
 domain knowledge with exact earth mover's distance, plus the Riemannian
 minimum-distance-to-mean classification pipeline that produces those maps.
 
-Modules import scipy inside the functions that call it, so importing the
-package loads numpy alone and each command pays only for the scipy it uses.
-Preprocessing needs none: `signal.bandpass` designs its Butterworth filter
+Only `transport` uses scipy (HiGHS, for exact EMD), and imports it inside
+the function that calls it, so importing the package, and every command but
+``emd``, loads numpy alone.  `signal.bandpass` designs its Butterworth filter
 and runs the zero-phase recurrence in numpy, in blocks of 64 samples, to
-within about 1e-13 of scipy's ``filtfilt``.
+within about 1e-13 of scipy's ``filtfilt``; `spdgeom` reduces every SPD
+distance and eigenproblem by a Cholesky whitener.
 """
 
 from .montage import (

@@ -273,7 +273,7 @@ def read_epoch_cache(cache_dir: Path, subject: int) -> tuple[np.ndarray, dict]:
 # derived-result memo
 
 #: Part of every memo key; bump it when ``spdgeom``'s numerics change.
-MEMO_VERSION = 5
+MEMO_VERSION = 6
 
 
 class DerivedMemo:
@@ -324,13 +324,8 @@ class DerivedMemo:
             if (mean.dtype.str, mean.shape) != (_EPOCH_DTYPE.str, (dim, dim)):
                 raise ValueError(f"centroid is {mean.dtype.str} {mean.shape}, "
                                  f"expected {_EPOCH_DTYPE.str} {(dim, dim)}")
-            if not np.isfinite(mean).all():
-                raise ValueError("centroid has a non-finite entry")
-            if np.abs(mean - mean.T).max() > spdgeom.SYMMETRY_RTOL * np.abs(mean).max():
-                raise ValueError(f"centroid is not symmetric within {spdgeom.SYMMETRY_RTOL} "
-                                 "relative")
-            if not np.linalg.eigvalsh(mean)[0] > 0:
-                raise ValueError("centroid is not positive definite")
+            # finite, symmetric and positive definite, as every centroid user checks
+            spdgeom._whitener(spdgeom._check_square_symmetric(mean, "centroid"), "centroid")
         return mean
 
     def elimination(self, covs: np.ndarray, labels: list[str],
@@ -523,7 +518,8 @@ def _prepare_subject(cfg: ExperimentConfig, cache_dir: Path, subject: int,
             )
         if not np.isfinite(rec.data).all():
             raise ValueError(f"{tag}: {path} holds non-finite samples")
-        rec = signal.bandpass(rec, cfg.band_lo, cfg.band_hi)
+        with _reading(path):
+            rec = signal.bandpass(rec, cfg.band_lo, cfg.band_hi)
         offset = max(index["trials"], default=-1) + 1
         epochs = signal.epoch_trials(rec, trial_offset=offset)
         if epochs:

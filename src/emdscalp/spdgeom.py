@@ -3,9 +3,9 @@
 Affine-invariant distance, Fréchet (geometric) mean, the minimum-distance-
 to-mean classifier, and backward-elimination channel selection driven by
 inter-class centroid distance.  The Fréchet mean takes safeguarded
-Riemannian Newton steps (`_newton_direction`).  `mdm_predict` classifies a
-whole sequence with one whitening per centroid and one batched eigenvalue
-solve, in numpy alone.  Each elimination step
+Riemannian Newton steps (`_newton_direction`).  Distances, `mdm_predict`
+and the elimination pencils reduce a pair (C, X) to ``eig(W X W^T)`` by C's
+Cholesky whitener W (`_whitener`), in numpy alone.  Each elimination step
 solves every class pair's generalized eigenproblem once and scores all
 leave-one-channel-out candidates from it with a contour-integral trace
 formula (`_leave_one_out_sq`).  Matrices are plain float ndarrays; a set
@@ -79,21 +79,37 @@ def _blocks(n: int):
 
 def _check_square_symmetric(m: np.ndarray, what: str = "matrix", ndim: int = 2
                             ) -> np.ndarray:
-    """`m` as a float array of `ndim` 2 (one matrix) or 3 (a stack); errors
-    about a stack's matrix j call it ``what j``."""
+    """`m` as a float array of `ndim` 2 (one matrix) or 3 (a stack), finite
+    (checked first) and symmetric; errors call a stack's matrix j ``what j``."""
     m = np.asarray(m, dtype=float)
     if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"{what} must be square, got shape {m.shape}")
     stack = m.reshape(-1, *m.shape[-2:])
+
+    def name(j) -> str:
+        return what if ndim == 2 else f"{what} {j}"
+
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"{name(int(np.argmin(finite)))} has a non-finite entry")
     for s in _blocks(len(stack)):
         b = stack[s]
         scale = np.maximum(np.abs(b).max(axis=(1, 2), initial=0.0), 1e-300)
         asym = np.abs(b - b.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
         bad = np.flatnonzero(asym > SYMMETRY_RTOL * scale)
         if bad.size:
-            name = what if ndim == 2 else f"{what} {s.start + bad[0]}"
-            raise ValueError(f"{name} is not symmetric within {SYMMETRY_RTOL} relative")
+            raise ValueError(f"{name(s.start + bad[0])} is not symmetric within "
+                             f"{SYMMETRY_RTOL} relative")
     return m
+
+
+def _whitener(c: np.ndarray, what: str) -> np.ndarray:
+    """``W = L^{-1}`` for the Cholesky factor ``L L^T = c``, so that
+    ``W c W^T = I``; a ``ValueError`` naming `what` if `c` is not SPD."""
+    try:
+        return np.linalg.inv(np.linalg.cholesky(c))
+    except np.linalg.LinAlgError:
+        raise ValueError(f"{what} must be positive definite") from None
 
 
 def _clamped_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -226,20 +242,16 @@ def shrink(cov: np.ndarray, shrinkage: float) -> np.ndarray:
 def riemannian_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Affine-invariant Riemannian distance between two SPD matrices.
 
-    ``delta(A, B) = || log(A^{-1/2} B A^{-1/2}) ||_F``, computed from the
-    generalized eigenvalues of the pencil (A, B).  Symmetric, zero iff
-    A == B, and invariant under congruence A -> W A W^T.
+    ``delta(A, B) = || log(A^{-1/2} B A^{-1/2}) ||_F``, from the eigenvalues
+    of ``W B W^T`` for A's Cholesky whitener W.  Symmetric, zero iff A == B,
+    and invariant under congruence A -> W A W^T.
     """
     a = _check_square_symmetric(a, "first matrix")
     b = _check_square_symmetric(b, "second matrix")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    import scipy.linalg
-
-    try:
-        w = scipy.linalg.eigvalsh(a, b)
-    except np.linalg.LinAlgError:
-        raise ValueError("inputs must be positive definite") from None
+    wa = _whitener(a, "inputs")
+    w = np.linalg.eigvalsh(wa @ b @ wa.T)
     if w[0] <= 0 or not np.all(np.isfinite(w)):
         raise ValueError("inputs must be positive definite")
     return float(np.sqrt((np.log(w) ** 2).sum()))
@@ -277,11 +289,7 @@ def frechet_mean(
     if len(mats) == 0:
         raise ValueError("need at least one matrix")
     # one memory layout for every caller, so sums run in the same order
-    stack = np.ascontiguousarray(mats, dtype=float)
-    finite = np.isfinite(stack.reshape(len(stack), -1)).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"matrix {int(np.argmin(finite))} has a non-finite entry")
-    stack = _check_square_symmetric(stack, ndim=3)
+    stack = _check_square_symmetric(np.ascontiguousarray(mats, dtype=float), ndim=3)
     mean = stack.mean(axis=0)
     us, logw = np.empty_like(stack), np.empty(stack.shape[:2])
     residual = best = np.inf
@@ -395,11 +403,11 @@ def mdm_predict(model: MDMModel, covs: Sequence[np.ndarray]) -> list[Hashable]:
     sequence of matrices or one ``(n, d, d)`` array); ties go to the first
     declared class.
 
-    Each centroid C whitens the whole stack once, and one batched
-    eigenvalue solve gives every ``riemannian_distance(C, X)^2 =
-    sum log^2 eig(C^{-1/2} X C^{-1/2})``.  Each covariance must match the
-    model's dimension and be symmetric, finite and positive definite; an
-    error names the index j of the first that is not.
+    Each centroid's Cholesky whitener W whitens the whole stack once, and
+    one batched eigenvalue solve gives every ``riemannian_distance(C, X)^2 =
+    sum log^2 eig(W X W^T)``.  Each covariance must match the model's
+    dimension and be symmetric, finite and positive definite; an error
+    names the index j of the first that is not.
     """
     dim = model.dim
     if not isinstance(covs, np.ndarray):
@@ -410,21 +418,18 @@ def mdm_predict(model: MDMModel, covs: Sequence[np.ndarray]) -> list[Hashable]:
         covs = np.asarray(covs, dtype=float).reshape(len(covs), dim, dim)
     elif covs.shape[1:] != (dim, dim):
         raise ValueError(f"covariance 0 dim {covs.shape[1:]} does not match model dim {dim}")
-    stack = _check_square_symmetric(covs, "covariance", ndim=3)
-    whitened = np.empty((len(model.centroids), *stack.shape))
-    for k, c in enumerate(model.centroids):
-        w, V = np.linalg.eigh(_check_square_symmetric(c, "centroid"))
-        if not w[0] > 0:
-            raise ValueError("centroids must be positive definite")
-        isq = (V / np.sqrt(w)) @ V.T
-        whitened[k] = isq @ stack @ isq
 
     def require(ok: np.ndarray) -> None:
         if not ok.all():
             raise ValueError(f"covariance {int(np.argmin(ok))} must be finite and "
                              "positive definite")
 
-    require(np.isfinite(whitened).all(axis=(0, 2, 3)))
+    require(np.isfinite(covs).all(axis=(1, 2)))
+    stack = _check_square_symmetric(covs, "covariance", ndim=3)
+    whitened = np.empty((len(model.centroids), *stack.shape))
+    for k, c in enumerate(model.centroids):
+        wc = _whitener(_check_square_symmetric(c, "centroid"), "centroids")
+        whitened[k] = wc @ stack @ wc.T
     w = np.linalg.eigvalsh(whitened)
     require((w[..., 0] > 0).all(axis=0))
     sq = (np.log(w) ** 2).sum(axis=-1)
@@ -456,16 +461,13 @@ class SelectionTrace:
 
 
 def _pencil(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Generalized eigenpairs A x = lam B x with X^T B X = I, lam ascending.
-    import scipy.linalg
-
-    try:
-        lam, x = scipy.linalg.eigh(a, b)
-    except np.linalg.LinAlgError:
-        raise ValueError("centroids must be positive definite") from None
+    # Generalized eigenpairs A x = lam B x with X^T B X = I, lam ascending:
+    # lam, Y = eigh(W A W^T) for B's whitener W, and X = W^T Y.
+    wb = _whitener(b, "centroids")
+    lam, y = np.linalg.eigh(wb @ a @ wb.T)
     if lam[0] <= 0 or not np.all(np.isfinite(lam)):
         raise ValueError("centroids must be positive definite")
-    return lam, x
+    return lam, wb.T @ y
 
 
 def _leave_one_out_sq(loglam: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -76,18 +76,30 @@ def test_report_loads_no_scipy_and_emd_no_stats_or_signal(tmp_path):
     assert not [m for m in loaded if m.startswith(("scipy.stats", "scipy.signal"))]
 
 
-def test_train_eval_all64_loads_no_scipy(tmp_path, rng):
+@pytest.mark.parametrize("command", ["all64", "mi21", "feat21", "select-channels"])
+def test_training_commands_load_no_scipy(tmp_path, rng, command):
+    # 21 baseline channels for mi21 and three more for feat21's elimination
+    names = [*relevance.MI_BASELINE_CHANNELS, "F3", "Fz", "F4"]
     (tmp_path / "data" / "S001").mkdir(parents=True)
     for run in (3, 4):
-        rec = make_motor_recording(rng, ["Fc5.", "C3..", "C4..", "Cz.."], n_trials=8,
-                                   discriminative=(1, 2))
+        rec = make_motor_recording(rng, names, n_trials=8, discriminative=(8, 12))
         recording_to_edf(tmp_path / "data" / "S001" / f"S001R{run:02d}.edf", rec)
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("version = 1\ndataset_root = data\nsubjects = 1\nruns = 3,4\n"
-                   "channel_config = all64\ncache_dir = cache\noutput_dir = out\n")
+                   f"channel_config = {'feat21' if command == 'select-channels' else command}\n"
+                   "cache_dir = cache\noutput_dir = out\n")
     assert cli.main(["prepare", "--config", str(cfg)]) == 0
-    assert loaded_scipy("train-eval", "--config", str(cfg)) == []
-    assert (tmp_path / "out" / "rows.csv").exists()
+    argv = ["train-eval", "--config", str(cfg)]
+    if command == "select-channels":
+        # centroids from the memo, the elimination computed afresh
+        assert cli.main(argv) == 0
+        traces = list((tmp_path / "cache" / "S001" / "derived").glob("trace-*.json"))
+        assert len(traces) == 1
+        traces[0].unlink()
+        argv[0] = command
+    assert loaded_scipy(*argv) == []
+    assert (tmp_path / "out" / ("trace_S001.json" if command == "select-channels"
+                                else "rows.csv")).exists()
 
 
 def test_prepare_loads_no_scipy(tmp_path, rng):
@@ -102,8 +114,9 @@ def test_prepare_loads_no_scipy(tmp_path, rng):
 
 
 def test_prepare_is_byte_identical_across_blas_thread_counts(tmp_path, rng):
-    # 64 channels: the filter's block products and the covariances are large
-    # enough for OpenBLAS to split them over two threads
+    # 64 channels: the filter's block products, the covariances and the
+    # elimination's whitened pencils are large enough for OpenBLAS to split
+    # them over two threads
     (tmp_path / "data" / "S001").mkdir(parents=True)
     rec = make_motor_recording(rng, [f"Ch{i}" for i in range(64)], n_trials=4)
     recording_to_edf(tmp_path / "data" / "S001" / "S001R03.edf", rec)
@@ -111,13 +124,14 @@ def test_prepare_is_byte_identical_across_blas_thread_counts(tmp_path, rng):
     for threads in ("1", "2"):
         cfg = tmp_path / f"exp{threads}.cfg"
         cfg.write_text(f"version = 1\ndataset_root = data\nsubjects = 1\nruns = 3\n"
-                       f"cache_dir = cache{threads}\noutput_dir = out\n")
-        assert run_fresh("import json, sys, emdscalp.cli; "
-                         "print(json.dumps(emdscalp.cli.main(sys.argv[1:])))",
-                         "prepare", "--config", str(cfg),
-                         env={"OPENBLAS_NUM_THREADS": threads}) == 0
-        npy = tmp_path / f"cache{threads}" / "S001" / "epochs.npy"
-        digests.append(hashlib.sha256(npy.read_bytes()).hexdigest())
+                       f"cache_dir = cache{threads}\noutput_dir = out{threads}\n")
+        assert run_fresh("import json, sys, emdscalp.cli; print(json.dumps([emdscalp.cli.main("
+                         "[command, '--config', sys.argv[1]]) for command in "
+                         "('prepare', 'select-channels')]))",
+                         str(cfg), env={"OPENBLAS_NUM_THREADS": threads}) == [0, 0]
+        digests.append([hashlib.sha256(path.read_bytes()).hexdigest() for path in (
+            tmp_path / f"cache{threads}" / "S001" / "epochs.npy",
+            tmp_path / f"out{threads}" / "trace_S001.json")])
     assert digests[0] == digests[1]
 
 

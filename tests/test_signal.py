@@ -284,7 +284,8 @@ class TestBandpass:
         summary = json.loads(captured.out)
         assert (list(summary["cached"]), summary["failed_subjects"]) == (["S001"], ["S002"])
         reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
-        assert reason == "ValueError: 16 samples are too few to filter: need more than 27"
+        assert reason == (f"ValueError: {short}: ValueError: 16 samples are too few to "
+                          "filter: need more than 27")
 
 
 def mp_filtfilt(b, a, x):

@@ -51,6 +51,18 @@ def rel_diff(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
+def log_spread_pair(rng, dim, spread=3.0):
+    """Two random SPD matrices whose log-eigenvalues each span at most
+    `spread`: pencils that scipy's ``eigh(a, b)`` solves to near eps."""
+    def spd():
+        q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+        return (q * np.exp(rng.uniform(0.0, spread, dim))) @ q.T
+    return spd(), spd()
+
+
+NON_FINITE = pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+
+
 class TestCovariance:
     def test_white_noise_near_scaled_identity(self, rng):
         sigma = 2.0
@@ -161,6 +173,22 @@ class TestRiemannianDistance:
         m = np.array([[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError, match="symmetric"):
             riemannian_distance(m, np.eye(2))
+
+    @NON_FINITE
+    @pytest.mark.parametrize("first", [True, False])
+    def test_non_finite_rejected_before_arithmetic(self, rng, value, first):
+        a, bad = rand_spd(rng, 4), rand_spd(rng, 4)
+        bad[1, 2] = bad[2, 1] = value
+        which = "first" if first else "second"
+        with pytest.raises(ValueError, match=f"^{which} matrix has a non-finite entry$"):
+            riemannian_distance(*((bad, a) if first else (a, bad)))
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 21, 64])
+    def test_agrees_with_scipy_generalized_eigenvalues(self, rng, dim):
+        for _ in range(5):
+            a, b = log_spread_pair(rng, dim)
+            expected = np.sqrt((np.log(scipy.linalg.eigvalsh(a, b)) ** 2).sum())
+            assert abs(riemannian_distance(a, b) - expected) <= 1e-13 * expected
 
 
 class TestFrechetMean:
@@ -299,7 +327,7 @@ class TestStackedKernels:
         assert mean.tobytes() == frechet_mean(mats).tobytes()
 
     @pytest.mark.parametrize("dim", [8, 64])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @NON_FINITE
     def test_frechet_mean_rejects_non_finite_input(self, rng, dim, value):
         mats = [rand_spd(rng, dim) for _ in range(20)]
         mats[13][1, 4] = mats[13][4, 1] = value
@@ -376,7 +404,7 @@ class TestMDM:
         for x, pred in zip(covs, preds):
             d = [riemannian_distance(c, x) for c in model.centroids]
             best = min(d)
-            # the pencil and the whitening round differently: a near-tie may
+            # batched and one-matrix whitening may round differently: a near-tie may
             # go either way, but never to a class that is not nearest
             assert d[model.classes.index(pred)] <= best * (1 + 1e-9) + 1e-12
             if sorted(d)[1] > best * (1 + 1e-9) + 1e-12:
@@ -397,6 +425,21 @@ class TestMDM:
         for given_as in (list, np.stack):
             with pytest.raises(ValueError, match=message):
                 mdm_predict(model, given_as(covs[:j] + [bad] + covs[j + 1:]))
+
+    @NON_FINITE
+    def test_non_finite_rejected_before_arithmetic(self, rng, value):
+        covs, labels = make_spd_dataset(rng, 4, dim=4)
+        model = mdm_fit(covs, labels)
+        bad = covs[5].copy()
+        bad[0, 3] = bad[3, 0] = value
+        for given_as in (list, np.stack):
+            with pytest.raises(ValueError,
+                               match="^covariance 5 must be finite and positive definite$"):
+                mdm_predict(model, given_as(covs[:5] + [bad] + covs[6:]))
+        broken = spdgeom.MDMModel(model.classes, (model.centroids[0], bad),
+                                  model.channel_subset)
+        with pytest.raises(ValueError, match="^centroid has a non-finite entry$"):
+            mdm_predict(broken, covs)
 
     def test_predict_empty_sequence(self, rng):
         covs, labels = make_spd_dataset(rng, 4, dim=4)
@@ -526,6 +569,25 @@ class TestBackwardElimination:
         pair = [indefinite, a] if first else [a, indefinite]
         with pytest.raises(ValueError, match="positive definite"):
             backward_elimination(pair, target_k=2)
+
+    @NON_FINITE
+    @pytest.mark.parametrize("first", [True, False])
+    def test_non_finite_centroid_rejected_before_arithmetic(self, rng, value, first):
+        a, bad = rand_spd(rng, 5), rand_spd(rng, 5)
+        bad[2, 2] = value
+        with pytest.raises(ValueError, match="^centroid has a non-finite entry$"):
+            backward_elimination([bad, a] if first else [a, bad], target_k=2)
+
+    @pytest.mark.parametrize("dim", [1, 2, 8, 21, 64])
+    def test_pencil_agrees_with_scipy_eigh(self, rng, dim):
+        # the same eigenvalues, and eigenvectors that diagonalize both
+        # matrices as scipy's do
+        for _ in range(5):
+            a, b = log_spread_pair(rng, dim)
+            lam, x = spdgeom._pencil(a, b)
+            assert np.abs(np.log(lam) - np.log(scipy.linalg.eigh(a, b)[0])).max() <= 1e-12
+            assert np.abs(x.T @ b @ x - np.eye(dim)).max() <= 1e-13
+            assert np.abs(x.T @ a @ x - np.diag(lam)).max() <= 1e-14 * lam[-1]
 
     def test_strictly_decreasing_subset_chain(self, rng):
         covs, labels = make_spd_dataset(rng, 10, dim=6)
