@@ -2,12 +2,14 @@
 domain knowledge with exact earth mover's distance, plus the Riemannian
 minimum-distance-to-mean classification pipeline that produces those maps.
 
-Only `transport` uses scipy (HiGHS, for exact EMD), and imports it inside
-the function that calls it, so importing the package, and every command but
-``emd``, loads numpy alone.  `signal.bandpass` designs its Butterworth filter
-and runs the zero-phase recurrence in numpy, in blocks of 64 samples, to
-within about 1e-13 of scipy's ``filtfilt``; `spdgeom` reduces every SPD
-distance and eigenproblem by a Cholesky whitener.
+The package runs on numpy alone: no module imports scipy, so neither the
+package nor any command loads it.  `transport` solves the exact EMD by a
+transportation simplex and proves each plan optimal by duality;
+`signal.bandpass` designs its Butterworth filter and runs the zero-phase
+recurrence in numpy, in blocks of 64 samples, to within about 1e-13 of
+scipy's ``filtfilt``; `spdgeom` reduces every SPD distance and eigenproblem
+by a Cholesky whitener, and `mdm_fit` fits its class means concurrently on
+the CPUs the process may use.
 """
 
 from .montage import (

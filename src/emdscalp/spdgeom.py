@@ -18,6 +18,8 @@ largest, never silently (see `clamped_eigenvalue_count`).
 from __future__ import annotations
 
 import json
+import os
+import threading
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
@@ -53,6 +55,7 @@ _CG_RTOL = 1e-6
 _BLOCK = 32
 
 _n_clamped = 0
+_n_clamped_lock = threading.Lock()
 
 
 class EigenvalueClampWarning(UserWarning):
@@ -70,6 +73,57 @@ class FrechetMeanError(RuntimeError):
 def clamped_eigenvalue_count() -> int:
     """Running count of eigenvalues clamped by spectral matrix functions."""
     return _n_clamped
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _in_order(fn: Callable, items: Sequence) -> list:
+    """``[fn(x) for x in items]``, with up to `_usable_cpus` items at once.
+
+    The caller runs ``items[0]`` while helper threads, one per other usable
+    CPU, take the later items in order; on one CPU the caller runs them all
+    inline.  numpy's ``eigh`` and ``matmul`` release the GIL, so the items
+    run in parallel.  Results come back in item order, and the first item in
+    that order that raised re-raises its exception; no item starts once one
+    has failed.
+    """
+    results, errors = [None] * len(items), {}
+    lock = threading.Lock()
+    pending = iter(range(len(items)))
+
+    def run(i: int) -> None:
+        try:
+            results[i] = fn(items[i])
+        except BaseException as exc:
+            with lock:
+                errors[i] = exc
+
+    def work() -> None:
+        while True:
+            with lock:
+                i = None if errors else next(pending, None)
+            if i is None:
+                return
+            run(i)
+
+    first = next(pending)  # claimed before any helper starts
+    helpers = [threading.Thread(target=work) for _ in range(min(len(items), _usable_cpus()) - 1)]
+    for t in helpers:
+        t.start()
+    run(first)
+    if not helpers:
+        work()
+    for t in helpers:
+        t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _blocks(n: int):
@@ -122,7 +176,8 @@ def _clamped_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("matrix has no positive eigenvalue")
     below = int(np.count_nonzero(w < floor))
     if below:
-        _n_clamped += below
+        with _n_clamped_lock:
+            _n_clamped += below
         warnings.warn(
             f"clamped {below} eigenvalue(s) below {EIG_CLAMP_REL:g} of their "
             "matrix's largest",
@@ -376,7 +431,10 @@ def mdm_fit(
     `mean`, called as ``mean(mats, tol=tol, max_iter=max_iter)`` with the
     class's restricted covariances as one ``(n_c, k, k)`` array, replaces
     `frechet_mean` for each class, e.g. to return centroids the caller
-    already has.
+    already has.  The classes run concurrently on the CPUs this process may
+    use (`_in_order`), so `mean` must be safe to call from several threads;
+    the centroids, and the error raised when a class fails, are those of
+    fitting the classes one by one in class order.
     """
     if len(covs) != len(labels):
         raise ValueError("covs and labels lengths differ")
@@ -391,10 +449,9 @@ def mdm_fit(
         raise ValueError(f"channel subset out of range for dim {dim}")
     classes, groups = _class_partition(labels, classes)
     mean = frechet_mean if mean is None else mean
-    centroids = tuple(
-        mean(covs[np.ix_(groups[c], subset, subset)], tol=tol, max_iter=max_iter)
-        for c in classes
-    )
+    centroids = tuple(_in_order(
+        lambda c: mean(covs[np.ix_(groups[c], subset, subset)], tol=tol, max_iter=max_iter),
+        classes))
     return MDMModel(classes=classes, centroids=centroids, channel_subset=subset)
 
 

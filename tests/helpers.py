@@ -1,9 +1,8 @@
 """Shared test utilities: independent oracles and synthetic data builders.
 
-The LP oracle solves the full flow polytope with scipy's HiGHS and shares no
-code with the transport module; since the transport module also solves with
-HiGHS, the assignment oracle checks integer-mass maps with a different
-algorithm.  The EDF writer produces identity-scaled files so integer-valued
+The LP oracle solves the full flow polytope with scipy's HiGHS and the
+assignment oracle integer-mass maps with scipy's assignment solver; neither
+shares code or algorithm with the transport module's simplex.  The EDF writer produces identity-scaled files so integer-valued
 samples round-trip exactly.
 """
 

@@ -50,9 +50,11 @@ def test_criterion_01_emd_oracle_equivalence(rng, layout):
         rel = abs(got - want) / max(abs(want), 1e-12)
         worst = max(worst, rel)
         assert_allclose(got, want, rtol=1e-9, atol=1e-12)
-    # The LP oracle and emd both use HiGHS; the assignment oracle does not.
-    # Integer-mass pairs on grids up to 6x6, then the paper's case: binary
-    # top-21 maps against the 21-channel baseline on the packaged layout.
+    # emd solves by a numpy transportation simplex, so the LP oracle (HiGHS
+    # on the full flow polytope) is independent of it, and so is the
+    # assignment oracle: integer-mass pairs on grids up to 6x6, then the
+    # paper's case, binary top-21 maps against the 21-channel baseline on the
+    # packaged layout.
     pairs = [random_integer_map_pair(rng, int(rng.integers(2, 7))) for _ in range(n_pairs)]
     base = relevance.mi_baseline(layout)
     names = [e.name for e in layout.electrodes]

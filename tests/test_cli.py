@@ -3,6 +3,7 @@ import io
 import json
 import re
 import shutil
+import threading
 import weakref
 from dataclasses import fields, replace
 from pathlib import Path
@@ -17,7 +18,7 @@ from hypothesis.extra import numpy as hnp
 from emdscalp import cli, montage, relevance, signal, spdgeom, transport
 from emdscalp.cli import load_config, main, render_map_svg
 
-from helpers import make_motor_recording, recording_to_edf
+from helpers import make_motor_recording, rand_spd, recording_to_edf
 
 CHANNELS_6 = ["Fc5.", "C3..", "C4..", "Cz..", "Fp1.", "Oz.."]
 
@@ -754,6 +755,32 @@ class TestDerivedMemo:
         assert dims.count(6) == 4 and dims.count(2) == 4 and len(dims) == 8
         assert len(eliminations) == 2
 
+    @pytest.mark.parametrize("same_key", [False, True], ids=["two-keys", "one-key"])
+    def test_concurrent_class_writes_do_not_collide(self, tmp_path, rng, monkeypatch,
+                                                    same_key):
+        # Two classes fitted on two threads store their centroids at the same
+        # moment; with equal covariances both write the same entry.
+        monkeypatch.setattr(spdgeom, "_usable_cpus", lambda: 2)
+        frechet_mean, barrier = spdgeom.frechet_mean, threading.Barrier(2, timeout=30)
+
+        def in_step(mats, **kwargs):
+            mean = frechet_mean(mats, **kwargs)
+            barrier.wait()
+            return mean
+
+        monkeypatch.setattr(spdgeom, "frechet_mean", in_step)
+        first = [rand_spd(rng, 4) for _ in range(3)]
+        covs = np.array(first + (first if same_key else [rand_spd(rng, 4) for _ in range(3)]))
+        labels = [0, 0, 0, 1, 1, 1]
+        memo = cli.DerivedMemo(tmp_path, 1)
+        fitted = spdgeom.mdm_fit(covs, labels, mean=memo.frechet_mean).centroids
+        entries = sorted(p.name for p in memo.root.iterdir())
+        assert len(entries) == 1 + (not same_key)
+        assert all(re.fullmatch(r"centroid-[0-9a-f]{64}\.npy", name) for name in entries)
+        monkeypatch.setattr(spdgeom, "frechet_mean", None)  # every centroid from the memo
+        read = spdgeom.mdm_fit(covs, labels, mean=memo.frechet_mean).centroids
+        assert [c.tobytes() for c in read] == [c.tobytes() for c in fitted]
+
     def test_warm_memo_outputs_byte_identical(self, workspace):
         tmp_path, cfg = workspace
         assert main(["prepare", "--config", str(cfg)]) == 0
@@ -941,6 +968,24 @@ class TestEmdCommand:
         table = json.loads((tmp_path / "out" / "emd_table.json").read_text())
         assert [r["model"] for r in table] == ["near", "far"]
         assert [r["rank"] for r in table] == [1, 2]
+
+    def test_distances_scale_with_rebalance_target(self, tmp_path, layout):
+        # both columns are nonzero, and follow the mass scale far below 1
+        names = [e.name for e in layout.electrodes if e.name not in
+                 relevance.MI_BASELINE_CHANNELS][:30]
+        counts = {name: 1 + i % 4 for i, name in enumerate(names)}
+        (tmp_path / "ok.json").write_text(json.dumps({"counts": counts}))
+        cfg = write_config(tmp_path / "exp.cfg", target_k=21)
+        tables = []
+        for target in ("21", "1e-8"):
+            out = tmp_path / f"out{target}"
+            assert main(["emd", "--config", str(cfg), "--rebalance-to", target,
+                         "--output-dir", str(out), "--cohorts", f"c={tmp_path / 'ok.json'}"]) == 0
+            tables.append(json.loads((out / "emd_table.json").read_text()))
+        default, small = tables[0][0], tables[1][0]
+        assert default["emd_binary"] > 1 and default["emd_weighted"] > 1
+        for column in ("emd_binary", "emd_weighted"):
+            assert small[column] == pytest.approx(default[column] * 1e-8 / 21, rel=1e-9, abs=0)
 
     def test_non_finite_rebalance_target_rejected(self, tmp_path, layout, capsys):
         montage.save_spatial_map(relevance.mi_baseline(layout), tmp_path / "m.csv")

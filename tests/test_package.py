@@ -38,15 +38,18 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
 
-def run_fresh(code: str, *argv: str, env: dict[str, str] | None = None):
+def run_fresh(code: str, *argv: str, env: dict[str, str] | None = None,
+              cpus: set[int] | None = None):
     """Run `code` with `argv` in a fresh interpreter that imports this
-    package, with `env` added to the environment; return the JSON value on
-    its last line of output."""
+    package, with `env` added to the environment and, if given, its CPU
+    affinity set to `cpus`; return the JSON value on its last line of
+    output."""
     src = str(Path(emdscalp.__file__).parents[1])
     env = {**os.environ, **(env or {}), "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    pin = None if cpus is None else (lambda: os.sched_setaffinity(0, cpus))
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
-                          capture_output=True, text=True, check=True)
+                          capture_output=True, text=True, check=True, preexec_fn=pin)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -58,7 +61,7 @@ def test_import_loads_no_scipy():
     assert loaded_scipy() == []
 
 
-def test_report_loads_no_scipy_and_emd_no_stats_or_signal(tmp_path):
+def test_report_and_emd_load_no_scipy(tmp_path):
     rows = tmp_path / "rows.csv"
     rows.write_text("subject,channel_config,chance,overall\n" + "".join(
         f"{s},{c},0.5,{0.6 + 0.01 * s + (c == 'all64') * 0.001 * s}\n"
@@ -71,9 +74,8 @@ def test_report_loads_no_scipy_and_emd_no_stats_or_signal(tmp_path):
     layout = montage.default_layout()
     shifted = montage.SpatialMap(layout.n, np.roll(relevance.mi_baseline(layout).mass, 1, axis=0))
     montage.save_spatial_map(shifted, tmp_path / "m.csv")
-    loaded = loaded_scipy("emd", "--maps", f"m={tmp_path / 'm.csv'}", "--output-dir", out)
-    assert "scipy.optimize" in loaded
-    assert not [m for m in loaded if m.startswith(("scipy.stats", "scipy.signal"))]
+    assert loaded_scipy("emd", "--maps", f"m={tmp_path / 'm.csv'}", "--output-dir", out) == []
+    assert json.loads((tmp_path / "out" / "emd_table.json").read_text())[0]["emd_binary"] > 0
 
 
 @pytest.mark.parametrize("command", ["all64", "mi21", "feat21", "select-channels"])
@@ -100,6 +102,73 @@ def test_training_commands_load_no_scipy(tmp_path, rng, command):
     assert loaded_scipy(*argv) == []
     assert (tmp_path / "out" / ("trace_S001.json" if command == "select-channels"
                                 else "rows.csv")).exists()
+
+
+#: Run in a fresh interpreter with scipy blocked: the whole command chain on
+#: the configs in the directory ``sys.argv[1]``; print the return codes.
+_CHAIN_WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
+import emdscalp.cli
+run = sys.argv[1]
+out = run + "/out"
+chain = [["prepare", "--config", run + "/all64.cfg"]]
+chain += [["train-eval", "--config", f"{run}/{c}.cfg"] for c in ("all64", "mi21", "feat21")]
+chain += [
+    ["select-channels", "--config", run + "/select.cfg"],
+    ["emd", "--config", run + "/all64.cfg", "--output-dir", out + "/emd",
+     "--cohorts", f"select={out}/select/cohort_riemannian.json",
+     f"feat21={out}/feat21/cohort_riemannian.json",
+     "--maps", f"top21={out}/feat21/map_riemannian_binary_top21.csv"],
+    ["report", "--config", run + "/all64.cfg", "--output-dir", out + "/report",
+     "--rows", *(f"{out}/{c}/rows.csv" for c in ("all64", "mi21", "feat21"))],
+]
+print(json.dumps([emdscalp.cli.main(argv) for argv in chain]))
+"""
+
+
+def chain_digests(tmp_path: Path, rng, names: list[str], runs: dict[str, set[int] | None]
+                  ) -> dict[str, dict[str, str]]:
+    """Run `_CHAIN_WITHOUT_SCIPY` once per entry of `runs` (name: CPU set or
+    None) on one shared two-run subject; return each run's sha256 digests of
+    every file it wrote (cache, memo and outputs)."""
+    data = tmp_path / "data"
+    (data / "S001").mkdir(parents=True)
+    for run in (3, 4):
+        rec = make_motor_recording(rng, names, n_trials=8, discriminative=(8, 12))
+        recording_to_edf(data / "S001" / f"S001R{run:02d}.edf", rec)
+    digests = {}
+    for name, cpus in runs.items():
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        for cfg, config in (("all64", "all64"), ("mi21", "mi21"), ("feat21", "feat21"),
+                            ("select", "feat21")):
+            (run_dir / f"{cfg}.cfg").write_text(
+                f"version = 1\ndataset_root = {data}\nsubjects = 1\nruns = 3,4\n"
+                f"channel_config = {config}\ncache_dir = cache\noutput_dir = out/{cfg}\n")
+        assert run_fresh(_CHAIN_WITHOUT_SCIPY, str(run_dir), cpus=cpus) == [0] * 7
+        digests[name] = {str(p.relative_to(run_dir)): hashlib.sha256(p.read_bytes()).hexdigest()
+                         for p in sorted(run_dir.rglob("*")) if p.is_file()}
+    return digests
+
+
+def test_whole_chain_runs_without_scipy(tmp_path, rng):
+    names = [*relevance.MI_BASELINE_CHANNELS, "F3", "Fz", "F4"]
+    files = chain_digests(tmp_path, rng, names, {"run": None})["run"]
+    assert {"out/emd/emd_table.json", "out/report/report.json",
+            "out/select/trace_S001.json", "cache/S001/epochs.npy"} <= set(files)
+    assert len([f for f in files if f.startswith("cache/S001/derived/centroid-")]) == 6
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2, reason="needs two CPUs to pin")
+def test_chain_is_byte_identical_on_one_and_two_cpus(tmp_path, rng):
+    # one CPU fits the class means one after the other, two side by side
+    names = [*relevance.MI_BASELINE_CHANNELS, "F3", "Fz", "F4"]
+    cpus = sorted(os.sched_getaffinity(0))[:2]
+    digests = chain_digests(tmp_path, rng, names, {"one": set(cpus[:1]), "two": set(cpus)})
+    assert len(digests["one"]) > 20
+    assert digests["one"] == digests["two"]
 
 
 def test_prepare_loads_no_scipy(tmp_path, rng):

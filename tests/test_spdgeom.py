@@ -1,4 +1,7 @@
 import inspect
+import sys
+import threading
+import warnings
 
 import mpmath
 import numpy as np
@@ -296,6 +299,110 @@ class TestEigenClamping:
         assert v.tobytes() == np.stack([s[1] for s in singles]).tobytes()
         with pytest.warns(EigenvalueClampWarning):
             frechet_mean(mats, max_iter=2, tol=1e6)
+
+
+def rank_deficient(rng, dim, rank):
+    x = rng.normal(size=(dim, rank))
+    m = x @ x.T
+    return (m + m.T) / 2
+
+
+class TestConcurrentClasses:
+    """`mdm_fit` fits each class after the first on a helper thread."""
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(spdgeom, "_usable_cpus", lambda: 2)
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_centroids_byte_identical_for_any_cpu_count(self, rng, monkeypatch, n_classes):
+        covs = [rand_spd(rng, 6) for _ in range(6 * n_classes)]
+        labels = [i % n_classes for i in range(len(covs))]
+        fits = []
+        for cpus in (1, 2, 4):
+            monkeypatch.setattr(spdgeom, "_usable_cpus", lambda: cpus)
+            fits.append([c.tobytes() for c in mdm_fit(covs, labels).centroids])
+        assert fits[0] == fits[1] == fits[2]
+        want = [frechet_mean([c for c, lab in zip(covs, labels) if lab == k]).tobytes()
+                for k in range(n_classes)]
+        assert fits[0] == want
+
+    def test_later_classes_run_on_helper_threads(self, rng, two_cpus):
+        threads = {}
+
+        def mean(mats, **kwargs):
+            threads[len(mats)] = threading.current_thread()
+            return frechet_mean(mats, **kwargs)
+
+        mdm_fit([rand_spd(rng, 3) for _ in range(5)], ["a", "a", "b", "b", "b"], mean=mean)
+        assert threads[2] is threading.current_thread()
+        assert threads[3] is not threading.current_thread()
+
+    def test_clamp_counts_add_up_across_threads(self, rng, two_cpus):
+        a = [rank_deficient(rng, 8, 3) for _ in range(4)]
+        b = [rank_deficient(rng, 8, 5) for _ in range(5)]
+        count = spdgeom.clamped_eigenvalue_count
+        alone = []
+        for mats in (a, b):
+            before = count()
+            with pytest.warns(EigenvalueClampWarning):
+                frechet_mean(mats, max_iter=3, tol=1e6)
+            alone.append(count() - before)
+        assert min(alone) > 0
+        before = count()
+        with pytest.warns(EigenvalueClampWarning):
+            mdm_fit(a + b, [0] * len(a) + [1] * len(b), max_iter=3, tol=1e6)
+        assert count() - before == sum(alone)
+
+    def test_clamp_count_loses_no_update_under_contention(self, rng, monkeypatch):
+        # eight threads on this host's few cores, switching as often as the
+        # interpreter allows, each adding to the count 300 times
+        monkeypatch.setattr(spdgeom, "_usable_cpus", lambda: 8)
+        mats = [rank_deficient(rng, 3, 1) for _ in range(8)]
+        count = spdgeom.clamped_eigenvalue_count
+        interval = sys.getswitchinterval()
+        before = count()
+        try:
+            sys.setswitchinterval(1e-6)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", EigenvalueClampWarning)
+                spdgeom._in_order(lambda m: [spdgeom._clamped_eigh(m) for _ in range(300)], mats)
+        finally:
+            sys.setswitchinterval(interval)
+        assert count() - before == 8 * 300 * 2
+
+    def test_clamp_warning_from_a_helper_thread_is_a_warning(self, rng, two_cpus):
+        # only the second class, which a helper thread fits, clamps
+        covs = [rand_spd(rng, 4) for _ in range(3)] + [rank_deficient(rng, 4, 2)
+                                                       for _ in range(3)]
+        with pytest.warns(EigenvalueClampWarning, match="clamped"):
+            mdm_fit(covs, [0, 0, 0, 1, 1, 1], max_iter=3, tol=1e6)
+
+    @pytest.mark.parametrize("failing", [(0,), (1,), (0, 1), (1, 2)])
+    def test_first_failing_class_in_order_raises(self, rng, monkeypatch, failing):
+        covs = [rand_spd(rng, 3) for _ in range(9)]
+        labels = [0, 1, 2] * 3
+
+        def mean(mats, **kwargs):
+            k = next(k for k in range(3) if mats[0].tobytes() == covs[k].tobytes())
+            if k in failing:
+                raise ValueError(f"class {k} failed")
+            return frechet_mean(mats, **kwargs)
+
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(spdgeom, "_usable_cpus", lambda: cpus)
+            with pytest.raises(ValueError, match=f"^class {failing[0]} failed$"):
+                mdm_fit(covs, labels, mean=mean)
+
+    def test_non_convergence_raises_the_first_class_error(self, rng, two_cpus):
+        covs = [rand_spd(rng, 5, spread=2.0) for _ in range(8)]
+        labels = ["x", "y"] * 4
+        with pytest.raises(FrechetMeanError) as first:
+            frechet_mean(covs[0::2], max_iter=1)
+        with pytest.raises(FrechetMeanError) as fit:
+            mdm_fit(covs, labels, max_iter=1)
+        assert str(fit.value) == str(first.value)
+        assert fit.value.residual == first.value.residual
 
 
 class TestStackedKernels:

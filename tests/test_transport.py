@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from emdscalp import transport
 from emdscalp.montage import SpatialMap
 from emdscalp.transport import TransportError, emd, ground_cost, rebalance, solve_transport
 
@@ -53,11 +54,51 @@ class TestSolveTransport:
         f = solve_transport(np.ones(n), np.ones(n), cost)
         assert_allclose((cost * f).sum(), 0.0, atol=1e-12)
 
-    def test_solver_failure_raises_named_error(self, monkeypatch):
-        failed = type("Result", (), {"status": 4, "message": "numerical difficulties"})()
-        monkeypatch.setattr("scipy.optimize.linprog", lambda *args, **kwargs: failed)
-        with pytest.raises(TransportError, match="numerical difficulties"):
-            solve_transport(np.ones(2), np.ones(2), np.ones((2, 2)))
+    def test_solver_failure_raises_named_error(self):
+        # A feasible plan that swaps two unit masses, with the duals of the
+        # optimal (staying) plan: every reduced cost is >= 0, so only the gap
+        # between its cost 2 and the dual value 0 shows it is not optimal.
+        a = np.ones(2)
+        cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+        u, v = np.array([0.0, -1.0]), np.array([0.0, 1.0])
+        transport._certify(a, a, cost, np.eye(2), u, v)
+        with pytest.raises(TransportError, match="duality gap 2"):
+            transport._certify(a, a, cost, np.eye(2)[::-1], u, v)
+
+    def test_certificate_names_infeasible_duals_and_flows(self):
+        a = np.ones(2)
+        cost = np.array([[0.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(TransportError, match="reduced cost -2"):
+            transport._certify(a, a, cost, np.eye(2), np.zeros(2), np.array([0.0, 2.0]))
+        u, v = np.array([0.0, -1.0]), np.array([0.0, 1.0])
+        with pytest.raises(TransportError, match="marginals off by 5"):
+            transport._certify(a, a, cost, np.diag([1.0, 2.0]), u, v)
+        with pytest.raises(TransportError, match="finite and nonnegative"):
+            transport._certify(a, a, cost, np.array([[1.5, -0.5], [-0.5, 1.5]]), u, v)
+
+    def test_non_finite_input_rejected(self):
+        with pytest.raises(ValueError, match="positive and finite"):
+            solve_transport(np.array([np.nan]), np.array([1.0]), np.array([[1.0]]))
+        with pytest.raises(ValueError, match="positive and finite"):
+            solve_transport(np.array([1.0, np.inf]), np.array([1.0, 1.0]), np.ones((2, 2)))
+        with pytest.raises(ValueError, match="costs must be finite"):
+            solve_transport(np.ones(2), np.ones(2), np.array([[0.0, np.nan], [1.0, 0.0]]))
+
+    def test_blands_rule_reaches_the_same_optimum(self, rng, monkeypatch):
+        # Bland's rule takes over after m * k Dantzig pivots; from pivot 0 it
+        # must still end in a certified optimum of the same cost.
+        problems = []
+        for _ in range(20):
+            p, q = random_map_pair(rng, int(rng.integers(2, 6)))
+            pm, qm = p.mass.ravel(), q.mass.ravel()
+            cells = [(c // p.n, c % p.n) for c in range(p.n * p.n)]
+            src, dst = np.flatnonzero(pm), np.flatnonzero(qm)
+            cost = ground_cost([cells[c] for c in src], [cells[c] for c in dst])
+            problems.append((pm[src], qm[dst], cost))
+        dantzig = [(c * solve_transport(a, b, c)).sum() for a, b, c in problems]
+        monkeypatch.setattr(transport, "_dantzig_pivots", lambda m, k: 0)
+        bland = [(c * solve_transport(a, b, c)).sum() for a, b, c in problems]
+        assert_allclose(bland, dantzig, rtol=1e-12, atol=1e-12)
 
 
 class TestEMD:
@@ -114,10 +155,12 @@ class TestEMD:
     def test_positive_homogeneity(self, rng):
         for _ in range(15):
             p, q = random_map_pair(rng, 5)
-            c = float(rng.random() * 10 + 0.1)
             base = emd(p, q).distance
-            scaled = emd(SpatialMap(5, c * p.mass), SpatialMap(5, c * q.mass)).distance
-            assert_allclose(scaled, c * base, rtol=1e-9, atol=1e-12)
+            # a random scale, then masses far from 1, where absolute solver
+            # tolerances would swamp or exceed the masses
+            for c in (float(rng.random() * 10 + 0.1), 1e-12, 1e-8, 1e9, 1e12):
+                scaled = emd(SpatialMap(5, c * p.mass), SpatialMap(5, c * q.mass)).distance
+                assert_allclose(scaled, c * base, rtol=1e-9, atol=1e-12 * c)
 
     def test_marginal_feasibility(self, rng):
         for _ in range(15):
