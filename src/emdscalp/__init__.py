@@ -8,8 +8,9 @@ transportation simplex and proves each plan optimal by duality;
 `signal.bandpass` designs its Butterworth filter and runs the zero-phase
 recurrence in numpy, in blocks of 64 samples, to within about 1e-13 of
 scipy's ``filtfilt``; `spdgeom` reduces every SPD distance and eigenproblem
-by a Cholesky whitener, and `mdm_fit` fits its class means concurrently on
-the CPUs the process may use.
+by a Cholesky whitener, and `mdm_fit` maps its class means over a thread
+pool of up to the CPUs the process may use: the centroids are the same
+bytes on any CPU count, and the first failing class in class order raises.
 """
 
 from .montage import (

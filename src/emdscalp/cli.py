@@ -72,8 +72,10 @@ class ExperimentConfig:
             raise ValueError("feat21 with an external source requires relevance_pattern")
         # NaN fails every comparison, so it is rejected too
         for key, ok, rule in (
-            ("subjects", all(s >= 1 for s in self.subjects), "ids >= 1"),
-            ("runs", all(r >= 1 for r in self.runs), "ids >= 1"),
+            ("subjects", all(s >= 1 for s in self.subjects)
+             and len(set(self.subjects)) == len(self.subjects), "distinct ids >= 1"),
+            ("runs", all(r >= 1 for r in self.runs)
+             and len(set(self.runs)) == len(self.runs), "distinct ids >= 1"),
             ("sample_rate", 0.0 < self.sample_rate < math.inf, "positive and finite"),
             ("band_lo", 0.0 < self.band_lo < self.band_hi < math.inf,
              f"in (0, band_hi = {self.band_hi!r}) with a finite band_hi"),
@@ -325,7 +327,7 @@ class DerivedMemo:
                 raise ValueError(f"centroid is {mean.dtype.str} {mean.shape}, "
                                  f"expected {_EPOCH_DTYPE.str} {(dim, dim)}")
             # finite, symmetric and positive definite, as every centroid user checks
-            spdgeom._whitener(spdgeom._check_square_symmetric(mean, "centroid"), "centroid")
+            spdgeom._whitener(spdgeom._check_square_symmetric([mean], "centroid")[0], "centroid")
         return mean
 
     def elimination(self, covs: np.ndarray, labels: list[str],

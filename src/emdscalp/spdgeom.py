@@ -8,11 +8,11 @@ and the elimination pencils reduce a pair (C, X) to ``eig(W X W^T)`` by C's
 Cholesky whitener W (`_whitener`), in numpy alone.  Each elimination step
 solves every class pair's generalized eigenproblem once and scores all
 leave-one-channel-out candidates from it with a contour-integral trace
-formula (`_leave_one_out_sq`).  Matrices are plain float ndarrays; a set
-of them is one ``(n, d, d)`` array, which the kernels work through in blocks
-of `_BLOCK` matrices.  Matrix square roots and logarithms go through
-symmetric eigendecomposition with eigenvalues clamped at 1e-12 of the
-largest, never silently (see `clamped_eigenvalue_count`).
+formula (`_leave_one_out_sq`).  Matrices are plain float ndarrays; `_stack`
+makes a set of them one ``(n, d, d)`` array, which the kernels work through
+in blocks of `_BLOCK` matrices.  Matrix square roots and logarithms go
+through symmetric eigendecomposition with eigenvalues clamped at 1e-12 of
+the largest, never silently (see `clamped_eigenvalue_count`).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import json
 import os
 import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
@@ -83,78 +84,53 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _in_order(fn: Callable, items: Sequence) -> list:
-    """``[fn(x) for x in items]``, with up to `_usable_cpus` items at once.
-
-    The caller runs ``items[0]`` while helper threads, one per other usable
-    CPU, take the later items in order; on one CPU the caller runs them all
-    inline.  numpy's ``eigh`` and ``matmul`` release the GIL, so the items
-    run in parallel.  Results come back in item order, and the first item in
-    that order that raised re-raises its exception; no item starts once one
-    has failed.
-    """
-    results, errors = [None] * len(items), {}
-    lock = threading.Lock()
-    pending = iter(range(len(items)))
-
-    def run(i: int) -> None:
-        try:
-            results[i] = fn(items[i])
-        except BaseException as exc:
-            with lock:
-                errors[i] = exc
-
-    def work() -> None:
-        while True:
-            with lock:
-                i = None if errors else next(pending, None)
-            if i is None:
-                return
-            run(i)
-
-    first = next(pending)  # claimed before any helper starts
-    helpers = [threading.Thread(target=work) for _ in range(min(len(items), _usable_cpus()) - 1)]
-    for t in helpers:
-        t.start()
-    run(first)
-    if not helpers:
-        work()
-    for t in helpers:
-        t.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
 def _blocks(n: int):
     """Slices of ``range(n)`` of at most `_BLOCK` items, in order."""
     return (slice(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK))
 
 
-def _check_square_symmetric(m: np.ndarray, what: str = "matrix", ndim: int = 2
+def _stack(mats: Sequence[np.ndarray] | np.ndarray, what: str, dim: int | None = None
+           ) -> np.ndarray:
+    """`mats`, a sequence of matrices or one ``(n, d, d)`` array, as one
+    C-contiguous float ``(n, d, d)`` array (one memory layout for every
+    caller, so sums run in the same order), with d = `dim` or else matrix
+    0's order.  A matrix of another shape, a non-square matrix 0 or an array
+    that is not a stack raises a ``ValueError``; errors call matrix j
+    ``what.format(j=j)``."""
+    if isinstance(mats, np.ndarray):
+        if mats.ndim != 3:
+            raise ValueError(f"expected an (n, d, d) stack, got shape {mats.shape}")
+        shapes = [mats.shape[1:]]  # that of every matrix
+    else:
+        shapes = [np.shape(m) for m in mats]
+    want = (dim, dim) if dim is not None else shapes[0] if shapes else (0, 0)
+    if len(want) != 2 or want[0] != want[1]:
+        raise ValueError(f"{what.format(j=0)} must be square, got shape {want}")
+    for j, shape in enumerate(shapes):
+        if shape != want:
+            raise ValueError(f"{what.format(j=j)} dim {shape} does not match {want}: "
+                             "matrices differ in dimension")
+    return np.ascontiguousarray(mats, dtype=float).reshape(len(mats), *want)
+
+
+def _check_square_symmetric(mats: Sequence[np.ndarray] | np.ndarray,
+                            what: str = "matrix {j}", dim: int | None = None
                             ) -> np.ndarray:
-    """`m` as a float array of `ndim` 2 (one matrix) or 3 (a stack), finite
-    (checked first) and symmetric; errors call a stack's matrix j ``what j``."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != ndim or m.shape[-1] != m.shape[-2]:
-        raise ValueError(f"{what} must be square, got shape {m.shape}")
-    stack = m.reshape(-1, *m.shape[-2:])
-
-    def name(j) -> str:
-        return what if ndim == 2 else f"{what} {j}"
-
+    """`_stack` of `mats`, every matrix finite (checked first) and
+    symmetric; errors name the matrix as `_stack`'s do."""
+    stack = _stack(mats, what, dim)
     finite = np.isfinite(stack).all(axis=(1, 2))
     if not finite.all():
-        raise ValueError(f"{name(int(np.argmin(finite)))} has a non-finite entry")
+        raise ValueError(f"{what.format(j=np.argmin(finite))} has a non-finite entry")
     for s in _blocks(len(stack)):
         b = stack[s]
         scale = np.maximum(np.abs(b).max(axis=(1, 2), initial=0.0), 1e-300)
         asym = np.abs(b - b.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
         bad = np.flatnonzero(asym > SYMMETRY_RTOL * scale)
         if bad.size:
-            raise ValueError(f"{name(s.start + bad[0])} is not symmetric within "
+            raise ValueError(f"{what.format(j=s.start + bad[0])} is not symmetric within "
                              f"{SYMMETRY_RTOL} relative")
-    return m
+    return stack
 
 
 def _whitener(c: np.ndarray, what: str) -> np.ndarray:
@@ -301,8 +277,8 @@ def riemannian_distance(a: np.ndarray, b: np.ndarray) -> float:
     of ``W B W^T`` for A's Cholesky whitener W.  Symmetric, zero iff A == B,
     and invariant under congruence A -> W A W^T.
     """
-    a = _check_square_symmetric(a, "first matrix")
-    b = _check_square_symmetric(b, "second matrix")
+    a = _check_square_symmetric([a], "first matrix")[0]
+    b = _check_square_symmetric([b], "second matrix")[0]
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     wa = _whitener(a, "inputs")
@@ -336,15 +312,14 @@ def frechet_mean(
     Raises
     ------
     ValueError
-        If a matrix is not square, not symmetric or not finite.
+        If matrix j is not square, symmetric, finite and of matrix 0's shape.
     FrechetMeanError
         If the residual is still above `tol` after `max_iter` iterations;
         the exception carries the last residual.
     """
     if len(mats) == 0:
         raise ValueError("need at least one matrix")
-    # one memory layout for every caller, so sums run in the same order
-    stack = _check_square_symmetric(np.ascontiguousarray(mats, dtype=float), ndim=3)
+    stack = _check_square_symmetric(mats)
     mean = stack.mean(axis=0)
     us, logw = np.empty_like(stack), np.empty(stack.shape[:2])
     residual = best = np.inf
@@ -431,27 +406,26 @@ def mdm_fit(
     `mean`, called as ``mean(mats, tol=tol, max_iter=max_iter)`` with the
     class's restricted covariances as one ``(n_c, k, k)`` array, replaces
     `frechet_mean` for each class, e.g. to return centroids the caller
-    already has.  The classes run concurrently on the CPUs this process may
-    use (`_in_order`), so `mean` must be safe to call from several threads;
-    the centroids, and the error raised when a class fails, are those of
-    fitting the classes one by one in class order.
+    already has.  A thread pool of one worker per class, up to the usable
+    CPUs, maps the classes, so `mean` must be safe to call from several
+    threads; the centroids are the same bytes on any CPU count, and the
+    first failing class in class order raises its own exception.
     """
     if len(covs) != len(labels):
         raise ValueError("covs and labels lengths differ")
     if len(covs) == 0:
         raise ValueError("no training examples")
-    covs = np.asarray(covs, dtype=float)
-    if covs.ndim != 3 or covs.shape[1] != covs.shape[2]:
-        raise ValueError(f"covs must be n square matrices, got shape {covs.shape}")
+    covs = _stack(covs, "covariance {j}")
     dim = covs.shape[1]
     subset = tuple(range(dim)) if channel_subset is None else tuple(int(c) for c in channel_subset)
     if any(c < 0 or c >= dim for c in subset):
         raise ValueError(f"channel subset out of range for dim {dim}")
     classes, groups = _class_partition(labels, classes)
     mean = frechet_mean if mean is None else mean
-    centroids = tuple(_in_order(
-        lambda c: mean(covs[np.ix_(groups[c], subset, subset)], tol=tol, max_iter=max_iter),
-        classes))
+    with ThreadPoolExecutor(max_workers=min(len(classes), _usable_cpus())) as pool:
+        centroids = tuple(pool.map(
+            lambda c: mean(covs[np.ix_(groups[c], subset, subset)], tol=tol, max_iter=max_iter),
+            classes))
     return MDMModel(classes=classes, centroids=centroids, channel_subset=subset)
 
 
@@ -466,26 +440,19 @@ def mdm_predict(model: MDMModel, covs: Sequence[np.ndarray]) -> list[Hashable]:
     dimension and be symmetric, finite and positive definite; an error
     names the index j of the first that is not.
     """
-    dim = model.dim
-    if not isinstance(covs, np.ndarray):
-        for j, cov in enumerate(covs):
-            if np.shape(cov) != (dim, dim):
-                raise ValueError(f"covariance {j} dim {np.shape(cov)} does not match "
-                                 f"model dim {dim}")
-        covs = np.asarray(covs, dtype=float).reshape(len(covs), dim, dim)
-    elif covs.shape[1:] != (dim, dim):
-        raise ValueError(f"covariance 0 dim {covs.shape[1:]} does not match model dim {dim}")
+    stack = _stack(covs, "covariance {j}", model.dim)
 
     def require(ok: np.ndarray) -> None:
         if not ok.all():
             raise ValueError(f"covariance {int(np.argmin(ok))} must be finite and "
                              "positive definite")
 
-    require(np.isfinite(covs).all(axis=(1, 2)))
-    stack = _check_square_symmetric(covs, "covariance", ndim=3)
-    whitened = np.empty((len(model.centroids), *stack.shape))
-    for k, c in enumerate(model.centroids):
-        wc = _whitener(_check_square_symmetric(c, "centroid"), "centroids")
+    require(np.isfinite(stack).all(axis=(1, 2)))
+    _check_square_symmetric(stack, "covariance {j}")
+    centroids = _check_square_symmetric(model.centroids, "centroid {j}", model.dim)
+    whitened = np.empty((len(centroids), *stack.shape))
+    for k, c in enumerate(centroids):
+        wc = _whitener(c, "centroids")
         whitened[k] = wc @ stack @ wc.T
     w = np.linalg.eigvalsh(whitened)
     require((w[..., 0] > 0).all(axis=0))
@@ -596,10 +563,8 @@ def backward_elimination(centroids: Sequence[np.ndarray], target_k: int) -> Sele
     """
     if len(centroids) < 2:
         raise ValueError("need at least 2 class centroids")
-    centroids = [_check_square_symmetric(c, "centroid") for c in centroids]
-    dim = centroids[0].shape[0]
-    if any(c.shape != (dim, dim) for c in centroids):
-        raise ValueError("centroids differ in dimension")
+    centroids = _check_square_symmetric(centroids, "centroid {j}")
+    dim = centroids.shape[1]
     if not 2 <= target_k < dim:
         raise ValueError(f"target_k must be in [2, {dim}), got {target_k}")
 

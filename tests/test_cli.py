@@ -152,6 +152,11 @@ class TestConfig:
         with pytest.raises(ValueError, match=key):
             load_config(write_config(tmp_path / "a.cfg", **edit))
 
+    @pytest.mark.parametrize("key, ids", [("subjects", "1,1,2"), ("runs", "4,4")])
+    def test_repeated_id_rejected(self, tmp_path, key, ids):
+        with pytest.raises(ValueError, match=rf"^{key} must be distinct ids >= 1, got "):
+            load_config(write_config(tmp_path / "a.cfg", **{key: ids}))
+
     @settings(max_examples=300, deadline=None)
     @given(lines=st.lists(st.one_of(
         st.tuples(

@@ -308,7 +308,7 @@ def rank_deficient(rng, dim, rank):
 
 
 class TestConcurrentClasses:
-    """`mdm_fit` fits each class after the first on a helper thread."""
+    """`mdm_fit` fits its classes on a thread pool, up to one worker per CPU."""
 
     @pytest.fixture
     def two_cpus(self, monkeypatch):
@@ -327,16 +327,20 @@ class TestConcurrentClasses:
                 for k in range(n_classes)]
         assert fits[0] == want
 
-    def test_later_classes_run_on_helper_threads(self, rng, two_cpus):
-        threads = {}
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_later_classes_run_on_helper_threads(self, rng, monkeypatch, cpus):
+        # with two CPUs both classes wait at the barrier until the other one
+        # arrives, so they run at once on two threads
+        monkeypatch.setattr(spdgeom, "_usable_cpus", lambda: cpus)
+        threads, barrier = {}, threading.Barrier(cpus, timeout=30)
 
         def mean(mats, **kwargs):
-            threads[len(mats)] = threading.current_thread()
+            threads[len(mats)] = threading.get_ident()
+            barrier.wait()
             return frechet_mean(mats, **kwargs)
 
         mdm_fit([rand_spd(rng, 3) for _ in range(5)], ["a", "a", "b", "b", "b"], mean=mean)
-        assert threads[2] is threading.current_thread()
-        assert threads[3] is not threading.current_thread()
+        assert len(threads) == 2 and len(set(threads.values())) == cpus
 
     def test_clamp_counts_add_up_across_threads(self, rng, two_cpus):
         a = [rank_deficient(rng, 8, 3) for _ in range(4)]
@@ -354,11 +358,13 @@ class TestConcurrentClasses:
             mdm_fit(a + b, [0] * len(a) + [1] * len(b), max_iter=3, tol=1e6)
         assert count() - before == sum(alone)
 
-    def test_clamp_count_loses_no_update_under_contention(self, rng, monkeypatch):
+    def test_clamp_count_loses_no_update_under_contention(self, rng):
         # eight threads on this host's few cores, switching as often as the
         # interpreter allows, each adding to the count 300 times
-        monkeypatch.setattr(spdgeom, "_usable_cpus", lambda: 8)
         mats = [rank_deficient(rng, 3, 1) for _ in range(8)]
+        threads = [threading.Thread(target=lambda m=m: [spdgeom._clamped_eigh(m)
+                                                        for _ in range(300)])
+                   for m in mats]
         count = spdgeom.clamped_eigenvalue_count
         interval = sys.getswitchinterval()
         before = count()
@@ -366,9 +372,13 @@ class TestConcurrentClasses:
             sys.setswitchinterval(1e-6)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", EigenvalueClampWarning)
-                spdgeom._in_order(lambda m: [spdgeom._clamped_eigh(m) for _ in range(300)], mats)
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60)
         finally:
             sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
         assert count() - before == 8 * 300 * 2
 
     def test_clamp_warning_from_a_helper_thread_is_a_warning(self, rng, two_cpus):
@@ -442,6 +452,25 @@ class TestStackedKernels:
             frechet_mean(mats)
         with pytest.raises(ValueError, match="matrix 13 has a non-finite entry"):
             frechet_mean(np.stack(mats))
+
+    @pytest.mark.parametrize("call, what", [
+        (frechet_mean, "matrix"),
+        (lambda mats: mdm_fit(mats, [0, 1] * 3), "covariance"),
+        (lambda mats: mdm_predict(spdgeom.MDMModel((0, 1), (np.eye(4),) * 2, (0, 1, 2, 3)),
+                                  mats), "covariance"),
+        (lambda mats: backward_elimination(mats, target_k=2), "centroid"),
+    ], ids=["frechet_mean", "mdm_fit", "mdm_predict", "backward_elimination"])
+    def test_matrix_of_another_shape_is_named(self, rng, call, what):
+        mats = [rand_spd(rng, 4) for _ in range(6)]
+        mats[3] = rand_spd(rng, 5)
+        with pytest.raises(ValueError,
+                           match=rf"^{what} 3 dim \(5, 5\) does not match \(4, 4\)"):
+            call(mats)
+
+    def test_one_matrix_is_not_a_stack(self, rng):
+        with pytest.raises(ValueError, match=r"^expected an \(n, d, d\) stack, got shape "
+                                             r"\(3, 3\)$"):
+            frechet_mean(rand_spd(rng, 3))
 
 
 class TestMDM:
@@ -545,7 +574,7 @@ class TestMDM:
                 mdm_predict(model, given_as(covs[:5] + [bad] + covs[6:]))
         broken = spdgeom.MDMModel(model.classes, (model.centroids[0], bad),
                                   model.channel_subset)
-        with pytest.raises(ValueError, match="^centroid has a non-finite entry$"):
+        with pytest.raises(ValueError, match="^centroid 1 has a non-finite entry$"):
             mdm_predict(broken, covs)
 
     def test_predict_empty_sequence(self, rng):
@@ -682,7 +711,8 @@ class TestBackwardElimination:
     def test_non_finite_centroid_rejected_before_arithmetic(self, rng, value, first):
         a, bad = rand_spd(rng, 5), rand_spd(rng, 5)
         bad[2, 2] = value
-        with pytest.raises(ValueError, match="^centroid has a non-finite entry$"):
+        with pytest.raises(ValueError, match=f"^centroid {0 if first else 1} has a non-finite "
+                                             "entry$"):
             backward_elimination([bad, a] if first else [a, bad], target_k=2)
 
     @pytest.mark.parametrize("dim", [1, 2, 8, 21, 64])
