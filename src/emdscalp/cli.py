@@ -327,7 +327,8 @@ class DerivedMemo:
                 raise ValueError(f"centroid is {mean.dtype.str} {mean.shape}, "
                                  f"expected {_EPOCH_DTYPE.str} {(dim, dim)}")
             # finite, symmetric and positive definite, as every centroid user checks
-            spdgeom._whitener(spdgeom._check_square_symmetric([mean], "centroid")[0], "centroid")
+            centroid = spdgeom._check_square_symmetric([mean], "centroid")[0]
+            spdgeom._pencil(centroid, centroid, "centroid")
         return mean
 
     def elimination(self, covs: np.ndarray, labels: list[str],
@@ -725,20 +726,30 @@ def cmd_emd(cfg: ExperimentConfig, map_args: list[str], cohort_args: list[str],
                 raise ValueError(f"expected NAME=PATH, got {item!r}")
         return [item.split("=", 1) for item in args]
 
+    maps, cohorts = parse_named(map_args), parse_named(cohort_args)
+    names = [name for name, _ in maps + cohorts]
+    for name in names:
+        if names.count(name) > 1:
+            raise ValueError(f"model {name!r} is given twice")
+
     def score(p: montage.SpatialMap, q: montage.SpatialMap) -> float:
         if cfg.mass == "raw":
             p, q = transport.rebalance(p, q, rebalance_to)
         return transport.emd(p, q, metric=cfg.metric, mass_mode=cfg.mass).distance
 
     results = [{"model": name, "emd_binary": score(_read_map(path, base.n), base),
-                "emd_weighted": None} for name, path in parse_named(map_args)]
-    for name, path in parse_named(cohort_args):
+                "emd_weighted": None} for name, path in maps]
+    for name, path in cohorts:
         doc = _read_json(Path(path))
         with _reading(path):
-            counts = doc["counts"]
-            for channel, count in counts.items():
+            counts = {}
+            for channel, count in doc["counts"].items():
                 if type(count) is not int:  # bool is a subclass of int
                     raise ValueError(f"count of {channel!r} must be an integer, got {count!r}")
+                electrode = layout.resolve(channel)
+                if electrode in counts:
+                    raise ValueError(f"counts name electrode {electrode!r} twice")
+                counts[electrode] = count
             if not any(count > 0 for count in counts.values()):
                 raise ValueError("counts must hold at least one positive count")
             bmap, wmap = _cohort_maps(counts, layout, cfg.target_k)

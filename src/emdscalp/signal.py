@@ -241,7 +241,9 @@ def read_recording_csv(
     `data_path`: header row of channel names, one column per channel.
     `annotation_path`: optional sidecar with ``onset,duration,code`` rows
     in sample units.  A data file without a header row, or an annotation
-    row of fewer than three fields, raises ``ValueError``.
+    row of fewer than three fields or whose onset and duration are not
+    non-negative integers with the onset inside the data, raises
+    ``ValueError``; an annotation row's error names the sidecar and line.
     """
     with open(data_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -250,16 +252,18 @@ def read_recording_csv(
             raise ValueError("no header row of channel names")
         columns = [[float(v) for v in row] for row in reader if row]
     data = np.array(columns, dtype=float).T if columns else np.zeros((len(names), 0))
-    annotations = []
+    annotations, n_samples = [], data.shape[1]
     if annotation_path is not None:
         with open(annotation_path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             for row in reader:
                 if not row or row[0].startswith("#") or row[0] == "onset":
                     continue
-                if len(row) < 3:
-                    raise ValueError(f"{annotation_path} line {reader.line_num}: "
-                                     f"expected onset,duration,code, got {row}")
+                if (len(row) < 3 or not all(f.strip().isdecimal() for f in row[:2])
+                        or int(row[0]) > n_samples):
+                    raise ValueError(f"{annotation_path} line {reader.line_num}: expected "
+                                     f"onset,duration,code with integers 0 <= onset <= "
+                                     f"{n_samples} and duration >= 0, got {row}")
                 annotations.append(Annotation(int(row[0]), int(row[1]), row[2]))
     return Recording([n.strip() for n in names], sample_rate, data, annotations)
 

@@ -4,15 +4,15 @@ Affine-invariant distance, Fréchet (geometric) mean, the minimum-distance-
 to-mean classifier, and backward-elimination channel selection driven by
 inter-class centroid distance.  The Fréchet mean takes safeguarded
 Riemannian Newton steps (`_newton_direction`).  Distances, `mdm_predict`
-and the elimination pencils reduce a pair (C, X) to ``eig(W X W^T)`` by C's
-Cholesky whitener W (`_whitener`), in numpy alone.  Each elimination step
-solves every class pair's generalized eigenproblem once and scores all
-leave-one-channel-out candidates from it with a contour-integral trace
-formula (`_leave_one_out_sq`).  Matrices are plain float ndarrays; `_stack`
-makes a set of them one ``(n, d, d)`` array, which the kernels work through
-in blocks of `_BLOCK` matrices.  Matrix square roots and logarithms go
-through symmetric eigendecomposition with eigenvalues clamped at 1e-12 of
-the largest, never silently (see `clamped_eigenvalue_count`).
+and elimination share one generalized eigensolve, `_pencil`: a pair
+(X, C) becomes ``eig(W X W^T)`` by C's Cholesky whitener W, in numpy
+alone.  Each elimination step solves every class pair's pencil once and
+scores all leave-one-channel-out candidates from it with a contour-integral
+trace formula (`_leave_one_out_sq`).  Matrices are plain float ndarrays;
+`_stack` makes a set of them one ``(n, d, d)`` array, which the kernels
+work through in blocks of `_BLOCK` matrices.  Matrix square roots and
+logarithms go through symmetric eigendecomposition with eigenvalues clamped
+at 1e-12 of the largest, never silently (see `clamped_eigenvalue_count`).
 """
 
 from __future__ import annotations
@@ -133,13 +133,19 @@ def _check_square_symmetric(mats: Sequence[np.ndarray] | np.ndarray,
     return stack
 
 
-def _whitener(c: np.ndarray, what: str) -> np.ndarray:
-    """``W = L^{-1}`` for the Cholesky factor ``L L^T = c``, so that
-    ``W c W^T = I``; a ``ValueError`` naming `what` if `c` is not SPD."""
+def _pencil(a: np.ndarray, b: np.ndarray, what: str, vectors: bool = False):
+    """Ascending eigenvalues of ``A x = lam B x``, `a` one matrix or a stack:
+    ``eigvalsh(W A W^T)`` for B's Cholesky whitener ``W = L^{-1}``; with
+    `vectors`, ``(lam, W^T Y)`` for ``lam, Y = eigh(W A W^T)``, so that
+    ``X^T B X = I``.  "<what> must be positive definite" unless B is."""
     try:
-        return np.linalg.inv(np.linalg.cholesky(c))
+        w = np.linalg.inv(np.linalg.cholesky(b))
     except np.linalg.LinAlgError:
         raise ValueError(f"{what} must be positive definite") from None
+    if not vectors:
+        return np.linalg.eigvalsh(w @ a @ w.T)
+    lam, y = np.linalg.eigh(w @ a @ w.T)
+    return lam, w.T @ y
 
 
 def _clamped_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -281,8 +287,7 @@ def riemannian_distance(a: np.ndarray, b: np.ndarray) -> float:
     b = _check_square_symmetric([b], "second matrix")[0]
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    wa = _whitener(a, "inputs")
-    w = np.linalg.eigvalsh(wa @ b @ wa.T)
+    w = _pencil(b, a, "inputs")
     if w[0] <= 0 or not np.all(np.isfinite(w)):
         raise ValueError("inputs must be positive definite")
     return float(np.sqrt((np.log(w) ** 2).sum()))
@@ -434,28 +439,19 @@ def mdm_predict(model: MDMModel, covs: Sequence[np.ndarray]) -> list[Hashable]:
     sequence of matrices or one ``(n, d, d)`` array); ties go to the first
     declared class.
 
-    Each centroid's Cholesky whitener W whitens the whole stack once, and
-    one batched eigenvalue solve gives every ``riemannian_distance(C, X)^2 =
-    sum log^2 eig(W X W^T)``.  Each covariance must match the model's
-    dimension and be symmetric, finite and positive definite; an error
-    names the index j of the first that is not.
+    One `_pencil` solve per centroid C gives every
+    ``riemannian_distance(C, X)^2 = sum log^2 eig(X, C)`` of the stack.
+    Each covariance must match the model's dimension and be finite,
+    symmetric and positive definite; an error names the index j of the
+    first that is not.
     """
-    stack = _stack(covs, "covariance {j}", model.dim)
-
-    def require(ok: np.ndarray) -> None:
-        if not ok.all():
-            raise ValueError(f"covariance {int(np.argmin(ok))} must be finite and "
-                             "positive definite")
-
-    require(np.isfinite(stack).all(axis=(1, 2)))
-    _check_square_symmetric(stack, "covariance {j}")
+    stack = _check_square_symmetric(covs, "covariance {j}", model.dim)
     centroids = _check_square_symmetric(model.centroids, "centroid {j}", model.dim)
-    whitened = np.empty((len(centroids), *stack.shape))
-    for k, c in enumerate(centroids):
-        wc = _whitener(c, "centroids")
-        whitened[k] = wc @ stack @ wc.T
-    w = np.linalg.eigvalsh(whitened)
-    require((w[..., 0] > 0).all(axis=0))
+    w = np.array([_pencil(stack, c, "centroids") for c in centroids])
+    ok = (w[..., 0] > 0).all(axis=0)
+    if not ok.all():
+        raise ValueError(f"covariance {int(np.argmin(ok))} must be finite and "
+                         "positive definite")
     sq = (np.log(w) ** 2).sum(axis=-1)
     return [model.classes[k] for k in np.argmin(sq, axis=0)]
 
@@ -482,16 +478,6 @@ class SelectionTrace:
     removal_order: tuple[RemovalStep, ...]
     final_subset: tuple[int, ...]
     final_loo_drops: tuple[float, ...]
-
-
-def _pencil(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Generalized eigenpairs A x = lam B x with X^T B X = I, lam ascending:
-    # lam, Y = eigh(W A W^T) for B's whitener W, and X = W^T Y.
-    wb = _whitener(b, "centroids")
-    lam, y = np.linalg.eigh(wb @ a @ wb.T)
-    if lam[0] <= 0 or not np.all(np.isfinite(lam)):
-        raise ValueError("centroids must be positive definite")
-    return lam, wb.T @ y
 
 
 def _leave_one_out_sq(loglam: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -539,7 +525,9 @@ def _distances(centroids: Sequence[np.ndarray], subset: Sequence[int]
     full, loo = 0.0, np.zeros(len(subset))
     for i in range(len(centroids)):
         for j in range(i + 1, len(centroids)):
-            lam, x = _pencil(centroids[i][idx], centroids[j][idx])
+            lam, x = _pencil(centroids[i][idx], centroids[j][idx], "centroids", vectors=True)
+            if lam[0] <= 0 or not np.all(np.isfinite(lam)):
+                raise ValueError("centroids must be positive definite")
             loglam = np.log(lam)
             full += float(np.sqrt(loglam @ loglam))
             loo += np.sqrt(np.maximum(_leave_one_out_sq(loglam, x), 0.0))

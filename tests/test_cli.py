@@ -327,8 +327,10 @@ class TestPrepare:
         assert reason.startswith(f"ValueError: {run}: ValueError: malformed header: ")
 
     @pytest.mark.parametrize("data, annotations", [
-        ("", None), (None, "onset,duration,code\n160,640\n")
-    ], ids=["no header row", "annotation row without code"])
+        ("", None), (None, "160,640"), (None, "x,160,T1"), (None, "1.5,160,T1"),
+        (None, "-5,160,T1"), (None, "160,-1,T1"), (None, "99999,160,T1"),
+    ], ids=["no header row", "annotation row without code", "non-numeric onset",
+            "fractional onset", "negative onset", "negative duration", "onset past the data"])
     def test_unparsable_csv_run_fails_only_its_subject(self, tmp_path, rng, capsys,
                                                        data, annotations):
         for sid in (1, 2):
@@ -337,8 +339,9 @@ class TestPrepare:
         run = tmp_path / "data" / "S001" / "S001R03.csv"
         if data is not None:
             run.write_text(data)
+        sidecar = run.with_name("S001R03_annotations.csv")
         if annotations is not None:
-            run.with_name("S001R03_annotations.csv").write_text(annotations)
+            sidecar.write_text(f"onset,duration,code\n{annotations}\n")
         cfg = write_config(tmp_path / "exp.cfg", runs="3", input_format="csv")
         assert main(["prepare", "--config", str(cfg)]) == 0
         captured = capsys.readouterr()
@@ -346,6 +349,8 @@ class TestPrepare:
         assert (list(summary["cached"]), summary["failed_subjects"]) == (["S002"], ["S001"])
         reason = json.loads(captured.err.splitlines()[-1])["failed"]["S001"]
         assert reason.startswith(f"ValueError: {run}: ValueError: ")
+        if annotations is not None:
+            assert f"{sidecar} line 2: " in reason
 
     def test_no_subject_prepared_fails(self, workspace, capsys):
         tmp_path, cfg = workspace
@@ -943,7 +948,7 @@ class TestEmdCommand:
         "{", "[1, 2]", '{"model": "m"}', '{"counts": [1]}', '{"counts": {"XX": 1}}',
         '{"counts": {"C3": 2.7, "C4": 1}}', '{"counts": {"C3": "2"}}',
         '{"counts": {"C3": true}}', '{"counts": {"C3": 1e400}}',
-        '{"counts": {}}', '{"counts": {"C3": 0}}',
+        '{"counts": {}}', '{"counts": {"C3": 0}}', '{"counts": {"C3": 2, "c3": 1, "C4": 3}}',
         pytest.param('{"counts": {"C3": 1%s}}' % ("0" * 400), id="int-too-large-for-float"),
     ])
     def test_bad_cohort_file_named_in_error(self, tmp_path, capsys, text):
@@ -953,6 +958,32 @@ class TestEmdCommand:
         assert main(["emd", "--config", str(cfg), "--cohorts", f"m={bad}"]) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ValueError" and err["message"].startswith(f"{bad}: ")
+
+    @pytest.mark.parametrize("maps, cohorts", [(2, 0), (0, 2), (1, 1)],
+                             ids=["maps", "cohorts", "both"])
+    def test_model_named_twice_rejected(self, tmp_path, layout, capsys, maps, cohorts):
+        montage.save_spatial_map(relevance.mi_baseline(layout), tmp_path / "m.csv")
+        (tmp_path / "c.json").write_text(json.dumps({"counts": {"C3": 1}}))
+        cfg = write_config(tmp_path / "exp.cfg")
+        args = ["emd", "--config", str(cfg)]
+        if maps:
+            args += ["--maps", f"other={tmp_path / 'm.csv'}"] + [f"a={tmp_path / 'm.csv'}"] * maps
+        if cohorts:
+            args += ["--cohorts"] + [f"a={tmp_path / 'c.json'}"] * cohorts
+        assert main(args) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and "model 'a' is given twice" in err["message"]
+        assert not (tmp_path / "out" / "emd_table.csv").exists()
+
+    def test_cohort_names_resolve_to_montage_electrodes(self, tmp_path):
+        tables = []
+        for i, counts in enumerate(({"C3": 2, "C4": 3}, {"c3.": 2, " C4": 3})):
+            (tmp_path / f"c{i}.json").write_text(json.dumps({"counts": counts}))
+            cfg = write_config(tmp_path / "exp.cfg", output_dir=str(tmp_path / f"out{i}"))
+            assert main(["emd", "--config", str(cfg),
+                         "--cohorts", f"m={tmp_path / f'c{i}.json'}"]) == 0
+            tables.append(json.loads((tmp_path / f"out{i}" / "emd_table.json").read_text()))
+        assert tables[0] == tables[1]
 
     def test_cohort_binary_map_ranks_only_selected_channels(self, layout):
         binary, weighted = cli._cohort_maps({"C3": 0, "C4": 3}, layout, 21)
