@@ -156,11 +156,13 @@ def _write_json(path: Path, doc) -> None:
 
 @contextmanager
 def _reading(path: str | Path):
-    """Re-raise a failure to parse the one input file `path` as a
+    """Re-raise a failure to read or parse the one input file `path` as a
     ``ValueError`` that starts with the path; ``FileNotFoundError`` passes."""
     try:
         yield
-    except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -192,6 +194,9 @@ def _check_index_lists(where: Path, index: dict, n_epochs: int, dim: int) -> Non
             or len(index.get("channel_names", ())) != dim:
         raise ValueError(f"{where}: labels, trials and slices must each list "
                          f"n_epochs={n_epochs} entries and channel_names n_channels={dim}")
+    labels = index.get("labels")
+    if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
+        raise ValueError(f"{where}: labels must be a list of strings")
 
 
 def write_epoch_cache(cache_dir: Path, subject: int, covs: np.ndarray,
@@ -228,13 +233,16 @@ def _read_npy(path: Path, what: str) -> np.ndarray:
     """Load a ``.npy`` file without pickle support.
 
     Raises ``FileNotFoundError`` for a missing file and ``ValueError`` naming
-    the file when it is unreadable or holds more than the header plus data.
+    the file when it cannot be read or parsed or holds more than the header
+    plus data.
     """
     try:
         with open(path, "rb") as fh:
             data = np.load(fh, allow_pickle=False)
             read_bytes, file_bytes = fh.tell(), os.fstat(fh.fileno()).st_size
-    except (ValueError, EOFError) as exc:
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError, EOFError) as exc:
         raise ValueError(f"{path}: unreadable {what}: {exc}") from exc
     if file_bytes != read_bytes:
         raise ValueError(f"{path}: {file_bytes} bytes, header and data take {read_bytes}")
@@ -356,42 +364,31 @@ class DerivedMemo:
 # ---------------------------------------------------------------------------
 # channel selection plumbing
 
-def _canonical_index(channel_names: list[str], layout: montage.GridLayout) -> dict[str, int]:
-    out = {}
-    for i, name in enumerate(channel_names):
-        try:
-            out[layout.resolve(name)] = i
-        except KeyError:
-            continue  # channels outside the montage cannot be addressed by name
-    return out
-
-
-def _riemannian_selection(cfg: ExperimentConfig, layout: montage.GridLayout,
-                          memo: DerivedMemo, channel_names: list[str],
-                          train_covs: np.ndarray, train_labels: list[str]
+def _riemannian_selection(cfg: ExperimentConfig, memo: DerivedMemo,
+                          lookup: dict[str, int], train_covs: np.ndarray,
+                          train_labels: list[str]
                           ) -> tuple[list[int], list[str], spdgeom.SelectionTrace]:
     """One subject's elimination selection, for ``train-eval feat21`` and
     ``select-channels`` alike: the surviving channel indices in order, their
     sorted montage names (channels outside the montage left out) and the
-    trace."""
+    trace.  `lookup` maps each montage electrode to its channel index."""
     trace = memo.elimination(train_covs, train_labels, cfg.target_k)
     subset = sorted(trace.final_subset)
-    names = {i: name for name, i in _canonical_index(channel_names, layout).items()}
+    names = {i: name for name, i in lookup.items()}
     return subset, sorted(names[i] for i in subset if i in names), trace
 
 
 def _subset_for_config(cfg: ExperimentConfig, layout: montage.GridLayout,
-                       channel_names: list[str], subject: int,
+                       lookup: dict[str, int], subject: int,
                        train_covs: np.ndarray, train_labels: list[str],
                        memo: DerivedMemo
                        ) -> tuple[list[int], list[str] | None, spdgeom.SelectionTrace | None]:
     """Channel indices to train on; ``feat21`` also gives the selection's
     montage names, and the riemannian source its trace."""
     if cfg.channel_config == "all64":
-        return list(range(len(channel_names))), None, None
+        return list(range(train_covs.shape[-1])), None, None
     if cfg.channel_config == "feat21" and cfg.relevance_source == "riemannian":
-        return _riemannian_selection(cfg, layout, memo, channel_names, train_covs, train_labels)
-    lookup = _canonical_index(channel_names, layout)
+        return _riemannian_selection(cfg, memo, lookup, train_covs, train_labels)
     if cfg.channel_config == "mi21":
         missing = [c for c in relevance.MI_BASELINE_CHANNELS if c not in lookup]
         if missing:
@@ -495,10 +492,11 @@ def _prepare_subject(cfg: ExperimentConfig, cache_dir: Path, subject: int,
     cache by later commands.
     """
     tag = _subject_tag(subject)
-    (cache_dir / tag / "index.json").unlink(missing_ok=True)
     derived = DerivedMemo(cache_dir, subject).root
-    if derived.exists():
-        shutil.rmtree(derived)
+    with _reading(cache_dir / tag):
+        (cache_dir / tag / "index.json").unlink(missing_ok=True)
+        if derived.exists():
+            shutil.rmtree(derived)
     covs: list[np.ndarray] = []  # one (n_epochs, c, c) array per run
     index: dict[str, list] = {"labels": [], "trials": [], "slices": []}
     first: tuple[Path, list[str], float] | None = None
@@ -584,18 +582,25 @@ def _each_subject(cfg: ExperimentConfig, command: str, run_one) -> tuple[list, l
 _Part = tuple[np.ndarray, list[str]]
 
 
-def _read_split(cfg: ExperimentConfig, cache_dir: Path, subject: int
-                ) -> tuple[list[str], _Part, _Part]:
-    """A subject's channel names, then the shrunk covariances, one
-    ``(n, d, d)`` array, and labels of its training and of its test epochs."""
+def _read_split(cfg: ExperimentConfig, layout: montage.GridLayout, cache_dir: Path,
+                subject: int) -> tuple[dict[str, int], _Part, _Part]:
+    """A subject's channel index by montage electrode (channels outside the
+    montage left out), then the shrunk covariances, one ``(n, d, d)`` array,
+    and labels of its training and of its test epochs.  Channel names that
+    name one electrode twice, or labels that cannot be split, raise a
+    ``ValueError`` that starts with the path of ``index.json``."""
     covs, index = read_epoch_cache(cache_dir, subject)
     covs, labels = spdgeom.shrink(covs, cfg.shrinkage), index["labels"]
 
     def part(idx: list[int]) -> _Part:
         return covs[idx], [labels[i] for i in idx]
 
-    train, test = signal.split(labels, signal.SplitSpec(cfg.seed, cfg.test_fraction))
-    return index["channel_names"], part(train), part(test)
+    with _reading(cache_dir / _subject_tag(subject) / "index.json"):
+        names = index["channel_names"]
+        kept = [i for i, name in enumerate(names) if name in layout]
+        lookup = dict(zip(layout.resolve_all(names[i] for i in kept), kept))
+        train, test = signal.split(labels, signal.SplitSpec(cfg.seed, cfg.test_fraction))
+    return lookup, part(train), part(test)
 
 
 def _write_trace(out_dir: Path, subject: int, trace: spdgeom.SelectionTrace) -> None:
@@ -622,11 +627,11 @@ def _write_cohort(out_dir: Path, model: str, selections: dict[str, list[str]]
 def _train_eval_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
                         cache_dir: Path, out_dir: Path, subject: int,
                         selections: dict[str, list[str]]) -> dict:
-    channel_names, (train_covs, train_labels), (test_covs, test_labels) = _read_split(
-        cfg, cache_dir, subject)
+    lookup, (train_covs, train_labels), (test_covs, test_labels) = _read_split(
+        cfg, layout, cache_dir, subject)
     memo = DerivedMemo(cache_dir, subject)
     subset, names, trace = _subset_for_config(
-        cfg, layout, channel_names, subject, train_covs, train_labels, memo
+        cfg, layout, lookup, subject, train_covs, train_labels, memo
     )
     classes = sorted(set(train_labels))
     model = spdgeom.mdm_fit(train_covs, train_labels, channel_subset=subset,
@@ -690,9 +695,9 @@ def _write_csv(path: Path, rows: list[list]) -> None:
 
 def _select_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
                     cache_dir: Path, out_dir: Path, subject: int) -> tuple[str, list[str]]:
-    channel_names, (train_covs, train_labels), _ = _read_split(cfg, cache_dir, subject)
+    lookup, (train_covs, train_labels), _ = _read_split(cfg, layout, cache_dir, subject)
     _, names, trace = _riemannian_selection(
-        cfg, layout, DerivedMemo(cache_dir, subject), channel_names, train_covs, train_labels)
+        cfg, DerivedMemo(cache_dir, subject), lookup, train_covs, train_labels)
     _write_trace(out_dir, subject, trace)
     return _subject_tag(subject), names
 
@@ -742,14 +747,10 @@ def cmd_emd(cfg: ExperimentConfig, map_args: list[str], cohort_args: list[str],
     for name, path in cohorts:
         doc = _read_json(Path(path))
         with _reading(path):
-            counts = {}
-            for channel, count in doc["counts"].items():
+            counts = doc["counts"]
+            for channel, count in counts.items():
                 if type(count) is not int:  # bool is a subclass of int
                     raise ValueError(f"count of {channel!r} must be an integer, got {count!r}")
-                electrode = layout.resolve(channel)
-                if electrode in counts:
-                    raise ValueError(f"counts name electrode {electrode!r} twice")
-                counts[electrode] = count
             if not any(count > 0 for count in counts.values()):
                 raise ValueError("counts must hold at least one positive count")
             bmap, wmap = _cohort_maps(counts, layout, cfg.target_k)

@@ -82,6 +82,18 @@ class GridLayout:
             raise KeyError(f"unknown electrode name: {name!r}")
         return hit.name
 
+    def resolve_all(self, names: Iterable[str]) -> list[str]:
+        """The canonical electrode of each of `names`, in order: `resolve`
+        of each, and a ValueError when two of them name one electrode."""
+        spelled: dict[str, str] = {}
+        for name in names:
+            electrode = self.resolve(name)
+            if electrode in spelled:
+                raise ValueError(f"{spelled[electrode]!r} and {name!r} name electrode "
+                                 f"{electrode!r} twice")
+            spelled[electrode] = name
+        return list(spelled)
+
     def position(self, name: str) -> tuple[int, int]:
         e = self.name_index[self.resolve(name)]
         return (e.row, e.col)
@@ -184,28 +196,22 @@ def default_layout() -> GridLayout:
 
 
 def binary_map(channels: Iterable[str], layout: GridLayout) -> SpatialMap:
-    """Mark each named electrode's cell with 1, everything else 0.
-
-    Total mass equals the number of channels.  Unknown names raise KeyError.
-    """
-    mass = np.zeros((layout.n, layout.n))
-    for name in channels:
-        row, col = layout.position(name)
-        mass[row, col] = 1.0
-    return SpatialMap(layout.n, mass)
+    """`weighted_map` of weight 1 on each named electrode: total mass equals
+    the number of channels."""
+    return weighted_map(dict.fromkeys(layout.resolve_all(channels), 1.0), layout)
 
 
 def weighted_map(weights: Mapping[str, float], layout: GridLayout) -> SpatialMap:
-    """Place each electrode's weight at its cell; unlisted electrodes get 0."""
+    """Place each electrode's weight at its cell; unlisted electrodes get 0.
+    Names resolve by `GridLayout.resolve_all`."""
     mass = np.zeros((layout.n, layout.n))
-    for name, w in weights.items():
+    for electrode, (name, w) in zip(layout.resolve_all(weights), weights.items()):
         w = float(w)
         if not np.isfinite(w):
             raise ValueError(f"non-finite weight for {name!r}")
         if w < 0:
             raise ValueError(f"negative weight for {name!r}: {w}")
-        row, col = layout.position(name)
-        mass[row, col] = w
+        mass[layout.position(electrode)] = w
     return SpatialMap(layout.n, mass)
 
 

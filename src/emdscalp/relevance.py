@@ -70,17 +70,15 @@ class CohortAggregate:
 def ingest_external(file: str | Path, layout: GridLayout) -> RelevanceScores:
     """Load and validate an external relevance JSON document.
 
-    Channel names are resolved against the montage (case-insensitive);
-    unknown names, misaligned arrays, and non-finite scores are rejected.
+    Channel names are resolved by `GridLayout.resolve_all`; unknown names,
+    two names of one electrode, misaligned arrays, and non-finite scores
+    are rejected.
     """
     doc = json.loads(Path(file).read_text(encoding="utf-8"))
     for key in ("channels", "pooled"):
         if key not in doc:
             raise ValueError(f"relevance document missing {key!r}")
-    raw_names = list(doc["channels"])
-    names = [layout.resolve(n) for n in raw_names]
-    if len(set(names)) != len(names):
-        raise ValueError("relevance document lists a channel twice")
+    names = layout.resolve_all(doc["channels"])
 
     def aligned(values, what: str) -> dict[str, float]:
         if len(values) != len(names):

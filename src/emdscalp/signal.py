@@ -8,7 +8,7 @@ The bandpass has the semantics of scipy's ``filtfilt`` on the coefficients
 of scipy's ``butter``, which `_butter_bandpass` reproduces byte for byte.
 Its recurrence runs over blocks of `_BLOCK_LEN` = 64 samples as matrix
 products over all channels (Burrus, "Block realization of digital filters",
-1972): as fast as scipy's per-sample loop, and no less accurate.
+1972).
 """
 
 from __future__ import annotations
@@ -240,17 +240,29 @@ def read_recording_csv(
 
     `data_path`: header row of channel names, one column per channel.
     `annotation_path`: optional sidecar with ``onset,duration,code`` rows
-    in sample units.  A data file without a header row, or an annotation
-    row of fewer than three fields or whose onset and duration are not
-    non-negative integers with the onset inside the data, raises
-    ``ValueError``; an annotation row's error names the sidecar and line.
+    in sample units.  A data file without a header row, a data row that is
+    not one number per channel, or an annotation row of fewer than three
+    fields or whose onset and duration are not non-negative integers with
+    the onset inside the data, raises ``ValueError``; a row's error names
+    its file and line.
     """
     with open(data_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         names = next(reader, None)
         if names is None:
             raise ValueError("no header row of channel names")
-        columns = [[float(v) for v in row] for row in reader if row]
+        columns = []
+        for row in reader:
+            if not row:
+                continue
+            try:
+                values = [float(v) for v in row]
+            except ValueError:
+                values = None
+            if values is None or len(values) != len(names):
+                raise ValueError(f"{data_path} line {reader.line_num}: expected "
+                                 f"{len(names)} numbers, got {row}")
+            columns.append(values)
     data = np.array(columns, dtype=float).T if columns else np.zeros((len(names), 0))
     annotations, n_samples = [], data.shape[1]
     if annotation_path is not None:
@@ -389,12 +401,10 @@ def bandpass(rec: Recording, lo: float = 8.0, hi: float = 30.0) -> Recording:
 
     The recurrence runs over blocks of `_BLOCK_LEN` = 64 samples as matrix
     products over all channels at once, in float64 (see `_block_matrices`
-    and `_filter_blocks`).  The output agrees with scipy's per-sample
-    ``filtfilt`` to about 1e-13 of its peak, and its RMS error against an
-    extended-precision reference is no larger than scipy's.  It is a view
-    into one work buffer, which holds the extended run after as many copies
-    of its first sample as make the length a multiple of `_BLOCK_LEN`;
-    those copies leave the initial steady state as it is.
+    and `_filter_blocks`).  The output is a view into one work buffer,
+    which holds the extended run after as many copies of its first sample
+    as make the length a multiple of `_BLOCK_LEN`; those copies leave the
+    initial steady state as it is.
     """
     nyq = rec.sample_rate / 2.0
     if not 0.0 < lo < hi < nyq:

@@ -133,19 +133,25 @@ def _check_square_symmetric(mats: Sequence[np.ndarray] | np.ndarray,
     return stack
 
 
-def _pencil(a: np.ndarray, b: np.ndarray, what: str, vectors: bool = False):
+def _pencil(a: np.ndarray, b: np.ndarray, what: str, vectors: bool = False,
+            what_b: str | None = None):
     """Ascending eigenvalues of ``A x = lam B x``, `a` one matrix or a stack:
     ``eigvalsh(W A W^T)`` for B's Cholesky whitener ``W = L^{-1}``; with
     `vectors`, ``(lam, W^T Y)`` for ``lam, Y = eigh(W A W^T)``, so that
-    ``X^T B X = I``.  "<what> must be positive definite" unless B is."""
+    ``X^T B X = I``.  Proves both finite and positive definite: otherwise
+    "<what> must be finite and positive definite", with A's matrix j named
+    ``what.format(j=j)`` and B named `what_b` (default `what`)."""
     try:
         w = np.linalg.inv(np.linalg.cholesky(b))
     except np.linalg.LinAlgError:
-        raise ValueError(f"{what} must be positive definite") from None
-    if not vectors:
-        return np.linalg.eigvalsh(w @ a @ w.T)
-    lam, y = np.linalg.eigh(w @ a @ w.T)
-    return lam, w.T @ y
+        raise ValueError(f"{what_b or what} must be finite and positive definite") from None
+    m = w @ a @ w.T
+    lam, y = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
+    ok = np.atleast_1d((lam[..., 0] > 0) & np.isfinite(lam).all(axis=-1))
+    if not ok.all():
+        raise ValueError(f"{what.format(j=int(np.argmin(ok)))} must be finite and "
+                         "positive definite")
+    return (lam, w.T @ y) if vectors else lam
 
 
 def _clamped_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -184,9 +190,8 @@ def _newton_direction(grad: np.ndarray, logw: np.ndarray, us: np.ndarray,
     minus the derivative of ``sum_i log(exp(-xi/2) W_i exp(-xi/2))`` at 0,
     with ``G_i[j, k] = (d/2) coth(d/2) >= 1`` for ``d = logw_ij - logw_ik``
     (1 where d = 0), so H is positive definite.  The G_i are built once per
-    call, into one array; they and each Hessian product go block by block,
-    because whole-stack temporaries add 10-20 MB of peak memory at 154
-    64x64 matrices.  CG stops at
+    call, into one array; they and each Hessian product go block by block
+    of `_BLOCK` matrices.  CG stops at
     ``||r|| <= max(_CG_RTOL ||grad||, tol / 4)``: near the mean the
     absolute term lets the next residual reach `tol` in one step, where a
     relative one alone leaves it at ``_CG_RTOL ||grad||``.
@@ -288,8 +293,6 @@ def riemannian_distance(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
     w = _pencil(b, a, "inputs")
-    if w[0] <= 0 or not np.all(np.isfinite(w)):
-        raise ValueError("inputs must be positive definite")
     return float(np.sqrt((np.log(w) ** 2).sum()))
 
 
@@ -447,11 +450,8 @@ def mdm_predict(model: MDMModel, covs: Sequence[np.ndarray]) -> list[Hashable]:
     """
     stack = _check_square_symmetric(covs, "covariance {j}", model.dim)
     centroids = _check_square_symmetric(model.centroids, "centroid {j}", model.dim)
-    w = np.array([_pencil(stack, c, "centroids") for c in centroids])
-    ok = (w[..., 0] > 0).all(axis=0)
-    if not ok.all():
-        raise ValueError(f"covariance {int(np.argmin(ok))} must be finite and "
-                         "positive definite")
+    w = np.array([_pencil(stack, c, "covariance {j}", what_b=f"centroid {k}")
+                  for k, c in enumerate(centroids)])
     sq = (np.log(w) ** 2).sum(axis=-1)
     return [model.classes[k] for k in np.argmin(sq, axis=0)]
 
@@ -526,8 +526,6 @@ def _distances(centroids: Sequence[np.ndarray], subset: Sequence[int]
     for i in range(len(centroids)):
         for j in range(i + 1, len(centroids)):
             lam, x = _pencil(centroids[i][idx], centroids[j][idx], "centroids", vectors=True)
-            if lam[0] <= 0 or not np.all(np.isfinite(lam)):
-                raise ValueError("centroids must be positive definite")
             loglam = np.log(lam)
             full += float(np.sqrt(loglam @ loglam))
             loo += np.sqrt(np.maximum(_leave_one_out_sq(loglam, x), 0.0))

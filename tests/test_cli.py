@@ -722,6 +722,103 @@ class TestSelectChannels:
         assert "no subject completed select-channels" in err["message"]
 
 
+#: The 21 baseline electrodes plus two others, for ``mi21`` on a CSV cohort.
+CHANNELS_23 = list(relevance.MI_BASELINE_CHANNELS) + ["Fp1", "Oz"]
+
+
+def _csv_cohort(tmp_path: Path, rng) -> Path:
+    """Write three one-run CSV subjects of `CHANNELS_23`; return their `mi21` config."""
+    for sid in (1, 2, 3):
+        rec = make_motor_recording(rng, CHANNELS_23, n_trials=8, discriminative=(8, 12))
+        write_csv_run(tmp_path / "data" / f"S{sid:03d}" / f"S{sid:03d}R03.csv", rec)
+    return write_config(tmp_path / "exp.cfg", subjects="1,2,3", runs="3",
+                        input_format="csv", channel_config="mi21")
+
+
+def _only_s002_failed(capsys, out_dir: Path, clean_rows: list[str]) -> str:
+    """The reason S002 failed, after checking that it alone failed and that
+    S001's and S003's rows are the bytes of `clean_rows`' (header, S001,
+    S002, S003)."""
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["failed_subjects"] == ["S002"]
+    rows = (out_dir / "rows.csv").read_text().splitlines()
+    assert rows == [clean_rows[0], clean_rows[1], clean_rows[3]]
+    return json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
+
+
+class TestOneSubjectFails:
+    """A damaged input of one subject of three fails that subject alone."""
+
+    def test_header_naming_one_electrode_twice(self, tmp_path, rng, capsys):
+        cfg = _csv_cohort(tmp_path, rng)
+        run = tmp_path / "data" / "S002" / "S002R03.csv"
+        text = run.read_text()
+        run.write_text(text.replace(",Fp1,", ",c3,", 1))
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        # the same cohort without the damage, for S001's and S003's rows
+        run.write_text(text)
+        clean_cfg = write_config(tmp_path / "clean.cfg", subjects="1,2,3", runs="3",
+                                 input_format="csv", channel_config="mi21",
+                                 cache_dir="clean_cache", output_dir="clean")
+        assert main(["prepare", "--config", str(clean_cfg)]) == 0
+        assert main(["train-eval", "--config", str(clean_cfg)]) == 0
+        clean = (tmp_path / "clean" / "rows.csv").read_text().splitlines()
+        capsys.readouterr()
+        index = tmp_path / "cache" / "S002" / "index.json"
+        twice = "ValueError: 'C3' and 'c3' name electrode 'C3' twice"
+        assert main(["train-eval", "--config", str(cfg)]) == 0
+        reason = _only_s002_failed(capsys, tmp_path / "out", clean)
+        assert reason == f"ValueError: {index}: {twice}"
+        assert main(["select-channels", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["failed_subjects"] == ["S002"]
+        reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
+        assert reason == f"ValueError: {index}: {twice}"
+
+    def test_prepare_over_damaged_cache(self, tmp_path, rng, capsys):
+        cfg = _csv_cohort(tmp_path, rng)
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        subj_dir = tmp_path / "cache" / "S002"
+        (subj_dir / "index.json").unlink()
+        (subj_dir / "index.json").mkdir()
+        capsys.readouterr()
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        assert (list(summary["cached"]), summary["failed_subjects"]) == (["S001", "S003"],
+                                                                         ["S002"])
+        reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
+        assert reason.startswith(f"ValueError: {subj_dir}: IsADirectoryError: ")
+
+    @pytest.mark.parametrize("damage, file, message", [
+        ("directory", "index.json", "IsADirectoryError: "),
+        ("directory", "epochs.npy", "unreadable epoch covariance array: "),
+        ("list label", "index.json", "labels must be a list of strings"),
+        ("string labels", "index.json", "labels must be a list of strings"),
+        ("one class", "index.json", "ValueError: need at least 2 classes to split"),
+    ])
+    def test_damaged_cache(self, tmp_path, rng, capsys, damage, file, message):
+        cfg = _csv_cohort(tmp_path, rng)
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        assert main(["train-eval", "--config", str(cfg),
+                     "--output-dir", str(tmp_path / "clean")]) == 0
+        clean = (tmp_path / "clean" / "rows.csv").read_text().splitlines()
+        index = tmp_path / "cache" / "S002" / "index.json"
+        doc = json.loads(index.read_text())
+        if damage == "directory":
+            (index.parent / file).unlink()
+            (index.parent / file).mkdir()
+        else:
+            doc["labels"] = {"list label": [["Left"]] + doc["labels"][1:],
+                             "string labels": "LR" * (len(doc["labels"]) // 2),
+                             "one class": ["Left"] * len(doc["labels"])}[damage]
+            index.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["train-eval", "--config", str(cfg)]) == 0
+        reason = _only_s002_failed(capsys, tmp_path / "out", clean)
+        assert reason.startswith(f"ValueError: {index.parent / file}: {message}")
+
+
 def _memo_entries(tmp_path: Path, subject: str = "S002") -> list[Path]:
     return sorted((tmp_path / "cache" / subject / "derived").iterdir())
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,21 @@ class TestNameResolution:
         with pytest.raises(KeyError, match="XX9"):
             layout.resolve("XX9")
 
+    def test_resolve_all_keeps_order(self, layout):
+        assert layout.resolve_all(["Cz..", "fc5", "C3"]) == ["Cz", "FC5", "C3"]
+        assert layout.resolve_all([]) == []
+
+    def test_resolve_all_unknown_name(self, layout):
+        with pytest.raises(KeyError, match="XX9"):
+            layout.resolve_all(["C3", "XX9"])
+
+    @pytest.mark.parametrize("names", [["C3", "C4", "C3"], ["C3", "c3."], ["Cz", "CZ"]])
+    def test_resolve_all_rejects_two_names_of_one_electrode(self, layout, names):
+        first, second = [n for n in names if layout.resolve(n) == layout.resolve(names[-1])]
+        with pytest.raises(ValueError, match=re.escape(
+                f"{first!r} and {second!r} name electrode {layout.resolve(first)!r} twice")):
+            layout.resolve_all(names)
+
     def test_contains(self, layout):
         assert "C3" in layout
         assert "Q7" not in layout
@@ -158,6 +175,12 @@ class TestWeightedMap:
     def test_unknown_name_rejected(self, layout):
         with pytest.raises(KeyError):
             montage.weighted_map({"ZZ1": 1.0}, layout)
+
+    def test_two_names_of_one_electrode_rejected(self, layout):
+        with pytest.raises(ValueError, match="twice"):
+            montage.weighted_map({"C3": 2.0, "c3": 1.0}, layout)
+        with pytest.raises(ValueError, match="twice"):
+            montage.binary_map(["C3", "Cz", "c3"], layout)
 
 
 class TestSpatialMap:

@@ -175,6 +175,14 @@ class TestCSVReader:
         with pytest.raises(ValueError, match="no header row"):
             read_recording_csv(p)
 
+    def test_bad_data_row_names_its_line(self, tmp_path):
+        p = tmp_path / "rec.csv"
+        for row in ("3", "1.0,abc"):
+            p.write_text(f"C3,C4\n1.0,2.0\n{row}\n4.0,5.0\n")
+            expected = f"{p} line 3: expected 2 numbers, got {row.split(',')}"
+            with pytest.raises(ValueError, match=re.escape(expected)):
+                read_recording_csv(p)
+
     def test_short_annotation_row_rejected(self, tmp_path):
         p = tmp_path / "rec.csv"
         p.write_text("chA\n" + "0.5\n" * 800)

@@ -726,6 +726,26 @@ class TestBackwardElimination:
             assert np.abs(x.T @ b @ x - np.eye(dim)).max() <= 1e-13
             assert np.abs(x.T @ a @ x - np.diag(lam)).max() <= 1e-14 * lam[-1]
 
+    def test_pencil_proves_both_matrices_positive_definite(self, rng):
+        stack = np.array([rand_spd(rng, 4) for _ in range(5)])
+        stack[3] -= (np.linalg.eigvalsh(stack[3])[0] + 0.5) * np.eye(4)
+        b = rand_spd(rng, 4)
+        with pytest.raises(ValueError,
+                           match="^covariance 3 must be finite and positive definite$"):
+            spdgeom._pencil(stack, b, "covariance {j}")
+        with pytest.raises(ValueError, match="^inputs must be finite and positive definite$"):
+            spdgeom._pencil(stack[3], b, "inputs", vectors=True)
+        with pytest.raises(ValueError, match="^centroid 1 must be finite and positive definite$"):
+            spdgeom._pencil(b, stack[3], "covariance {j}", what_b="centroid 1")
+
+    def test_indefinite_model_centroid_named(self, rng):
+        good = rand_spd(rng, 4)
+        bad = good - (np.linalg.eigvalsh(good)[0] + 0.5) * np.eye(4)
+        model = spdgeom.MDMModel(classes=("a", "b"), centroids=(good, bad),
+                                 channel_subset=tuple(range(4)))
+        with pytest.raises(ValueError, match="^centroid 1 must be finite and positive definite$"):
+            mdm_predict(model, [rand_spd(rng, 4)])
+
     def test_strictly_decreasing_subset_chain(self, rng):
         covs, labels = make_spd_dataset(rng, 10, dim=6)
         trace = backward_elimination(mdm_fit(covs, labels).centroids, target_k=2)
