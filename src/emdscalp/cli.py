@@ -70,6 +70,11 @@ class ExperimentConfig:
             raise ValueError(f"unknown relevance_source {self.relevance_source!r}")
         if self.channel_config == "feat21" and external and not self.relevance_pattern:
             raise ValueError("feat21 with an external source requires relevance_pattern")
+        try:
+            self.relevance_pattern.format(subject=1)
+        except (LookupError, ValueError, TypeError, AttributeError) as exc:
+            raise ValueError(f"relevance_pattern {self.relevance_pattern!r} cannot take a "
+                             f"subject id: {type(exc).__name__}: {exc}") from None
         # NaN fails every comparison, so it is rejected too
         for key, ok, rule in (
             ("subjects", all(s >= 1 for s in self.subjects)
@@ -116,16 +121,16 @@ def load_config(path: str | Path | None, overrides: dict[str, object] | None = N
     base = Path(".")
     if path is not None:
         base = Path(path).resolve().parent
-        raw = parse_config_text(Path(path).read_text(encoding="utf-8"))
-        for key, sval in raw.items():
-            kind = _KEY_TYPES.get(key)
-            if kind is None:
-                raise ValueError(f"unknown config key {key!r}")
-            try:
-                values[key] = (tuple(int(v) for v in sval.split(",") if v.strip())
-                               if kind == tuple[int, ...] else kind(sval))
-            except ValueError as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from None
+        with _reading(path):
+            for key, sval in parse_config_text(Path(path).read_text(encoding="utf-8")).items():
+                kind = _KEY_TYPES.get(key)
+                if kind is None:
+                    raise ValueError(f"unknown config key {key!r}")
+                try:
+                    values[key] = (tuple(int(v) for v in sval.split(",") if v.strip())
+                                   if kind == tuple[int, ...] else kind(sval))
+                except ValueError as exc:
+                    raise ValueError(f"config key {key!r}: {exc}") from None
     cfg = ExperimentConfig(**values)
     # relative paths resolve against the config file's directory
     resolved = {}
@@ -142,9 +147,10 @@ def load_config(path: str | Path | None, overrides: dict[str, object] | None = N
 
 
 def _load_layout(cfg: ExperimentConfig) -> montage.GridLayout:
-    if cfg.layout:
+    if not cfg.layout:
+        return montage.default_layout()
+    with _reading(cfg.layout):
         return montage.load_grid_layout_file(cfg.layout)
-    return montage.default_layout()
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +163,13 @@ def _write_json(path: Path, doc) -> None:
 @contextmanager
 def _reading(path: str | Path):
     """Re-raise a failure to read or parse the one input file `path` as a
-    ``ValueError`` that starts with the path; ``FileNotFoundError`` passes."""
+    ``ValueError`` ``<path>: <Type>: <reason>``; ``FileNotFoundError`` passes."""
     try:
         yield
     except FileNotFoundError:
         raise
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
+    except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError, OverflowError,
+            csv.Error) as exc:
         raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
@@ -189,14 +196,14 @@ CACHE_FORMAT_VERSION = 3
 _EPOCH_DTYPE = np.dtype("<f8")
 
 
-def _check_index_lists(where: Path, index: dict, n_epochs: int, dim: int) -> None:
+def _check_index_lists(index: dict, n_epochs: int, dim: int) -> None:
     if any(len(index.get(key, ())) != n_epochs for key in ("labels", "trials", "slices")) \
             or len(index.get("channel_names", ())) != dim:
-        raise ValueError(f"{where}: labels, trials and slices must each list "
-                         f"n_epochs={n_epochs} entries and channel_names n_channels={dim}")
+        raise ValueError(f"labels, trials and slices must each list n_epochs={n_epochs} "
+                         f"entries and channel_names n_channels={dim}")
     labels = index.get("labels")
     if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
-        raise ValueError(f"{where}: labels must be a list of strings")
+        raise ValueError("labels must be a list of strings")
 
 
 def write_epoch_cache(cache_dir: Path, subject: int, covs: np.ndarray,
@@ -215,10 +222,11 @@ def write_epoch_cache(cache_dir: Path, subject: int, covs: np.ndarray,
     subj_dir = cache_dir / _subject_tag(subject)
     dim = len(index["channel_names"])
     covs = np.asarray(covs, dtype=_EPOCH_DTYPE)
-    if covs.shape[1:] != (dim, dim):
-        raise ValueError(f"{subj_dir}: epoch covariances must be (n_epochs, {dim}, {dim}) "
-                         f"for {dim} channel names, got {covs.shape}")
-    _check_index_lists(subj_dir, index, len(covs), dim)
+    with _reading(subj_dir):
+        if covs.shape[1:] != (dim, dim):
+            raise ValueError(f"epoch covariances must be (n_epochs, {dim}, {dim}) "
+                             f"for {dim} channel names, got {covs.shape}")
+        _check_index_lists(index, len(covs), dim)
     index = dict(index, format_version=CACHE_FORMAT_VERSION, subject=subject,
                  dtype=_EPOCH_DTYPE.str, n_epochs=len(covs), n_channels=dim)
     subj_dir.mkdir(parents=True, exist_ok=True)
@@ -229,23 +237,14 @@ def write_epoch_cache(cache_dir: Path, subject: int, covs: np.ndarray,
     return subj_dir
 
 
-def _read_npy(path: Path, what: str) -> np.ndarray:
-    """Load a ``.npy`` file without pickle support.
-
-    Raises ``FileNotFoundError`` for a missing file and ``ValueError`` naming
-    the file when it cannot be read or parsed or holds more than the header
-    plus data.
-    """
-    try:
-        with open(path, "rb") as fh:
-            data = np.load(fh, allow_pickle=False)
-            read_bytes, file_bytes = fh.tell(), os.fstat(fh.fileno()).st_size
-    except FileNotFoundError:
-        raise
-    except (OSError, ValueError, EOFError) as exc:
-        raise ValueError(f"{path}: unreadable {what}: {exc}") from exc
-    if file_bytes != read_bytes:
-        raise ValueError(f"{path}: {file_bytes} bytes, header and data take {read_bytes}")
+def _read_npy(path: Path) -> np.ndarray:
+    """Load a ``.npy`` file without pickle support, under `_reading`; bytes
+    past the header and data are an error too."""
+    with _reading(path), open(path, "rb") as fh:
+        data = np.load(fh, allow_pickle=False)
+        read_bytes, file_bytes = fh.tell(), os.fstat(fh.fileno()).st_size
+        if file_bytes != read_bytes:
+            raise ValueError(f"{file_bytes} bytes, header and data take {read_bytes}")
     return data
 
 
@@ -261,21 +260,24 @@ def read_epoch_cache(cache_dir: Path, subject: int) -> tuple[np.ndarray, dict]:
     subj_dir = cache_dir / _subject_tag(subject)
     index_path, path = subj_dir / "index.json", subj_dir / "epochs.npy"
     index = _read_json(index_path)
-    version = index.get("format_version")
-    if version != CACHE_FORMAT_VERSION:
-        raise ValueError(f"{index_path}: cache format_version {version!r} is not "
-                         f"{CACHE_FORMAT_VERSION}; re-run prepare")
-    data = _read_npy(path, "epoch covariance array")
     n_epochs, dim = index.get("n_epochs"), index.get("n_channels")
-    _check_index_lists(index_path, index, n_epochs, dim)
+    with _reading(index_path):
+        version = index.get("format_version")
+        if version != CACHE_FORMAT_VERSION:
+            raise ValueError(f"cache format_version {version!r} is not "
+                             f"{CACHE_FORMAT_VERSION}; re-run prepare")
+        _check_index_lists(index, n_epochs, dim)
+    data = _read_npy(path)
     shape = (n_epochs, dim, dim)
-    if (data.dtype.str, data.shape) != (_EPOCH_DTYPE.str, shape) \
-            or index.get("dtype") != _EPOCH_DTYPE.str:
-        raise ValueError(f"{path}: array is {data.dtype.str} {data.shape}; index.json declares "
-                         f"{index.get('dtype')} {shape} and the format needs {_EPOCH_DTYPE.str}")
-    finite = np.isfinite(data).all(axis=(1, 2))
-    if not finite.all():
-        raise ValueError(f"{path}: epoch {int(np.argmin(finite))} has a non-finite entry")
+    with _reading(path):
+        if (data.dtype.str, data.shape) != (_EPOCH_DTYPE.str, shape) \
+                or index.get("dtype") != _EPOCH_DTYPE.str:
+            raise ValueError(f"array is {data.dtype.str} {data.shape}; index.json declares "
+                             f"{index.get('dtype')} {shape} and the format needs "
+                             f"{_EPOCH_DTYPE.str}")
+        finite = np.isfinite(data).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"epoch {int(np.argmin(finite))} has a non-finite entry")
     return data, index
 
 
@@ -324,7 +326,7 @@ class DerivedMemo:
         path = self.root / f"centroid-{self._key('centroid', mats, float(tol), int(max_iter))}.npy"
         dim = np.shape(mats[0])[0]
         try:
-            mean = _read_npy(path, "memo centroid")
+            mean = _read_npy(path)
         except FileNotFoundError:
             mean = spdgeom.frechet_mean(mats, tol=tol, max_iter=max_iter)
             self._store(path, lambda fh: np.save(fh, mean.astype(_EPOCH_DTYPE, copy=False),
@@ -345,19 +347,18 @@ class DerivedMemo:
         in first-appearance class order, computed at most once."""
         centroids = spdgeom.mdm_fit(covs, labels, mean=self.frechet_mean).centroids
         path = self.root / f"trace-{self._key('trace', centroids, int(target_k))}.json"
+        dim = centroids[0].shape[0]
         try:
             with _reading(path):
                 trace = spdgeom.trace_from_json(path.read_text(encoding="utf-8"))
+                channels = [step.removed for step in trace.removal_order] + list(trace.final_subset)
+                if sorted(channels) != list(range(dim)) \
+                        or {len(trace.final_subset), len(trace.final_loo_drops)} != {target_k}:
+                    raise ValueError(f"trace does not reduce channels 0..{dim - 1} to "
+                                     f"{target_k}, removing or keeping each once")
         except FileNotFoundError:
             trace = spdgeom.backward_elimination(centroids, target_k)
             self._store(path, lambda fh: fh.write(spdgeom.trace_to_json(trace).encode()))
-            return trace
-        dim = centroids[0].shape[0]
-        channels = [step.removed for step in trace.removal_order] + list(trace.final_subset)
-        if sorted(channels) != list(range(dim)) \
-                or (len(trace.final_subset), len(trace.final_loo_drops)) != (target_k, target_k):
-            raise ValueError(f"{path}: trace does not reduce channels 0..{dim - 1} to "
-                             f"{target_k}, removing or keeping each once")
         return trace
 
 
@@ -485,8 +486,8 @@ def _prepare_subject(cfg: ExperimentConfig, cache_dir: Path, subject: int,
     """Epoch and cache one subject's runs; ``None`` when no run is usable.
 
     Every run must hold only finite samples and carry the first run's channel
-    names, in order, and its sample rate; otherwise a ``ValueError`` names
-    the subject and the file.
+    names, in order, and its sample rate; otherwise a ``ValueError`` starts
+    with the file's path.
     Any earlier cache of the subject, and its derived-result memo, is
     invalidated first, so a subject that fails here is not read from a stale
     cache by later commands.
@@ -510,16 +511,13 @@ def _prepare_subject(cfg: ExperimentConfig, cache_dir: Path, subject: int,
             rec = (signal.read_recording(path) if cfg.input_format == "edf" else
                    signal.read_recording_csv(path, ann if ann.exists() else None,
                                              sample_rate=cfg.sample_rate))
-        if first is None:
-            first = (path, rec.channel_names, rec.sample_rate)
-        elif (rec.channel_names, rec.sample_rate) != first[1:]:
-            raise ValueError(
-                f"{tag}: {path} has channels {rec.channel_names} at {rec.sample_rate} Hz, "
-                f"but {first[0]} has {first[1]} at {first[2]} Hz"
-            )
-        if not np.isfinite(rec.data).all():
-            raise ValueError(f"{tag}: {path} holds non-finite samples")
-        with _reading(path):
+            if first is None:
+                first = (path, rec.channel_names, rec.sample_rate)
+            elif (rec.channel_names, rec.sample_rate) != first[1:]:
+                raise ValueError(f"has channels {rec.channel_names} at {rec.sample_rate} Hz, "
+                                 f"but {first[0]} has {first[1]} at {first[2]} Hz")
+            if not np.isfinite(rec.data).all():
+                raise ValueError("holds non-finite samples")
             rec = signal.bandpass(rec, cfg.band_lo, cfg.band_hi)
         offset = max(index["trials"], default=-1) + 1
         epochs = signal.epoch_trials(rec, trial_offset=offset)
@@ -782,11 +780,7 @@ def cmd_plot(cfg: ExperimentConfig, map_path: str, out_path: str) -> dict:
 def cmd_report(cfg: ExperimentConfig, row_files: list[str]) -> dict:
     cell: dict[tuple[int, str], dict] = {}
     for path in row_files:
-        for row in _report_rows(Path(path)):
-            key = row["subject"], row["channel_config"]
-            if key in cell:
-                raise ValueError(f"{path}: second row for subject {key[0]}, {key[1]}")
-            cell[key] = row
+        _add_report_rows(Path(path), cell)
     rows = list(cell.values())
     if not rows:
         raise ValueError("no rows to report")
@@ -841,15 +835,14 @@ def cmd_report(cfg: ExperimentConfig, row_files: list[str]) -> dict:
     return {"output_dir": str(out_dir), "subjects": len(subjects)}
 
 
-def _report_rows(path: Path) -> list[dict]:
-    """The rows of one ``rows.csv`` for ``report``, each with an int
-    ``subject``, a ``channel_config`` from `CHANNEL_CONFIGS`, a float
-    ``chance`` and, where present, a float ``overall`` and ``recall_*``,
-    each of these in [0, 1]; any other row is a ``ValueError`` that starts
-    with the path."""
-    rows = _read_rows_csv(path)
+def _add_report_rows(path: Path, cell: dict[tuple[int, str], dict]) -> None:
+    """Add the rows of one ``rows.csv`` to `cell` under their (subject,
+    channel_config), each with an int ``subject``, a ``channel_config`` from
+    `CHANNEL_CONFIGS`, a float ``chance`` and, where present, a float
+    ``overall`` and ``recall_*``, each of these in [0, 1]; any other row, or
+    a key already in `cell`, is a ``ValueError`` that starts with the path."""
     with _reading(path):
-        for row in rows:
+        for row in _read_rows_csv(path):
             if row["channel_config"] not in CHANNEL_CONFIGS:
                 raise ValueError(f"channel_config must be one of {CHANNEL_CONFIGS}, "
                                  f"got {row['channel_config']!r}")
@@ -861,7 +854,10 @@ def _report_rows(path: Path) -> list[dict]:
                     row[key] = float(row[key])
                     if not 0.0 <= row[key] <= 1.0:
                         raise ValueError(f"{key} must be in [0, 1], got {row[key]}")
-    return rows
+            key = row["subject"], row["channel_config"]
+            if key in cell:
+                raise ValueError(f"second row for subject {key[0]}, {key[1]}")
+            cell[key] = row
 
 
 def _read_rows_csv(path: Path) -> list[dict]:

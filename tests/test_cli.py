@@ -147,6 +147,9 @@ class TestConfig:
         ({"mass": "weird"}, "mass"),
         ({"input_format": "xls"}, "input_format"),
         ({"class_mode": "zzz"}, "class_mode"),
+        ({"relevance_pattern": "rel_{subj}.json"}, "relevance_pattern"),
+        ({"relevance_pattern": "rel_{0}.json"}, "relevance_pattern"),
+        ({"relevance_pattern": "rel_{.json"}, "relevance_pattern"),
     ])
     def test_bad_value_rejected_naming_its_key(self, tmp_path, edit, key):
         with pytest.raises(ValueError, match=key):
@@ -279,7 +282,8 @@ class TestPrepare:
         assert list(summary["cached"]) == ["S001"]
         assert summary["failed_subjects"] == ["S002"]
         reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
-        assert reason.startswith("ValueError: S002: ") and "S002R04.edf" in reason
+        run = tmp_path / "data" / "S002" / "S002R04.edf"
+        assert reason.startswith(f"ValueError: {run}: ValueError: has channels ")
         assert not (tmp_path / "cache" / "S002").exists()
 
     def test_corrupt_edf_fails_only_its_subject(self, workspace, capsys):
@@ -311,7 +315,7 @@ class TestPrepare:
         assert (list(summary["cached"]), summary["failed_subjects"]) == (["S001"], ["S002"])
         reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
         bad_run = tmp_path / "data" / "S002" / "S002R03.csv"
-        assert reason == f"ValueError: S002: {bad_run} holds non-finite samples"
+        assert reason == f"ValueError: {bad_run}: ValueError: holds non-finite samples"
         assert not (tmp_path / "cache" / "S002" / "index.json").exists()
 
     def test_bad_edf_header_field_names_its_run(self, workspace, capsys):
@@ -351,6 +355,19 @@ class TestPrepare:
         assert reason.startswith(f"ValueError: {run}: ValueError: ")
         if annotations is not None:
             assert f"{sidecar} line 2: " in reason
+
+    def test_csv_field_over_the_csv_limit_fails_only_its_subject(self, tmp_path, rng, capsys):
+        for sid in (1, 2):
+            rec = make_motor_recording(rng, ["C3", "C4"], n_trials=8, discriminative=(1,))
+            write_csv_run(tmp_path / "data" / f"S{sid:03d}" / f"S{sid:03d}R03.csv", rec)
+        run = tmp_path / "data" / "S001" / "S001R03.csv"
+        run.write_text("C3," + "x" * 131073 + "\n")
+        cfg = write_config(tmp_path / "exp.cfg", runs="3", input_format="csv")
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["failed_subjects"] == ["S001"]
+        reason = json.loads(captured.err.splitlines()[-1])["failed"]["S001"]
+        assert reason.startswith(f"ValueError: {run}: Error: field larger than field limit")
 
     def test_no_subject_prepared_fails(self, workspace, capsys):
         tmp_path, cfg = workspace
@@ -394,7 +411,7 @@ class TestEpochCache:
         finite = np.isfinite(arr).all(axis=(1, 2))
         if not finite.all():
             npy = cache_dir / "S005" / "epochs.npy"
-            with pytest.raises(ValueError, match=f"^{re.escape(str(npy))}: epoch "
+            with pytest.raises(ValueError, match=f"^{re.escape(str(npy))}: ValueError: epoch "
                                                  f"{int(np.argmin(finite))} has a non-finite"):
                 cli.read_epoch_cache(cache_dir, 5)
             return
@@ -419,8 +436,8 @@ class TestEpochCache:
     @pytest.mark.parametrize("shape", [(2, 3, 3), (2, 2), (1, 2, 2, 2)])
     def test_array_of_other_shape_rejected(self, tmp_path, shape):
         with pytest.raises(ValueError, match=re.escape(
-                f"S001: epoch covariances must be (n_epochs, 2, 2) for 2 channel names, "
-                f"got {shape}")):
+                f"S001: ValueError: epoch covariances must be (n_epochs, 2, 2) "
+                f"for 2 channel names, got {shape}")):
             cli.write_epoch_cache(tmp_path, 1, np.zeros(shape), _index(2))
         assert not (tmp_path / "S001" / "epochs.npy").exists()
 
@@ -428,7 +445,7 @@ class TestEpochCache:
     def test_index_lists_of_other_length_rejected_before_writing(self, tmp_path, key):
         covs = np.broadcast_to(np.eye(2), (3, 2, 2))
         with pytest.raises(ValueError, match=re.escape(
-                f"{tmp_path / 'S001'}: labels, trials and slices must each list "
+                f"{tmp_path / 'S001'}: ValueError: labels, trials and slices must each list "
                 f"n_epochs=3 entries and channel_names n_channels=2")):
             cli.write_epoch_cache(tmp_path, 1, covs, dict(_index(3), **{key: _index(1)[key]}))
         assert not (tmp_path / "S001").exists()
@@ -465,7 +482,7 @@ class TestEpochCache:
     def test_array_disagreeing_with_index_rejected(self, tmp_path, array):
         npy, _ = _cache_files(tmp_path)
         np.save(npy, array)
-        with pytest.raises(ValueError, match="epochs.npy: array is"):
+        with pytest.raises(ValueError, match="epochs.npy: ValueError: array is"):
             cli.read_epoch_cache(tmp_path, 1)
 
     def test_index_dtype_other_than_float64_rejected(self, tmp_path):
@@ -473,7 +490,7 @@ class TestEpochCache:
         np.save(npy, np.zeros((3, 2, 2), np.float32))
         index = json.loads(index_path.read_text())
         index_path.write_text(json.dumps(dict(index, dtype="<f4")))
-        with pytest.raises(ValueError, match="epochs.npy: array is"):
+        with pytest.raises(ValueError, match="epochs.npy: ValueError: array is"):
             cli.read_epoch_cache(tmp_path, 1)
 
     def test_missing_array_rejected(self, tmp_path):
@@ -637,7 +654,8 @@ class TestTrainEval:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["failed_subjects"] == ["S002"]
         reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
-        assert reason.startswith(f"ValueError: {npy}: epoch {train[1]} has a non-finite")
+        assert reason.startswith(f"ValueError: {npy}: ValueError: epoch {train[1]} has a "
+                                 f"non-finite")
         rows = json.loads((tmp_path / "out" / "rows.json").read_text())
         assert [r["subject"] for r in rows] == [1]
 
@@ -792,9 +810,9 @@ class TestOneSubjectFails:
 
     @pytest.mark.parametrize("damage, file, message", [
         ("directory", "index.json", "IsADirectoryError: "),
-        ("directory", "epochs.npy", "unreadable epoch covariance array: "),
-        ("list label", "index.json", "labels must be a list of strings"),
-        ("string labels", "index.json", "labels must be a list of strings"),
+        ("directory", "epochs.npy", "IsADirectoryError: "),
+        ("list label", "index.json", "ValueError: labels must be a list of strings"),
+        ("string labels", "index.json", "ValueError: labels must be a list of strings"),
         ("one class", "index.json", "ValueError: need at least 2 classes to split"),
     ])
     def test_damaged_cache(self, tmp_path, rng, capsys, damage, file, message):
@@ -1261,6 +1279,8 @@ class TestReportCommand:
         "subject,channel_config,chance,overall\n99,all64,inf,0.9\n",
         "subject,channel_config,chance,overall\n99,all64,0.5,5\n",  # a percentage
         "subject,channel_config,chance,overall,recall_Left\n99,all64,0.5,0.9,-0.1\n",
+        pytest.param("subject,channel_config,chance,overall\n99,all64,0.5,0.%s\n"
+                     % ("9" * 131072), id="field over the csv limit"),
     ])
     def test_bad_rows_file_named_in_error(self, tmp_path, capsys, text):
         good = write_fixture_rows(tmp_path / "good.csv")
@@ -1331,6 +1351,39 @@ class TestReportCommand:
         out = tmp_path_factory.mktemp("rows")
         cli._write_rows(out, rows)
         assert cli._read_rows_csv(out / "rows.csv") == rows
+
+
+class TestCohortFileContract:
+    """A cohort-level input file that cannot be read or parsed makes its
+    command exit 1 with a ``ValueError`` that starts with the file's path."""
+
+    #: file kind: its command line and one garbled line; ``{bad}`` is the file
+    KINDS = {
+        "config": ("train-eval --config {bad}", "seed"),
+        "layout": ("plot --config {layout_cfg} --map {good} --out {tmp}/m.svg", "C3,1"),
+        "rows": ("report --config {cfg} --rows {bad}", "subject,channel_config,chance\n1,all64"),
+        "cohort": ("emd --config {cfg} --cohorts m={bad}", "{"),
+        "map": ("emd --config {cfg} --maps m={bad}", "1,x"),
+        "baseline map": ("emd --config {cfg} --baseline-map {bad} --maps m={good}", "1,x"),
+        "plot map": ("plot --config {cfg} --map {bad} --out {tmp}/m.svg", "1,x"),
+    }
+
+    @pytest.mark.parametrize("damage", ["directory", "bytes", "garbled line"])
+    @pytest.mark.parametrize("kind", list(KINDS))
+    def test_damaged_file_named_in_error(self, tmp_path, layout, capsys, kind, damage):
+        command, line = self.KINDS[kind]
+        bad, good = tmp_path / "bad", tmp_path / "good.csv"
+        if damage == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"\xff\xfe" if damage == "bytes" else f"{line}\n".encode())
+        montage.save_spatial_map(relevance.mi_baseline(layout), good)
+        argv = command.format(bad=bad, good=good, tmp=tmp_path,
+                              cfg=write_config(tmp_path / "exp.cfg"),
+                              layout_cfg=write_config(tmp_path / "layout.cfg", layout=bad))
+        assert main(argv.split()) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError" and err["message"].startswith(f"{bad}: ")
 
 
 class TestErrorContract:
