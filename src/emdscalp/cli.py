@@ -132,12 +132,12 @@ def load_config(path: str | Path | None, overrides: dict[str, object] | None = N
                 except ValueError as exc:
                     raise ValueError(f"config key {key!r}: {exc}") from None
     cfg = ExperimentConfig(**values)
-    # relative paths resolve against the config file's directory
-    resolved = {}
+    # relative paths resolve against the config file's directory, brace-escaped in a template
+    resolved, template_base = {}, str(base).replace("{", "{{").replace("}", "}}")
     for key in _PATH_KEYS:
         val = getattr(cfg, key)
         if val and not Path(val.split("{", 1)[0] or ".").is_absolute():
-            resolved[key] = str(base / val)
+            resolved[key] = str(Path(template_base if key == "relevance_pattern" else base) / val)
     if resolved:
         cfg = replace(cfg, **resolved)
     if overrides:
@@ -289,7 +289,7 @@ MEMO_VERSION = 6
 
 
 class DerivedMemo:
-    """One subject's class centroids and elimination traces, stored on disk.
+    """A disk cache of one subject's ``spdgeom.frechet_mean`` and ``backward_elimination``.
 
     Entries live in ``<cache_dir>/S<id>/derived/`` under content keys: a
     centroid's key hashes the exact ``<f8`` bytes, count and shapes of its
@@ -341,21 +341,17 @@ class DerivedMemo:
             spdgeom._pencil(centroid, centroid, "centroid")
         return mean
 
-    def elimination(self, covs: np.ndarray, labels: list[str],
+    def elimination(self, centroids: Sequence[np.ndarray],
                     target_k: int) -> spdgeom.SelectionTrace:
-        """``spdgeom.backward_elimination`` on the class centroids of `covs`,
-        in first-appearance class order, computed at most once."""
-        centroids = spdgeom.mdm_fit(covs, labels, mean=self.frechet_mean).centroids
+        """``spdgeom.backward_elimination`` of `centroids`, computed at most once."""
         path = self.root / f"trace-{self._key('trace', centroids, int(target_k))}.json"
-        dim = centroids[0].shape[0]
         try:
             with _reading(path):
                 trace = spdgeom.trace_from_json(path.read_text(encoding="utf-8"))
-                channels = [step.removed for step in trace.removal_order] + list(trace.final_subset)
-                if sorted(channels) != list(range(dim)) \
-                        or {len(trace.final_subset), len(trace.final_loo_drops)} != {target_k}:
-                    raise ValueError(f"trace does not reduce channels 0..{dim - 1} to "
-                                     f"{target_k}, removing or keeping each once")
+                shape = len(trace.removal_order) + len(trace.final_subset), len(trace.final_subset)
+                if shape != (len(centroids[0]), target_k):
+                    raise ValueError(f"trace reduces {shape[0]} channels to {shape[1]}, not "
+                                     f"{len(centroids[0])} to {target_k}")
         except FileNotFoundError:
             trace = spdgeom.backward_elimination(centroids, target_k)
             self._store(path, lambda fh: fh.write(spdgeom.trace_to_json(trace).encode()))
@@ -373,7 +369,8 @@ def _riemannian_selection(cfg: ExperimentConfig, memo: DerivedMemo,
     ``select-channels`` alike: the surviving channel indices in order, their
     sorted montage names (channels outside the montage left out) and the
     trace.  `lookup` maps each montage electrode to its channel index."""
-    trace = memo.elimination(train_covs, train_labels, cfg.target_k)
+    centroids = spdgeom.mdm_fit(train_covs, train_labels, mean=memo.frechet_mean).centroids
+    trace = memo.elimination(centroids, cfg.target_k)
     subset = sorted(trace.final_subset)
     names = {i: name for name, i in lookup.items()}
     return subset, sorted(names[i] for i in subset if i in names), trace
@@ -631,10 +628,12 @@ def _train_eval_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
     subset, names, trace = _subset_for_config(
         cfg, layout, lookup, subject, train_covs, train_labels, memo
     )
+    if cfg.channel_config != "all64":
+        train_covs, test_covs = (spdgeom.restrict_channels(c, subset)
+                                 for c in (train_covs, test_covs))
     classes = sorted(set(train_labels))
-    model = spdgeom.mdm_fit(train_covs, train_labels, channel_subset=subset,
-                            classes=classes, mean=memo.frechet_mean)
-    preds = spdgeom.mdm_predict(model, spdgeom.restrict_channels(test_covs, subset))
+    model = spdgeom.mdm_fit(train_covs, train_labels, classes=classes, mean=memo.frechet_mean)
+    preds = spdgeom.mdm_predict(model, test_covs)
     ev = stats.evaluate(preds, test_labels, classes=classes)
     chance = stats.chance_level(test_labels)
     row = {

@@ -271,13 +271,10 @@ def shrink(cov: np.ndarray, shrinkage: float) -> np.ndarray:
     if not 0.0 <= shrinkage < 1.0:
         raise ValueError(f"shrinkage must be in [0, 1), got {shrinkage}")
     cov = np.asarray(cov, dtype=float)
-    dim = cov.shape[-1]
-    out, eye = np.empty_like(cov), np.eye(dim)
-    flat, flat_out = cov.reshape(-1, dim, dim), out.reshape(-1, dim, dim)
-    for s in _blocks(len(flat)):
-        scale = shrinkage * (np.trace(flat[s], axis1=1, axis2=2) / dim)
-        np.multiply(flat[s], 1.0 - shrinkage, out=flat_out[s])
-        flat_out[s] += scale[:, None, None] * eye
+    scale = shrinkage * (np.trace(cov, axis1=-2, axis2=-1) / cov.shape[-1])
+    out = cov * (1.0 - shrinkage)
+    out += (scale * 0.0)[..., None, None]  # the formula's off-diagonal + 0.0: -0.0 -> +0.0
+    np.einsum("...ii->...i", out)[...] += scale[..., None]
     return out
 
 
@@ -360,22 +357,24 @@ def frechet_mean(
 
 @dataclass(frozen=True, eq=False)
 class MDMModel:
-    """Per-class Fréchet-mean centroids over a channel subset."""
+    """Per-class Fréchet-mean centroids, all of one order `dim`."""
 
     classes: tuple[Hashable, ...]
     centroids: tuple[np.ndarray, ...]
-    channel_subset: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return len(self.channel_subset)
+        return len(self.centroids[0])
 
 
 def restrict_channels(cov: np.ndarray, subset: Sequence[int]) -> np.ndarray:
     """Principal submatrix on the given channel indices, of one covariance
-    or of each in a stack ``(..., d, d)``."""
-    idx = np.asarray(subset, dtype=int)
-    return np.asarray(cov, dtype=float)[..., idx[:, None], idx]
+    or of each in a stack ``(..., d, d)``; an index outside ``0..d-1``
+    raises a ``ValueError``."""
+    cov, idx = np.asarray(cov, dtype=float), np.asarray(subset, dtype=int)
+    if ((idx < 0) | (idx >= cov.shape[-1])).any():
+        raise ValueError(f"channel subset out of range for dim {cov.shape[-1]}")
+    return cov[..., idx[:, None], idx]
 
 
 def _class_partition(labels: Sequence[Hashable], classes=None) -> tuple[tuple, dict]:
@@ -399,7 +398,6 @@ def _class_partition(labels: Sequence[Hashable], classes=None) -> tuple[tuple, d
 def mdm_fit(
     covs: Sequence[np.ndarray],
     labels: Sequence[Hashable],
-    channel_subset: Sequence[int] | None = None,
     classes: Sequence[Hashable] | None = None,
     tol: float = 1e-8,
     max_iter: int = 50,
@@ -407,12 +405,12 @@ def mdm_fit(
 ) -> MDMModel:
     """Fit the minimum-distance-to-mean classifier.
 
-    `covs` is a sequence of matrices or one ``(n, d, d)`` array.
-    Covariances are restricted to `channel_subset` before averaging; one
+    `covs` is a sequence of matrices or one ``(n, d, d)`` array; fit on a
+    channel subset by passing ``restrict_channels(covs, subset)``.  One
     Fréchet-mean centroid is estimated per class.  Class order defaults to
     first appearance in `labels` and fixes the prediction tie-break.
     `mean`, called as ``mean(mats, tol=tol, max_iter=max_iter)`` with the
-    class's restricted covariances as one ``(n_c, k, k)`` array, replaces
+    class's covariances as one ``(n_c, d, d)`` array, replaces
     `frechet_mean` for each class, e.g. to return centroids the caller
     already has.  A thread pool of one worker per class, up to the usable
     CPUs, maps the classes, so `mean` must be safe to call from several
@@ -424,17 +422,12 @@ def mdm_fit(
     if len(covs) == 0:
         raise ValueError("no training examples")
     covs = _stack(covs, "covariance {j}")
-    dim = covs.shape[1]
-    subset = tuple(range(dim)) if channel_subset is None else tuple(int(c) for c in channel_subset)
-    if any(c < 0 or c >= dim for c in subset):
-        raise ValueError(f"channel subset out of range for dim {dim}")
     classes, groups = _class_partition(labels, classes)
     mean = frechet_mean if mean is None else mean
     with ThreadPoolExecutor(max_workers=min(len(classes), _usable_cpus())) as pool:
         centroids = tuple(pool.map(
-            lambda c: mean(covs[np.ix_(groups[c], subset, subset)], tol=tol, max_iter=max_iter),
-            classes))
-    return MDMModel(classes=classes, centroids=centroids, channel_subset=subset)
+            lambda c: mean(covs[groups[c]], tol=tol, max_iter=max_iter), classes))
+    return MDMModel(classes=classes, centroids=centroids)
 
 
 def mdm_predict(model: MDMModel, covs: Sequence[np.ndarray]) -> list[Hashable]:
@@ -517,15 +510,14 @@ def _leave_one_out_sq(loglam: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (loglam @ loglam) + (((sq @ (e * e)) / (sq @ e)) @ weights).real
 
 
-def _distances(centroids: Sequence[np.ndarray], subset: Sequence[int]
-               ) -> tuple[float, np.ndarray]:
+def _distances(centroids: np.ndarray, subset: Sequence[int]) -> tuple[float, np.ndarray]:
     # Sum of pairwise centroid distances on `subset` (a single pair for two
     # classes), and the same sum on `subset` less each channel in turn.
-    idx = np.ix_(subset, subset)
+    cut = restrict_channels(centroids, subset)
     full, loo = 0.0, np.zeros(len(subset))
-    for i in range(len(centroids)):
-        for j in range(i + 1, len(centroids)):
-            lam, x = _pencil(centroids[i][idx], centroids[j][idx], "centroids", vectors=True)
+    for i in range(len(cut)):
+        for j in range(i + 1, len(cut)):
+            lam, x = _pencil(cut[i], cut[j], "centroids", vectors=True)
             loglam = np.log(lam)
             full += float(np.sqrt(loglam @ loglam))
             loo += np.sqrt(np.maximum(_leave_one_out_sq(loglam, x), 0.0))
@@ -587,8 +579,9 @@ def trace_to_json(trace: SelectionTrace) -> str:
 
 
 def trace_from_json(text: str) -> SelectionTrace:
-    """The trace in `text`; a ``ValueError`` unless its distances and drops
-    are finite and its steps are numbered 1..n in order."""
+    """The trace in `text`; a ``ValueError`` unless its steps are numbered
+    1..m in order, they and its survivors take each channel ``0..n-1`` once,
+    each survivor has one drop and every distance and drop is finite."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("trace JSON must be an object")
@@ -605,6 +598,13 @@ def trace_from_json(text: str) -> SelectionTrace:
     steps = trace.removal_order
     if [s.iteration for s in steps] != list(range(1, len(steps) + 1)):
         raise ValueError("trace iterations must be 1..n in order")
+    channels = [s.removed for s in steps] + list(trace.final_subset)
+    if sorted(channels) != list(range(len(channels))):
+        raise ValueError(f"trace must remove or keep each channel 0..{len(channels) - 1} "
+                         f"exactly once, not {sorted(channels)}")
+    if len(trace.final_loo_drops) != len(trace.final_subset):
+        raise ValueError(f"trace must give one drop per survivor, not "
+                         f"{len(trace.final_loo_drops)} for {len(trace.final_subset)}")
     if not np.isfinite([s.distance for s in steps] + list(trace.final_loo_drops)).all():
         raise ValueError("trace distances and drops must be finite")
     return trace

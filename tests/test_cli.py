@@ -131,6 +131,15 @@ class TestConfig:
                 assert cfg.channel_config == channel_config
                 assert cfg.relevance_source == source
 
+    def test_relative_pattern_in_a_directory_with_braces(self, tmp_path):
+        # the joined directory is escaped, so only {subject} is a field
+        base = (tmp_path / "{proj}").resolve()
+        base.mkdir()
+        cfg = load_config(write_config(base / "ext.cfg",
+                                       relevance_pattern="rel_{subject:03d}.json"))
+        assert cfg.relevance_pattern.format(subject=1) == str(base / "rel_001.json")
+        assert cfg.dataset_root == str(base / "data")
+
     @pytest.mark.parametrize("edit, key", [
         ({"test_fraction": "nan"}, "test_fraction"),
         ({"test_fraction": 1.5}, "test_fraction"),

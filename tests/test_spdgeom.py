@@ -1,4 +1,6 @@
 import inspect
+import json
+import re
 import sys
 import threading
 import warnings
@@ -456,8 +458,8 @@ class TestStackedKernels:
     @pytest.mark.parametrize("call, what", [
         (frechet_mean, "matrix"),
         (lambda mats: mdm_fit(mats, [0, 1] * 3), "covariance"),
-        (lambda mats: mdm_predict(spdgeom.MDMModel((0, 1), (np.eye(4),) * 2, (0, 1, 2, 3)),
-                                  mats), "covariance"),
+        (lambda mats: mdm_predict(spdgeom.MDMModel((0, 1), (np.eye(4),) * 2), mats),
+         "covariance"),
         (lambda mats: backward_elimination(mats, target_k=2), "centroid"),
     ], ids=["frechet_mean", "mdm_fit", "mdm_predict", "backward_elimination"])
     def test_matrix_of_another_shape_is_named(self, rng, call, what):
@@ -533,8 +535,7 @@ class TestMDM:
             return b @ b.T + 0.1 * np.eye(dim)
 
         model = spdgeom.MDMModel(classes=tuple(f"c{k}" for k in range(n_classes)),
-                                 centroids=tuple(spd() for _ in range(n_classes)),
-                                 channel_subset=tuple(range(dim)))
+                                 centroids=tuple(spd() for _ in range(n_classes)))
         covs = [spd() for _ in range(n_test)]
         preds = mdm_predict(model, covs)
         for x, pred in zip(covs, preds):
@@ -572,8 +573,7 @@ class TestMDM:
             with pytest.raises(ValueError,
                                match="^covariance 5 has a non-finite entry$"):
                 mdm_predict(model, given_as(covs[:5] + [bad] + covs[6:]))
-        broken = spdgeom.MDMModel(model.classes, (model.centroids[0], bad),
-                                  model.channel_subset)
+        broken = spdgeom.MDMModel(model.classes, (model.centroids[0], bad))
         with pytest.raises(ValueError, match="^centroid 1 has a non-finite entry$"):
             mdm_predict(broken, covs)
 
@@ -590,7 +590,7 @@ class TestMDM:
 
     def test_dim_mismatch_on_predict(self, rng):
         covs, labels = make_spd_dataset(rng, 4, dim=4)
-        model = mdm_fit(covs, labels, channel_subset=(0, 1))
+        model = mdm_fit(restrict_channels(covs, (0, 1)), labels)
         with pytest.raises(ValueError, match="does not match"):
             mdm_predict(model, [covs[0]])
         with pytest.raises(ValueError, match=r"covariance 1 dim \(4, 4\) does not match"):
@@ -598,13 +598,12 @@ class TestMDM:
         with pytest.raises(ValueError, match=r"covariance 0 dim \(4, 4\) does not match"):
             mdm_predict(model, np.stack(covs[:3]))
 
-    def test_subset_restriction_before_averaging(self, rng):
-        covs, labels = make_spd_dataset(rng, 6, dim=5)
-        sub = (1, 3)
-        model = mdm_fit(covs, labels, channel_subset=sub)
-        direct = mdm_fit([restrict_channels(c, sub) for c in covs], labels)
-        for c1, c2 in zip(model.centroids, direct.centroids):
-            assert_allclose(c1, c2, atol=1e-10)
+    @pytest.mark.parametrize("channel", [-1, 5])
+    def test_restrict_channels_rejects_an_index_out_of_range(self, rng, channel):
+        covs = np.stack([rand_spd(rng, 5) for _ in range(3)])
+        for given_as in (covs, covs[0]):
+            with pytest.raises(ValueError, match=r"^channel subset out of range for dim 5$"):
+                restrict_channels(given_as, [0, channel])
 
 
 class TestBackwardElimination:
@@ -741,8 +740,7 @@ class TestBackwardElimination:
     def test_indefinite_model_centroid_named(self, rng):
         good = rand_spd(rng, 4)
         bad = good - (np.linalg.eigvalsh(good)[0] + 0.5) * np.eye(4)
-        model = spdgeom.MDMModel(classes=("a", "b"), centroids=(good, bad),
-                                 channel_subset=tuple(range(4)))
+        model = spdgeom.MDMModel(classes=("a", "b"), centroids=(good, bad))
         with pytest.raises(ValueError, match="^centroid 1 must be finite and positive definite$"):
             mdm_predict(model, [rand_spd(rng, 4)])
 
@@ -781,3 +779,37 @@ class TestBackwardElimination:
         trace = backward_elimination(mdm_fit(covs, labels).centroids, target_k=2)
         back = trace_from_json(trace_to_json(trace))
         assert back == trace
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_elimination_trace_round_trips(self, data):
+        dim = data.draw(st.integers(3, 8), label="dim")
+        target_k = data.draw(st.integers(2, dim - 1), label="target_k")
+        n_classes = data.draw(st.integers(2, 3), label="n_classes")
+        factor = hnp.arrays(np.float64, (dim, dim), elements=st.floats(-3.0, 3.0))
+        centroids = [b @ b.T + 0.1 * np.eye(dim)
+                     for b in (data.draw(factor) for _ in range(n_classes))]
+        trace = backward_elimination(centroids, target_k)
+        assert trace_from_json(trace_to_json(trace)) == trace
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"removed": [0, 0]}, "remove or keep each channel 0..3 exactly once, not [0, 0, 1, 2]"),
+        ({"final_subset": [0, 2]},
+         "remove or keep each channel 0..3 exactly once, not [0, 0, 2, 3]"),
+        ({"final_subset": [1], "final_loo_drops": [0.5]},
+         "remove or keep each channel 0..2 exactly once, not [0, 1, 3]"),
+        ({"final_subset": [1, -2]},
+         "remove or keep each channel 0..3 exactly once, not [-2, 0, 1, 3]"),
+        ({"final_loo_drops": [0.5]}, "give one drop per survivor, not 1 for 2"),
+    ], ids=["removed twice", "removed and kept", "missing", "out of range", "drop too few"])
+    def test_trace_must_cover_each_channel_once(self, edit, message):
+        # channels 0..3: 0 and 3 removed, 1 and 2 kept
+        doc = {"removed": [0, 3], "final_subset": [1, 2], "final_loo_drops": [0.5, 0.25],
+               **edit}
+        text = json.dumps({
+            "format_version": 1, "final_subset": doc["final_subset"],
+            "final_loo_drops": doc["final_loo_drops"],
+            "removal_order": [{"iteration": i, "removed": c, "distance": 1.0}
+                              for i, c in enumerate(doc["removed"], start=1)]})
+        with pytest.raises(ValueError, match=re.escape(f"trace must {message}")):
+            trace_from_json(text)
