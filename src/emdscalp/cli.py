@@ -631,10 +631,9 @@ def _train_eval_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
     if cfg.channel_config != "all64":
         train_covs, test_covs = (spdgeom.restrict_channels(c, subset)
                                  for c in (train_covs, test_covs))
-    classes = sorted(set(train_labels))
-    model = spdgeom.mdm_fit(train_covs, train_labels, classes=classes, mean=memo.frechet_mean)
+    model = spdgeom.mdm_fit(train_covs, train_labels, mean=memo.frechet_mean)
     preds = spdgeom.mdm_predict(model, test_covs)
-    ev = stats.evaluate(preds, test_labels, classes=classes)
+    ev = stats.evaluate(preds, test_labels)
     chance = stats.chance_level(test_labels)
     row = {
         "subject": subject,
@@ -647,7 +646,7 @@ def _train_eval_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
         "overall": ev.overall,
         "overall_macro": ev.overall_macro,
     }
-    for c in classes:
+    for c in model.classes:
         row[f"recall_{c}"] = ev.per_class_recall[c]
         row[f"support_{c}"] = ev.support[c]
     if trace is not None:

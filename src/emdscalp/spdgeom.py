@@ -377,28 +377,16 @@ def restrict_channels(cov: np.ndarray, subset: Sequence[int]) -> np.ndarray:
     return cov[..., idx[:, None], idx]
 
 
-def _class_partition(labels: Sequence[Hashable], classes=None) -> tuple[tuple, dict]:
-    if classes is None:
-        classes = tuple(dict.fromkeys(labels))
-    else:
-        classes = tuple(classes)
+def _class_partition(labels: Sequence[Hashable]) -> tuple[tuple, dict]:
+    classes = tuple(sorted(set(labels)))
     if len(classes) < 2:
         raise ValueError("need at least 2 classes")
-    groups: dict[Hashable, list[int]] = {c: [] for c in classes}
-    for i, lab in enumerate(labels):
-        if lab not in groups:
-            raise ValueError(f"label {lab!r} not in declared classes {classes}")
-        groups[lab].append(i)
-    for c in classes:
-        if not groups[c]:
-            raise ValueError(f"class {c!r} has zero examples")
-    return classes, groups
+    return classes, {c: [i for i, lab in enumerate(labels) if lab == c] for c in classes}
 
 
 def mdm_fit(
     covs: Sequence[np.ndarray],
     labels: Sequence[Hashable],
-    classes: Sequence[Hashable] | None = None,
     tol: float = 1e-8,
     max_iter: int = 50,
     mean: Callable[..., np.ndarray] | None = None,
@@ -407,8 +395,9 @@ def mdm_fit(
 
     `covs` is a sequence of matrices or one ``(n, d, d)`` array; fit on a
     channel subset by passing ``restrict_channels(covs, subset)``.  One
-    Fréchet-mean centroid is estimated per class.  Class order defaults to
-    first appearance in `labels` and fixes the prediction tie-break.
+    Fréchet-mean centroid is estimated per class, in sorted label order, so
+    labels must be mutually orderable; that order fixes the prediction
+    tie-break.
     `mean`, called as ``mean(mats, tol=tol, max_iter=max_iter)`` with the
     class's covariances as one ``(n_c, d, d)`` array, replaces
     `frechet_mean` for each class, e.g. to return centroids the caller
@@ -422,7 +411,7 @@ def mdm_fit(
     if len(covs) == 0:
         raise ValueError("no training examples")
     covs = _stack(covs, "covariance {j}")
-    classes, groups = _class_partition(labels, classes)
+    classes, groups = _class_partition(labels)
     mean = frechet_mean if mean is None else mean
     with ThreadPoolExecutor(max_workers=min(len(classes), _usable_cpus())) as pool:
         centroids = tuple(pool.map(
@@ -433,7 +422,7 @@ def mdm_fit(
 def mdm_predict(model: MDMModel, covs: Sequence[np.ndarray]) -> list[Hashable]:
     """Class of the nearest centroid for each covariance in `covs` (a
     sequence of matrices or one ``(n, d, d)`` array); ties go to the first
-    declared class.
+    class of ``model.classes``.
 
     One `_pencil` solve per centroid C gives every
     ``riemannian_distance(C, X)^2 = sum log^2 eig(X, C)`` of the stack.
@@ -497,9 +486,10 @@ def _leave_one_out_sq(loglam: np.ndarray, x: np.ndarray) -> np.ndarray:
     each restricted pencil.
     """
     mid = (loglam[0] + loglam[-1]) / 2.0
-    # Half-length of the focal interval, floored at the rounding of log lam.
+    # Half-length of the focal interval, floored at 64 eps |mid|: a log lam that the
+    # rounding of `mid` puts past an end then slows the sum only to ~1e-16 error.
     half = max((loglam[-1] - loglam[0]) / 2.0,
-               np.finfo(float).eps * max(1.0, abs(mid)))
+               64 * np.finfo(float).eps * max(1.0, abs(mid)))
     rho = min(np.sqrt((2.0 * np.pi + np.hypot(2.0 * np.pi, half)) / half), 4.0)
     n = int(np.ceil(np.log(1e16) / np.log(rho))) + 2
     u = rho * np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
@@ -578,10 +568,20 @@ def trace_to_json(trace: SelectionTrace) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _json_field(value, field: str, number: bool = False):
+    # a JSON integer (a bool is not one), or with `number` any JSON number as a float
+    if type(value) is int or (number and type(value) is float):
+        return float(value) if number else value
+    raise ValueError(f"trace {field} must be a JSON {'number' if number else 'integer'}, "
+                     f"not {value!r}")
+
+
 def trace_from_json(text: str) -> SelectionTrace:
-    """The trace in `text`; a ``ValueError`` unless its steps are numbered
-    1..m in order, they and its survivors take each channel ``0..n-1`` once,
-    each survivor has one drop and every distance and drop is finite."""
+    """The trace in `text`; a ``ValueError`` unless its channels and
+    iterations are JSON integers, its distances and drops JSON numbers, its
+    steps are numbered 1..m in order, they and its survivors take each
+    channel ``0..n-1`` once, each survivor has one drop and every distance
+    and drop is finite."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("trace JSON must be an object")
@@ -589,11 +589,14 @@ def trace_from_json(text: str) -> SelectionTrace:
         raise ValueError(f"unsupported trace format_version: {doc.get('format_version')}")
     trace = SelectionTrace(
         removal_order=tuple(
-            RemovalStep(int(s["iteration"]), int(s["removed"]), float(s["distance"]))
+            RemovalStep(_json_field(s["iteration"], "iteration"),
+                        _json_field(s["removed"], "removed"),
+                        _json_field(s["distance"], "distance", number=True))
             for s in doc["removal_order"]
         ),
-        final_subset=tuple(int(c) for c in doc["final_subset"]),
-        final_loo_drops=tuple(float(d) for d in doc["final_loo_drops"]),
+        final_subset=tuple(_json_field(c, "final_subset") for c in doc["final_subset"]),
+        final_loo_drops=tuple(_json_field(d, "final_loo_drops", number=True)
+                              for d in doc["final_loo_drops"]),
     )
     steps = trace.removal_order
     if [s.iteration for s in steps] != list(range(1, len(steps) + 1)):

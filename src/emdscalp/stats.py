@@ -54,22 +54,18 @@ class PairedTestResult:
     mode: str
 
 
-def evaluate(preds: Sequence[Hashable], labels: Sequence[Hashable],
-             classes: Sequence[Hashable] | None = None) -> EvalResult:
-    """Per-class recall and overall accuracy of a prediction run."""
+def evaluate(preds: Sequence[Hashable], labels: Sequence[Hashable]) -> EvalResult:
+    """Per-class recall and overall accuracy of a prediction run, with the
+    classes of `labels` in sorted order (so they must be mutually orderable)."""
     if len(preds) != len(labels):
         raise ValueError("preds and labels lengths differ")
     if not labels:
         raise ValueError("no examples to evaluate")
-    if classes is None:
-        classes = tuple(dict.fromkeys(labels))
     recall: dict[Hashable, float] = {}
     support: dict[Hashable, int] = {}
     correct_total = 0
-    for c in classes:
+    for c in sorted(set(labels)):
         idx = [i for i, lab in enumerate(labels) if lab == c]
-        if not idx:
-            raise ValueError(f"class {c!r} has no examples")
         hits = sum(1 for i in idx if preds[i] == c)
         recall[c] = hits / len(idx)
         support[c] = len(idx)

@@ -928,8 +928,8 @@ class TestDerivedMemo:
         for kind in ("centroid", "trace")
     ] + [(damage, "centroid") for damage in ("NaN", "asymmetric", "negative definite")]
       + [(damage, "trace") for damage in (
-          "channel out of range", "channel kept twice", "NaN distance", "infinite drop",
-          "iterations out of order")])
+          "channel out of range", "channel kept twice", "fractional channel", "NaN distance",
+          "infinite drop", "iterations out of order")])
     def test_corrupt_entry_fails_its_subject(self, workspace, capsys, kind, damage):
         tmp_path, _ = workspace
         cfg = write_config(tmp_path / "feat.cfg", channel_config="feat21", target_k=2)
@@ -956,6 +956,8 @@ class TestDerivedMemo:
                 "wrong shape": replace(trace, final_subset=trace.final_subset[1:]),
                 "channel out of range": replace(trace, final_subset=(1, 99)),
                 "channel kept twice": replace(trace, final_subset=(1, 1)),
+                "fractional channel": replace(trace, removal_order=(
+                    replace(first, removed=first.removed + 0.9), second, *rest)),
                 "NaN distance": replace(trace, removal_order=(
                     replace(first, distance=float("nan")), second, *rest)),
                 "infinite drop": replace(trace, final_loo_drops=(

@@ -500,25 +500,33 @@ class TestMDM:
 
     def test_training_order_invariance(self, rng):
         covs, labels = make_spd_dataset(rng, 8, dim=4)
-        model = mdm_fit(covs, labels, classes=("Left", "Right"))
+        model = mdm_fit(covs, labels)
         perm = rng.permutation(len(covs))
-        shuffled = mdm_fit([covs[i] for i in perm], [labels[i] for i in perm],
-                           classes=("Left", "Right"))
+        shuffled = mdm_fit([covs[i] for i in perm], [labels[i] for i in perm])
+        assert model.classes == shuffled.classes == ("Left", "Right")
         for c1, c2 in zip(model.centroids, shuffled.centroids):
             assert_allclose(c1, c2, atol=1e-8)
 
-    def test_equidistant_tie_goes_to_first_declared_class(self):
+    def test_equidistant_tie_goes_to_first_sorted_class(self):
         a, b = np.diag([1.0, 4.0]), np.diag([4.0, 1.0])
-        model = mdm_fit([a, b], ["Left", "Right"])
-        assert mdm_predict(model, [np.eye(2)]) == ["Left"]
+        for labels in (["Left", "Right"], ["Right", "Left"]):
+            model = mdm_fit([a, b], labels)
+            assert mdm_predict(model, [np.eye(2)]) == ["Left"]
+
+    def test_classes_in_sorted_label_order(self, rng):
+        covs = [rand_spd(rng, 3) for _ in range(5)]
+        labels = ["b", "a", "b", "a", "a"]
+        model = mdm_fit(covs, labels)
+        assert model.classes == ("a", "b")
+        for cls, centroid in zip(model.classes, model.centroids):
+            mats = np.stack([c for c, lab in zip(covs, labels) if lab == cls])
+            assert centroid.tobytes() == frechet_mean(mats).tobytes()
 
     def test_decision_congruence_invariance(self, rng):
         covs, labels = make_spd_dataset(rng, 6, dim=4)
         model = mdm_fit(covs, labels)
         w = rng.normal(size=(4, 4)) + 4 * np.eye(4)
-        transformed = mdm_fit(
-            [w @ c @ w.T for c in covs], labels, classes=model.classes
-        )
+        transformed = mdm_fit([w @ c @ w.T for c in covs], labels)
         assert mdm_predict(model, covs[:6]) == mdm_predict(
             transformed, [w @ c @ w.T for c in covs[:6]])
 
@@ -585,8 +593,6 @@ class TestMDM:
         a = rand_spd(rng, 3)
         with pytest.raises(ValueError, match="at least 2 classes"):
             mdm_fit([a, a], ["Left", "Left"])
-        with pytest.raises(ValueError, match="zero examples"):
-            mdm_fit([a, a], ["Left", "Left"], classes=("Left", "Right"))
 
     def test_dim_mismatch_on_predict(self, rng):
         covs, labels = make_spd_dataset(rng, 4, dim=4)
@@ -813,3 +819,58 @@ class TestBackwardElimination:
                               for i, c in enumerate(doc["removed"], start=1)]})
         with pytest.raises(ValueError, match=re.escape(f"trace must {message}")):
             trace_from_json(text)
+
+    @pytest.mark.parametrize("step, final_subset, drop, message", [
+        ({"removed": 0.9}, [1, 2], 0.5, "removed must be a JSON integer, not 0.9"),
+        ({"removed": 1.0}, [0, 2], 0.5, "removed must be a JSON integer, not 1.0"),
+        ({}, [True, 2], 0.5, "final_subset must be a JSON integer, not True"),
+        ({}, [1.0, 2], 0.5, "final_subset must be a JSON integer, not 1.0"),
+        ({"iteration": True, "removed": "0", "distance": "1.5"}, [1, 2], 0.5,
+         "iteration must be a JSON integer, not True"),
+        ({"removed": "0"}, [1, 2], 0.5, "removed must be a JSON integer, not '0'"),
+        ({"distance": "1.5"}, [1, 2], 0.5, "distance must be a JSON number, not '1.5'"),
+        ({"distance": True}, [1, 2], 0.5, "distance must be a JSON number, not True"),
+        ({}, [1, 2], "0.5", "final_loo_drops must be a JSON number, not '0.5'"),
+        ({}, [1, 2], None, "final_loo_drops must be a JSON number, not None"),
+    ], ids=["fractional channel", "float channel", "bool survivor", "float survivor",
+            "bool and string step", "string channel", "string distance", "bool distance",
+            "string drop", "null drop"])
+    def test_trace_fields_must_be_json_numbers_of_their_kind(self, step, final_subset,
+                                                            drop, message):
+        # channels 0..3: 0 and 3 removed, 1 and 2 kept; `step` edits the first step
+        text = json.dumps({
+            "format_version": 1, "final_subset": final_subset, "final_loo_drops": [drop, 0.25],
+            "removal_order": [{"iteration": 1, "removed": 0, "distance": 1.0, **step},
+                              {"iteration": 2, "removed": 3, "distance": 1.0}]})
+        with pytest.raises(ValueError, match=f"^{re.escape(f'trace {message}')}$"):
+            trace_from_json(text)
+
+    @pytest.mark.parametrize("ulps", [[-1, -1, 0, 0, 2], [-1, 0, 0, 0, 2]])
+    def test_leave_one_out_of_a_cluster_a_few_ulps_wide(self, rng, ulps):
+        # the centre of the focal interval rounds half an ulp off centre, which
+        # puts the top log-eigenvalue past the end of the interval
+        loglam = -3.0 + np.spacing(3.0) * np.array(ulps, dtype=float)
+        x = np.linalg.qr(rng.normal(size=(5, 5)))[0]
+        assert_allclose(spdgeom._leave_one_out_sq(loglam, x), 4 * 9.0, rtol=1e-14)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_scores_do_not_depend_on_class_order(self, data):
+        # the classes' sorted order decides which centroid whitens the pencil
+        dim = data.draw(st.integers(3, 12), label="dim")
+        factor = hnp.arrays(np.float64, (dim, dim), elements=st.floats(-1.0, 1.0))
+        loglam = hnp.arrays(np.float64, dim, elements=st.floats(-3.0, 3.0))
+        centroids = []
+        for _ in range(2):
+            q = np.linalg.qr(data.draw(factor))[0]
+            centroids.append((q * np.exp(data.draw(loglam))) @ q.T)
+        centroids = np.array(centroids)
+        subset = list(range(dim))
+        full, loo = spdgeom._distances(centroids, subset)
+        back_full, back_loo = spdgeom._distances(centroids[::-1], subset)
+        tol = 1e-10 * full + 1e-12  # and the absolute rounding of log-eigenvalues
+        assert abs(back_full - full) <= tol
+        # a score is the root of a rounded sum of squares, which can read
+        # ~sqrt(eps) * full where it is 0: compare the squares, as |a - b| <= tol
+        # bounds them for scores a, b up to the full distance
+        assert np.abs(back_loo ** 2 - loo ** 2).max() <= tol * (2 * full + tol)

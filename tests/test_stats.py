@@ -62,9 +62,10 @@ class TestEvaluate:
         res2 = evaluate([swap[p] for p in preds], [swap[l] for l in labels])
         assert_allclose(res.overall_macro, res2.overall_macro)
 
-    def test_empty_class_rejected(self):
-        with pytest.raises(ValueError, match="no examples"):
-            evaluate(["A", "A"], ["A", "A"], classes=("A", "B"))
+    def test_recall_in_sorted_label_order(self):
+        res = evaluate(["R", "L", "L"], ["R", "L", "R"])
+        assert list(res.per_class_recall) == list(res.support) == ["L", "R"]
+        assert res.per_class_recall == {"L": 1.0, "R": 0.5}
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="lengths"):
