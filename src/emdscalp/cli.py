@@ -191,44 +191,44 @@ def _subject_tag(subject: int) -> str:
 
 
 #: Cache layout version; ``read_epoch_cache`` accepts this one only.
-CACHE_FORMAT_VERSION = 3
+CACHE_FORMAT_VERSION = 4
 #: dtype of ``epochs.npy``: little-endian float64 round-trips every bit.
 _EPOCH_DTYPE = np.dtype("<f8")
 
 
-def _check_index_lists(index: dict, n_epochs: int, dim: int) -> None:
-    if any(len(index.get(key, ())) != n_epochs for key in ("labels", "trials", "slices")) \
-            or len(index.get("channel_names", ())) != dim:
-        raise ValueError(f"labels, trials and slices must each list n_epochs={n_epochs} "
-                         f"entries and channel_names n_channels={dim}")
-    labels = index.get("labels")
-    if not isinstance(labels, list) or not all(isinstance(lab, str) for lab in labels):
-        raise ValueError("labels must be a list of strings")
+def _cache_shape(index: dict) -> tuple[int, int, int]:
+    """The shape ``(n_epochs, d, d)`` of ``epochs.npy`` that `index` declares:
+    one epoch per label, d channel names."""
+    for key in ("labels", "channel_names"):
+        values = index.get(key)
+        if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
+            raise ValueError(f"{key} must be a list of strings")
+    dim = len(index["channel_names"])
+    return len(index["labels"]), dim, dim
 
 
 def write_epoch_cache(cache_dir: Path, subject: int, covs: np.ndarray,
-                      index: dict) -> Path:
+                      labels: list[str], channel_names: list[str]) -> Path:
     """Store one subject's epochs as ``epochs.npy`` plus ``index.json``.
 
     `covs` is the ``(n_epochs, d, d)`` array of the epochs'
-    ``spdgeom.covariance``; `index` gives ``channel_names`` (d of them),
-    ``sample_rate`` and per-epoch ``labels``, ``trials`` and ``slices``.
-    The array goes first and the index last, and any old index is removed
-    before the array is written, so an interrupted write never leaves a
-    valid index over partial data.  An index that ``read_epoch_cache`` would
-    reject for its list lengths raises the same ``ValueError``, naming the
-    subject directory, before any file is written or removed.
+    ``spdgeom.covariance``, with one of `labels` per epoch and d
+    `channel_names`; ``index.json`` holds those two lists and
+    ``format_version``.  The array goes first and the index last, and any
+    old index is removed before the array is written, so an interrupted
+    write never leaves a valid index over partial data.  Lists or a shape
+    that ``read_epoch_cache`` would reject raise the same ``ValueError``,
+    naming the subject directory, before any file is written or removed.
     """
     subj_dir = cache_dir / _subject_tag(subject)
-    dim = len(index["channel_names"])
+    index = {"channel_names": channel_names, "format_version": CACHE_FORMAT_VERSION,
+             "labels": labels}
     covs = np.asarray(covs, dtype=_EPOCH_DTYPE)
     with _reading(subj_dir):
-        if covs.shape[1:] != (dim, dim):
-            raise ValueError(f"epoch covariances must be (n_epochs, {dim}, {dim}) "
-                             f"for {dim} channel names, got {covs.shape}")
-        _check_index_lists(index, len(covs), dim)
-    index = dict(index, format_version=CACHE_FORMAT_VERSION, subject=subject,
-                 dtype=_EPOCH_DTYPE.str, n_epochs=len(covs), n_channels=dim)
+        shape = _cache_shape(index)
+        if covs.shape != shape:
+            raise ValueError(f"epoch covariances must be {shape} for {shape[0]} labels and "
+                             f"{shape[1]} channel names, got {covs.shape}")
     subj_dir.mkdir(parents=True, exist_ok=True)
     index_path = subj_dir / "index.json"
     index_path.unlink(missing_ok=True)
@@ -253,28 +253,25 @@ def read_epoch_cache(cache_dir: Path, subject: int) -> tuple[np.ndarray, dict]:
     covariances, shape ``(n_epochs, n_channels, n_channels)``, and the index.
 
     Raises ``FileNotFoundError`` for a missing file and ``ValueError`` naming
-    the file for an unsupported format version, an index whose lists
-    disagree with its counts, an unreadable array, an array whose dtype,
-    shape or file size disagrees with ``index.json``, or a non-finite entry.
+    the file for an unsupported format version, ``labels`` or
+    ``channel_names`` that are not lists of strings, an unreadable array, an
+    array that is not ``<f8`` of the shape those lists give or whose file
+    size disagrees with its header, or a non-finite entry.
     """
     subj_dir = cache_dir / _subject_tag(subject)
     index_path, path = subj_dir / "index.json", subj_dir / "epochs.npy"
     index = _read_json(index_path)
-    n_epochs, dim = index.get("n_epochs"), index.get("n_channels")
     with _reading(index_path):
         version = index.get("format_version")
         if version != CACHE_FORMAT_VERSION:
             raise ValueError(f"cache format_version {version!r} is not "
                              f"{CACHE_FORMAT_VERSION}; re-run prepare")
-        _check_index_lists(index, n_epochs, dim)
+        shape = _cache_shape(index)
     data = _read_npy(path)
-    shape = (n_epochs, dim, dim)
     with _reading(path):
-        if (data.dtype.str, data.shape) != (_EPOCH_DTYPE.str, shape) \
-                or index.get("dtype") != _EPOCH_DTYPE.str:
-            raise ValueError(f"array is {data.dtype.str} {data.shape}; index.json declares "
-                             f"{index.get('dtype')} {shape} and the format needs "
-                             f"{_EPOCH_DTYPE.str}")
+        if (data.dtype.str, data.shape) != (_EPOCH_DTYPE.str, shape):
+            raise ValueError(f"array is {data.dtype.str} {data.shape}; index.json "
+                             f"needs {_EPOCH_DTYPE.str} {shape}")
         finite = np.isfinite(data).all(axis=(1, 2))
         if not finite.all():
             raise ValueError(f"epoch {int(np.argmin(finite))} has a non-finite entry")
@@ -496,7 +493,7 @@ def _prepare_subject(cfg: ExperimentConfig, cache_dir: Path, subject: int,
         if derived.exists():
             shutil.rmtree(derived)
     covs: list[np.ndarray] = []  # one (n_epochs, c, c) array per run
-    index: dict[str, list] = {"labels": [], "trials": [], "slices": []}
+    labels: list[str] = []
     first: tuple[Path, list[str], float] | None = None
     for run in cfg.runs:
         path = _run_path(cfg, subject, run)
@@ -516,21 +513,17 @@ def _prepare_subject(cfg: ExperimentConfig, cache_dir: Path, subject: int,
             if not np.isfinite(rec.data).all():
                 raise ValueError("holds non-finite samples")
             rec = signal.bandpass(rec, cfg.band_lo, cfg.band_hi)
-        offset = max(index["trials"], default=-1) + 1
-        epochs = signal.epoch_trials(rec, trial_offset=offset)
+        epochs = signal.epoch_trials(rec)
         if epochs:
             covs.append(spdgeom.covariance([e.data for e in epochs]))
-        index["labels"] += [e.label for e in epochs]
-        index["trials"] += [e.trial for e in epochs]
-        index["slices"] += [e.slice_index for e in epochs]
+        labels += [e.label for e in epochs]
         # the epochs are views into the recording: free both before the next read
         del rec, epochs
     if not covs:
         missing.append(f"{tag}: no usable runs")
         return None
-    write_epoch_cache(cache_dir, subject, np.concatenate(covs),
-                      dict(index, channel_names=first[1], sample_rate=first[2]))
-    return tag, len(index["labels"])
+    write_epoch_cache(cache_dir, subject, np.concatenate(covs), labels, first[1])
+    return tag, len(labels)
 
 
 def cmd_prepare(cfg: ExperimentConfig) -> dict:
@@ -594,7 +587,7 @@ def _read_split(cfg: ExperimentConfig, layout: montage.GridLayout, cache_dir: Pa
         names = index["channel_names"]
         kept = [i for i, name in enumerate(names) if name in layout]
         lookup = dict(zip(layout.resolve_all(names[i] for i in kept), kept))
-        train, test = signal.split(labels, signal.SplitSpec(cfg.seed, cfg.test_fraction))
+        train, test = signal.split(labels, cfg.seed, cfg.test_fraction)
     return lookup, part(train), part(test)
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "Annotation",
     "Recording",
     "Epoch",
-    "SplitSpec",
     "read_recording",
     "read_recording_csv",
     "bandpass",
@@ -85,20 +84,6 @@ class Epoch:
 
     data: np.ndarray
     label: str
-    trial: int
-    slice_index: int
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Reproducible split: same seed and epochs give the same partition."""
-
-    seed: int
-    test_fraction: float = 0.2
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.test_fraction < 1.0:
-            raise ValueError("test_fraction must be in (0, 1)")
 
 
 def _edf_int(raw: bytes, what: str) -> int:
@@ -430,21 +415,20 @@ def bandpass(rec: Recording, lo: float = 8.0, hi: float = 30.0) -> Recording:
                      list(rec.annotations))
 
 
-def epoch_trials(rec: Recording, trial_offset: int = 0) -> list[Epoch]:
+def epoch_trials(rec: Recording) -> list[Epoch]:
     """Cut labeled trials into consecutive non-overlapping epochs.
 
     Each trial labeled by `LABEL_CODES` contributes `EPOCHS_PER_TRIAL`
     epochs of `EPOCH_S` seconds from its onset, all inheriting the trial
-    label; trials are numbered from `trial_offset`.  Other codes (rest) are
-    ignored.  Trials extending past the end of the data are skipped; the
-    count is logged.  Each ``Epoch.data`` is a view into ``rec.data``, not a
-    copy: it keeps the recording alive and changes with it.
+    label, in trial order.  Other codes (rest) are ignored.  Trials
+    extending past the end of the data are skipped; the count is logged.
+    Each ``Epoch.data`` is a view into ``rec.data``, not a copy: it keeps
+    the recording alive and changes with it.
     """
     slice_len = int(round(EPOCH_S * rec.sample_rate))
     if slice_len < 1:
         raise ValueError(f"sample rate {rec.sample_rate} Hz gives empty {EPOCH_S} s epochs")
     epochs: list[Epoch] = []
-    trial = trial_offset
     skipped = 0
     for ann in rec.annotations:
         label = LABEL_CODES.get(ann.code)
@@ -456,23 +440,24 @@ def epoch_trials(rec: Recording, trial_offset: int = 0) -> list[Epoch]:
             continue
         for s in range(EPOCHS_PER_TRIAL):
             start = ann.onset + s * slice_len
-            epochs.append(Epoch(rec.data[:, start:start + slice_len], label,
-                                trial=trial, slice_index=s))
-        trial += 1
+            epochs.append(Epoch(rec.data[:, start:start + slice_len], label))
     if skipped:
         log.warning("skipped %d truncated trial(s) extending past end of data", skipped)
     return epochs
 
 
-def split(epoch_labels: Sequence[str], spec: SplitSpec) -> tuple[list[int], list[int]]:
+def split(epoch_labels: Sequence[str], seed: int,
+          test_fraction: float = 0.2) -> tuple[list[int], list[int]]:
     """Seeded stratified partition of epochs, given by their labels, into
     (train, test) index lists, each in ascending order.
 
     Total test size is ``round(test_fraction * n)``, allocated per class by
     largest remainder and clamped so both classes appear on both sides.
-    Deterministic given the seed; train and test together are exactly the
-    indices ``0 .. n-1``.
+    `test_fraction` must lie in (0, 1).  Deterministic given the seed; train
+    and test together are exactly the indices ``0 .. n-1``.
     """
+    if not 0.0 < test_fraction < 1.0:
+        raise ValueError("test_fraction must be in (0, 1)")
     by_label: dict[str, list[int]] = {}
     for i, label in enumerate(epoch_labels):
         by_label.setdefault(label, []).append(i)
@@ -484,8 +469,8 @@ def split(epoch_labels: Sequence[str], spec: SplitSpec) -> tuple[list[int], list
             raise ValueError(f"class {lab!r} has fewer than 2 epochs")
 
     n = len(epoch_labels)
-    total_test = int(round(spec.test_fraction * n))
-    ideal = {lab: spec.test_fraction * len(by_label[lab]) for lab in labels}
+    total_test = int(round(test_fraction * n))
+    ideal = {lab: test_fraction * len(by_label[lab]) for lab in labels}
     counts = {lab: int(np.floor(ideal[lab])) for lab in labels}
     remainder = total_test - sum(counts.values())
     by_frac = sorted(labels, key=lambda lab: (-(ideal[lab] - counts[lab]), lab))
@@ -494,7 +479,7 @@ def split(epoch_labels: Sequence[str], spec: SplitSpec) -> tuple[list[int], list
     for lab in labels:  # both classes must appear on both sides
         counts[lab] = min(max(counts[lab], 1), len(by_label[lab]) - 1)
 
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     test_idx: set[int] = set()
     for lab in labels:
         perm = rng.permutation(len(by_label[lab]))

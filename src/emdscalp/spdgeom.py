@@ -509,8 +509,11 @@ def _distances(centroids: np.ndarray, subset: Sequence[int]) -> tuple[float, np.
         for j in range(i + 1, len(cut)):
             lam, x = _pencil(cut[i], cut[j], "centroids", vectors=True)
             loglam = np.log(lam)
-            full += float(np.sqrt(loglam @ loglam))
-            loo += np.sqrt(np.maximum(_leave_one_out_sq(loglam, x), 0.0))
+            full_sq = float(loglam @ loglam)
+            full += float(np.sqrt(full_sq))
+            # a square within rounding of 0 is 0; its root would read ~sqrt(eps) * full
+            sq = _leave_one_out_sq(loglam, x)
+            loo += np.sqrt(np.where(sq > 16 * np.finfo(float).eps * full_sq, sq, 0.0))
     return full, loo
 
 

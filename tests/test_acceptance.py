@@ -17,7 +17,7 @@ from numpy.testing import assert_allclose
 from emdscalp import montage, relevance, spdgeom, stats, transport
 from emdscalp.cli import main
 from emdscalp.montage import SpatialMap
-from emdscalp.signal import Recording, SplitSpec, bandpass, epoch_trials, split
+from emdscalp.signal import Recording, bandpass, epoch_trials
 from emdscalp.transport import emd
 
 import published

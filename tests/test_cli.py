@@ -191,7 +191,7 @@ class TestConfig:
         except ValueError:
             return
         # values that used to fail late, per subject, now fail here
-        signal.SplitSpec(cfg.seed, cfg.test_fraction)
+        signal.split(["Left", "Left", "Right", "Right"], cfg.seed, cfg.test_fraction)
         np.random.default_rng(cfg.seed)
         assert 0.0 <= cfg.shrinkage < 1.0 and cfg.target_k >= 1
 
@@ -204,7 +204,7 @@ class TestPrepare:
         cfg = write_config(tmp_path / "exp.cfg", subjects="1", runs="3")
         assert main(["prepare", "--config", str(cfg)]) == 0
         index = json.loads((tmp_path / "cache" / "S001" / "index.json").read_text())
-        assert abs(index["n_epochs"] - 372) <= 0.05 * 372
+        assert abs(len(index["labels"]) - 372) <= 0.05 * 372
 
     def test_one_covariance_call_per_run(self, workspace, monkeypatch):
         tmp_path, cfg = workspace
@@ -213,7 +213,7 @@ class TestPrepare:
         monkeypatch.setattr(spdgeom, "covariance",
                             lambda epochs: calls.append(len(epochs)) or covariance(epochs))
         assert main(["prepare", "--config", str(cfg)]) == 0
-        n_epochs = [json.loads((tmp_path / "cache" / tag / "index.json").read_text())["n_epochs"]
+        n_epochs = [len(json.loads((tmp_path / "cache" / tag / "index.json").read_text())["labels"])
                     for tag in ("S001", "S002")]
         assert len(calls) == 4  # 2 subjects x 2 runs
         assert sum(calls) == sum(n_epochs)
@@ -387,10 +387,9 @@ class TestPrepare:
         assert "no subject completed prepare" in err["message"]
 
 
-def _index(n_epochs: int, channel_names=("C3", "C4")) -> dict:
-    return {"channel_names": list(channel_names), "sample_rate": 160.0,
-            "labels": ["T1"] * n_epochs, "trials": list(range(n_epochs)),
-            "slices": [0] * n_epochs}
+def _index(n_epochs: int, channel_names=("C3", "C4")) -> tuple[list[str], list[str]]:
+    """``labels`` and ``channel_names`` for ``write_epoch_cache``."""
+    return ["T1"] * n_epochs, list(channel_names)
 
 
 def _cache_files(tmp_path: Path, n_epochs=3):
@@ -398,7 +397,7 @@ def _cache_files(tmp_path: Path, n_epochs=3):
     channels x 5 samples."""
     rng = np.random.default_rng(3)
     covs = spdgeom.covariance(rng.standard_normal((n_epochs, 2, 5)))
-    subj_dir = cli.write_epoch_cache(tmp_path, 1, covs, _index(n_epochs))
+    subj_dir = cli.write_epoch_cache(tmp_path, 1, covs, *_index(n_epochs))
     return subj_dir / "epochs.npy", subj_dir / "index.json"
 
 
@@ -410,13 +409,9 @@ class TestEpochCache:
         # includes -0.0, subnormals, huge magnitudes, infinities and NaN payloads
         arr = data.draw(hnp.arrays(np.float64, (n, dim, dim), elements=st.floats(width=64)))
         labels = data.draw(st.lists(st.text(max_size=4), min_size=n, max_size=n))
-        trials = data.draw(st.lists(st.integers(0, 999), min_size=n, max_size=n))
-        slices = data.draw(st.lists(st.integers(0, 9), min_size=n, max_size=n))
         names = [f"ch{c}" for c in range(dim)]
         cache_dir = tmp_path_factory.mktemp("cache")
-        cli.write_epoch_cache(cache_dir, 5, arr, {
-            "channel_names": names, "sample_rate": 160.0,
-            "labels": labels, "trials": trials, "slices": slices})
+        cli.write_epoch_cache(cache_dir, 5, arr, labels, names)
         finite = np.isfinite(arr).all(axis=(1, 2))
         if not finite.all():
             npy = cache_dir / "S005" / "epochs.npy"
@@ -426,8 +421,7 @@ class TestEpochCache:
             return
         got, index = cli.read_epoch_cache(cache_dir, 5)
         assert got.tobytes() == arr.tobytes()
-        assert (index["labels"], index["trials"], index["slices"]) == (labels, trials, slices)
-        assert (index["subject"], index["channel_names"]) == (5, names)
+        assert index == {"format_version": 4, "labels": labels, "channel_names": names}
 
     @settings(max_examples=60, deadline=None)
     @given(epoch=hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(2, 8)),
@@ -437,7 +431,7 @@ class TestEpochCache:
                                                         shrinkage):
         cache_dir = tmp_path_factory.mktemp("cache")
         names = [f"ch{c}" for c in range(epoch.shape[0])]
-        cli.write_epoch_cache(cache_dir, 1, spdgeom.covariance([epoch]), _index(1, names))
+        cli.write_epoch_cache(cache_dir, 1, spdgeom.covariance([epoch]), *_index(1, names))
         cached, _ = cli.read_epoch_cache(cache_dir, 1)
         assert spdgeom.shrink(cached, shrinkage).tobytes() \
             == spdgeom.shrink(np.atleast_2d(np.cov(epoch))[None], shrinkage).tobytes()
@@ -445,24 +439,23 @@ class TestEpochCache:
     @pytest.mark.parametrize("shape", [(2, 3, 3), (2, 2), (1, 2, 2, 2)])
     def test_array_of_other_shape_rejected(self, tmp_path, shape):
         with pytest.raises(ValueError, match=re.escape(
-                f"S001: ValueError: epoch covariances must be (n_epochs, 2, 2) "
-                f"for 2 channel names, got {shape}")):
-            cli.write_epoch_cache(tmp_path, 1, np.zeros(shape), _index(2))
+                f"S001: ValueError: epoch covariances must be (2, 2, 2) "
+                f"for 2 labels and 2 channel names, got {shape}")):
+            cli.write_epoch_cache(tmp_path, 1, np.zeros(shape), *_index(2))
         assert not (tmp_path / "S001" / "epochs.npy").exists()
 
-    @pytest.mark.parametrize("key", ["labels", "trials", "slices"])
-    def test_index_lists_of_other_length_rejected_before_writing(self, tmp_path, key):
+    def test_labels_of_other_length_rejected_before_writing(self, tmp_path):
         covs = np.broadcast_to(np.eye(2), (3, 2, 2))
         with pytest.raises(ValueError, match=re.escape(
-                f"{tmp_path / 'S001'}: ValueError: labels, trials and slices must each list "
-                f"n_epochs=3 entries and channel_names n_channels=2")):
-            cli.write_epoch_cache(tmp_path, 1, covs, dict(_index(3), **{key: _index(1)[key]}))
+                f"{tmp_path / 'S001'}: ValueError: epoch covariances must be (1, 2, 2) "
+                f"for 1 labels and 2 channel names, got (3, 2, 2)")):
+            cli.write_epoch_cache(tmp_path, 1, covs, *_index(1))
         assert not (tmp_path / "S001").exists()
         # an existing cache is left as it was
         npy, index_path = _cache_files(tmp_path)
         before = npy.read_bytes(), index_path.read_bytes()
-        with pytest.raises(ValueError, match="n_epochs=3 entries"):
-            cli.write_epoch_cache(tmp_path, 1, covs, dict(_index(3), **{key: _index(1)[key]}))
+        with pytest.raises(ValueError, match=re.escape("must be (1, 2, 2)")):
+            cli.write_epoch_cache(tmp_path, 1, covs, *_index(1))
         assert (npy.read_bytes(), index_path.read_bytes()) == before
 
     def test_format_2_cache_asks_for_prepare(self, tmp_path):
@@ -472,6 +465,17 @@ class TestEpochCache:
         index = json.loads(index_path.read_text())
         index_path.write_text(json.dumps(dict(index, format_version=2, n_samples=5)))
         with pytest.raises(ValueError, match="index.json.*format_version 2.*re-run prepare"):
+            cli.read_epoch_cache(tmp_path, 1)
+
+    def test_format_3_cache_asks_for_prepare(self, tmp_path):
+        # format 3 also stored subject, sample_rate, dtype, counts and per-epoch
+        # trial and slice numbers
+        _, index_path = _cache_files(tmp_path)
+        index = json.loads(index_path.read_text())
+        index_path.write_text(json.dumps(dict(
+            index, format_version=3, subject=1, sample_rate=160.0, dtype="<f8", n_epochs=3,
+            n_channels=2, trials=[0, 1, 2], slices=[0, 0, 0])))
+        with pytest.raises(ValueError, match="index.json.*format_version 3.*re-run prepare"):
             cli.read_epoch_cache(tmp_path, 1)
 
     def test_truncated_array_rejected(self, tmp_path):
@@ -494,14 +498,6 @@ class TestEpochCache:
         with pytest.raises(ValueError, match="epochs.npy: ValueError: array is"):
             cli.read_epoch_cache(tmp_path, 1)
 
-    def test_index_dtype_other_than_float64_rejected(self, tmp_path):
-        npy, index_path = _cache_files(tmp_path)
-        np.save(npy, np.zeros((3, 2, 2), np.float32))
-        index = json.loads(index_path.read_text())
-        index_path.write_text(json.dumps(dict(index, dtype="<f4")))
-        with pytest.raises(ValueError, match="epochs.npy: ValueError: array is"):
-            cli.read_epoch_cache(tmp_path, 1)
-
     def test_missing_array_rejected(self, tmp_path):
         npy, _ = _cache_files(tmp_path)
         npy.unlink()
@@ -515,8 +511,10 @@ class TestEpochCache:
         with pytest.raises(ValueError, match="index.json.*format_version 1.*re-run prepare"):
             cli.read_epoch_cache(tmp_path, 1)
 
-    @pytest.mark.parametrize("edit", [{"labels": ["T1"]}, {"n_channels": None},
-                                      {"channel_names": ["C3"]}])
+    @pytest.mark.parametrize("edit", [
+        {"labels": ["T1"]}, {"labels": None}, {"channel_names": ["C3"]},
+        {"channel_names": None}, {"channel_names": "C3"}, {"channel_names": [3, 4]},
+        {"channel_names": {"C3": 0, "C4": 1}}])
     def test_inconsistent_index_rejected(self, tmp_path, edit):
         _, index_path = _cache_files(tmp_path)
         index = json.loads(index_path.read_text())
@@ -655,7 +653,7 @@ class TestTrainEval:
         npy = tmp_path / "cache" / "S002" / "epochs.npy"
         covs, index = cli.read_epoch_cache(tmp_path / "cache", 2)
         c = load_config(cfg)
-        train, _ = signal.split(index["labels"], signal.SplitSpec(c.seed, c.test_fraction))
+        train, _ = signal.split(index["labels"], c.seed, c.test_fraction)
         covs[train[1], 0, 2] = covs[train[1], 2, 0] = value
         np.save(npy, covs)
         capsys.readouterr()
@@ -823,6 +821,10 @@ class TestOneSubjectFails:
         ("list label", "index.json", "ValueError: labels must be a list of strings"),
         ("string labels", "index.json", "ValueError: labels must be a list of strings"),
         ("one class", "index.json", "ValueError: need at least 2 classes to split"),
+        ("string channel names", "index.json",
+         "ValueError: channel_names must be a list of strings"),
+        ("dict channel names", "index.json",
+         "ValueError: channel_names must be a list of strings"),
     ])
     def test_damaged_cache(self, tmp_path, rng, capsys, damage, file, message):
         cfg = _csv_cohort(tmp_path, rng)
@@ -835,10 +837,15 @@ class TestOneSubjectFails:
         if damage == "directory":
             (index.parent / file).unlink()
             (index.parent / file).mkdir()
+        elif damage.endswith("channel names"):
+            names = doc["channel_names"]  # one character or key per channel
+            doc["channel_names"] = ("".join(chr(65 + i) for i in range(len(names)))
+                                    if damage.startswith("string") else dict.fromkeys(names, 0))
         else:
             doc["labels"] = {"list label": [["Left"]] + doc["labels"][1:],
                              "string labels": "LR" * (len(doc["labels"]) // 2),
                              "one class": ["Left"] * len(doc["labels"])}[damage]
+        if damage != "directory":
             index.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["train-eval", "--config", str(cfg)]) == 0

@@ -15,7 +15,6 @@ from emdscalp import cli, signal
 from emdscalp.signal import (
     Annotation,
     Recording,
-    SplitSpec,
     bandpass,
     epoch_trials,
     read_recording,
@@ -338,7 +337,6 @@ class TestEpochTrials:
         assert len(epochs) == 4
         assert all(e.label == "Left" for e in epochs)
         assert all(e.data.shape == (3, 160) for e in epochs)
-        assert [e.slice_index for e in epochs] == [0, 1, 2, 3]
 
     def test_epoching_is_lossless_over_trial(self, rng):
         data = rng.normal(size=(2, int(6 * FS)))
@@ -370,11 +368,6 @@ class TestEpochTrials:
         assert len(epochs) == 4
         assert "skipped 1 truncated trial" in caplog.text
 
-    def test_trial_indices_unique_per_trial(self, rng):
-        rec = make_motor_recording(rng, ["a"], n_trials=5)
-        epochs = epoch_trials(rec, trial_offset=10)
-        assert sorted({e.trial for e in epochs}) == [10, 11, 12, 13, 14]
-
 
 class TestSplit:
     @staticmethod
@@ -382,42 +375,41 @@ class TestSplit:
         return ["Left"] * n_left + ["Right"] * n_right
 
     def test_sizes_80_20(self):
-        train, test = split(self._labels(50, 50), SplitSpec(seed=1, test_fraction=0.2))
+        train, test = split(self._labels(50, 50), 1, 0.2)
         assert len(train) == 80
         assert len(test) == 20
 
     def test_total_matches_round_with_unequal_classes(self):
         labels = self._labels(56 * 4, 37 * 4)
-        train, test = split(labels, SplitSpec(seed=3, test_fraction=0.2))
+        train, test = split(labels, 3, 0.2)
         assert len(test) == round(0.2 * len(labels))
 
     def test_same_seed_same_split(self):
         labels = self._labels(30, 20)
-        spec = SplitSpec(seed=99, test_fraction=0.25)
-        assert split(labels, spec) == split(labels, spec)
+        assert split(labels, 99, 0.25) == split(labels, 99, 0.25)
 
     def test_different_seed_differs(self):
         labels = self._labels(40, 40)
-        assert split(labels, SplitSpec(seed=1))[1] != split(labels, SplitSpec(seed=2))[1]
+        assert split(labels, 1)[1] != split(labels, 2)[1]
 
     def test_partition(self):
-        train, test = split(self._labels(23, 17), SplitSpec(seed=5, test_fraction=0.3))
+        train, test = split(self._labels(23, 17), 5, 0.3)
         assert sorted(train + test) == list(range(40))
         assert train == sorted(train) and test == sorted(test)
 
     def test_stratified_both_sides(self):
         labels = self._labels(8, 40)
-        train, test = split(labels, SplitSpec(seed=7, test_fraction=0.1))
+        train, test = split(labels, 7, 0.1)
         for part in (train, test):
             assert {labels[i] for i in part} == {"Left", "Right"}
 
     def test_too_few_epochs_rejected(self):
         with pytest.raises(ValueError, match="fewer than 2"):
-            split(self._labels(1, 5), SplitSpec(seed=0))
+            split(self._labels(1, 5), 0)
 
     def test_bad_fraction_rejected(self):
         with pytest.raises(ValueError, match="test_fraction"):
-            SplitSpec(seed=0, test_fraction=1.5)
+            split(self._labels(5, 5), 0, 1.5)
 
 
 PHYSIONET_ROOT = os.environ.get("EMDSCALP_PHYSIONET", "")

@@ -874,3 +874,13 @@ class TestBackwardElimination:
         # ~sqrt(eps) * full where it is 0: compare the squares, as |a - b| <= tol
         # bounds them for scores a, b up to the full distance
         assert np.abs(back_loo ** 2 - loo ** 2).max() <= tol * (2 * full + tol)
+
+    @pytest.mark.parametrize("dim", [3, 8, 21])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_channel_that_carries_the_whole_distance_drops_all_of_it(self, dim, reverse):
+        # the classes differ in channel 0 alone, by a log-eigenvalue of 1: leaving
+        # it out leaves distance 0, not a rounding residue of ~sqrt(eps)
+        a, b = np.eye(dim), np.diag([np.e] + [1.0] * (dim - 1))
+        pair = [b, a] if reverse else [a, b]
+        assert spdgeom._distances(np.array(pair), list(range(dim)))[1][0] == 0.0
+        assert backward_elimination(pair, 2).final_loo_drops == (1.0, 0.0)
