@@ -10,12 +10,12 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import shutil
 import sys
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -156,8 +156,12 @@ def _load_layout(cfg: ExperimentConfig) -> montage.GridLayout:
 # ---------------------------------------------------------------------------
 # JSON files and input errors
 
+def _write_utf8(path: Path, text: str) -> None:
+    montage._write_file(path, lambda fh: fh.write(text.encode("utf-8")))
+
+
 def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_utf8(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 @contextmanager
@@ -196,43 +200,43 @@ CACHE_FORMAT_VERSION = 4
 _EPOCH_DTYPE = np.dtype("<f8")
 
 
-def _cache_shape(index: dict) -> tuple[int, int, int]:
-    """The shape ``(n_epochs, d, d)`` of ``epochs.npy`` that `index` declares:
-    one epoch per label, d channel names."""
+def _check_cache(index: dict, covs: np.ndarray) -> None:
+    """Raise a ``ValueError`` unless `index` holds ``labels`` and
+    ``channel_names`` as lists of strings and `covs` is ``<f8`` of shape
+    ``(len(labels), d, d)`` for d channel names, every entry finite."""
     for key in ("labels", "channel_names"):
         values = index.get(key)
         if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
             raise ValueError(f"{key} must be a list of strings")
     dim = len(index["channel_names"])
-    return len(index["labels"]), dim, dim
+    shape = len(index["labels"]), dim, dim
+    if (covs.dtype.str, covs.shape) != (_EPOCH_DTYPE.str, shape):
+        raise ValueError(f"epochs are {covs.dtype.str} {covs.shape}; {shape[0]} labels and "
+                         f"{dim} channel names need {_EPOCH_DTYPE.str} {shape}")
+    finite = np.isfinite(covs).all(axis=(1, 2))
+    if not finite.all():
+        raise ValueError(f"epoch {int(np.argmin(finite))} has a non-finite entry")
 
 
 def write_epoch_cache(cache_dir: Path, subject: int, covs: np.ndarray,
                       labels: list[str], channel_names: list[str]) -> Path:
-    """Store one subject's epochs as ``epochs.npy`` plus ``index.json``.
-
-    `covs` is the ``(n_epochs, d, d)`` array of the epochs'
-    ``spdgeom.covariance``, with one of `labels` per epoch and d
-    `channel_names`; ``index.json`` holds those two lists and
-    ``format_version``.  The array goes first and the index last, and any
-    old index is removed before the array is written, so an interrupted
-    write never leaves a valid index over partial data.  Lists or a shape
-    that ``read_epoch_cache`` would reject raise the same ``ValueError``,
-    naming the subject directory, before any file is written or removed.
+    """Store one subject's epochs, the ``(n_epochs, d, d)`` array `covs` of
+    their ``spdgeom.covariance`` with one of `labels` each and d
+    `channel_names`, as ``epochs.npy`` plus ``index.json``; return the
+    subject directory.  Any old index goes first and the new one last, so no
+    valid index ever stands over other data.  What ``_check_cache`` rejects
+    raises its ``ValueError``, naming the subject directory, before any file
+    is written or removed.
     """
     subj_dir = cache_dir / _subject_tag(subject)
     index = {"channel_names": channel_names, "format_version": CACHE_FORMAT_VERSION,
              "labels": labels}
     covs = np.asarray(covs, dtype=_EPOCH_DTYPE)
     with _reading(subj_dir):
-        shape = _cache_shape(index)
-        if covs.shape != shape:
-            raise ValueError(f"epoch covariances must be {shape} for {shape[0]} labels and "
-                             f"{shape[1]} channel names, got {covs.shape}")
-    subj_dir.mkdir(parents=True, exist_ok=True)
+        _check_cache(index, covs)
     index_path = subj_dir / "index.json"
     index_path.unlink(missing_ok=True)
-    np.save(subj_dir / "epochs.npy", covs, allow_pickle=False)
+    montage._write_file(subj_dir / "epochs.npy", lambda fh: np.save(fh, covs, allow_pickle=False))
     _write_json(index_path, index)
     return subj_dir
 
@@ -249,32 +253,22 @@ def _read_npy(path: Path) -> np.ndarray:
 
 
 def read_epoch_cache(cache_dir: Path, subject: int) -> tuple[np.ndarray, dict]:
-    """Load a subject written by ``write_epoch_cache``: the unshrunk epoch
-    covariances, shape ``(n_epochs, n_channels, n_channels)``, and the index.
-
-    Raises ``FileNotFoundError`` for a missing file and ``ValueError`` naming
-    the file for an unsupported format version, ``labels`` or
-    ``channel_names`` that are not lists of strings, an unreadable array, an
-    array that is not ``<f8`` of the shape those lists give or whose file
-    size disagrees with its header, or a non-finite entry.
-    """
+    """Load a subject written by ``write_epoch_cache``: its unshrunk epoch
+    covariances and its index.  Raises ``FileNotFoundError`` for a missing
+    file, a ``ValueError`` naming the file for an unsupported format version,
+    an unreadable array or one whose size disagrees with its header, and
+    ``_check_cache``'s, naming the subject directory."""
     subj_dir = cache_dir / _subject_tag(subject)
-    index_path, path = subj_dir / "index.json", subj_dir / "epochs.npy"
+    index_path = subj_dir / "index.json"
     index = _read_json(index_path)
     with _reading(index_path):
         version = index.get("format_version")
         if version != CACHE_FORMAT_VERSION:
             raise ValueError(f"cache format_version {version!r} is not "
                              f"{CACHE_FORMAT_VERSION}; re-run prepare")
-        shape = _cache_shape(index)
-    data = _read_npy(path)
-    with _reading(path):
-        if (data.dtype.str, data.shape) != (_EPOCH_DTYPE.str, shape):
-            raise ValueError(f"array is {data.dtype.str} {data.shape}; index.json "
-                             f"needs {_EPOCH_DTYPE.str} {shape}")
-        finite = np.isfinite(data).all(axis=(1, 2))
-        if not finite.all():
-            raise ValueError(f"epoch {int(np.argmin(finite))} has a non-finite entry")
+    data = _read_npy(subj_dir / "epochs.npy")
+    with _reading(subj_dir):
+        _check_cache(index, data)
     return data, index
 
 
@@ -308,16 +302,6 @@ class DerivedMemo:
             h.update(m)
         return h.hexdigest()
 
-    def _store(self, path: Path, write) -> None:
-        self.root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=path.name + ".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                write(fh)
-            os.replace(tmp, path)
-        finally:
-            Path(tmp).unlink(missing_ok=True)
-
     def frechet_mean(self, mats: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
         """``spdgeom.frechet_mean`` of `mats`, computed at most once."""
         path = self.root / f"centroid-{self._key('centroid', mats, float(tol), int(max_iter))}.npy"
@@ -326,8 +310,8 @@ class DerivedMemo:
             mean = _read_npy(path)
         except FileNotFoundError:
             mean = spdgeom.frechet_mean(mats, tol=tol, max_iter=max_iter)
-            self._store(path, lambda fh: np.save(fh, mean.astype(_EPOCH_DTYPE, copy=False),
-                                                 allow_pickle=False))
+            montage._write_file(path, lambda fh: np.save(
+                fh, mean.astype(_EPOCH_DTYPE, copy=False), allow_pickle=False))
             return mean
         with _reading(path):
             if (mean.dtype.str, mean.shape) != (_EPOCH_DTYPE.str, (dim, dim)):
@@ -351,7 +335,7 @@ class DerivedMemo:
                                      f"{len(centroids[0])} to {target_k}")
         except FileNotFoundError:
             trace = spdgeom.backward_elimination(centroids, target_k)
-            self._store(path, lambda fh: fh.write(spdgeom.trace_to_json(trace).encode()))
+            _write_utf8(path, spdgeom.trace_to_json(trace))
         return trace
 
 
@@ -592,9 +576,8 @@ def _read_split(cfg: ExperimentConfig, layout: montage.GridLayout, cache_dir: Pa
 
 
 def _write_trace(out_dir: Path, subject: int, trace: spdgeom.SelectionTrace) -> None:
-    (out_dir / f"trace_{_subject_tag(subject)}.json").write_text(
-        spdgeom.trace_to_json(trace) + "\n", encoding="utf-8"
-    )
+    _write_utf8(out_dir / f"trace_{_subject_tag(subject)}.json",
+                spdgeom.trace_to_json(trace) + "\n")
 
 
 def _write_cohort(out_dir: Path, model: str, selections: dict[str, list[str]]
@@ -653,7 +636,6 @@ def cmd_train_eval(cfg: ExperimentConfig) -> dict:
     layout = _load_layout(cfg)
     cache_dir = Path(cfg.cache_dir)
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     selections: dict[str, list[str]] = {}
     rows, failed = _each_subject(cfg, "train-eval", lambda subject: _train_eval_subject(
         cfg, layout, cache_dir, out_dir, subject, selections))
@@ -669,17 +651,16 @@ def cmd_train_eval(cfg: ExperimentConfig) -> dict:
 def _write_rows(out_dir: Path, rows: list[dict]) -> None:
     """``rows.csv`` takes its columns from the first row; a later row's
     missing columns are left empty and its extra ones dropped."""
-    with open(out_dir / "rows.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, list(rows[0]), restval="", extrasaction="ignore",
-                                lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    header = list(rows[0])
+    _write_csv(out_dir / "rows.csv", [header, *([row.get(k, "") for k in header]
+                                               for row in rows)])
     _write_json(out_dir / "rows.json", rows)
 
 
 def _write_csv(path: Path, rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows(rows)
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows(rows)
+    _write_utf8(path, text.getvalue())
 
 
 def _select_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
@@ -693,7 +674,6 @@ def _select_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
 
 def cmd_select_channels(cfg: ExperimentConfig) -> dict:
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     layout = _load_layout(cfg)
     cache_dir = Path(cfg.cache_dir)
     done, failed = _each_subject(cfg, "select-channels", lambda subject: _select_subject(
@@ -707,7 +687,6 @@ def cmd_emd(cfg: ExperimentConfig, map_args: list[str], cohort_args: list[str],
             baseline_map: str | None, rebalance_to: float) -> dict:
     layout = _load_layout(cfg)
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     # one baseline for both columns: rebalancing or normalizing makes a
     # uniform-weighted baseline equal to the binary one
     # (cohort maps are drawn on the layout, so with cohorts it fixes the order)
@@ -762,10 +741,8 @@ def cmd_emd(cfg: ExperimentConfig, map_args: list[str], cohort_args: list[str],
 def cmd_plot(cfg: ExperimentConfig, map_path: str, out_path: str) -> dict:
     layout = _load_layout(cfg)
     svg = render_map_svg(_read_map(map_path, layout.n), layout)
-    out = Path(out_path)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(svg, encoding="utf-8")
-    return {"out": str(out)}
+    _write_utf8(Path(out_path), svg)
+    return {"out": str(Path(out_path))}
 
 
 def cmd_report(cfg: ExperimentConfig, row_files: list[str]) -> dict:
@@ -776,7 +753,6 @@ def cmd_report(cfg: ExperimentConfig, row_files: list[str]) -> dict:
     if not rows:
         raise ValueError("no rows to report")
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     configs = [c for c in CHANNEL_CONFIGS if any(r["channel_config"] == c for r in rows)]
     subjects = sorted({r["subject"] for r in rows})
@@ -852,11 +828,15 @@ def _add_report_rows(path: Path, cell: dict[tuple[int, str], dict]) -> None:
 
 
 def _read_rows_csv(path: Path) -> list[dict]:
-    """Rows of a ``rows.csv``; a short row lacks its missing columns and a
-    long row's extra fields are dropped."""
+    """Rows of a ``rows.csv``, blank lines skipped; a row with more or fewer
+    fields than the header is a ``ValueError``."""
     with open(path, encoding="utf-8", newline="") as fh:
-        return [{k: v for k, v in row.items() if k is not None and v is not None}
-                for row in csv.DictReader(fh)]
+        reader = filter(None, csv.reader(fh))
+        header, rows = next(reader, []), list(reader)
+    for n, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ValueError(f"row {n} has {len(row)} fields, header has {len(header)}")
+    return [dict(zip(header, row)) for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,12 @@ same grid and are the objects compared by the transport module.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import BinaryIO, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -215,10 +216,26 @@ def weighted_map(weights: Mapping[str, float], layout: GridLayout) -> SpatialMap
     return SpatialMap(layout.n, mass)
 
 
+def _write_file(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
+    """Create or replace `path`, and its directory, with what ``write(fh)``
+    writes to a binary file: the package's one writer (README, File formats)."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    # random: threads and processes may write one path at once
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_spatial_map(smap: SpatialMap, path: str | Path) -> None:
     """Write a map as CSV: n rows x n columns of decimal masses."""
     lines = [",".join(repr(float(v)) for v in row) for row in smap.mass]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_file(path, lambda fh: fh.write(("\n".join(lines) + "\n").encode()))
 
 
 def load_spatial_map(path: str | Path) -> SpatialMap:

@@ -327,6 +327,24 @@ class TestPrepare:
         assert reason == f"ValueError: {bad_run}: ValueError: holds non-finite samples"
         assert not (tmp_path / "cache" / "S002" / "index.json").exists()
 
+    def test_overflowing_covariance_fails_its_subject(self, tmp_path, rng, capsys):
+        # finite samples whose squares overflow: the cache writer rejects the
+        # covariances its reader would reject, so no later command reads them
+        for sid in (1, 2):
+            rec = make_motor_recording(rng, ["C3", "C4"], n_trials=8, discriminative=(1,))
+            write_csv_run(tmp_path / "data" / f"S{sid:03d}" / f"S{sid:03d}R03.csv",
+                          replace(rec, data=rec.data * (1e200 if sid == 2 else 1.0)))
+        cfg = write_config(tmp_path / "exp.cfg", runs="3", input_format="csv")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            assert main(["prepare", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        assert (list(summary["cached"]), summary["failed_subjects"]) == (["S001"], ["S002"])
+        reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
+        subj_dir = tmp_path / "cache" / "S002"
+        assert reason == f"ValueError: {subj_dir}: ValueError: epoch 0 has a non-finite entry"
+        assert not subj_dir.exists()
+
     def test_bad_edf_header_field_names_its_run(self, workspace, capsys):
         tmp_path, cfg = workspace
         run = tmp_path / "data" / "S002" / "S002R03.edf"
@@ -411,14 +429,16 @@ class TestEpochCache:
         labels = data.draw(st.lists(st.text(max_size=4), min_size=n, max_size=n))
         names = [f"ch{c}" for c in range(dim)]
         cache_dir = tmp_path_factory.mktemp("cache")
-        cli.write_epoch_cache(cache_dir, 5, arr, labels, names)
         finite = np.isfinite(arr).all(axis=(1, 2))
         if not finite.all():
-            npy = cache_dir / "S005" / "epochs.npy"
-            with pytest.raises(ValueError, match=f"^{re.escape(str(npy))}: ValueError: epoch "
-                                                 f"{int(np.argmin(finite))} has a non-finite"):
-                cli.read_epoch_cache(cache_dir, 5)
+            # rejected as the reader would reject it, before anything is written
+            with pytest.raises(ValueError, match=f"^{re.escape(str(cache_dir / 'S005'))}: "
+                                                 f"ValueError: epoch {int(np.argmin(finite))} "
+                                                 f"has a non-finite entry$"):
+                cli.write_epoch_cache(cache_dir, 5, arr, labels, names)
+            assert list(cache_dir.iterdir()) == []
             return
+        cli.write_epoch_cache(cache_dir, 5, arr, labels, names)
         got, index = cli.read_epoch_cache(cache_dir, 5)
         assert got.tobytes() == arr.tobytes()
         assert index == {"format_version": 4, "labels": labels, "channel_names": names}
@@ -439,22 +459,22 @@ class TestEpochCache:
     @pytest.mark.parametrize("shape", [(2, 3, 3), (2, 2), (1, 2, 2, 2)])
     def test_array_of_other_shape_rejected(self, tmp_path, shape):
         with pytest.raises(ValueError, match=re.escape(
-                f"S001: ValueError: epoch covariances must be (2, 2, 2) "
-                f"for 2 labels and 2 channel names, got {shape}")):
+                f"S001: ValueError: epochs are <f8 {shape}; 2 labels and 2 channel names "
+                f"need <f8 (2, 2, 2)")):
             cli.write_epoch_cache(tmp_path, 1, np.zeros(shape), *_index(2))
         assert not (tmp_path / "S001" / "epochs.npy").exists()
 
     def test_labels_of_other_length_rejected_before_writing(self, tmp_path):
         covs = np.broadcast_to(np.eye(2), (3, 2, 2))
         with pytest.raises(ValueError, match=re.escape(
-                f"{tmp_path / 'S001'}: ValueError: epoch covariances must be (1, 2, 2) "
-                f"for 1 labels and 2 channel names, got (3, 2, 2)")):
+                f"{tmp_path / 'S001'}: ValueError: epochs are <f8 (3, 2, 2); 1 labels and "
+                f"2 channel names need <f8 (1, 2, 2)")):
             cli.write_epoch_cache(tmp_path, 1, covs, *_index(1))
         assert not (tmp_path / "S001").exists()
         # an existing cache is left as it was
         npy, index_path = _cache_files(tmp_path)
         before = npy.read_bytes(), index_path.read_bytes()
-        with pytest.raises(ValueError, match=re.escape("must be (1, 2, 2)")):
+        with pytest.raises(ValueError, match=re.escape("need <f8 (1, 2, 2)")):
             cli.write_epoch_cache(tmp_path, 1, covs, *_index(1))
         assert (npy.read_bytes(), index_path.read_bytes()) == before
 
@@ -495,7 +515,7 @@ class TestEpochCache:
     def test_array_disagreeing_with_index_rejected(self, tmp_path, array):
         npy, _ = _cache_files(tmp_path)
         np.save(npy, array)
-        with pytest.raises(ValueError, match="epochs.npy: ValueError: array is"):
+        with pytest.raises(ValueError, match="S001: ValueError: epochs are"):
             cli.read_epoch_cache(tmp_path, 1)
 
     def test_missing_array_rejected(self, tmp_path):
@@ -520,7 +540,8 @@ class TestEpochCache:
         index = json.loads(index_path.read_text())
         index_path.write_text(json.dumps({k: v for k, v in dict(index, **edit).items()
                                           if v is not None}))
-        with pytest.raises(ValueError, match="index.json|epochs.npy: array is"):
+        with pytest.raises(ValueError, match="S001: ValueError: (labels|channel_names) must be "
+                                             "a list of strings$|S001: ValueError: epochs are"):
             cli.read_epoch_cache(tmp_path, 1)
 
     def test_rewrite_replaces_index_last(self, tmp_path, monkeypatch):
@@ -529,11 +550,14 @@ class TestEpochCache:
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
+        before = npy.read_bytes()
         monkeypatch.setattr(np, "save", interrupted)
         with pytest.raises(KeyboardInterrupt):
             _cache_files(tmp_path, n_epochs=4)
-        # no index survives over the array the interrupted write left behind
+        # no index survives over the array, which keeps its old bytes
         assert not index_path.exists()
+        assert npy.read_bytes() == before
+        assert [p.name for p in npy.parent.iterdir()] == ["epochs.npy"]
         with pytest.raises(FileNotFoundError):
             cli.read_epoch_cache(tmp_path, 1)
 
@@ -661,8 +685,8 @@ class TestTrainEval:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["failed_subjects"] == ["S002"]
         reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
-        assert reason.startswith(f"ValueError: {npy}: ValueError: epoch {train[1]} has a "
-                                 f"non-finite")
+        assert reason.startswith(f"ValueError: {npy.parent}: ValueError: epoch {train[1]} "
+                                 f"has a non-finite")
         rows = json.loads((tmp_path / "out" / "rows.json").read_text())
         assert [r["subject"] for r in rows] == [1]
 
@@ -818,13 +842,12 @@ class TestOneSubjectFails:
     @pytest.mark.parametrize("damage, file, message", [
         ("directory", "index.json", "IsADirectoryError: "),
         ("directory", "epochs.npy", "IsADirectoryError: "),
-        ("list label", "index.json", "ValueError: labels must be a list of strings"),
-        ("string labels", "index.json", "ValueError: labels must be a list of strings"),
+        # the cache check names the subject directory, as write_epoch_cache does
+        ("list label", "", "ValueError: labels must be a list of strings"),
+        ("string labels", "", "ValueError: labels must be a list of strings"),
         ("one class", "index.json", "ValueError: need at least 2 classes to split"),
-        ("string channel names", "index.json",
-         "ValueError: channel_names must be a list of strings"),
-        ("dict channel names", "index.json",
-         "ValueError: channel_names must be a list of strings"),
+        ("string channel names", "", "ValueError: channel_names must be a list of strings"),
+        ("dict channel names", "", "ValueError: channel_names must be a list of strings"),
     ])
     def test_damaged_cache(self, tmp_path, rng, capsys, damage, file, message):
         cfg = _csv_cohort(tmp_path, rng)
@@ -1261,6 +1284,28 @@ class TestReportCommand:
         assert main(["report", "--config", str(cfg), "--rows", str(rows)]) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["message"] == f"{rows}: ValueError: overall must be in [0, 1], got nan"
+
+    @pytest.mark.parametrize("damage", ["cut inside a number", "extra field"])
+    def test_row_of_other_field_count_rejected(self, workspace, capsys, damage):
+        tmp_path, cfg = workspace
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        assert main(["train-eval", "--config", str(cfg)]) == 0
+        rows = tmp_path / "out" / "rows.csv"
+        header, *lines = rows.read_text().splitlines()
+        n_fields = len(header.split(","))
+        if damage == "extra field":
+            rows.write_text("\n".join([header, *lines]) + ",0.5\n")
+            fields = n_fields + 1
+        else:  # the file ends two characters into the last row's overall accuracy
+            cut = lines[-1].split(",")[:header.split(",").index("overall") + 1]
+            cut[-1] = cut[-1][:2]
+            rows.write_text("\n".join([header, *lines[:-1], ",".join(cut)]))
+            fields = len(cut)
+        capsys.readouterr()
+        assert main(["report", "--config", str(cfg), "--rows", str(rows)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["message"] == (f"{rows}: ValueError: row {len(lines)} has {fields} fields, "
+                                  f"header has {n_fields}")
 
     def test_pvalue_matrix_shape(self, tmp_path):
         rows = write_fixture_rows(tmp_path / "rows.csv")

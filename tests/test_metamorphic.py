@@ -12,11 +12,15 @@ Surveys 2018).
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emdscalp
 from emdscalp import montage, relevance, transport
 from emdscalp.cli import main
 
@@ -60,29 +64,36 @@ def _write_cohort(root: Path, runs, gain: float = 1.0, order=None) -> None:
             encoding="utf-8")
 
 
+def _config(root: Path, name: str, **keys) -> str:
+    """Write ``root/<name>.cfg`` for the CSV cohort under ``root/data``, with
+    outputs under ``root/out/<name>``; return its path."""
+    lines = {"version": 1, "dataset_root": "data", "subjects": "1,2", "runs": "3,4",
+             "input_format": "csv", "seed": 5, "test_fraction": 0.25,
+             "target_k": TARGET_K, "cache_dir": "cache",
+             "output_dir": f"out/{name}", **keys}
+    path = root / f"{name}.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+    return str(path)
+
+
+#: The commands that share the cache after ``prepare``: (command, config name, keys).
+TRAINING = [("train-eval", cc, {"channel_config": cc}) for cc in ("all64", "mi21", "feat21")]
+TRAINING.append(("select-channels", "select", {}))
+
+
 def _chain(root: Path) -> None:
     """prepare, train-eval for all three configs, select-channels, emd and
     report, on the CSV cohort under ``root/data``; outputs under
     ``root/out``."""
-    def config(name: str, **keys) -> str:
-        lines = {"version": 1, "dataset_root": "data", "subjects": "1,2", "runs": "3,4",
-                 "input_format": "csv", "seed": 5, "test_fraction": 0.25,
-                 "target_k": TARGET_K, "cache_dir": "cache",
-                 "output_dir": f"out/{name}", **keys}
-        path = root / f"{name}.cfg"
-        path.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
-        return str(path)
-
     out = root / "out"
-    assert main(["prepare", "--config", config("prepare")]) == 0
-    for cc in ("all64", "mi21", "feat21"):
-        assert main(["train-eval", "--config", config(cc, channel_config=cc)]) == 0
-    assert main(["select-channels", "--config", config("select")]) == 0
-    assert main(["emd", "--config", config("emd"),
+    assert main(["prepare", "--config", _config(root, "prepare")]) == 0
+    for command, name, keys in TRAINING:
+        assert main([command, "--config", _config(root, name, **keys)]) == 0
+    assert main(["emd", "--config", _config(root, "emd"),
                  "--cohorts", f"riemannian={out / 'feat21' / 'cohort_riemannian.json'}",
                  "--maps", f"top={out / 'feat21' / f'map_riemannian_binary_top{TARGET_K}.csv'}"
                  ]) == 0
-    assert main(["report", "--config", config("report"),
+    assert main(["report", "--config", _config(root, "report"),
                  "--rows", *(str(out / cc / "rows.csv") for cc in ("all64", "mi21", "feat21"))
                  ]) == 0
 
@@ -105,8 +116,41 @@ def runs():
 def reference(tmp_path_factory, runs) -> Path:
     root = tmp_path_factory.mktemp("reference")
     _write_cohort(root / "data", runs)
-    _chain(root)
+    umask = os.umask(0o022)
+    try:
+        _chain(root)
+    finally:
+        os.umask(umask)
     return root
+
+
+def test_every_file_written_has_the_umask_mode(reference):
+    written = [p for part in ("cache", "out") for p in (reference / part).rglob("*")
+               if p.is_file()]
+    assert len([p for p in written if "derived" in p.parts]) > 0
+    assert {p.stat().st_mode & 0o777 for p in written} == {0o644}
+
+
+def test_concurrent_commands_write_the_serial_bytes(tmp_path, runs, reference):
+    # four processes share one cache and its memo, as separate runs of the
+    # commands may; a file one writes is read whole by the others
+    _write_cohort(tmp_path / "data", runs)
+    assert main(["prepare", "--config", _config(tmp_path, "prepare")]) == 0
+    src = str(Path(emdscalp.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    procs = [subprocess.Popen([sys.executable, "-m", "emdscalp.cli", command, "--config",
+                               _config(tmp_path, name, **keys)],
+                              env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+             for command, name, keys in TRAINING]
+    errors = [proc.communicate(timeout=300)[1] for proc in procs]
+    assert [proc.returncode for proc in procs] == [0] * len(procs), errors
+
+    def shared(root: Path) -> dict[str, bytes]:
+        return {k: v for k, v in _tree(root).items() if k.startswith(
+            ("cache/", *(f"out/{name}/" for _, name, _ in TRAINING)))}
+
+    assert shared(tmp_path) == shared(reference)
 
 
 @pytest.mark.parametrize("k", [-40, -2, 1, 40])

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import importlib
 import json
@@ -209,3 +210,116 @@ def test_import_loads_no_network_or_mail_modules():
     assert run_fresh("import json, sys, emdscalp.cli; print(json.dumps([m for m in "
                      "('urllib.request', 'http.client', 'email.parser', 'ssl') "
                      "if m in sys.modules]))") == []
+
+
+
+def _called(node: ast.AST) -> str:
+    return ast.unparse(node.func) if isinstance(node, ast.Call) else ""
+
+
+def _writes(node: ast.AST) -> bool:
+    """Whether `node` imports ``tempfile`` or calls something that creates,
+    replaces or renames a file or makes a directory."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return "tempfile" in ast.unparse(node)
+    name = _called(node)
+    if name == "open" or name.endswith(".open") and name != "os.open":
+        mode = node.args[1:2] if name == "open" else node.args[:1]
+        mode += [k.value for k in node.keywords if k.arg == "mode"]
+        return any(not isinstance(m, ast.Constant) or set(str(m.value)) & set("wax+")
+                   for m in mode)
+    return (name in ("os.open", "os.replace", "os.rename", "np.save")
+            or name.split(".")[-1] in ("write_text", "write_bytes", "mkdir"))
+
+
+def test_one_function_writes_files():
+    # every file appears whole or not at all because only montage._write_file
+    # writes one, to a temporary file that it renames into place
+    found = []
+    for path in sorted(Path(emdscalp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_write_file":
+                allowed |= set(ast.walk(node))
+            elif _called(node).endswith("_write_file"):  # np.save into its file object
+                allowed |= {n for arg in node.args[1:] for n in ast.walk(arg)
+                            if _called(n) == "np.save"}
+        found += [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+                  if node not in allowed and _writes(node)]
+    assert found == []
+
+
+#: Run in a fresh interpreter: ``sys.argv[1]`` is a JSON list of
+#: ``[directory, n, size_limit, code]``.  Each `code` runs under umask 0o022
+#: with ``root`` its directory, ``n`` a size and, unless ``size_limit`` is
+#: null, that limit on the size of a file, so that a write past it fails
+#: part-way with ``EFBIG``; print the name of the exception each raised, or
+#: null.
+_WRITE_UNDER_LIMIT = """
+import json, os, resource, signal, sys
+from pathlib import Path
+import numpy as np
+from emdscalp import cli, montage, spdgeom
+os.umask(0o022)
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+unlimited = resource.getrlimit(resource.RLIMIT_FSIZE)
+raised = []
+for root, n, limit, code in json.loads(sys.argv[1]):
+    if limit is not None:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, unlimited[1]))
+    try:
+        exec(code, {"cli": cli, "montage": montage, "np": np, "spdgeom": spdgeom,
+                    "root": Path(root), "n": n})
+        raised.append(None)
+    except Exception as exc:
+        raised.append(type(exc).__name__)
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, unlimited)
+print(json.dumps(raised))
+"""
+
+#: Each writer, as code that writes files under ``root`` whose size grows
+#: with ``n``, and the file it writes there, if it replaces one.
+WRITERS = {
+    "_write_json": ("cli._write_json(root / 'doc.json', list(range(n)))", "doc.json"),
+    "_write_csv": ("cli._write_csv(root / 'table.csv', [[i, i * i] for i in range(n)])",
+                   "table.csv"),
+    "_write_rows": ("cli._write_rows(root, [{'subject': i} for i in range(n)])", "rows.csv"),
+    "_write_trace": ("cli._write_trace(root, 1, spdgeom.backward_elimination("
+                     "[np.eye(n), np.diag(np.arange(1.0, n + 1))], 2))", "trace_S001.json"),
+    "write_epoch_cache": ("cli.write_epoch_cache(root, 1, np.broadcast_to(np.eye(2), (n, 2, 2)),"
+                          " ['T1'] * n, ['C3', 'C4'])", "S001/epochs.npy"),
+    "memo centroid": ("cli.DerivedMemo(root, 1).frechet_mean("
+                      "np.broadcast_to(np.eye(n), (2, n, n)), 1e-9, 50)", None),
+    "memo trace": ("cli.DerivedMemo(root, 1).elimination("
+                   "[np.eye(n), np.diag(np.arange(1.0, n + 1))], 2)", None),
+    "save_spatial_map": ("montage.save_spatial_map(montage.SpatialMap(n, np.eye(n)), "
+                         "root / 'map.csv')", "map.csv"),
+    "cmd_plot": ("cli.cmd_plot(cli.ExperimentConfig(), str(root.parent.parent / f'{n}.csv'), "
+                 "str(root / 'plot' / 'map.svg'))", "plot/map.svg"),
+}
+
+
+def test_writer_failing_part_way_leaves_old_file_or_none(tmp_path):
+    layout = montage.default_layout()
+    for n in (3, 30):  # cmd_plot's input maps
+        montage.save_spatial_map(montage.binary_map(layout.names[:n], layout),
+                                 tmp_path / f"{n}.csv")
+    # the old files, under umask 0o022; the memo never replaces an entry
+    old = [[str(tmp_path / "old" / name), 3, None, code]
+           for name, (code, target) in WRITERS.items() if target]
+    assert run_fresh(_WRITE_UNDER_LIMIT, json.dumps(old)) == [None] * len(old)
+    before = {p: p.read_bytes() for p in (tmp_path / "old").rglob("*") if p.is_file()}
+    assert all(tmp_path / "old" / name / target in before
+               for name, (_, target) in WRITERS.items() if target)
+    assert {p.stat().st_mode & 0o777 for p in before} == {0o644}
+    # each writer again, with more content, over the old files and where
+    # there are none: each fails 64 bytes into its first file
+    cases = [[str(tmp_path / side / name), 30, 64, code] for side in ("old", "new")
+             for name, (code, _) in WRITERS.items()]
+    assert run_fresh(_WRITE_UNDER_LIMIT, json.dumps(cases)) == ["OSError"] * len(cases)
+    after = {p: p.read_bytes() for side in ("old", "new")
+             for p in (tmp_path / side).rglob("*") if p.is_file()}
+    # the cache's old index was removed before its array was written
+    assert after == {p: b for p, b in before.items() if p.name != "index.json"}
