@@ -203,7 +203,7 @@ _EPOCH_DTYPE = np.dtype("<f8")
 def _check_cache(index: dict, covs: np.ndarray) -> None:
     """Raise a ``ValueError`` unless `index` holds ``labels`` and
     ``channel_names`` as lists of strings and `covs` is ``<f8`` of shape
-    ``(len(labels), d, d)`` for d channel names, every entry finite."""
+    ``(len(labels), d, d)`` for d channel names, passing ``_check_covariances``."""
     for key in ("labels", "channel_names"):
         values = index.get(key)
         if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
@@ -213,9 +213,19 @@ def _check_cache(index: dict, covs: np.ndarray) -> None:
     if (covs.dtype.str, covs.shape) != (_EPOCH_DTYPE.str, shape):
         raise ValueError(f"epochs are {covs.dtype.str} {covs.shape}; {shape[0]} labels and "
                          f"{dim} channel names need {_EPOCH_DTYPE.str} {shape}")
+    _check_covariances(covs)
+
+
+def _check_covariances(covs: np.ndarray) -> None:
+    """Raise a ``ValueError`` naming the first epoch of `covs` whose
+    covariance has a non-finite entry or zero trace, which no shrinkage mends."""
     finite = np.isfinite(covs).all(axis=(1, 2))
     if not finite.all():
-        raise ValueError(f"epoch {int(np.argmin(finite))} has a non-finite entry")
+        raise ValueError(f"epoch {int(np.argmin(finite))}'s covariance has a non-finite entry")
+    with np.errstate(over="ignore"):  # an overflowing trace is not zero
+        zero = np.trace(covs, axis1=1, axis2=2) == 0
+    if zero.any():
+        raise ValueError(f"epoch {int(np.argmax(zero))}'s covariance has zero trace")
 
 
 def write_epoch_cache(cache_dir: Path, subject: int, covs: np.ndarray,
@@ -395,11 +405,9 @@ def _read_map(path: str, order: int | None) -> montage.SpatialMap:
 
 def _cohort_maps(counts: dict[str, int], layout: montage.GridLayout, k: int
                  ) -> tuple[montage.SpatialMap, montage.SpatialMap]:
-    ranked = sorted((n for n in counts if counts[n] > 0),
-                    key=lambda n: (-counts[n], layout.montage_rank(n)))
-    top = ranked[:min(k, len(ranked))]
-    weighted = montage.weighted_map({n: float(c) for n, c in counts.items()}, layout)
-    return montage.binary_map(top, layout), weighted
+    resolved = zip(layout.resolve_all(counts), counts.values())
+    top = relevance._ranked({n: c for n, c in resolved if c > 0}, layout.names)[:k]
+    return montage.binary_map(top, layout), montage.weighted_map(counts, layout)
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +471,10 @@ def _prepare_subject(cfg: ExperimentConfig, cache_dir: Path, subject: int,
                      missing: list[str]) -> tuple[str, int] | None:
     """Epoch and cache one subject's runs; ``None`` when no run is usable.
 
-    Every run must hold only finite samples and carry the first run's channel
-    names, in order, and its sample rate; otherwise a ``ValueError`` starts
-    with the file's path.
+    Every run must hold only finite samples, give epoch covariances that
+    pass ``_check_covariances`` and carry the first run's channel names, in
+    order, and its sample rate; otherwise a ``ValueError`` starts with the
+    file's path.
     Any earlier cache of the subject, and its derived-result memo, is
     invalidated first, so a subject that fails here is not read from a stale
     cache by later commands.
@@ -497,9 +506,11 @@ def _prepare_subject(cfg: ExperimentConfig, cache_dir: Path, subject: int,
             if not np.isfinite(rec.data).all():
                 raise ValueError("holds non-finite samples")
             rec = signal.bandpass(rec, cfg.band_lo, cfg.band_hi)
-        epochs = signal.epoch_trials(rec)
-        if epochs:
-            covs.append(spdgeom.covariance([e.data for e in epochs]))
+            epochs = signal.epoch_trials(rec)
+            if epochs:
+                with np.errstate(over="ignore", invalid="ignore"):  # reported next
+                    covs.append(spdgeom.covariance([e.data for e in epochs]))
+                _check_covariances(covs[-1])
         labels += [e.label for e in epochs]
         # the epochs are views into the recording: free both before the next read
         del rec, epochs

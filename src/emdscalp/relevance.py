@@ -100,6 +100,7 @@ def ingest_external(file: str | Path, layout: GridLayout) -> RelevanceScores:
 
 
 def _ranked(scores: Mapping[str, float], order: tuple[str, ...]) -> list[str]:
+    """Names of `scores` by descending score, ties to the earlier place in `order`."""
     pos = {name: i for i, name in enumerate(order)}
     return sorted(scores, key=lambda name: (-scores[name], pos[name]))
 

@@ -21,6 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .stats import _class_partition
+
 __all__ = [
     "Annotation",
     "Recording",
@@ -142,7 +144,9 @@ def read_recording(path: str | Path) -> Recording:
     Digital values are mapped through each signal's physical/digital
     calibration; 'EDF Annotations' channels are decoded into sample-unit
     annotations and excluded from the data matrix.  All data channels must
-    share one sampling rate.
+    share one sampling rate.  The header size field must be 256 bytes per
+    signal plus 256, and the file exactly the header plus its record count
+    of records (a count of -1 reads every whole record the file holds).
     """
     raw = Path(path).read_bytes()
     if len(raw) < 256:
@@ -157,6 +161,9 @@ def read_recording(path: str | Path) -> Recording:
     header_bytes = 256 + ns * 256
     if len(raw) < header_bytes:
         raise ValueError("malformed header: truncated signal header block")
+    if _edf_int(raw[184:192], "header size") != header_bytes:
+        raise ValueError(f"malformed header: header size field {raw[184:192]!r} is not "
+                         f"{header_bytes} for {ns} signals")
 
     def sig_field(block_off: int, width: int, i: int) -> bytes:
         # block_off: byte offset of the field block within the per-signal
@@ -175,9 +182,13 @@ def read_recording(path: str | Path) -> Recording:
 
     record_samples = sum(nsamp)
     record_bytes = 2 * record_samples
+    data_bytes = len(raw) - header_bytes
     if n_records < 0:  # unknown record count is legal; derive from file size
-        n_records = (len(raw) - header_bytes) // record_bytes
-    if len(raw) < header_bytes + n_records * record_bytes:
+        n_records = data_bytes // record_bytes
+    elif data_bytes > n_records * record_bytes:
+        raise ValueError(f"{data_bytes - n_records * record_bytes} bytes past the "
+                         f"{n_records} data records the header counts")
+    if data_bytes < n_records * record_bytes:
         raise ValueError("truncated data records")
 
     ann_idx = [i for i, lab in enumerate(labels) if lab == "EDF Annotations"]
@@ -458,30 +469,25 @@ def split(epoch_labels: Sequence[str], seed: int,
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
-    by_label: dict[str, list[int]] = {}
-    for i, label in enumerate(epoch_labels):
-        by_label.setdefault(label, []).append(i)
-    labels = sorted(by_label)
-    if len(labels) < 2:
+    groups = _class_partition(epoch_labels)
+    if len(groups) < 2:
         raise ValueError("need at least 2 classes to split")
-    for lab in labels:
-        if len(by_label[lab]) < 2:
+    for lab, idx in groups.items():
+        if len(idx) < 2:
             raise ValueError(f"class {lab!r} has fewer than 2 epochs")
 
     n = len(epoch_labels)
     total_test = int(round(test_fraction * n))
-    ideal = {lab: test_fraction * len(by_label[lab]) for lab in labels}
-    counts = {lab: int(np.floor(ideal[lab])) for lab in labels}
+    ideal = {lab: test_fraction * len(idx) for lab, idx in groups.items()}
+    counts = {lab: int(np.floor(ideal[lab])) for lab in groups}
     remainder = total_test - sum(counts.values())
-    by_frac = sorted(labels, key=lambda lab: (-(ideal[lab] - counts[lab]), lab))
+    by_frac = sorted(groups, key=lambda lab: (counts[lab] - ideal[lab], lab))
     for lab in by_frac[:max(remainder, 0)]:
         counts[lab] += 1
-    for lab in labels:  # both classes must appear on both sides
-        counts[lab] = min(max(counts[lab], 1), len(by_label[lab]) - 1)
 
     rng = np.random.default_rng(seed)
     test_idx: set[int] = set()
-    for lab in labels:
-        perm = rng.permutation(len(by_label[lab]))
-        test_idx.update(by_label[lab][p] for p in perm[:counts[lab]])
+    for lab, idx in groups.items():  # both classes must appear on both sides
+        count = min(max(counts[lab], 1), len(idx) - 1)
+        test_idx.update(idx[p] for p in rng.permutation(len(idx))[:count])
     return [i for i in range(n) if i not in test_idx], sorted(test_idx)

@@ -27,6 +27,8 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
+from .stats import _class_partition
+
 __all__ = [
     "EigenvalueClampWarning",
     "FrechetMeanError",
@@ -377,13 +379,6 @@ def restrict_channels(cov: np.ndarray, subset: Sequence[int]) -> np.ndarray:
     return cov[..., idx[:, None], idx]
 
 
-def _class_partition(labels: Sequence[Hashable]) -> tuple[tuple, dict]:
-    classes = tuple(sorted(set(labels)))
-    if len(classes) < 2:
-        raise ValueError("need at least 2 classes")
-    return classes, {c: [i for i, lab in enumerate(labels) if lab == c] for c in classes}
-
-
 def mdm_fit(
     covs: Sequence[np.ndarray],
     labels: Sequence[Hashable],
@@ -395,8 +390,8 @@ def mdm_fit(
 
     `covs` is a sequence of matrices or one ``(n, d, d)`` array; fit on a
     channel subset by passing ``restrict_channels(covs, subset)``.  One
-    Fréchet-mean centroid is estimated per class, in sorted label order, so
-    labels must be mutually orderable; that order fixes the prediction
+    Fréchet-mean centroid is estimated per class, in
+    ``stats._class_partition`` order; that order fixes the prediction
     tie-break.
     `mean`, called as ``mean(mats, tol=tol, max_iter=max_iter)`` with the
     class's covariances as one ``(n_c, d, d)`` array, replaces
@@ -411,12 +406,14 @@ def mdm_fit(
     if len(covs) == 0:
         raise ValueError("no training examples")
     covs = _stack(covs, "covariance {j}")
-    classes, groups = _class_partition(labels)
+    groups = _class_partition(labels)
+    if len(groups) < 2:
+        raise ValueError("need at least 2 classes")
     mean = frechet_mean if mean is None else mean
-    with ThreadPoolExecutor(max_workers=min(len(classes), _usable_cpus())) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(groups), _usable_cpus())) as pool:
         centroids = tuple(pool.map(
-            lambda c: mean(covs[groups[c]], tol=tol, max_iter=max_iter), classes))
-    return MDMModel(classes=classes, centroids=centroids)
+            lambda idx: mean(covs[idx], tol=tol, max_iter=max_iter), groups.values()))
+    return MDMModel(classes=tuple(groups), centroids=centroids)
 
 
 def mdm_predict(model: MDMModel, covs: Sequence[np.ndarray]) -> list[Hashable]:

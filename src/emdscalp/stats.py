@@ -54,9 +54,15 @@ class PairedTestResult:
     mode: str
 
 
+def _class_partition(labels: Sequence[Hashable]) -> dict[Hashable, list[int]]:
+    """The package's one class order: the sorted distinct labels (so they
+    must be mutually orderable), each with its indices in `labels`, ascending."""
+    return {c: [i for i, lab in enumerate(labels) if lab == c] for c in sorted(set(labels))}
+
+
 def evaluate(preds: Sequence[Hashable], labels: Sequence[Hashable]) -> EvalResult:
     """Per-class recall and overall accuracy of a prediction run, with the
-    classes of `labels` in sorted order (so they must be mutually orderable)."""
+    classes of `labels` in `_class_partition` order."""
     if len(preds) != len(labels):
         raise ValueError("preds and labels lengths differ")
     if not labels:
@@ -64,8 +70,7 @@ def evaluate(preds: Sequence[Hashable], labels: Sequence[Hashable]) -> EvalResul
     recall: dict[Hashable, float] = {}
     support: dict[Hashable, int] = {}
     correct_total = 0
-    for c in sorted(set(labels)):
-        idx = [i for i, lab in enumerate(labels) if lab == c]
+    for c, idx in _class_partition(labels).items():
         hits = sum(1 for i in idx if preds[i] == c)
         recall[c] = hits / len(idx)
         support[c] = len(idx)
@@ -86,8 +91,7 @@ def chance_level(labels: Sequence[Hashable]) -> float:
     n = len(labels)
     if n == 0:
         raise ValueError("labels must be nonempty")
-    _, counts = np.unique(np.asarray(labels, dtype=object), return_counts=True)
-    return float(counts.max() / n)
+    return max(map(len, _class_partition(labels).values())) / n
 
 
 def select_subjects(results: Mapping[str, EvalResult], chance: Mapping[str, float],

@@ -327,23 +327,32 @@ class TestPrepare:
         assert reason == f"ValueError: {bad_run}: ValueError: holds non-finite samples"
         assert not (tmp_path / "cache" / "S002" / "index.json").exists()
 
-    def test_overflowing_covariance_fails_its_subject(self, tmp_path, rng, capsys):
-        # finite samples whose squares overflow: the cache writer rejects the
-        # covariances its reader would reject, so no later command reads them
-        for sid in (1, 2):
-            rec = make_motor_recording(rng, ["C3", "C4"], n_trials=8, discriminative=(1,))
-            write_csv_run(tmp_path / "data" / f"S{sid:03d}" / f"S{sid:03d}R03.csv",
-                          replace(rec, data=rec.data * (1e200 if sid == 2 else 1.0)))
-        cfg = write_config(tmp_path / "exp.cfg", runs="3", input_format="csv")
-        with pytest.warns(RuntimeWarning, match="overflow"):
+    @pytest.mark.parametrize("gain, cause", [(1e200, "has a non-finite entry"),
+                                             (1e-300, "has zero trace")],
+                             ids=["squares overflow", "squares underflow"])
+    def test_unusable_covariance_fails_its_run(self, tmp_path, capsys, gain, cause):
+        # finite samples whose squares overflow or vanish fail the run that
+        # holds them, before the subject's cache is written
+        caches = []
+        for scale in (1.0, gain):
+            rng = np.random.default_rng(11)
+            for sid in (1, 2):
+                rec = make_motor_recording(rng, ["C3", "C4"], n_trials=8, discriminative=(1,))
+                write_csv_run(tmp_path / "data" / f"S{sid:03d}" / f"S{sid:03d}R03.csv",
+                              replace(rec, data=rec.data * (scale if sid == 2 else 1.0)))
+            cfg = write_config(tmp_path / "exp.cfg", runs="3", input_format="csv")
             assert main(["prepare", "--config", str(cfg)]) == 0
+            caches.append([(p.name, p.read_bytes())
+                           for p in sorted((tmp_path / "cache" / "S001").iterdir())])
         captured = capsys.readouterr()
-        summary = json.loads(captured.out)
+        summary = json.loads(captured.out.splitlines()[-1])
         assert (list(summary["cached"]), summary["failed_subjects"]) == (["S001"], ["S002"])
         reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
-        subj_dir = tmp_path / "cache" / "S002"
-        assert reason == f"ValueError: {subj_dir}: ValueError: epoch 0 has a non-finite entry"
-        assert not subj_dir.exists()
+        run = tmp_path / "data" / "S002" / "S002R03.csv"
+        assert reason == f"ValueError: {run}: ValueError: epoch 0's covariance {cause}"
+        assert "RuntimeWarning" not in captured.err
+        assert not (tmp_path / "cache" / "S002" / "index.json").exists()
+        assert caches[0] == caches[1]
 
     def test_bad_edf_header_field_names_its_run(self, workspace, capsys):
         tmp_path, cfg = workspace
@@ -356,6 +365,21 @@ class TestPrepare:
         assert json.loads(captured.out)["failed_subjects"] == ["S002"]
         reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
         assert reason.startswith(f"ValueError: {run}: ValueError: malformed header: ")
+
+    def test_edf_with_halved_record_count_fails_only_its_subject(self, workspace, capsys):
+        tmp_path, cfg = workspace
+        run = tmp_path / "data" / "S002" / "S002R03.edf"
+        raw = bytearray(run.read_bytes())
+        n_records = int(raw[236:244])
+        raw[236:244] = str(n_records // 2).ljust(8).encode()
+        run.write_bytes(bytes(raw))
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        assert (list(summary["cached"]), summary["failed_subjects"]) == (["S001"], ["S002"])
+        reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
+        assert reason.startswith(f"ValueError: {run}: ValueError: ")
+        assert reason.endswith(f"bytes past the {n_records // 2} data records the header counts")
 
     @pytest.mark.parametrize("data, annotations", [
         ("", None), (None, "160,640"), (None, "x,160,T1"), (None, "1.5,160,T1"),
@@ -430,11 +454,16 @@ class TestEpochCache:
         names = [f"ch{c}" for c in range(dim)]
         cache_dir = tmp_path_factory.mktemp("cache")
         finite = np.isfinite(arr).all(axis=(1, 2))
-        if not finite.all():
+        with np.errstate(over="ignore"):
+            zero = np.trace(arr, axis1=1, axis2=2) == 0
+        reason = (f"epoch {int(np.argmin(finite))}'s covariance has a non-finite entry"
+                  if not finite.all() else
+                  f"epoch {int(np.argmax(zero))}'s covariance has zero trace"
+                  if zero.any() else None)
+        if reason is not None:
             # rejected as the reader would reject it, before anything is written
             with pytest.raises(ValueError, match=f"^{re.escape(str(cache_dir / 'S005'))}: "
-                                                 f"ValueError: epoch {int(np.argmin(finite))} "
-                                                 f"has a non-finite entry$"):
+                                                 f"ValueError: {re.escape(reason)}$"):
                 cli.write_epoch_cache(cache_dir, 5, arr, labels, names)
             assert list(cache_dir.iterdir()) == []
             return
@@ -451,7 +480,12 @@ class TestEpochCache:
                                                         shrinkage):
         cache_dir = tmp_path_factory.mktemp("cache")
         names = [f"ch{c}" for c in range(epoch.shape[0])]
-        cli.write_epoch_cache(cache_dir, 1, spdgeom.covariance([epoch]), *_index(1, names))
+        covs = spdgeom.covariance([epoch])
+        if np.trace(covs[0]) == 0:  # no variance that a float64 holds: never cached
+            with pytest.raises(ValueError, match="epoch 0's covariance has zero trace$"):
+                cli.write_epoch_cache(cache_dir, 1, covs, *_index(1, names))
+            return
+        cli.write_epoch_cache(cache_dir, 1, covs, *_index(1, names))
         cached, _ = cli.read_epoch_cache(cache_dir, 1)
         assert spdgeom.shrink(cached, shrinkage).tobytes() \
             == spdgeom.shrink(np.atleast_2d(np.cov(epoch))[None], shrinkage).tobytes()
@@ -685,8 +719,8 @@ class TestTrainEval:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["failed_subjects"] == ["S002"]
         reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
-        assert reason.startswith(f"ValueError: {npy.parent}: ValueError: epoch {train[1]} "
-                                 f"has a non-finite")
+        assert reason.startswith(f"ValueError: {npy.parent}: ValueError: epoch {train[1]}'s "
+                                 f"covariance has a non-finite entry")
         rows = json.loads((tmp_path / "out" / "rows.json").read_text())
         assert [r["subject"] for r in rows] == [1]
 
@@ -1147,6 +1181,28 @@ class TestEmdCommand:
         assert binary.mass[layout.position("C4")] == 1.0
         assert weighted.total == 3.0
         assert weighted.mass[layout.position("C4")] == 3.0
+
+    def test_top_k_and_cohort_maps_break_ties_alike(self, tmp_path, layout):
+        # Fz leads; F8, C3, CP3 and O1 tie for the last two of three places,
+        # which go to the lower montage positions, F8 and C3 (not the first
+        # in file order, O1 and CP3, nor in name order, C3 and CP3)
+        scores = dict.fromkeys(reversed(layout.names), 1)
+        scores.update({"Fz": 5, "F8": 3, "C3": 3, "CP3": 3, "O1": 3})
+        spelled = {("c3." if n == "C3" else n): v for n, v in scores.items()}
+        rel = tmp_path / "rel.json"
+        rel.write_text(json.dumps({"channels": list(spelled),
+                                   "pooled": [float(v) for v in spelled.values()]}))
+        top = relevance.top_k(relevance.ingest_external(rel, layout), 3)
+        assert top == {"Fz", "F8", "C3"}
+        binary, _ = cli._cohort_maps(spelled, layout, 3)
+        assert np.array_equal(binary.mass, montage.binary_map(top, layout).mass)
+        (tmp_path / "cohort.json").write_text(json.dumps({"counts": spelled}))
+        montage.save_spatial_map(montage.binary_map(top, layout), tmp_path / "top.csv")
+        cfg = write_config(tmp_path / "exp.cfg")
+        assert main(["emd", "--config", str(cfg), "--maps", f"top={tmp_path / 'top.csv'}",
+                     "--cohorts", f"cohort={tmp_path / 'cohort.json'}"]) == 0
+        table = json.loads((tmp_path / "out" / "emd_table.json").read_text())
+        assert len({row["emd_binary"] for row in table}) == 1
 
     def test_models_ordered_by_distance(self, tmp_path, layout):
         base = relevance.mi_baseline(layout)

@@ -71,6 +71,29 @@ class TestEDFReader:
         with pytest.raises(ValueError, match="truncated data records"):
             read_recording(bad)
 
+    def test_bytes_past_the_counted_records_rejected(self, tmp_path):
+        # a halved record count must not read as the first half of the run
+        path = write_edf(tmp_path / "a.edf", np.zeros((1, int(4 * FS))), FS)
+        raw = bytearray(path.read_bytes())
+        raw[236:244] = b"2       "
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="^[0-9]+ bytes past the 2 data records the "
+                                             "header counts$"):
+            read_recording(path)
+        raw[236:244] = b"-1      "  # unknown count: every whole record is read
+        path.write_bytes(bytes(raw))
+        assert read_recording(path).n_samples == int(4 * FS)
+
+    def test_header_size_field_must_match_signal_count(self, tmp_path):
+        path = write_edf(tmp_path / "a.edf", np.zeros((1, int(FS))), FS)
+        raw = bytearray(path.read_bytes())
+        assert raw[184:192] == b"768     "  # 256 + 2 signals x 256
+        raw[184:192] = b"512     "
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="^malformed header: header size field "
+                                             "b'512     ' is not 768 for 2 signals$"):
+            read_recording(path)
+
     def test_short_file_rejected(self, tmp_path):
         bad = tmp_path / "tiny.edf"
         bad.write_bytes(b"0       ")

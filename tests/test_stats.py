@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import stats as sps
 
+from emdscalp import signal, spdgeom
 from emdscalp.stats import (
+    _class_partition,
     _midranks,
     chance_level,
     cohort_summary,
@@ -15,6 +17,50 @@ from emdscalp.stats import (
 )
 
 from published import CONFORMER_ALL, EEGNET_ALL, MDM_ALL, MDM_FEAT21, MDM_MI21
+
+
+_LABEL_LISTS = st.one_of(
+    st.lists(st.integers(-2, 2), min_size=1, max_size=12),
+    st.lists(st.sampled_from(["T1", "T2", "Left", "Right", "b"]), min_size=1, max_size=12),
+    st.builds(lambda label, n: [label] * n, st.one_of(st.integers(), st.text(max_size=3)),
+              st.integers(1, 6)),
+)
+
+
+class TestClassPartition:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(labels=_LABEL_LISTS)
+    def test_every_step_follows_the_one_partition(self, labels):
+        groups = _class_partition(labels)
+        assert list(groups) == sorted(set(labels))
+        assert sorted(i for idx in groups.values() for i in idx) == list(range(len(labels)))
+        assert all(idx == sorted(idx) and {labels[i] for i in idx} == {c}
+                   for c, idx in groups.items())
+
+        preds = labels[1:] + labels[:1]
+        ev = evaluate(preds, labels)
+        assert list(ev.per_class_recall) == list(ev.support) == list(groups)
+        assert ev.support == {c: len(idx) for c, idx in groups.items()}
+        assert chance_level(labels) == max(len(idx) for idx in groups.values()) / len(labels)
+
+        covs = np.array([np.diag([i + 1.0, 1.0]) for i in range(len(labels))])
+        if len(groups) < 2:
+            with pytest.raises(ValueError, match="^need at least 2 classes$"):
+                spdgeom.mdm_fit(covs, labels)
+            with pytest.raises(ValueError, match="^need at least 2 classes to split$"):
+                signal.split(labels, seed=0)
+            return
+        model = spdgeom.mdm_fit(covs, labels, mean=lambda mats, **_: mats.mean(axis=0))
+        assert model.classes == tuple(groups)
+        for c, centroid in zip(model.classes, model.centroids):
+            assert np.array_equal(centroid, covs[groups[c]].mean(axis=0))
+        if min(len(idx) for idx in groups.values()) >= 2:
+            train, test = signal.split(labels, seed=0)
+            for side in (train, test):
+                assert sorted({labels[i] for i in side}) == list(groups)
+            # the split depends on the labels only through the partition
+            renamed = {c: f"class {r:02d}" for r, c in enumerate(groups)}
+            assert signal.split([renamed[lab] for lab in labels], seed=0) == (train, test)
 
 
 class TestEvaluate:
