@@ -562,21 +562,21 @@ def _each_subject(cfg: ExperimentConfig, command: str, run_one) -> tuple[list, l
     return results, sorted(failed)
 
 
-_Part = tuple[np.ndarray, list[str]]
+_Part = tuple[np.ndarray, list[str], list[int]]
 
 
 def _read_split(cfg: ExperimentConfig, layout: montage.GridLayout, cache_dir: Path,
                 subject: int) -> tuple[dict[str, int], _Part, _Part]:
     """A subject's channel index by montage electrode (channels outside the
     montage left out), then the shrunk covariances, one ``(n, d, d)`` array,
-    and labels of its training and of its test epochs.  Channel names that
-    name one electrode twice, or labels that cannot be split, raise a
-    ``ValueError`` that starts with the path of ``index.json``."""
+    labels and cache epoch numbers of its training and of its test epochs.
+    Channel names that name one electrode twice, or labels that cannot be
+    split, raise a ``ValueError`` that starts with the path of ``index.json``."""
     covs, index = read_epoch_cache(cache_dir, subject)
     covs, labels = spdgeom.shrink(covs, cfg.shrinkage), index["labels"]
 
     def part(idx: list[int]) -> _Part:
-        return covs[idx], [labels[i] for i in idx]
+        return covs[idx], [labels[i] for i in idx], idx
 
     with _reading(cache_dir / _subject_tag(subject) / "index.json"):
         names = index["channel_names"]
@@ -584,6 +584,17 @@ def _read_split(cfg: ExperimentConfig, layout: montage.GridLayout, cache_dir: Pa
         lookup = dict(zip(layout.resolve_all(names[i] for i in kept), kept))
         train, test = signal.split(labels, cfg.seed, cfg.test_fraction)
     return lookup, part(train), part(test)
+
+
+@contextmanager
+def _naming_epochs(cache_dir: Path, subject: int, epochs: list[int]):
+    """Rename a fit's singular covariance j to cache ``epoch epochs[j]``,
+    under `_reading` of the subject's ``index.json``."""
+    try:
+        yield
+    except spdgeom.SingularMatrixError as exc:
+        with _reading(cache_dir / _subject_tag(subject) / "index.json"):
+            raise spdgeom.SingularMatrixError(epochs[exc.index], "epoch {j}'s covariance") from None
 
 
 def _write_trace(out_dir: Path, subject: int, trace: spdgeom.SelectionTrace) -> None:
@@ -609,16 +620,17 @@ def _write_cohort(out_dir: Path, model: str, selections: dict[str, list[str]]
 def _train_eval_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
                         cache_dir: Path, out_dir: Path, subject: int,
                         selections: dict[str, list[str]]) -> dict:
-    lookup, (train_covs, train_labels), (test_covs, test_labels) = _read_split(
-        cfg, layout, cache_dir, subject)
+    lookup, (train_covs, train_labels, train_epochs), (test_covs, test_labels, _) = \
+        _read_split(cfg, layout, cache_dir, subject)
     memo = DerivedMemo(cache_dir, subject)
-    subset, names, trace = _subset_for_config(
-        cfg, layout, lookup, subject, train_covs, train_labels, memo
-    )
-    if cfg.channel_config != "all64":
-        train_covs, test_covs = (spdgeom.restrict_channels(c, subset)
-                                 for c in (train_covs, test_covs))
-    model = spdgeom.mdm_fit(train_covs, train_labels, mean=memo.frechet_mean)
+    with _naming_epochs(cache_dir, subject, train_epochs):
+        subset, names, trace = _subset_for_config(
+            cfg, layout, lookup, subject, train_covs, train_labels, memo
+        )
+        if cfg.channel_config != "all64":
+            train_covs, test_covs = (spdgeom.restrict_channels(c, subset)
+                                     for c in (train_covs, test_covs))
+        model = spdgeom.mdm_fit(train_covs, train_labels, mean=memo.frechet_mean)
     preds = spdgeom.mdm_predict(model, test_covs)
     ev = stats.evaluate(preds, test_labels)
     chance = stats.chance_level(test_labels)
@@ -676,9 +688,11 @@ def _write_csv(path: Path, rows: list[list]) -> None:
 
 def _select_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
                     cache_dir: Path, out_dir: Path, subject: int) -> tuple[str, list[str]]:
-    lookup, (train_covs, train_labels), _ = _read_split(cfg, layout, cache_dir, subject)
-    _, names, trace = _riemannian_selection(
-        cfg, DerivedMemo(cache_dir, subject), lookup, train_covs, train_labels)
+    lookup, (train_covs, train_labels, train_epochs), _ = _read_split(
+        cfg, layout, cache_dir, subject)
+    with _naming_epochs(cache_dir, subject, train_epochs):
+        _, names, trace = _riemannian_selection(
+            cfg, DerivedMemo(cache_dir, subject), lookup, train_covs, train_labels)
     _write_trace(out_dir, subject, trace)
     return _subject_tag(subject), names
 

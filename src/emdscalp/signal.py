@@ -147,10 +147,13 @@ def read_recording(path: str | Path) -> Recording:
     share one sampling rate.  The header size field must be 256 bytes per
     signal plus 256, and the file exactly the header plus its record count
     of records (a count of -1 reads every whole record the file holds).
+    EDF+D, whose records need not be contiguous, is rejected.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 256:
         raise ValueError("malformed header: file shorter than 256 bytes")
+    if raw[192:197] == b"EDF+D":
+        raise ValueError("EDF+D (discontinuous) recordings are not supported")
     n_records = _edf_int(raw[236:244], "record count")
     duration = _edf_float(raw[244:252], "record duration")
     ns = _edf_int(raw[252:256], "signal count")

@@ -11,16 +11,14 @@ scores all leave-one-channel-out candidates from it with a contour-integral
 trace formula (`_leave_one_out_sq`).  Matrices are plain float ndarrays;
 `_stack` makes a set of them one ``(n, d, d)`` array, which the kernels
 work through in blocks of `_BLOCK` matrices.  Matrix square roots and
-logarithms go through symmetric eigendecomposition with eigenvalues clamped
-at 1e-12 of the largest, never silently (see `clamped_eigenvalue_count`).
+logarithms go through symmetric eigendecomposition; a matrix without a
+logarithm is rejected by name (`SingularMatrixError`), as `_pencil` does.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import threading
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
@@ -30,11 +28,11 @@ import numpy as np
 from .stats import _class_partition
 
 __all__ = [
-    "EigenvalueClampWarning",
     "FrechetMeanError",
     "MDMModel",
     "RemovalStep",
     "SelectionTrace",
+    "SingularMatrixError",
     "clamped_eigenvalue_count",
     "covariance",
     "shrink",
@@ -49,20 +47,15 @@ __all__ = [
 ]
 
 SYMMETRY_RTOL = 1e-10
-EIG_CLAMP_REL = 1e-12
+#: `frechet_mean` takes no logarithm of a spectrum with an eigenvalue below
+#: this fraction of its largest, or with none positive.
+EIG_FLOOR_REL = 1e-12
 #: Relative residual at which `_newton_direction`'s conjugate gradients stop
 #: (unless ``tol / 4`` is larger).
 _CG_RTOL = 1e-6
 #: Matrices per batched call: blocks bound the stacked temporaries (whitened
 #: matrices, eigenvectors, Hessian products) at ``_BLOCK x d x d``.
 _BLOCK = 32
-
-_n_clamped = 0
-_n_clamped_lock = threading.Lock()
-
-
-class EigenvalueClampWarning(UserWarning):
-    """An eigenvalue below the clamping floor was raised to keep a matrix SPD."""
 
 
 class FrechetMeanError(RuntimeError):
@@ -73,9 +66,20 @@ class FrechetMeanError(RuntimeError):
         self.residual = residual
 
 
+class SingularMatrixError(ValueError):
+    """Matrix `index` of a stack, named ``what.format(j=index)``, has no
+    logarithm that `frechet_mean` takes (see `EIG_FLOOR_REL`)."""
+
+    def __init__(self, index: int, what: str = "matrix {j}"):
+        super().__init__(f"{what.format(j=index)} is singular: its smallest eigenvalue is "
+                         f"below {EIG_FLOOR_REL:g} of its largest, or none is positive")
+        self.index = index
+
+
 def clamped_eigenvalue_count() -> int:
-    """Running count of eigenvalues clamped by spectral matrix functions."""
-    return _n_clamped
+    """0: no eigenvalue is clamped, since `frechet_mean` rejects a singular
+    matrix instead.  The benchmark harness still reads this count."""
+    return 0
 
 
 def _usable_cpus() -> int:
@@ -156,25 +160,15 @@ def _pencil(a: np.ndarray, b: np.ndarray, what: str, vectors: bool = False,
     return (lam, w.T @ y) if vectors else lam
 
 
-def _clamped_eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # For sqrt/log inputs only: these need strictly positive spectra.  `m`
-    # is one matrix or a stack; each matrix has its own floor.
-    global _n_clamped
+def _spd_eigh(m: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the symmetric part of `m`, one matrix or a stack; the
+    first matrix j with an eigenvalue below `EIG_FLOOR_REL` of its largest,
+    or none positive, raises `SingularMatrixError` naming ``start + j``."""
     w, V = np.linalg.eigh((m + np.swapaxes(m, -1, -2)) / 2.0)
-    floor = EIG_CLAMP_REL * np.maximum(w[..., -1:], 0.0)
-    if (floor <= 0).any():
-        raise ValueError("matrix has no positive eigenvalue")
-    below = int(np.count_nonzero(w < floor))
-    if below:
-        with _n_clamped_lock:
-            _n_clamped += below
-        warnings.warn(
-            f"clamped {below} eigenvalue(s) below {EIG_CLAMP_REL:g} of their "
-            "matrix's largest",
-            EigenvalueClampWarning,
-            stacklevel=3,
-        )
-        w = np.maximum(w, floor)
+    floor = EIG_FLOOR_REL * np.maximum(w[..., -1], 0.0)
+    bad = np.flatnonzero((w[..., 0] < floor) | (floor <= 0))
+    if bad.size:
+        raise SingularMatrixError(start + int(bad[0]))
     return w, V
 
 
@@ -302,24 +296,21 @@ def frechet_mean(
 ) -> np.ndarray:
     """Fréchet (Karcher) mean of SPD matrices under the affine metric.
 
-    Riemannian Newton iteration started at the arithmetic mean (Ferreira et
-    al. 2006; Jeuris, Vandebril & Vandereycken 2012).  Each iteration
-    diagonalizes every whitened ``W_i = M^{-1/2} A_i M^{-1/2}`` once, for the
-    residual ``|| sum_i log W_i ||_F`` and for `_newton_direction`'s step xi
-    to ``M^{1/2} exp(xi) M^{1/2}``, in blocks of `_BLOCK` matrices summed
-    in matrix order.  A Newton iterate that does not lower the residual
-    below the last accepted one is replaced by the plain step
-    ``M^{1/2} exp(mean_i log W_i) M^{1/2}`` from that point.  Convergence is
-    declared when the residual drops to `tol`; each evaluation of it,
-    rejected or not, counts against `max_iter`.
-
-    `mats` is a sequence of matrices or one ``(n, d, d)`` array; both give
-    the same bytes.
+    Riemannian Newton iteration from the arithmetic mean M (README, "Fréchet
+    mean"), safeguarded by plain steps; each evaluation diagonalizes every
+    whitened ``W_i = M^{-1/2} A_i M^{-1/2}`` once, in blocks of `_BLOCK`
+    matrices summed in matrix order, and it stops at ``|| sum_i log W_i ||_F
+    <= tol``; every evaluation counts against `max_iter`.  `mats` is a
+    sequence of matrices or one ``(n, d, d)`` array; both give the same bytes.
 
     Raises
     ------
     ValueError
         If matrix j is not square, symmetric, finite and of matrix 0's shape.
+    SingularMatrixError
+        Naming matrix j of `mats`: the first whose W_j has an eigenvalue
+        below `EIG_FLOOR_REL` of its largest, or, if M has one first, the
+        first matrix that has one itself (at the first evaluation one must).
     FrechetMeanError
         If the residual is still above `tol` after `max_iter` iterations;
         the exception carries the last residual.
@@ -332,11 +323,15 @@ def frechet_mean(
     residual = best = np.inf
     newton = False
     for _ in range(max_iter):
-        w, V = _clamped_eigh(mean)
+        try:
+            w, V = _spd_eigh(mean)
+        except SingularMatrixError:
+            _spd_eigh(stack)  # names the first matrix that fails on its own
+            raise ValueError("a Fréchet-mean iterate is singular, though no matrix is") from None
         isq = (V * (1.0 / np.sqrt(w))) @ V.T
         grad = np.zeros_like(mean)
         for s in _blocks(len(stack)):
-            ws, us[s] = _clamped_eigh(isq @ stack[s] @ isq)
+            ws, us[s] = _spd_eigh(isq @ stack[s] @ isq, s.start)
             logw[s] = np.log(ws)
             for term in (us[s] * logw[s, None, :]) @ us[s].transpose(0, 2, 1):
                 grad += term  # in matrix order
@@ -399,7 +394,8 @@ def mdm_fit(
     already has.  A thread pool of one worker per class, up to the usable
     CPUs, maps the classes, so `mean` must be safe to call from several
     threads; the centroids are the same bytes on any CPU count, and the
-    first failing class in class order raises its own exception.
+    first failing class in class order raises its own exception, a
+    `SingularMatrixError` renamed to ``covariance j`` of `covs`.
     """
     if len(covs) != len(labels):
         raise ValueError("covs and labels lengths differ")
@@ -410,9 +406,15 @@ def mdm_fit(
     if len(groups) < 2:
         raise ValueError("need at least 2 classes")
     mean = frechet_mean if mean is None else mean
+
+    def fit(idx: list[int]) -> np.ndarray:
+        try:
+            return mean(covs[idx], tol=tol, max_iter=max_iter)
+        except SingularMatrixError as exc:  # named in `covs`, not in its class
+            raise SingularMatrixError(idx[exc.index], "covariance {j}") from None
+
     with ThreadPoolExecutor(max_workers=min(len(groups), _usable_cpus())) as pool:
-        centroids = tuple(pool.map(
-            lambda idx: mean(covs[idx], tol=tol, max_iter=max_iter), groups.values()))
+        centroids = tuple(pool.map(fit, groups.values()))
     return MDMModel(classes=tuple(groups), centroids=centroids)
 
 
@@ -522,12 +524,9 @@ def backward_elimination(centroids: Sequence[np.ndarray], target_k: int) -> Sele
     channel is scored by the inter-class centroid distance on the subset
     with that channel removed, and the channel whose removal leaves the
     largest remaining distance is permanently dropped (ties: lowest channel
-    index).  Repeats until `target_k` channels survive.
-
-    Each iteration solves one generalized eigenproblem per class pair on
-    the current subset and scores all candidates from it with a contour
-    trace formula (`_leave_one_out_sq`), so a step costs O(d^3) rather
-    than one eigenproblem per candidate.
+    index).  Repeats until `target_k` channels survive.  A step costs
+    O(d^3): one pencil per class pair scores every candidate (module
+    docstring).
     """
     if len(centroids) < 2:
         raise ValueError("need at least 2 class centroids")

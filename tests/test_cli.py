@@ -366,6 +366,19 @@ class TestPrepare:
         reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
         assert reason.startswith(f"ValueError: {run}: ValueError: malformed header: ")
 
+    def test_discontinuous_edf_fails_only_its_subject(self, workspace, capsys):
+        tmp_path, cfg = workspace
+        run = tmp_path / "data" / "S002" / "S002R03.edf"
+        raw = bytearray(run.read_bytes())
+        raw[192:197] = b"EDF+D"
+        run.write_bytes(bytes(raw))
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["failed_subjects"] == ["S002"]
+        reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
+        assert reason == (f"ValueError: {run}: ValueError: EDF+D (discontinuous) "
+                          "recordings are not supported")
+
     def test_edf_with_halved_record_count_fails_only_its_subject(self, workspace, capsys):
         tmp_path, cfg = workspace
         run = tmp_path / "data" / "S002" / "S002R03.edf"

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import emdscalp
-from emdscalp import montage, relevance, transport
+from emdscalp import montage, relevance, signal, transport
 from emdscalp.cli import main
 
 from helpers import make_motor_recording
@@ -209,3 +209,53 @@ def test_emd_grid_symmetries_and_swap(reference, layout, metric):
                 got = transport.emd(montage.SpatialMap(p.n, a), montage.SpatialMap(q.n, b),
                                     metric=metric).distance
                 assert abs(got - want) <= 1e-12 * want
+
+
+@pytest.fixture(scope="module")
+def unshrunk(tmp_path_factory, runs) -> Path:
+    """The undamaged cohort through ``prepare`` and the training commands at
+    ``shrinkage = 0``."""
+    root = tmp_path_factory.mktemp("unshrunk")
+    _write_cohort(root / "data", runs)
+    for command, name, keys in [("prepare", "prepare", {}), *TRAINING]:
+        assert main([command, "--config", _config(root, name, shrinkage=0, **keys)]) == 0
+    return root
+
+
+@pytest.mark.parametrize("damage", ["zero channel", "copied channel"])
+def test_singular_subject_fails_alone_naming_its_epoch(tmp_path, runs, unshrunk, capsys,
+                                                       damage):
+    # at shrinkage 0 a zero C3, or C3 a copy of C4, in S002's second run
+    # makes each of its covariances singular: S002 fails in every training
+    # command, naming the first such training epoch of its first class, and
+    # S001 keeps its bytes
+    c3, c4 = CHANNELS.index("C3"), CHANNELS.index("C4")
+    damaged = {key: (data.copy(), annotations) for key, (data, annotations) in runs.items()}
+    data = damaged[2, RUNS[1]][0]
+    data[c3] = 0.0 if damage == "zero channel" else data[c4]
+    _write_cohort(tmp_path / "data", damaged)
+    assert main(["prepare", "--config", _config(tmp_path, "prepare", shrinkage=0)]) == 0
+    index = tmp_path / "cache" / "S002" / "index.json"
+    labels = json.loads(index.read_text())["labels"]
+    train = signal.split(labels, 5, 0.25)[0]
+    # the second run's epochs are the second half of the cache
+    epoch = next(i for i in train if labels[i] == "Left" and i >= len(labels) // 2)
+    left = [i for i in train if labels[i] == "Left"]
+    assert epoch not in (left.index(epoch), train.index(epoch))  # not a stack place
+    reason = (f"ValueError: {index}: SingularMatrixError: epoch {epoch}'s covariance is "
+              "singular: its smallest eigenvalue is below 1e-12 of its largest, or none is "
+              "positive")
+    capsys.readouterr()
+    for command, name, keys in TRAINING:
+        assert main([command, "--config", _config(tmp_path, name, shrinkage=0, **keys)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["failed_subjects"] == ["S002"]
+        assert json.loads(captured.err.splitlines()[-1])["failed"] == {"S002": reason}
+        out, clean = tmp_path / "out" / name, unshrunk / "out" / name
+        if command == "train-eval":  # the header and S001's row
+            assert (out / "rows.csv").read_bytes().splitlines() \
+                == (clean / "rows.csv").read_bytes().splitlines()[:2]
+        if name in ("feat21", "select"):
+            assert (out / "trace_S001.json").read_bytes() \
+                == (clean / "trace_S001.json").read_bytes()
+    assert _tree(tmp_path / "cache" / "S001") == _tree(unshrunk / "cache" / "S001")

@@ -94,6 +94,25 @@ class TestEDFReader:
                                              "b'512     ' is not 768 for 2 signals$"):
             read_recording(path)
 
+    @pytest.mark.parametrize("reserved, rejected", [
+        (b"EDF+C", False), (b"", False), (b"EDF+D", True)])
+    def test_discontinuous_edf_rejected(self, tmp_path, reserved, rejected):
+        # EDF+D records need not follow one another, so one signal would
+        # put annotations on the wrong samples; EDF+C and plain EDF are read
+        path = write_edf(tmp_path / "a.edf", np.zeros((1, int(2 * FS))), FS,
+                         annotations=[(0.5, 1.0, "T1")])
+        raw = bytearray(path.read_bytes())
+        assert raw[192:197] == b"EDF+C"
+        raw[192:236] = reserved.ljust(44)
+        path.write_bytes(bytes(raw))
+        if rejected:
+            with pytest.raises(ValueError, match=r"^EDF\+D \(discontinuous\) recordings "
+                                                 "are not supported$"):
+                read_recording(path)
+        else:
+            assert read_recording(path).annotations == [
+                Annotation(int(0.5 * FS), int(FS), "T1")]
+
     def test_short_file_rejected(self, tmp_path):
         bad = tmp_path / "tiny.edf"
         bad.write_bytes(b"0       ")

@@ -1,9 +1,7 @@
 import inspect
 import json
 import re
-import sys
 import threading
-import warnings
 
 import mpmath
 import numpy as np
@@ -16,8 +14,8 @@ from numpy.testing import assert_allclose
 
 from emdscalp import spdgeom
 from emdscalp.spdgeom import (
-    EigenvalueClampWarning,
     FrechetMeanError,
+    SingularMatrixError,
     backward_elimination,
     covariance,
     frechet_mean,
@@ -273,34 +271,76 @@ class TestFrechetMean:
         assert rel_diff(mean, expected) <= 1e-10
 
 
-class TestEigenClamping:
-    def test_clamping_warns_and_counts(self, rng):
-        before = spdgeom.clamped_eigenvalue_count()
-        nearly = np.diag([1.0, 1e-18])
-        with pytest.warns(EigenvalueClampWarning):
-            frechet_mean([nearly, np.eye(2)], max_iter=5, tol=1e-6)
-        assert spdgeom.clamped_eigenvalue_count() > before
+class TestSingularInput:
+    """`frechet_mean` takes the logarithm of no matrix with an eigenvalue
+    below `EIG_FLOOR_REL` of its largest: it names the first such matrix."""
 
-    def test_stack_clamps_what_its_matrices_clamp(self, rng):
-        # 40 matrices: more than one block, rank-deficient members in several
+    @pytest.fixture
+    def no_newton_step(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Newton step was taken")
+
+        monkeypatch.setattr(spdgeom, "_newton_direction", refuse)
+
+    @pytest.mark.parametrize("singular, named", [
+        ((37,), 37), ((5,), 5), ((33, 38), 33), ((38, 17), 17)])
+    def test_singular_member_named_by_its_index(self, rng, no_newton_step, singular,
+                                                named):
+        # 40 matrices: two blocks of `_BLOCK`; the others keep the mean SPD
         mats = np.stack([rand_spd(rng, 6) for _ in range(40)])
-        for j, rank in ((3, 4), (17, 5), (35, 2)):
-            w, v = np.linalg.eigh(mats[j])
-            mats[j] = (v * np.where(np.arange(6) < 6 - rank, 0.0, w)) @ v.T
-            mats[j] = (mats[j] + mats[j].T) / 2
-        count = spdgeom.clamped_eigenvalue_count
-        before = count()
-        with pytest.warns(EigenvalueClampWarning):
-            singles = [spdgeom._clamped_eigh(m) for m in mats]
-        per_matrix = count() - before
-        assert per_matrix >= 2 + 1 + 4
-        with pytest.warns(EigenvalueClampWarning):
-            w, v = spdgeom._clamped_eigh(mats)
-        assert count() - before == 2 * per_matrix
-        assert w.tobytes() == np.stack([s[0] for s in singles]).tobytes()
-        assert v.tobytes() == np.stack([s[1] for s in singles]).tobytes()
-        with pytest.warns(EigenvalueClampWarning):
-            frechet_mean(mats, max_iter=2, tol=1e6)
+        for j in singular:
+            mats[j] = rank_deficient(rng, 6, 4)
+        for stack in (mats, list(mats)):
+            with pytest.raises(SingularMatrixError,
+                               match=f"^matrix {named} is singular: its smallest") as err:
+                frechet_mean(stack)
+            assert err.value.index == named
+        assert spdgeom.clamped_eigenvalue_count() == 0
+
+    @pytest.mark.parametrize("first_intact, named", [(False, 0), (True, 1)])
+    def test_zero_channel_stack_rejected_at_once(self, rng, no_newton_step, first_intact,
+                                                 named):
+        # the paper's shape at shrinkage 0: 144 64-channel covariances, one
+        # channel zero.  In every matrix the mean is singular and matrix 0
+        # is named; with matrix 0 intact the mean is not, and matrix 1 is.
+        mix = np.eye(64) + rng.normal(size=(64, 64)) / 8
+        epochs = np.stack([mix @ rng.normal(size=(64, 160)) for _ in range(144)])
+        epochs[int(first_intact):, 9] = 0.0
+        mats = covariance(epochs)
+        with pytest.raises(SingularMatrixError, match=f"^matrix {named} is singular"):
+            frechet_mean(mats)
+
+    @pytest.mark.parametrize("ratio", [0.9e-12, 1.1e-12])
+    def test_floor_is_relative_to_the_largest_eigenvalue(self, ratio):
+        # one matrix is its own mean, and whitened it is I
+        a = np.diag([ratio, 0.5, 1.0]) * 1e-3
+        if ratio < spdgeom.EIG_FLOOR_REL:
+            with pytest.raises(SingularMatrixError, match="^matrix 0 is singular"):
+                frechet_mean([a])
+        else:
+            assert frechet_mean([a]).tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros((3, 3)), -np.eye(3), np.diag([1.0, 0.0, 1.0]), np.diag([1.0, -1e-3, 1.0])],
+        ids=["zero", "negative definite", "zero eigenvalue", "indefinite"])
+    def test_matrix_without_a_logarithm_named(self, rng, no_newton_step, bad):
+        # whether or not the mean stays positive definite, matrix 2 is named
+        mats = [rand_spd(rng, 3) for _ in range(4)]
+        mats[2] = bad
+        with pytest.raises(SingularMatrixError, match="^matrix 2 is singular"):
+            frechet_mean(mats)
+
+    def test_singular_iterate_of_regular_matrices_is_a_value_error(self, rng, monkeypatch):
+        # a Newton step to exp(40) along one axis leaves the iterate singular
+        # to the floor, though every matrix passes it
+        def wild(grad, *args):
+            return np.diag([40.0] + [0.0] * (len(grad) - 1))
+
+        monkeypatch.setattr(spdgeom, "_newton_direction", wild)
+        with pytest.raises(ValueError) as err:
+            frechet_mean([rand_spd(rng, 4) for _ in range(5)])
+        assert type(err.value) is ValueError
+        assert str(err.value) == "a Fréchet-mean iterate is singular, though no matrix is"
 
 
 def rank_deficient(rng, dim, rank):
@@ -344,51 +384,34 @@ class TestConcurrentClasses:
         mdm_fit([rand_spd(rng, 3) for _ in range(5)], ["a", "a", "b", "b", "b"], mean=mean)
         assert len(threads) == 2 and len(set(threads.values())) == cpus
 
-    def test_clamp_counts_add_up_across_threads(self, rng, two_cpus):
-        a = [rank_deficient(rng, 8, 3) for _ in range(4)]
-        b = [rank_deficient(rng, 8, 5) for _ in range(5)]
-        count = spdgeom.clamped_eigenvalue_count
-        alone = []
-        for mats in (a, b):
-            before = count()
-            with pytest.warns(EigenvalueClampWarning):
-                frechet_mean(mats, max_iter=3, tol=1e6)
-            alone.append(count() - before)
-        assert min(alone) > 0
-        before = count()
-        with pytest.warns(EigenvalueClampWarning):
-            mdm_fit(a + b, [0] * len(a) + [1] * len(b), max_iter=3, tol=1e6)
-        assert count() - before == sum(alone)
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("singular, named", [
+        ({"b": (3,)}, 7), ({"a": (2,), "b": (0,)}, 4), ({"b": (0,), "a": (1,)}, 2)])
+    def test_first_singular_class_named_in_covs(self, rng, monkeypatch, cpus, singular,
+                                                named):
+        # class "a" holds covariances 0, 2, 4, 6, 8 and "b" 1, 3, 5, 7, 9: a
+        # singular member is named by its place in `covs`, by the first
+        # failing class in class order, from the helper thread that fits it
+        monkeypatch.setattr(spdgeom, "_usable_cpus", lambda: cpus)
+        covs = np.stack([rand_spd(rng, 4) for _ in range(10)])
+        labels = ["a", "b"] * 5
+        for cls, positions in singular.items():
+            for k in positions:
+                covs[2 * k + (cls == "b")] = rank_deficient(rng, 4, 2)
+        raised_on = []
 
-    def test_clamp_count_loses_no_update_under_contention(self, rng):
-        # eight threads on this host's few cores, switching as often as the
-        # interpreter allows, each adding to the count 300 times
-        mats = [rank_deficient(rng, 3, 1) for _ in range(8)]
-        threads = [threading.Thread(target=lambda m=m: [spdgeom._clamped_eigh(m)
-                                                        for _ in range(300)])
-                   for m in mats]
-        count = spdgeom.clamped_eigenvalue_count
-        interval = sys.getswitchinterval()
-        before = count()
-        try:
-            sys.setswitchinterval(1e-6)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", EigenvalueClampWarning)
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert count() - before == 8 * 300 * 2
+        def mean(mats, **kwargs):
+            try:
+                return frechet_mean(mats, **kwargs)
+            except SingularMatrixError:
+                raised_on.append(threading.get_ident())
+                raise
 
-    def test_clamp_warning_from_a_helper_thread_is_a_warning(self, rng, two_cpus):
-        # only the second class, which a helper thread fits, clamps
-        covs = [rand_spd(rng, 4) for _ in range(3)] + [rank_deficient(rng, 4, 2)
-                                                       for _ in range(3)]
-        with pytest.warns(EigenvalueClampWarning, match="clamped"):
-            mdm_fit(covs, [0, 0, 0, 1, 1, 1], max_iter=3, tol=1e6)
+        with pytest.raises(SingularMatrixError,
+                           match=f"^covariance {named} is singular: ") as err:
+            mdm_fit(covs, labels, mean=mean)
+        assert err.value.index == named
+        assert raised_on and threading.get_ident() not in raised_on
 
     @pytest.mark.parametrize("failing", [(0,), (1,), (0, 1), (1, 2)])
     def test_first_failing_class_in_order_raises(self, rng, monkeypatch, failing):
