@@ -3,14 +3,7 @@ domain knowledge with exact earth mover's distance, plus the Riemannian
 minimum-distance-to-mean classification pipeline that produces those maps.
 
 The package runs on numpy alone: no module imports scipy, so neither the
-package nor any command loads it.  `transport` solves the exact EMD by a
-transportation simplex and proves each plan optimal by duality;
-`signal.bandpass` designs its Butterworth filter and runs the zero-phase
-recurrence in numpy, in blocks of 64 samples, to within about 1e-13 of
-scipy's ``filtfilt``; `spdgeom` reduces every SPD distance and eigenproblem
-by a Cholesky whitener, and `mdm_fit` maps its class means over a thread
-pool of up to the CPUs the process may use: the centroids are the same
-bytes on any CPU count, and the first failing class in class order raises.
+package nor any command loads it.  README.md describes each module's method.
 """
 
 from .montage import (

@@ -327,9 +327,7 @@ class DerivedMemo:
             if (mean.dtype.str, mean.shape) != (_EPOCH_DTYPE.str, (dim, dim)):
                 raise ValueError(f"centroid is {mean.dtype.str} {mean.shape}, "
                                  f"expected {_EPOCH_DTYPE.str} {(dim, dim)}")
-            # finite, symmetric and positive definite, as every centroid user checks
-            centroid = spdgeom._check_square_symmetric([mean], "centroid")[0]
-            spdgeom._pencil(centroid, centroid, "centroid")
+            spdgeom._check_square_symmetric([mean], "centroid", spd=True)  # as a computed mean
         return mean
 
     def elimination(self, centroids: Sequence[np.ndarray],
@@ -588,11 +586,13 @@ def _read_split(cfg: ExperimentConfig, layout: montage.GridLayout, cache_dir: Pa
 
 @contextmanager
 def _naming_epochs(cache_dir: Path, subject: int, epochs: list[int]):
-    """Rename a fit's singular covariance j to cache ``epoch epochs[j]``,
-    under `_reading` of the subject's ``index.json``."""
+    """Rename a singular ``covariance j`` of a split part (no other matrix) to
+    cache ``epoch epochs[j]``, under `_reading` of the subject's ``index.json``."""
     try:
         yield
     except spdgeom.SingularMatrixError as exc:
+        if exc.what != "covariance {j}":
+            raise
         with _reading(cache_dir / _subject_tag(subject) / "index.json"):
             raise spdgeom.SingularMatrixError(epochs[exc.index], "epoch {j}'s covariance") from None
 
@@ -620,7 +620,7 @@ def _write_cohort(out_dir: Path, model: str, selections: dict[str, list[str]]
 def _train_eval_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
                         cache_dir: Path, out_dir: Path, subject: int,
                         selections: dict[str, list[str]]) -> dict:
-    lookup, (train_covs, train_labels, train_epochs), (test_covs, test_labels, _) = \
+    lookup, (train_covs, train_labels, train_epochs), (test_covs, test_labels, test_epochs) = \
         _read_split(cfg, layout, cache_dir, subject)
     memo = DerivedMemo(cache_dir, subject)
     with _naming_epochs(cache_dir, subject, train_epochs):
@@ -631,7 +631,8 @@ def _train_eval_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
             train_covs, test_covs = (spdgeom.restrict_channels(c, subset)
                                      for c in (train_covs, test_covs))
         model = spdgeom.mdm_fit(train_covs, train_labels, mean=memo.frechet_mean)
-    preds = spdgeom.mdm_predict(model, test_covs)
+    with _naming_epochs(cache_dir, subject, test_epochs):
+        preds = spdgeom.mdm_predict(model, test_covs)
     ev = stats.evaluate(preds, test_labels)
     chance = stats.chance_level(test_labels)
     row = {

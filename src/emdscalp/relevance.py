@@ -71,24 +71,32 @@ def ingest_external(file: str | Path, layout: GridLayout) -> RelevanceScores:
     """Load and validate an external relevance JSON document.
 
     Channel names are resolved by `GridLayout.resolve_all`; unknown names,
-    two names of one electrode, misaligned arrays, and non-finite scores
-    are rejected.
+    two names of one electrode, a field that is not a JSON array, misaligned
+    arrays, and scores that are not finite JSON numbers (``true`` and
+    ``"0.9"`` are not) are rejected.
     """
     doc = json.loads(Path(file).read_text(encoding="utf-8"))
     for key in ("channels", "pooled"):
         if key not in doc:
             raise ValueError(f"relevance document missing {key!r}")
-    names = layout.resolve_all(doc["channels"])
+
+    def array(values, what: str) -> list:
+        if not isinstance(values, list):
+            raise ValueError(f"{what} must be a JSON array, not {type(values).__name__}")
+        return values
+
+    names = layout.resolve_all(array(doc["channels"], "channels"))
 
     def aligned(values, what: str) -> dict[str, float]:
-        if len(values) != len(names):
+        if len(array(values, what)) != len(names):
             raise ValueError(f"{what} has {len(values)} entries for {len(names)} channels")
         out = {}
         for name, v in zip(names, values):
-            v = float(v)
+            if type(v) not in (int, float):  # a bool is not a JSON number
+                raise ValueError(f"{what} score for {name} must be a JSON number, not {v!r}")
             if not math.isfinite(v):
                 raise ValueError(f"non-finite {what} score for {name}")
-            out[name] = v
+            out[name] = float(v)
         return out
 
     pooled = aligned(doc["pooled"], "pooled")

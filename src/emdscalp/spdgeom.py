@@ -12,7 +12,7 @@ trace formula (`_leave_one_out_sq`).  Matrices are plain float ndarrays;
 `_stack` makes a set of them one ``(n, d, d)`` array, which the kernels
 work through in blocks of `_BLOCK` matrices.  Matrix square roots and
 logarithms go through symmetric eigendecomposition; a matrix without a
-logarithm is rejected by name (`SingularMatrixError`), as `_pencil` does.
+logarithm by `_require_log`'s rule is rejected by name (`SingularMatrixError`).
 """
 
 from __future__ import annotations
@@ -47,8 +47,7 @@ __all__ = [
 ]
 
 SYMMETRY_RTOL = 1e-10
-#: `frechet_mean` takes no logarithm of a spectrum with an eigenvalue below
-#: this fraction of its largest, or with none positive.
+#: `_require_log` rejects a spectrum with an eigenvalue below this fraction of its largest.
 EIG_FLOOR_REL = 1e-12
 #: Relative residual at which `_newton_direction`'s conjugate gradients stop
 #: (unless ``tol / 4`` is larger).
@@ -67,13 +66,12 @@ class FrechetMeanError(RuntimeError):
 
 
 class SingularMatrixError(ValueError):
-    """Matrix `index` of a stack, named ``what.format(j=index)``, has no
-    logarithm that `frechet_mean` takes (see `EIG_FLOOR_REL`)."""
+    """Matrix `index` of a stack, named ``what.format(j=index)``, fails `_require_log`."""
 
     def __init__(self, index: int, what: str = "matrix {j}"):
         super().__init__(f"{what.format(j=index)} is singular: its smallest eigenvalue is "
                          f"below {EIG_FLOOR_REL:g} of its largest, or none is positive")
-        self.index = index
+        self.index, self.what = index, what
 
 
 def clamped_eigenvalue_count() -> int:
@@ -120,10 +118,10 @@ def _stack(mats: Sequence[np.ndarray] | np.ndarray, what: str, dim: int | None =
 
 
 def _check_square_symmetric(mats: Sequence[np.ndarray] | np.ndarray,
-                            what: str = "matrix {j}", dim: int | None = None
-                            ) -> np.ndarray:
-    """`_stack` of `mats`, every matrix finite (checked first) and
-    symmetric; errors name the matrix as `_stack`'s do."""
+                            what: str = "matrix {j}", dim: int | None = None,
+                            spd: bool = False) -> np.ndarray:
+    """`_stack` of `mats`, every matrix finite (checked first), symmetric and,
+    with `spd`, passing `_require_log`; errors name the matrix as `_stack`'s do."""
     stack = _stack(mats, what, dim)
     finite = np.isfinite(stack).all(axis=(1, 2))
     if not finite.all():
@@ -136,40 +134,44 @@ def _check_square_symmetric(mats: Sequence[np.ndarray] | np.ndarray,
         if bad.size:
             raise ValueError(f"{what.format(j=s.start + bad[0])} is not symmetric within "
                              f"{SYMMETRY_RTOL} relative")
+    if spd:
+        _require_log(np.linalg.eigvalsh((stack + stack.swapaxes(1, 2)) / 2.0), what)
     return stack
 
 
-def _pencil(a: np.ndarray, b: np.ndarray, what: str, vectors: bool = False,
-            what_b: str | None = None):
-    """Ascending eigenvalues of ``A x = lam B x``, `a` one matrix or a stack:
-    ``eigvalsh(W A W^T)`` for B's Cholesky whitener ``W = L^{-1}``; with
-    `vectors`, ``(lam, W^T Y)`` for ``lam, Y = eigh(W A W^T)``, so that
-    ``X^T B X = I``.  Proves both finite and positive definite: otherwise
-    "<what> must be finite and positive definite", with A's matrix j named
-    ``what.format(j=j)`` and B named `what_b` (default `what`)."""
-    try:
-        w = np.linalg.inv(np.linalg.cholesky(b))
-    except np.linalg.LinAlgError:
-        raise ValueError(f"{what_b or what} must be finite and positive definite") from None
-    m = w @ a @ w.T
-    lam, y = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
-    ok = np.atleast_1d((lam[..., 0] > 0) & np.isfinite(lam).all(axis=-1))
+def _require_log(w: np.ndarray, what: str = "matrix {j}", start: int = 0) -> np.ndarray:
+    """`w`, ascending spectra of one matrix or a stack, if each eigenvalue is
+    above `EIG_FLOOR_REL` of its largest (false for NaN, or for a largest not
+    finite and positive); else `SingularMatrixError` names the first failing j + `start`."""
+    ok = (w > EIG_FLOOR_REL * w[..., -1:]).all(axis=-1)
     if not ok.all():
-        raise ValueError(f"{what.format(j=int(np.argmin(ok)))} must be finite and "
-                         "positive definite")
-    return (lam, w.T @ y) if vectors else lam
+        raise SingularMatrixError(start + int(np.argmin(ok)), what)
+    return w
 
 
 def _spd_eigh(m: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the symmetric part of `m`, one matrix or a stack; the
-    first matrix j with an eigenvalue below `EIG_FLOOR_REL` of its largest,
-    or none positive, raises `SingularMatrixError` naming ``start + j``."""
+    """Eigenpairs of the symmetric part of `m` (or a stack), proven by `_require_log`."""
     w, V = np.linalg.eigh((m + np.swapaxes(m, -1, -2)) / 2.0)
-    floor = EIG_FLOOR_REL * np.maximum(w[..., -1], 0.0)
-    bad = np.flatnonzero((w[..., 0] < floor) | (floor <= 0))
-    if bad.size:
-        raise SingularMatrixError(start + int(bad[0]))
-    return w, V
+    return _require_log(w, start=start), V
+
+
+def _pencil(a: np.ndarray, b: np.ndarray, vectors: bool = False):
+    """Ascending eigenvalues of ``A x = lam B x``, `a` one matrix or a stack:
+    ``eigvalsh(W A W^T)`` for B's Cholesky whitener ``W = L^{-1}``; with
+    `vectors`, ``(lam, W^T Y)`` for ``lam, Y = eigh(W A W^T)``, so that
+    ``X^T B X = I``.  The caller proves A and B (`_check_square_symmetric`); a
+    computed eigenvalue that is not finite and positive, from two such matrices
+    too far apart for double precision, raises a ``ValueError``."""
+    try:
+        w = np.linalg.inv(np.linalg.cholesky(b))
+    except np.linalg.LinAlgError:  # the lower triangle, not the symmetric part proven
+        w = np.linalg.inv(np.linalg.cholesky((b + b.T) / 2.0))
+    m = w @ a @ w.T
+    lam, y = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
+    if not (np.isfinite(lam).all() and (lam[..., 0] > 0).all()):
+        raise ValueError("a generalized eigenvalue is not finite and positive: the "
+                         "matrices are too far apart to compare in double precision")
+    return (lam, w.T @ y) if vectors else lam
 
 
 def _spectral(m: np.ndarray, fn) -> np.ndarray:
@@ -281,11 +283,11 @@ def riemannian_distance(a: np.ndarray, b: np.ndarray) -> float:
     of ``W B W^T`` for A's Cholesky whitener W.  Symmetric, zero iff A == B,
     and invariant under congruence A -> W A W^T.
     """
-    a = _check_square_symmetric([a], "first matrix")[0]
-    b = _check_square_symmetric([b], "second matrix")[0]
+    a = _check_square_symmetric([a], "first matrix", spd=True)[0]
+    b = _check_square_symmetric([b], "second matrix", spd=True)[0]
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
-    w = _pencil(b, a, "inputs")
+    w = _pencil(b, a)
     return float(np.sqrt((np.log(w) ** 2).sum()))
 
 
@@ -308,9 +310,8 @@ def frechet_mean(
     ValueError
         If matrix j is not square, symmetric, finite and of matrix 0's shape.
     SingularMatrixError
-        Naming matrix j of `mats`: the first whose W_j has an eigenvalue
-        below `EIG_FLOOR_REL` of its largest, or, if M has one first, the
-        first matrix that has one itself (at the first evaluation one must).
+        Naming matrix j of `mats`: the first whose W_j fails `_require_log`,
+        or, if M fails first, the first that fails it itself.
     FrechetMeanError
         If the residual is still above `tol` after `max_iter` iterations;
         the exception carries the last residual.
@@ -425,14 +426,12 @@ def mdm_predict(model: MDMModel, covs: Sequence[np.ndarray]) -> list[Hashable]:
 
     One `_pencil` solve per centroid C gives every
     ``riemannian_distance(C, X)^2 = sum log^2 eig(X, C)`` of the stack.
-    Each covariance must match the model's dimension and be finite,
-    symmetric and positive definite; an error names the index j of the
-    first that is not.
+    The centroids, then the covariances, must pass `_check_square_symmetric`
+    with `spd` at the model's dimension; an error names the first that fails.
     """
-    stack = _check_square_symmetric(covs, "covariance {j}", model.dim)
-    centroids = _check_square_symmetric(model.centroids, "centroid {j}", model.dim)
-    w = np.array([_pencil(stack, c, "covariance {j}", what_b=f"centroid {k}")
-                  for k, c in enumerate(centroids)])
+    centroids = _check_square_symmetric(model.centroids, "centroid {j}", model.dim, spd=True)
+    stack = _check_square_symmetric(covs, "covariance {j}", model.dim, spd=True)
+    w = np.array([_pencil(stack, c) for c in centroids])
     sq = (np.log(w) ** 2).sum(axis=-1)
     return [model.classes[k] for k in np.argmin(sq, axis=0)]
 
@@ -506,7 +505,7 @@ def _distances(centroids: np.ndarray, subset: Sequence[int]) -> tuple[float, np.
     full, loo = 0.0, np.zeros(len(subset))
     for i in range(len(cut)):
         for j in range(i + 1, len(cut)):
-            lam, x = _pencil(cut[i], cut[j], "centroids", vectors=True)
+            lam, x = _pencil(cut[i], cut[j], vectors=True)
             loglam = np.log(lam)
             full_sq = float(loglam @ loglam)
             full += float(np.sqrt(full_sq))
@@ -530,7 +529,7 @@ def backward_elimination(centroids: Sequence[np.ndarray], target_k: int) -> Sele
     """
     if len(centroids) < 2:
         raise ValueError("need at least 2 class centroids")
-    centroids = _check_square_symmetric(centroids, "centroid {j}")
+    centroids = _check_square_symmetric(centroids, "centroid {j}", spd=True)
     dim = centroids.shape[1]
     if not 2 <= target_k < dim:
         raise ValueError(f"target_k must be in [2, {dim}), got {target_k}")

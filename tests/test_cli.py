@@ -763,6 +763,20 @@ class TestTrainEval:
         r2 = (tmp_path / "o2" / "rows.csv").read_bytes()
         assert r1 == r2
 
+    def test_only_a_covariance_is_renamed_to_its_cache_epoch(self, tmp_path):
+        # a centroid, or a pair too far apart to compare, keeps its own name
+        split_epochs = [5, 9]
+        for exc in (spdgeom.SingularMatrixError(1, "centroid {j}"),
+                    ValueError("a generalized eigenvalue is not finite and positive")):
+            with pytest.raises(type(exc)) as err, \
+                    cli._naming_epochs(tmp_path, 2, split_epochs):
+                raise exc
+            assert err.value is exc
+        with pytest.raises(ValueError) as err, cli._naming_epochs(tmp_path, 2, split_epochs):
+            raise spdgeom.SingularMatrixError(1, "covariance {j}")
+        renamed = spdgeom.SingularMatrixError(9, "epoch {j}'s covariance")
+        assert str(err.value) == f"{tmp_path / 'S002' / 'index.json'}: SingularMatrixError: {renamed}"
+
 
 class TestSelectChannels:
     @pytest.mark.parametrize("channels, discriminative, selected", [
@@ -1003,7 +1017,8 @@ class TestDerivedMemo:
     @pytest.mark.parametrize("damage, kind", [
         (damage, kind) for damage in ("truncate", "garbage", "wrong shape")
         for kind in ("centroid", "trace")
-    ] + [(damage, "centroid") for damage in ("NaN", "asymmetric", "negative definite")]
+    ] + [(damage, "centroid") for damage in ("NaN", "asymmetric", "negative definite",
+                                             "below the floor")]
       + [(damage, "trace") for damage in (
           "channel out of range", "channel kept twice", "fractional channel", "NaN distance",
           "infinite drop", "iterations out of order")])
@@ -1024,6 +1039,9 @@ class TestDerivedMemo:
                 centroid[0, 0] = np.nan
             elif damage == "asymmetric":
                 centroid[0, 1] += np.abs(centroid).max()
+            elif damage == "below the floor":  # positive definite, but no logarithm
+                w, v = np.linalg.eigh(centroid)
+                centroid = (v * np.r_[1e-13 * w[-1], w[1:]]) @ v.T
             np.save(entry, {"wrong shape": np.eye(3),
                             "negative definite": -np.eye(dim)}.get(damage, centroid))
         else:
@@ -1049,6 +1067,9 @@ class TestDerivedMemo:
         assert json.loads(captured.out)["failed_subjects"] == ["S002"]
         reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
         assert reason.startswith(f"ValueError: {entry}: ")
+        if damage in ("negative definite", "below the floor"):
+            assert reason.startswith(f"ValueError: {entry}: SingularMatrixError: centroid is "
+                                     "singular: ")
         assert entry.read_bytes() == damaged  # never silently recomputed
         rows = json.loads((tmp_path / "out" / "rows.json").read_text())
         assert [r["subject"] for r in rows] == [1]

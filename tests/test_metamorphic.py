@@ -22,7 +22,7 @@ import pytest
 
 import emdscalp
 from emdscalp import montage, relevance, signal, transport
-from emdscalp.cli import main
+from emdscalp.cli import main, read_epoch_cache, write_epoch_cache
 
 from helpers import make_motor_recording
 
@@ -194,6 +194,24 @@ def _symmetries(mass: np.ndarray) -> list[np.ndarray]:
     return rotations + [m.T for m in rotations]
 
 
+def test_subject_outputs_do_not_depend_on_its_cohort(tmp_path, runs, reference):
+    # S002 run alone through prepare and the training commands writes the
+    # rows, traces, cache and memo that it writes beside S001
+    _write_cohort(tmp_path / "data", runs)
+    for command, name, keys in [("prepare", "prepare", {}), *TRAINING]:
+        assert main([command, "--config", _config(tmp_path, name, subjects=2, **keys)]) == 0
+    for cc in ("all64", "mi21", "feat21"):
+        rows = [json.loads((root / "out" / cc / "rows.json").read_text())
+                for root in (tmp_path, reference)]
+        assert rows[0] == [row for row in rows[1] if row["subject"] == 2]
+    for name in ("feat21", "select"):
+        assert (tmp_path / "out" / name / "trace_S002.json").read_bytes() \
+            == (reference / "out" / name / "trace_S002.json").read_bytes()
+    alone, beside = _tree(tmp_path / "cache"), _tree(reference / "cache")
+    assert alone == {k: v for k, v in beside.items() if k.startswith("S002/")}
+    assert any(k.startswith("S002/derived/") for k in alone)
+
+
 @pytest.mark.parametrize("metric", ["euclidean", "manhattan"])
 def test_emd_grid_symmetries_and_swap(reference, layout, metric):
     out = reference / "out" / "feat21"
@@ -259,3 +277,39 @@ def test_singular_subject_fails_alone_naming_its_epoch(tmp_path, runs, unshrunk,
             assert (out / "trace_S001.json").read_bytes() \
                 == (clean / "trace_S001.json").read_bytes()
     assert _tree(tmp_path / "cache" / "S001") == _tree(unshrunk / "cache" / "S001")
+
+
+def test_singular_test_epoch_fails_its_subject_naming_it(tmp_path, runs, unshrunk, capsys):
+    # at shrinkage 0, C3's row and column zeroed in one test-split covariance
+    # of S002 leave its training untouched; prediction fails S002 alone in
+    # every channel config (C3 is one of S002's feat21 survivors), naming
+    # the cache epoch, not its place in the test stack, and S001 keeps its bytes
+    _write_cohort(tmp_path / "data", runs)
+    assert main(["prepare", "--config", _config(tmp_path, "prepare", shrinkage=0)]) == 0
+    cache = tmp_path / "cache"
+    covs, index = read_epoch_cache(cache, 2)
+    labels, names = index["labels"], index["channel_names"]
+    test = signal.split(labels, 5, 0.25)[1]
+    epoch = test[-1]
+    assert epoch != test.index(epoch)
+    c3 = names.index("C3")
+    covs[epoch, c3, :] = covs[epoch, :, c3] = 0.0
+    write_epoch_cache(cache, 2, covs, labels, names)
+    path = cache / "S002" / "index.json"
+    reason = (f"ValueError: {path}: SingularMatrixError: epoch {epoch}'s covariance is "
+              "singular: its smallest eigenvalue is below 1e-12 of its largest, or none is "
+              "positive")
+    capsys.readouterr()
+    for cc in ("all64", "mi21", "feat21"):
+        config = _config(tmp_path, cc, shrinkage=0, channel_config=cc)
+        assert main(["train-eval", "--config", config]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["failed_subjects"] == ["S002"]
+        assert json.loads(captured.err.splitlines()[-1])["failed"] == {"S002": reason}
+        out, clean = tmp_path / "out" / cc, unshrunk / "out" / cc
+        assert (out / "rows.csv").read_bytes().splitlines() \
+            == (clean / "rows.csv").read_bytes().splitlines()[:2]
+        if cc == "feat21":
+            assert (out / "trace_S001.json").read_bytes() \
+                == (clean / "trace_S001.json").read_bytes()
+    assert _tree(cache / "S001") == _tree(unshrunk / "cache" / "S001")

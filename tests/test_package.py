@@ -323,3 +323,14 @@ def test_writer_failing_part_way_leaves_old_file_or_none(tmp_path):
              for p in (tmp_path / side).rglob("*") if p.is_file()}
     # the cache's old index was removed before its array was written
     assert after == {p: b for p, b in before.items() if p.name != "index.json"}
+
+
+def test_readme_library_example_runs(capsys):
+    # the Python block of README's "Library use" section, run as written
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    distance, chance, test = capsys.readouterr().out.splitlines()
+    assert float(distance) == pytest.approx(1.0149384999516553, rel=1e-12)
+    assert (chance, test) == (repr(2 / 3), "0.0625 exact")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,38 @@ class TestIngestExternal:
         ).replace("NaN", "NaN"))
         with pytest.raises(ValueError, match="non-finite"):
             ingest_external(path, layout)
+
+    @pytest.mark.parametrize("score", ["0.9", True, None, [0.9]])
+    def test_score_must_be_a_json_number(self, tmp_path, layout, score):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"channels": ["C3", "C4", "Cz", "Oz"],
+                                    "pooled": [0.9, 1, 0.5, 0.5],
+                                    "per_class": {"Left": [0.5, 0.5, score, 1]}}))
+        with pytest.raises(ValueError, match=rf"^per_class\[Left\] score for Cz must be a "
+                                             rf"JSON number, not {re.escape(repr(score))}$"):
+            ingest_external(path, layout)
+
+    @pytest.mark.parametrize("field", ["channels", "pooled", "per_class"])
+    def test_fields_must_be_json_arrays(self, tmp_path, layout, field):
+        # an object keyed by channel, as a script may write, is named
+        doc = {"channels": ["C3", "C4"], "pooled": [0.9, 1], "per_class": {"Left": [0.5, 1]}}
+        keyed = dict(zip(doc["channels"], doc["pooled"]))
+        if field == "per_class":
+            doc["per_class"]["Left"] = keyed
+        else:
+            doc[field] = keyed
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        name = "per_class[Left]" if field == "per_class" else field
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be a JSON array, "
+                                             "not dict$"):
+            ingest_external(path, layout)
+
+    def test_integer_scores_are_json_numbers(self, tmp_path, layout):
+        path = write_relevance(tmp_path, layout, {"C3": 1, "C4": 0.5})
+        scores = ingest_external(path, layout)
+        assert scores.pooled == {"C3": 1.0, "C4": 0.5}
+        assert type(scores.pooled["C3"]) is float
 
     def test_misaligned_arrays_rejected(self, tmp_path, layout):
         path = tmp_path / "bad.json"

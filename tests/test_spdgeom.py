@@ -64,6 +64,9 @@ def log_spread_pair(rng, dim, spread=3.0):
 
 
 NON_FINITE = pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+#: The rest of every `SingularMatrixError` message, after the matrix's name.
+SINGULAR = ("is singular: its smallest eigenvalue is below 1e-12 of its largest, "
+            "or none is positive$")
 
 
 class TestCovariance:
@@ -169,8 +172,48 @@ class TestRiemannianDistance:
             riemannian_distance(np.eye(2), np.eye(3))
 
     def test_non_spd_rejected(self):
-        with pytest.raises(ValueError, match="positive definite"):
+        with pytest.raises(SingularMatrixError, match=f"^first matrix {SINGULAR}"):
             riemannian_distance(np.diag([1.0, -1.0]), np.eye(2))
+        with pytest.raises(SingularMatrixError, match=f"^second matrix {SINGULAR}"):
+            riemannian_distance(np.eye(2), np.diag([1.0, -1.0]))
+
+    def test_far_apart_regular_pair_is_measured(self, rng):
+        # each has condition number 1e7, their pencil a spread of 1e14: the
+        # floor holds for each matrix, not for the distance between them
+        a, b = np.diag([1e-7, 1.0]), np.diag([1.0, 1e-7])
+        assert_allclose(riemannian_distance(a, b), np.sqrt(2.0) * np.log(1e7), rtol=1e-12)
+        w = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
+        assert_allclose(riemannian_distance(w @ a @ w.T, w @ b @ w.T),
+                        np.sqrt(2.0) * np.log(1e7), rtol=1e-6)
+
+    def test_pair_beyond_double_precision_is_a_value_error(self, rng):
+        # each passes the floor, but their pencil spreads over ~1e23, so the
+        # sign of its smallest computed eigenvalue is rounding's
+        rejected = 0
+        for _ in range(10):
+            qa, qb = (np.linalg.qr(rng.normal(size=(8, 8)))[0] for _ in range(2))
+            a = qa @ np.diag(np.logspace(-11.5, 0, 8)) @ qa.T
+            b = qb @ np.diag(np.logspace(0, -11.5, 8)) @ qb.T
+            a, b = (a + a.T) / 2, (b + b.T) / 2
+            w = np.linalg.inv(np.linalg.cholesky(a))
+            if np.linalg.eigvalsh(w @ b @ w.T)[0] > 0:
+                assert np.isfinite(riemannian_distance(a, b))
+                continue
+            rejected += 1
+            with pytest.raises(ValueError, match="^a generalized eigenvalue is not finite and "
+                                                 "positive: the matrices are too far apart"):
+                riemannian_distance(a, b)
+        assert rejected
+
+    def test_asymmetry_within_tolerance_near_the_floor(self):
+        # B's symmetric part has eigenvalues 1 and 2e-12; an antisymmetric part
+        # of 2e-11, within SYMMETRY_RTOL, makes its lower triangle indefinite
+        r = np.sqrt(0.5) * np.array([[1.0, -1.0], [1.0, 1.0]])
+        b = r @ np.diag([1.0, 2e-12]) @ r.T
+        b += np.array([[0.0, -2e-11], [2e-11, 0.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(b)
+        assert_allclose(riemannian_distance(b, np.eye(2)), -np.log(2e-12), rtol=1e-3)
 
     def test_asymmetric_rejected(self):
         m = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -273,7 +316,8 @@ class TestFrechetMean:
 
 class TestSingularInput:
     """`frechet_mean` takes the logarithm of no matrix with an eigenvalue
-    below `EIG_FLOOR_REL` of its largest: it names the first such matrix."""
+    below `EIG_FLOOR_REL` of its largest: it names the first such matrix.
+    `_require_log` holds that rule for every kernel."""
 
     @pytest.fixture
     def no_newton_step(self, monkeypatch):
@@ -329,6 +373,16 @@ class TestSingularInput:
         mats[2] = bad
         with pytest.raises(SingularMatrixError, match="^matrix 2 is singular"):
             frechet_mean(mats)
+
+    @pytest.mark.parametrize("spectra, named", [
+        ([[0.5, 1.0], [np.nan, 1.0]], 1), ([[0.5, np.nan], [0.5, 1.0]], 0),
+        ([[0.5, 1.0], [0.5, np.inf]], 1), ([[-np.inf, 1.0], [0.5, 1.0]], 0),
+        ([[0.5, 1.0], [-1.0, 0.0]], 1), ([[0.5, 1.0], [1e-13, 1.0]], 1)])
+    def test_one_rule_rejects_non_finite_and_non_positive_spectra(self, spectra, named):
+        # a NaN fails every comparison, so it fails the floor wherever it stands
+        with pytest.raises(SingularMatrixError, match=f"^matrix {4 + named} {SINGULAR}"):
+            spdgeom._require_log(np.array(spectra), start=4)
+        assert spdgeom._require_log(np.array(spectra[1 - named]))[0] == 0.5
 
     def test_singular_iterate_of_regular_matrices_is_a_value_error(self, rng, monkeypatch):
         # a Newton step to exp(40) along one axis leaves the iterate singular
@@ -530,6 +584,31 @@ class TestMDM:
         for c1, c2 in zip(model.centroids, shuffled.centroids):
             assert_allclose(c1, c2, atol=1e-8)
 
+    def test_copied_channel_covariances_rejected_never_scored(self):
+        # 160-sample epochs with channel 5 a copy of channel 4: each covariance
+        # has a smallest eigenvalue within rounding of 0, of either sign (here
+        # 4.6e-17, -6.9e-19 and -3.7e-17 of the largest), so a test of the sign
+        # alone would score covariance 0 and name covariance 1 of the stack
+        x = np.random.default_rng(4).normal(size=(3, 6, 160))
+        x[:, 5] = x[:, 4]
+        covs = covariance(x)
+        model = spdgeom.MDMModel(classes=("a", "b"), centroids=(np.eye(6), 2.0 * np.eye(6)))
+        for given_as in (list, np.stack):
+            with pytest.raises(SingularMatrixError, match=f"^covariance 0 {SINGULAR}") as err:
+                mdm_predict(model, given_as(list(covs)))
+            assert err.value.index == 0
+        for j, cov in enumerate(covs):
+            with pytest.raises(SingularMatrixError, match=f"^covariance 0 {SINGULAR}"):
+                mdm_predict(model, [cov])
+            with pytest.raises(SingularMatrixError, match=f"^second matrix {SINGULAR}"):
+                riemannian_distance(model.centroids[j % 2], cov)
+
+    def test_epoch_far_from_a_centroid_is_scored(self):
+        # regular matrices of condition number 1e7, their pencil spread 1e14
+        model = spdgeom.MDMModel(classes=("a", "b"),
+                                 centroids=(np.diag([1e-7, 1.0]), np.eye(2)))
+        assert mdm_predict(model, [np.diag([1.0, 1e-7]), np.diag([1e-7, 2.0])]) == ["b", "a"]
+
     def test_equidistant_tie_goes_to_first_sorted_class(self):
         a, b = np.diag([1.0, 4.0]), np.diag([4.0, 1.0])
         for labels in (["Left", "Right"], ["Right", "Left"]):
@@ -583,7 +662,7 @@ class TestMDM:
         bad = covs[j].copy()
         if kind == "indefinite":
             bad -= (np.linalg.eigvalsh(bad)[0] + 0.5) * np.eye(dim)
-            message = f"covariance {j} must be finite and positive definite"
+            message = f"covariance {j} {SINGULAR}"
         elif kind == "asymmetric":
             bad[0, 1] += 1e-6 * np.abs(bad).max()
             message = f"covariance {j} is not symmetric"
@@ -731,7 +810,8 @@ class TestBackwardElimination:
         w, v = np.linalg.eigh(rand_spd(rng, 5))
         indefinite = (v * np.where(np.arange(5) == 2, -w, w)) @ v.T
         pair = [indefinite, a] if first else [a, indefinite]
-        with pytest.raises(ValueError, match="positive definite"):
+        with pytest.raises(SingularMatrixError,
+                           match=f"^centroid {0 if first else 1} {SINGULAR}"):
             backward_elimination(pair, target_k=2)
 
     @NON_FINITE
@@ -749,29 +829,37 @@ class TestBackwardElimination:
         # matrices as scipy's do
         for _ in range(5):
             a, b = log_spread_pair(rng, dim)
-            lam, x = spdgeom._pencil(a, b, "centroids", vectors=True)
+            lam, x = spdgeom._pencil(a, b, vectors=True)
             assert np.abs(np.log(lam) - np.log(scipy.linalg.eigh(a, b)[0])).max() <= 1e-12
             assert np.abs(x.T @ b @ x - np.eye(dim)).max() <= 1e-13
             assert np.abs(x.T @ a @ x - np.diag(lam)).max() <= 1e-14 * lam[-1]
 
-    def test_pencil_proves_both_matrices_positive_definite(self, rng):
-        stack = np.array([rand_spd(rng, 4) for _ in range(5)])
-        stack[3] -= (np.linalg.eigvalsh(stack[3])[0] + 0.5) * np.eye(4)
-        b = rand_spd(rng, 4)
-        with pytest.raises(ValueError,
-                           match="^covariance 3 must be finite and positive definite$"):
-            spdgeom._pencil(stack, b, "covariance {j}")
-        with pytest.raises(ValueError, match="^inputs must be finite and positive definite$"):
-            spdgeom._pencil(stack[3], b, "inputs", vectors=True)
-        with pytest.raises(ValueError, match="^centroid 1 must be finite and positive definite$"):
-            spdgeom._pencil(b, stack[3], "covariance {j}", what_b="centroid 1")
-
-    def test_indefinite_model_centroid_named(self, rng):
+    @pytest.mark.parametrize("kind", ["indefinite", "below the floor"])
+    def test_covariance_without_a_logarithm_named_by_its_own_spectrum(self, rng, kind):
+        # covariance 3 fails the floor; covariance 1 is 1e-13 of a centroid,
+        # a pencil far below the floor, but regular itself
         good = rand_spd(rng, 4)
-        bad = good - (np.linalg.eigvalsh(good)[0] + 0.5) * np.eye(4)
-        model = spdgeom.MDMModel(classes=("a", "b"), centroids=(good, bad))
-        with pytest.raises(ValueError, match="^centroid 1 must be finite and positive definite$"):
+        model = spdgeom.MDMModel(classes=("a", "b"), centroids=(good, 2.0 * good))
+        stack = np.array([rand_spd(rng, 4) for _ in range(5)])
+        w, v = np.linalg.eigh(stack[3])
+        w[0] = -0.5 if kind == "indefinite" else 1e-13 * w[-1]
+        stack[3] = (v * w) @ v.T
+        stack[1] = 1e-13 * good
+        with pytest.raises(SingularMatrixError, match=f"^covariance 3 {SINGULAR}") as err:
+            mdm_predict(model, stack)
+        assert err.value.index == 3
+        assert mdm_predict(model, stack[:3])[1] == "a"
+
+    @pytest.mark.parametrize("kind", ["indefinite", "below the floor"])
+    def test_model_centroid_without_a_logarithm_named(self, rng, kind):
+        # named before any covariance is whitened by it
+        good = rand_spd(rng, 4)
+        w, v = np.linalg.eigh(good)
+        w[0] = -0.5 if kind == "indefinite" else 1e-13 * w[-1]
+        model = spdgeom.MDMModel(classes=("a", "b"), centroids=(good, (v * w) @ v.T))
+        with pytest.raises(SingularMatrixError, match=f"^centroid 1 {SINGULAR}") as err:
             mdm_predict(model, [rand_spd(rng, 4)])
+        assert err.value.index == 1
 
     def test_strictly_decreasing_subset_chain(self, rng):
         covs, labels = make_spd_dataset(rng, 10, dim=6)
