@@ -181,10 +181,8 @@ def _read_json(path: Path) -> dict:
     """The JSON object in `path`; any other content is a ``ValueError``
     that starts with the path."""
     with _reading(path):
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(doc, dict):
-            raise ValueError(f"expected a JSON object, got {type(doc).__name__}")
-    return doc
+        return montage._json_value(json.loads(path.read_text(encoding="utf-8")), "object",
+                                   "document")
 
 
 # ---------------------------------------------------------------------------
@@ -202,12 +200,11 @@ _EPOCH_DTYPE = np.dtype("<f8")
 
 def _check_cache(index: dict, covs: np.ndarray) -> None:
     """Raise a ``ValueError`` unless `index` holds ``labels`` and
-    ``channel_names`` as lists of strings and `covs` is ``<f8`` of shape
+    ``channel_names`` as JSON arrays of strings and `covs` is ``<f8`` of shape
     ``(len(labels), d, d)`` for d channel names, passing ``_check_covariances``."""
     for key in ("labels", "channel_names"):
-        values = index.get(key)
-        if not isinstance(values, list) or not all(isinstance(v, str) for v in values):
-            raise ValueError(f"{key} must be a list of strings")
+        for j, value in enumerate(montage._json_value(index.get(key), "array", key)):
+            montage._json_value(value, "string", f"{key}[{j}]")
     dim = len(index["channel_names"])
     shape = len(index["labels"]), dim, dim
     if (covs.dtype.str, covs.shape) != (_EPOCH_DTYPE.str, shape):
@@ -272,7 +269,7 @@ def read_epoch_cache(cache_dir: Path, subject: int) -> tuple[np.ndarray, dict]:
     index_path = subj_dir / "index.json"
     index = _read_json(index_path)
     with _reading(index_path):
-        version = index.get("format_version")
+        version = montage._json_value(index.get("format_version"), "integer", "format_version")
         if version != CACHE_FORMAT_VERSION:
             raise ValueError(f"cache format_version {version!r} is not "
                              f"{CACHE_FORMAT_VERSION}; re-run prepare")
@@ -586,15 +583,16 @@ def _read_split(cfg: ExperimentConfig, layout: montage.GridLayout, cache_dir: Pa
 
 @contextmanager
 def _naming_epochs(cache_dir: Path, subject: int, epochs: list[int]):
-    """Rename a singular ``covariance j`` of a split part (no other matrix) to
-    cache ``epoch epochs[j]``, under `_reading` of the subject's ``index.json``."""
+    """Rename ``covariance j`` of a split part (no other matrix) in a named error
+    to cache ``epoch epochs[j]``, under `_reading` of the subject's ``index.json``."""
     try:
         yield
-    except spdgeom.SingularMatrixError as exc:
-        if exc.what != "covariance {j}":
+    except (spdgeom.SingularMatrixError, spdgeom._TooFarApartError) as exc:
+        if not exc.what.startswith("covariance {j}"):
             raise
+        what = exc.what.replace("covariance {j}", "epoch {j}'s covariance")
         with _reading(cache_dir / _subject_tag(subject) / "index.json"):
-            raise spdgeom.SingularMatrixError(epochs[exc.index], "epoch {j}'s covariance") from None
+            raise type(exc)(epochs[exc.index], what) from None
 
 
 def _write_trace(out_dir: Path, subject: int, trace: spdgeom.SelectionTrace) -> None:
@@ -741,10 +739,9 @@ def cmd_emd(cfg: ExperimentConfig, map_args: list[str], cohort_args: list[str],
     for name, path in cohorts:
         doc = _read_json(Path(path))
         with _reading(path):
-            counts = doc["counts"]
+            counts = montage._json_value(doc.get("counts"), "object", "counts")
             for channel, count in counts.items():
-                if type(count) is not int:  # bool is a subclass of int
-                    raise ValueError(f"count of {channel!r} must be an integer, got {count!r}")
+                montage._json_value(count, "integer", f"counts[{channel}]")
             if not any(count > 0 for count in counts.values()):
                 raise ValueError("counts must hold at least one positive count")
             bmap, wmap = _cohort_maps(counts, layout, cfg.target_k)

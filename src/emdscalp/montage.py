@@ -11,6 +11,7 @@ same grid and are the objects compared by the transport module.
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -230,6 +231,23 @@ def _write_file(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+#: The Python types `json.loads` gives for each JSON kind `_json_value` takes.
+_JSON_KINDS = {"object": (dict,), "array": (list,), "string": (str,), "integer": (int,),
+               "number": (int, float)}
+
+
+def _json_value(value, kind: str, what: str):
+    """`value`, as `json.loads` gives it, if it is of the JSON `kind` named by
+    a key of `_JSON_KINDS` (a bool is no integer or number, and a number must
+    be finite and is returned as a float); else a ``ValueError`` naming
+    `what`: the package's one JSON value rule (README, File formats)."""
+    if not isinstance(value, _JSON_KINDS[kind]) or isinstance(value, bool) or (
+            kind == "number" and not abs(value) <= sys.float_info.max):  # NaN, inf, 1e400
+        shown = type(value).__name__ if isinstance(value, (dict, list)) else repr(value)
+        raise ValueError(f"{what} must be a JSON {kind}, not {shown}")
+    return float(value) if kind == "number" else value
 
 
 def save_spatial_map(smap: SpatialMap, path: str | Path) -> None:

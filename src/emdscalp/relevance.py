@@ -1,30 +1,20 @@
 """Channel-relevance ingestion, top-k extraction, and cohort aggregation.
 
-Relevance scores come from external per-model JSON exports (schema below);
-the covariance classifier's own selection is the final subset of its
-elimination trace.  The module also builds the 21-channel motor-cortex
-baseline map that data-driven selections are compared against.
-
-External relevance JSON schema::
-
-    {
-      "subject": str,                      # optional, not read
-      "model": str,                        # optional, not read
-      "channels": [str, ...],
-      "pooled": [float, ...],              # aligned with channels
-      "per_class": {"<label>": [float, ...], ...}   # optional
-    }
+Relevance scores come from external per-model JSON exports (README, File
+formats: "Relevance JSON"); the covariance classifier's own selection is the
+final subset of its elimination trace.  The module also builds the
+21-channel motor-cortex baseline map that data-driven selections are
+compared against.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .montage import GridLayout, SpatialMap, binary_map
+from .montage import GridLayout, SpatialMap, _json_value, binary_map
 
 __all__ = [
     "RelevanceScores",
@@ -71,38 +61,25 @@ def ingest_external(file: str | Path, layout: GridLayout) -> RelevanceScores:
     """Load and validate an external relevance JSON document.
 
     Channel names are resolved by `GridLayout.resolve_all`; unknown names,
-    two names of one electrode, a field that is not a JSON array, misaligned
-    arrays, and scores that are not finite JSON numbers (``true`` and
-    ``"0.9"`` are not) are rejected.
+    two names of one electrode, misaligned arrays and a value that breaks
+    `montage._json_value`'s rule for its field are rejected.
     """
-    doc = json.loads(Path(file).read_text(encoding="utf-8"))
-    for key in ("channels", "pooled"):
-        if key not in doc:
-            raise ValueError(f"relevance document missing {key!r}")
-
-    def array(values, what: str) -> list:
-        if not isinstance(values, list):
-            raise ValueError(f"{what} must be a JSON array, not {type(values).__name__}")
-        return values
-
-    names = layout.resolve_all(array(doc["channels"], "channels"))
+    doc = _json_value(json.loads(Path(file).read_text(encoding="utf-8")), "object", "document")
+    channels = _json_value(doc.get("channels"), "array", "channels")
+    names = layout.resolve_all(_json_value(c, "string", f"channels[{j}]")
+                               for j, c in enumerate(channels))
 
     def aligned(values, what: str) -> dict[str, float]:
-        if len(array(values, what)) != len(names):
+        if len(_json_value(values, "array", what)) != len(names):
             raise ValueError(f"{what} has {len(values)} entries for {len(names)} channels")
-        out = {}
-        for name, v in zip(names, values):
-            if type(v) not in (int, float):  # a bool is not a JSON number
-                raise ValueError(f"{what} score for {name} must be a JSON number, not {v!r}")
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite {what} score for {name}")
-            out[name] = float(v)
-        return out
+        return {name: _json_value(v, "number", f"{what} score for {name}")
+                for name, v in zip(names, values)}
 
-    pooled = aligned(doc["pooled"], "pooled")
+    pooled = aligned(doc.get("pooled"), "pooled")
     per_class = None
-    if doc.get("per_class"):
-        per_class = {str(lab): aligned(v, f"per_class[{lab}]") for lab, v in doc["per_class"].items()}
+    if "per_class" in doc:
+        per_class = {lab: aligned(v, f"per_class[{lab}]") for lab, v in
+                     _json_value(doc["per_class"], "object", "per_class").items()}
     order = sorted(names, key=layout.montage_rank)
     return RelevanceScores(channels=tuple(order), pooled=pooled, per_class=per_class)
 

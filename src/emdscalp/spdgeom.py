@@ -25,6 +25,7 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
+from .montage import _json_value
 from .stats import _class_partition
 
 __all__ = [
@@ -70,7 +71,19 @@ class SingularMatrixError(ValueError):
 
     def __init__(self, index: int, what: str = "matrix {j}"):
         super().__init__(f"{what.format(j=index)} is singular: its smallest eigenvalue is "
-                         f"below {EIG_FLOOR_REL:g} of its largest, or none is positive")
+                         f"below {EIG_FLOOR_REL:g} of its largest, or none is positive, "
+                         "or one is not finite")
+        self.index, self.what = index, what
+
+
+class _TooFarApartError(ValueError):
+    """Pair `index` of a `_pencil` solve, named ``what.format(j=index)``, gives a
+    computed eigenvalue that is not finite and positive."""
+
+    def __init__(self, index: int, what: str):
+        super().__init__("a generalized eigenvalue is not finite and positive: "
+                         f"{what.format(j=index)} are too far apart to compare in double "
+                         "precision")
         self.index, self.what = index, what
 
 
@@ -155,22 +168,23 @@ def _spd_eigh(m: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     return _require_log(w, start=start), V
 
 
-def _pencil(a: np.ndarray, b: np.ndarray, vectors: bool = False):
+def _pencil(a: np.ndarray, b: np.ndarray, vectors: bool = False, what: str = "the matrices"):
     """Ascending eigenvalues of ``A x = lam B x``, `a` one matrix or a stack:
     ``eigvalsh(W A W^T)`` for B's Cholesky whitener ``W = L^{-1}``; with
     `vectors`, ``(lam, W^T Y)`` for ``lam, Y = eigh(W A W^T)``, so that
     ``X^T B X = I``.  The caller proves A and B (`_check_square_symmetric`); a
     computed eigenvalue that is not finite and positive, from two such matrices
-    too far apart for double precision, raises a ``ValueError``."""
+    too far apart for double precision, raises `_TooFarApartError` naming the
+    first such pair j of the stack as ``what``."""
     try:
         w = np.linalg.inv(np.linalg.cholesky(b))
     except np.linalg.LinAlgError:  # the lower triangle, not the symmetric part proven
         w = np.linalg.inv(np.linalg.cholesky((b + b.T) / 2.0))
     m = w @ a @ w.T
     lam, y = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
-    if not (np.isfinite(lam).all() and (lam[..., 0] > 0).all()):
-        raise ValueError("a generalized eigenvalue is not finite and positive: the "
-                         "matrices are too far apart to compare in double precision")
+    ok = np.isfinite(lam).all(axis=-1) & (lam[..., 0] > 0)
+    if not ok.all():
+        raise _TooFarApartError(int(np.argmin(ok)), what)
     return (lam, w.T @ y) if vectors else lam
 
 
@@ -431,7 +445,8 @@ def mdm_predict(model: MDMModel, covs: Sequence[np.ndarray]) -> list[Hashable]:
     """
     centroids = _check_square_symmetric(model.centroids, "centroid {j}", model.dim, spd=True)
     stack = _check_square_symmetric(covs, "covariance {j}", model.dim, spd=True)
-    w = np.array([_pencil(stack, c) for c in centroids])
+    w = np.array([_pencil(stack, c, what=f"covariance {{j}} and centroid {k}")
+                  for k, c in enumerate(centroids)])
     sq = (np.log(w) ** 2).sum(axis=-1)
     return [model.classes[k] for k in np.argmin(sq, axis=0)]
 
@@ -505,7 +520,7 @@ def _distances(centroids: np.ndarray, subset: Sequence[int]) -> tuple[float, np.
     full, loo = 0.0, np.zeros(len(subset))
     for i in range(len(cut)):
         for j in range(i + 1, len(cut)):
-            lam, x = _pencil(cut[i], cut[j], vectors=True)
+            lam, x = _pencil(cut[i], cut[j], True, f"centroid {i} and centroid {j}")
             loglam = np.log(lam)
             full_sq = float(loglam @ loglam)
             full += float(np.sqrt(full_sq))
@@ -566,35 +581,28 @@ def trace_to_json(trace: SelectionTrace) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def _json_field(value, field: str, number: bool = False):
-    # a JSON integer (a bool is not one), or with `number` any JSON number as a float
-    if type(value) is int or (number and type(value) is float):
-        return float(value) if number else value
-    raise ValueError(f"trace {field} must be a JSON {'number' if number else 'integer'}, "
-                     f"not {value!r}")
-
-
 def trace_from_json(text: str) -> SelectionTrace:
-    """The trace in `text`; a ``ValueError`` unless its channels and
-    iterations are JSON integers, its distances and drops JSON numbers, its
-    steps are numbered 1..m in order, they and its survivors take each
-    channel ``0..n-1`` once, each survivor has one drop and every distance
-    and drop is finite."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise ValueError("trace JSON must be an object")
-    if doc.get("format_version") != 1:
-        raise ValueError(f"unsupported trace format_version: {doc.get('format_version')}")
+    """The trace in `text`; a ``ValueError`` unless each field passes
+    `montage._json_value` (channels and iterations integers, distances and
+    drops numbers), its steps are numbered 1..m in order, they and its
+    survivors take each channel ``0..n-1`` once and each survivor has one drop."""
+    doc = _json_value(json.loads(text), "object", "trace")
+
+    def field(obj: dict, key: str, kind: str):
+        return _json_value(obj.get(key), kind, f"trace {key}")
+
+    def items(key: str, kind: str) -> tuple:
+        return tuple(_json_value(v, kind, f"trace {key}") for v in field(doc, key, "array"))
+
+    if field(doc, "format_version", "integer") != 1:
+        raise ValueError(f"unsupported trace format_version: {doc['format_version']}")
     trace = SelectionTrace(
-        removal_order=tuple(
-            RemovalStep(_json_field(s["iteration"], "iteration"),
-                        _json_field(s["removed"], "removed"),
-                        _json_field(s["distance"], "distance", number=True))
-            for s in doc["removal_order"]
-        ),
-        final_subset=tuple(_json_field(c, "final_subset") for c in doc["final_subset"]),
-        final_loo_drops=tuple(_json_field(d, "final_loo_drops", number=True)
-                              for d in doc["final_loo_drops"]),
+        removal_order=tuple(RemovalStep(field(s, "iteration", "integer"),
+                                        field(s, "removed", "integer"),
+                                        field(s, "distance", "number"))
+                            for s in items("removal_order", "object")),
+        final_subset=items("final_subset", "integer"),
+        final_loo_drops=items("final_loo_drops", "number"),
     )
     steps = trace.removal_order
     if [s.iteration for s in steps] != list(range(1, len(steps) + 1)):
@@ -606,6 +614,4 @@ def trace_from_json(text: str) -> SelectionTrace:
     if len(trace.final_loo_drops) != len(trace.final_subset):
         raise ValueError(f"trace must give one drop per survivor, not "
                          f"{len(trace.final_loo_drops)} for {len(trace.final_subset)}")
-    if not np.isfinite([s.distance for s in steps] + list(trace.final_loo_drops)).all():
-        raise ValueError("trace distances and drops must be finite")
     return trace

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -578,6 +579,15 @@ class TestEpochCache:
         with pytest.raises(ValueError, match="index.json.*format_version 1.*re-run prepare"):
             cli.read_epoch_cache(tmp_path, 1)
 
+    @pytest.mark.parametrize("version", [4.0, True, "4", None])
+    def test_format_version_must_be_a_json_integer(self, tmp_path, version):
+        _, index_path = _cache_files(tmp_path)
+        index = json.loads(index_path.read_text())
+        index_path.write_text(json.dumps(dict(index, format_version=version)))
+        message = f"index.json: ValueError: format_version must be a JSON integer, not {version!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cli.read_epoch_cache(tmp_path, 1)
+
     @pytest.mark.parametrize("edit", [
         {"labels": ["T1"]}, {"labels": None}, {"channel_names": ["C3"]},
         {"channel_names": None}, {"channel_names": "C3"}, {"channel_names": [3, 4]},
@@ -587,8 +597,9 @@ class TestEpochCache:
         index = json.loads(index_path.read_text())
         index_path.write_text(json.dumps({k: v for k, v in dict(index, **edit).items()
                                           if v is not None}))
-        with pytest.raises(ValueError, match="S001: ValueError: (labels|channel_names) must be "
-                                             "a list of strings$|S001: ValueError: epochs are"):
+        with pytest.raises(ValueError, match=r"S001: ValueError: (labels|channel_names(\[0\])?) "
+                                             "must be a JSON (array|string), not [^ ]+$|"
+                                             "S001: ValueError: epochs are"):
             cli.read_epoch_cache(tmp_path, 1)
 
     def test_rewrite_replaces_index_last(self, tmp_path, monkeypatch):
@@ -764,18 +775,24 @@ class TestTrainEval:
         assert r1 == r2
 
     def test_only_a_covariance_is_renamed_to_its_cache_epoch(self, tmp_path):
-        # a centroid, or a pair too far apart to compare, keeps its own name
+        # a centroid, or a pair of centroids too far apart to compare, keeps its own name
         split_epochs = [5, 9]
         for exc in (spdgeom.SingularMatrixError(1, "centroid {j}"),
+                    spdgeom._TooFarApartError(0, "centroid 0 and centroid 1"),
                     ValueError("a generalized eigenvalue is not finite and positive")):
             with pytest.raises(type(exc)) as err, \
                     cli._naming_epochs(tmp_path, 2, split_epochs):
                 raise exc
             assert err.value is exc
-        with pytest.raises(ValueError) as err, cli._naming_epochs(tmp_path, 2, split_epochs):
-            raise spdgeom.SingularMatrixError(1, "covariance {j}")
-        renamed = spdgeom.SingularMatrixError(9, "epoch {j}'s covariance")
-        assert str(err.value) == f"{tmp_path / 'S002' / 'index.json'}: SingularMatrixError: {renamed}"
+        for exc, renamed in [
+                (spdgeom.SingularMatrixError(1, "covariance {j}"),
+                 spdgeom.SingularMatrixError(9, "epoch {j}'s covariance")),
+                (spdgeom._TooFarApartError(1, "covariance {j} and centroid 0"),
+                 spdgeom._TooFarApartError(9, "epoch {j}'s covariance and centroid 0"))]:
+            with pytest.raises(ValueError) as err, cli._naming_epochs(tmp_path, 2, split_epochs):
+                raise exc
+            assert str(err.value) == (f"{tmp_path / 'S002' / 'index.json'}: "
+                                      f"{type(exc).__name__}: {renamed}")
 
 
 class TestSelectChannels:
@@ -904,11 +921,11 @@ class TestOneSubjectFails:
         ("directory", "index.json", "IsADirectoryError: "),
         ("directory", "epochs.npy", "IsADirectoryError: "),
         # the cache check names the subject directory, as write_epoch_cache does
-        ("list label", "", "ValueError: labels must be a list of strings"),
-        ("string labels", "", "ValueError: labels must be a list of strings"),
+        ("list label", "", "ValueError: labels[0] must be a JSON string, not list"),
+        ("string labels", "", "ValueError: labels must be a JSON array, not 'LRLR"),
         ("one class", "index.json", "ValueError: need at least 2 classes to split"),
-        ("string channel names", "", "ValueError: channel_names must be a list of strings"),
-        ("dict channel names", "", "ValueError: channel_names must be a list of strings"),
+        ("string channel names", "", "ValueError: channel_names must be a JSON array, not 'ABC"),
+        ("dict channel names", "", "ValueError: channel_names must be a JSON array, not dict"),
     ])
     def test_damaged_cache(self, tmp_path, rng, capsys, damage, file, message):
         cfg = _csv_cohort(tmp_path, rng)
@@ -1537,6 +1554,134 @@ class TestCohortFileContract:
         assert main(argv.split()) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ValueError" and err["message"].startswith(f"{bad}: ")
+
+
+#: One value of each JSON kind, as ``json.loads`` gives it.
+JSON_VALUES = [{}, [], "x", 3, 0.5, True, None]
+
+
+def _json_kind(value) -> str:
+    return {dict: "object", list: "array", str: "string", int: "integer", float: "number",
+            bool: "boolean", type(None): "null"}[type(value)]
+
+
+def _json_paths(doc, path: tuple = ()):
+    """The path (keys and indexes) to `doc` and to every value inside it,
+    an array's first element standing for all (they share one rule)."""
+    yield path
+    for key, value in (doc.items() if type(doc) is dict else
+                       enumerate(doc[:1]) if type(doc) is list else ()):
+        yield from _json_paths(value, (*path, key))
+
+
+def _json_damages(doc, keep: tuple) -> list[tuple[tuple, object]]:
+    """Every ``(path, value)`` that puts a value of another JSON kind at a
+    path of `doc`, or, with ``value`` the ``...`` marker, drops an object key.
+    Left out as still valid: an integer for a number, and dropping a key of
+    an object at a path in `keep`, whose keys are data, not fields."""
+    damages = []
+    for path in _json_paths(doc):
+        value = _json_at(doc, path)
+        damages += [(path, new) for new in JSON_VALUES if _json_kind(new) not in (
+            _json_kind(value), "integer" if type(value) is float else None)]
+        if path and type(_json_at(doc, path[:-1])) is dict and path[:-1] not in keep:
+            damages.append((path, ...))
+    return damages
+
+
+def _json_at(doc, path: tuple):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _damaged(doc, path: tuple, value):
+    """A copy of `doc` with `value` at `path`, or the key dropped."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    parent = _json_at(doc, path[:-1])
+    if value is ...:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+class TestJsonDamage:
+    """Each JSON document a command reads, given a value of another JSON type
+    or without a field: a per-subject file fails its subject alone, naming
+    the file; a cohort file fails the command, naming the file; and the
+    library call that reads it raises a ``ValueError``."""
+
+    @pytest.fixture(scope="class")
+    def chain(self, tmp_path_factory):
+        """The root of a prepared two-subject cohort after one clean run of
+        each command and, per file kind: its path, its document, the paths of
+        the objects in it whose keys are data, its command, S001's clean row
+        and the library call that reads it."""
+        root = tmp_path_factory.mktemp("json_damage")
+        build_dataset(root / "data", [1, 2], [3, 4], CHANNELS_6, np.random.default_rng(3))
+        layout = montage.default_layout()
+        rel = {"channels": ["FC5", "C3", "C4", "Cz", "Fp1", "Oz"],
+               "pooled": [0.1, 0.9, 0.8, 0.7, 0.5, 0.2],
+               "per_class": {"Left": [0.5, 0.25, 0.75, 0.5, 0.5, 0.5],
+                             "Right": [0.5, 0.75, 0.25, 0.5, 0.5, 0.5]}}
+        for subject in (1, 2):
+            (root / f"rel_{subject:03d}.json").write_text(json.dumps(rel))
+        argv = {name: ["train-eval", "--config", str(write_config(root / f"{name}.cfg", **edit))]
+                for name, edit in [
+                    ("index", {}), ("trace", {"channel_config": "feat21", "target_k": 2}),
+                    ("relevance", {"channel_config": "feat21", "relevance_source": "external:x",
+                                   "relevance_pattern": "rel_{subject:03d}.json"})]}
+        assert main(["prepare", "--config", argv["index"][2]]) == 0
+        clean = {}
+        for name, args in argv.items():
+            assert main(args) == 0
+            clean[name] = json.loads((root / "out" / "rows.json").read_text())[0]
+        derived = root / "cache" / "S002" / "derived"
+        trace = next(derived.glob("trace-*.json"))
+        cohort = root / "cohort.json"
+        counts = json.loads((root / "out" / "cohort_x.json").read_text())["counts"]
+        cohort.write_text(json.dumps({"counts": counts}))
+        argv["cohort"] = ["emd", "--config", argv["index"][2], "--cohorts", f"m={cohort}"]
+        files = {"index": (root / "cache" / "S002" / "index.json", (),
+                           lambda: cli.read_epoch_cache(root / "cache", 2)),
+                 "trace": (trace, (), lambda: spdgeom.trace_from_json(trace.read_text())),
+                 "relevance": (root / "rel_002.json", (("per_class",),), lambda: (
+                     relevance.ingest_external(root / "rel_002.json", layout))),
+                 "cohort": (cohort, (("counts",),), None)}
+        return root, {name: (path, json.loads(path.read_text()), keep, argv[name],
+                             clean.get(name), call) for name, (path, keep, call) in files.items()}
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_damaged_value_fails_by_path(self, chain, data):
+        root, files = chain
+        name = data.draw(st.sampled_from(sorted(files)), label="file")
+        path, doc, keep, argv, clean, call = files[name]
+        where, value = data.draw(st.sampled_from(_json_damages(doc, keep)), label="damage")
+        text = path.read_text()
+        path.write_text(json.dumps(_damaged(doc, where, value)))
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+            if call is not None:
+                with pytest.raises(ValueError):
+                    call()
+        finally:
+            path.write_text(text)
+        if name == "cohort":
+            assert code == 1
+            error = json.loads(err.getvalue())
+            assert error["error"] == "ValueError" and error["message"].startswith(f"{path}: ")
+            return
+        assert code == 0 and json.loads(out.getvalue())["failed_subjects"] == ["S002"]
+        reason = json.loads(err.getvalue().splitlines()[-1])["failed"]["S002"]
+        # the cache check names the subject directory, which holds index.json
+        assert reason.startswith(f"ValueError: {path.parent if name == 'index' else path}")
+        assert json.loads((root / "out" / "rows.json").read_text()) == [clean]
 
 
 class TestErrorContract:

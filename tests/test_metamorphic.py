@@ -262,7 +262,7 @@ def test_singular_subject_fails_alone_naming_its_epoch(tmp_path, runs, unshrunk,
     assert epoch not in (left.index(epoch), train.index(epoch))  # not a stack place
     reason = (f"ValueError: {index}: SingularMatrixError: epoch {epoch}'s covariance is "
               "singular: its smallest eigenvalue is below 1e-12 of its largest, or none is "
-              "positive")
+              "positive, or one is not finite")
     capsys.readouterr()
     for command, name, keys in TRAINING:
         assert main([command, "--config", _config(tmp_path, name, shrinkage=0, **keys)]) == 0
@@ -298,7 +298,7 @@ def test_singular_test_epoch_fails_its_subject_naming_it(tmp_path, runs, unshrun
     path = cache / "S002" / "index.json"
     reason = (f"ValueError: {path}: SingularMatrixError: epoch {epoch}'s covariance is "
               "singular: its smallest eigenvalue is below 1e-12 of its largest, or none is "
-              "positive")
+              "positive, or one is not finite")
     capsys.readouterr()
     for cc in ("all64", "mi21", "feat21"):
         config = _config(tmp_path, cc, shrinkage=0, channel_config=cc)

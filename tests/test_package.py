@@ -250,6 +250,29 @@ def test_one_function_writes_files():
     assert found == []
 
 
+def _checks_json_type(node: ast.AST) -> bool:
+    """Whether `node` compares ``type(...)`` or tests ``isinstance`` against
+    ``dict``, ``list`` or ``str``."""
+    if isinstance(node, ast.Compare):
+        return any(_called(n) == "type" for n in (node.left, *node.comparators))
+    return _called(node) == "isinstance" and any(
+        isinstance(n, ast.Name) and n.id in ("dict", "list", "str")
+        for n in ast.walk(node.args[1]))
+
+
+def test_one_function_checks_json_types():
+    # every JSON value a command reads passes montage._json_value, so its rule
+    # and its message are written once
+    found = []
+    for path in sorted(Path(emdscalp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {n for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                   and node.name == "_json_value" for n in ast.walk(node)}
+        found += [f"{path.name}:{node.lineno}: {ast.unparse(node)}" for node in ast.walk(tree)
+                  if node not in allowed and _checks_json_type(node)]
+    assert found == []
+
+
 #: Run in a fresh interpreter: ``sys.argv[1]`` is a JSON list of
 #: ``[directory, n, size_limit, code]``.  Each `code` runs under umask 0o022
 #: with ``root`` its directory, ``n`` a size and, unless ``size_limit`` is

@@ -57,17 +57,19 @@ class TestIngestExternal:
         path.write_text(json.dumps(
             {"channels": ["C3"], "pooled": [float("nan")]}
         ).replace("NaN", "NaN"))
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError,
+                           match="^pooled score for C3 must be a JSON number, not nan$"):
             ingest_external(path, layout)
 
-    @pytest.mark.parametrize("score", ["0.9", True, None, [0.9]])
-    def test_score_must_be_a_json_number(self, tmp_path, layout, score):
+    @pytest.mark.parametrize("score, shown", [("0.9", "'0.9'"), (True, "True"), (None, "None"),
+                                              ([0.9], "list")])
+    def test_score_must_be_a_json_number(self, tmp_path, layout, score, shown):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"channels": ["C3", "C4", "Cz", "Oz"],
                                     "pooled": [0.9, 1, 0.5, 0.5],
                                     "per_class": {"Left": [0.5, 0.5, score, 1]}}))
         with pytest.raises(ValueError, match=rf"^per_class\[Left\] score for Cz must be a "
-                                             rf"JSON number, not {re.escape(repr(score))}$"):
+                                             rf"JSON number, not {re.escape(shown)}$"):
             ingest_external(path, layout)
 
     @pytest.mark.parametrize("field", ["channels", "pooled", "per_class"])
@@ -84,6 +86,24 @@ class TestIngestExternal:
         name = "per_class[Left]" if field == "per_class" else field
         with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be a JSON array, "
                                              "not dict$"):
+            ingest_external(path, layout)
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"per_class": [[1, 0]]}, "per_class must be a JSON object, not list"),
+        ({"per_class": 7}, "per_class must be a JSON object, not 7"),
+        ({"per_class": None}, "per_class must be a JSON object, not None"),
+        ({"channels": [3, "C4"]}, "channels[0] must be a JSON string, not 3"),
+        ({"pooled": ...}, "pooled must be a JSON array, not None"),
+        ("5", "document must be a JSON object, not 5"),
+    ], ids=["per_class array", "per_class integer", "per_class null", "integer channel",
+            "no pooled", "integer document"])
+    def test_malformed_document_names_its_field(self, tmp_path, layout, edit, message):
+        """`edit` is a change to a valid document (``...`` drops the key), or the whole text."""
+        doc = {"channels": ["C3", "C4"], "pooled": [0.9, 1.5], "per_class": {"Left": [0.5, 1.5]}}
+        path = tmp_path / "bad.json"
+        path.write_text(edit if isinstance(edit, str) else json.dumps(
+            {k: v for k, v in dict(doc, **edit).items() if v is not ...}))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ingest_external(path, layout)
 
     def test_integer_scores_are_json_numbers(self, tmp_path, layout):

@@ -63,10 +63,25 @@ def log_spread_pair(rng, dim, spread=3.0):
     return spd(), spd()
 
 
+def far_apart_pair(rng):
+    """The first of rotated 8x8 pairs (A, B) whose spectra run from 10^-11.9
+    to 1 in opposite orders for which ``_pencil(A, B)``'s whitened matrix
+    ``W A W^T`` has a computed eigenvalue that is not positive: each passes
+    the floor, the pair is too far apart for double precision."""
+    while True:
+        qa, qb = (np.linalg.qr(rng.normal(size=(8, 8)))[0] for _ in range(2))
+        a = qa @ np.diag(np.logspace(-11.9, 0, 8)) @ qa.T
+        b = qb @ np.diag(np.logspace(0, -11.9, 8)) @ qb.T
+        a, b = (a + a.T) / 2, (b + b.T) / 2
+        w = np.linalg.inv(np.linalg.cholesky(b))
+        if not np.linalg.eigvalsh(w @ a @ w.T)[0] > 0:
+            return a, b
+
+
 NON_FINITE = pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 #: The rest of every `SingularMatrixError` message, after the matrix's name.
 SINGULAR = ("is singular: its smallest eigenvalue is below 1e-12 of its largest, "
-            "or none is positive$")
+            "or none is positive, or one is not finite$")
 
 
 class TestCovariance:
@@ -384,6 +399,12 @@ class TestSingularInput:
             spdgeom._require_log(np.array(spectra), start=4)
         assert spdgeom._require_log(np.array(spectra[1 - named]))[0] == 0.5
 
+    def test_message_names_a_non_finite_spectrum(self):
+        with pytest.raises(SingularMatrixError) as err:
+            spdgeom._require_log(np.array([0.5, np.nan]))
+        assert str(err.value) == ("matrix 0 is singular: its smallest eigenvalue is below 1e-12 "
+                                  "of its largest, or none is positive, or one is not finite")
+
     def test_singular_iterate_of_regular_matrices_is_a_value_error(self, rng, monkeypatch):
         # a Newton step to exp(40) along one axis leaves the iterate singular
         # to the floor, though every matrix passes it
@@ -603,6 +624,15 @@ class TestMDM:
             with pytest.raises(SingularMatrixError, match=f"^second matrix {SINGULAR}"):
                 riemannian_distance(model.centroids[j % 2], cov)
 
+    def test_pair_too_far_apart_names_covariance_and_centroid(self):
+        a, b = far_apart_pair(np.random.default_rng(0))
+        model = spdgeom.MDMModel(classes=("a", "b"), centroids=(np.eye(8), b))
+        with pytest.raises(ValueError, match="^a generalized eigenvalue is not finite and "
+                                             "positive: covariance 2 and centroid 1 are too "
+                                             "far apart to compare in double precision$") as err:
+            mdm_predict(model, [np.eye(8), 2.0 * np.eye(8), a])
+        assert (err.value.index, err.value.what) == (2, "covariance {j} and centroid 1")
+
     def test_epoch_far_from_a_centroid_is_scored(self):
         # regular matrices of condition number 1e7, their pencil spread 1e14
         model = spdgeom.MDMModel(classes=("a", "b"),
@@ -814,6 +844,13 @@ class TestBackwardElimination:
                            match=f"^centroid {0 if first else 1} {SINGULAR}"):
             backward_elimination(pair, target_k=2)
 
+    def test_centroid_pair_too_far_apart_named(self):
+        a, b = far_apart_pair(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="^a generalized eigenvalue is not finite and "
+                                             "positive: centroid 0 and centroid 1 are too far "
+                                             "apart to compare in double precision$"):
+            backward_elimination([a, b], target_k=2)
+
     @NON_FINITE
     @pytest.mark.parametrize("first", [True, False])
     def test_non_finite_centroid_rejected_before_arithmetic(self, rng, value, first):
@@ -954,6 +991,25 @@ class TestBackwardElimination:
             "removal_order": [{"iteration": 1, "removed": 0, "distance": 1.0, **step},
                               {"iteration": 2, "removed": 3, "distance": 1.0}]})
         with pytest.raises(ValueError, match=f"^{re.escape(f'trace {message}')}$"):
+            trace_from_json(text)
+
+    @pytest.mark.parametrize("edit, message", [
+        ("5", "trace must be a JSON object, not 5"),
+        ({"removal_order": {}}, "trace removal_order must be a JSON array, not dict"),
+        ({"removal_order": [3]}, "trace removal_order must be a JSON object, not 3"),
+        ({"format_version": True}, "trace format_version must be a JSON integer, not True"),
+        ({"final_subset": ...}, "trace final_subset must be a JSON array, not None"),
+        ({"final_loo_drops": [float("nan")]}, "trace final_loo_drops must be a JSON number, "
+                                              "not nan"),
+    ], ids=["integer document", "removal_order object", "integer step", "bool version",
+            "no final_subset", "NaN drop"])
+    def test_malformed_trace_names_its_field(self, edit, message):
+        """`edit` is a change to a valid trace (``...`` drops the key), or the whole text."""
+        doc = {"format_version": 1, "final_subset": [1], "final_loo_drops": [0.5],
+               "removal_order": [{"iteration": 1, "removed": 0, "distance": 1.0}]}
+        text = edit if isinstance(edit, str) else json.dumps(
+            {k: v for k, v in dict(doc, **edit).items() if v is not ...})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             trace_from_json(text)
 
     @pytest.mark.parametrize("ulps", [[-1, -1, 0, 0, 2], [-1, 0, 0, 0, 2]])
