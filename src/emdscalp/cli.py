@@ -181,8 +181,7 @@ def _read_json(path: Path) -> dict:
     """The JSON object in `path`; any other content is a ``ValueError``
     that starts with the path."""
     with _reading(path):
-        return montage._json_value(json.loads(path.read_text(encoding="utf-8")), "object",
-                                   "document")
+        return montage._json_object(path.read_text(encoding="utf-8"), "document")
 
 
 # ---------------------------------------------------------------------------
@@ -583,16 +582,17 @@ def _read_split(cfg: ExperimentConfig, layout: montage.GridLayout, cache_dir: Pa
 
 @contextmanager
 def _naming_epochs(cache_dir: Path, subject: int, epochs: list[int]):
-    """Rename ``covariance j`` of a split part (no other matrix) in a named error
+    """Rename ``covariance j`` of a split part (no other matrix) in a `MatrixError`
     to cache ``epoch epochs[j]``, under `_reading` of the subject's ``index.json``."""
     try:
         yield
-    except (spdgeom.SingularMatrixError, spdgeom._TooFarApartError) as exc:
+    except spdgeom.MatrixError as exc:
         if not exc.what.startswith("covariance {j}"):
             raise
-        what = exc.what.replace("covariance {j}", "epoch {j}'s covariance")
+        exc.index = epochs[exc.index]
+        exc.what = exc.what.replace("covariance {j}", "epoch {j}'s covariance", 1)
         with _reading(cache_dir / _subject_tag(subject) / "index.json"):
-            raise type(exc)(epochs[exc.index], what) from None
+            raise
 
 
 def _write_trace(out_dir: Path, subject: int, trace: spdgeom.SelectionTrace) -> None:

@@ -10,6 +10,7 @@ same grid and are the objects compared by the transport module.
 
 from __future__ import annotations
 
+import json
 import os
 import sys
 from dataclasses import dataclass
@@ -250,6 +251,19 @@ def _json_value(value, kind: str, what: str):
     return float(value) if kind == "number" else value
 
 
+def _json_object(text: str, what: str) -> dict:
+    """`text` as one JSON object named `what`, by `_json_value`; a key given twice in
+    one object, of which `json.loads` keeps the last, is a ``ValueError`` naming it."""
+    def unique(pairs: list[tuple[str, object]]) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ValueError(f"{what} has key {key!r} twice in one object")
+            obj[key] = value
+        return obj
+    return _json_value(json.loads(text, object_pairs_hook=unique), "object", what)
+
+
 def save_spatial_map(smap: SpatialMap, path: str | Path) -> None:
     """Write a map as CSV: n rows x n columns of decimal masses."""
     lines = [",".join(repr(float(v)) for v in row) for row in smap.mass]
@@ -257,10 +271,20 @@ def save_spatial_map(smap: SpatialMap, path: str | Path) -> None:
 
 
 def load_spatial_map(path: str | Path) -> SpatialMap:
+    """The map in a CSV of n rows of n numbers, blank lines skipped; a row of another
+    length than the first, or with a field that is no number, fails by its line."""
     rows = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if line.strip():
-            rows.append([float(v) for v in line.split(",")])
+            fields = line.split(",")
+            n = len(rows[0]) if rows else len(fields)
+            try:
+                values = [float(v) for v in fields]
+            except ValueError:
+                values = None
+            if values is None or len(values) != n:
+                raise ValueError(f"line {lineno}: expected {n} numbers, got {fields}")
+            rows.append(values)
     arr = np.array(rows, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError(f"spatial map file must be square, got {arr.shape}")

@@ -9,12 +9,11 @@ compared against.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .montage import GridLayout, SpatialMap, _json_value, binary_map
+from .montage import GridLayout, SpatialMap, _json_object, _json_value, binary_map
 
 __all__ = [
     "RelevanceScores",
@@ -61,10 +60,10 @@ def ingest_external(file: str | Path, layout: GridLayout) -> RelevanceScores:
     """Load and validate an external relevance JSON document.
 
     Channel names are resolved by `GridLayout.resolve_all`; unknown names,
-    two names of one electrode, misaligned arrays and a value that breaks
-    `montage._json_value`'s rule for its field are rejected.
+    two names of one electrode, misaligned arrays, a key given twice and a
+    value that breaks `montage._json_value`'s rule for its field are rejected.
     """
-    doc = _json_value(json.loads(Path(file).read_text(encoding="utf-8")), "object", "document")
+    doc = _json_object(Path(file).read_text(encoding="utf-8"), "document")
     channels = _json_value(doc.get("channels"), "array", "channels")
     names = layout.resolve_all(_json_value(c, "string", f"channels[{j}]")
                                for j, c in enumerate(channels))

@@ -11,8 +11,9 @@ scores all leave-one-channel-out candidates from it with a contour-integral
 trace formula (`_leave_one_out_sq`).  Matrices are plain float ndarrays;
 `_stack` makes a set of them one ``(n, d, d)`` array, which the kernels
 work through in blocks of `_BLOCK` matrices.  Matrix square roots and
-logarithms go through symmetric eigendecomposition; a matrix without a
-logarithm by `_require_log`'s rule is rejected by name (`SingularMatrixError`).
+logarithms go through symmetric eigendecomposition.  A matrix a kernel
+cannot take, or a pair too far apart, raises a `MatrixError` naming its index
+in the stack (`SingularMatrixError` if `_require_log` finds no logarithm).
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from .montage import _json_value
+from .montage import _json_object, _json_value
 from .stats import _class_partition
 
 __all__ = [
     "FrechetMeanError",
+    "MatrixError",
     "MDMModel",
     "RemovalStep",
     "SelectionTrace",
@@ -66,25 +68,26 @@ class FrechetMeanError(RuntimeError):
         self.residual = residual
 
 
-class SingularMatrixError(ValueError):
-    """Matrix `index` of a stack, named ``what.format(j=index)``, fails `_require_log`."""
+class MatrixError(ValueError):
+    """Matrix `index` of a stack, named ``what.format(j=index)``, fails for `reason`;
+    a caller that knows the stack by another name sets `index` and `what`."""
+
+    def __init__(self, index: int, what: str, reason: str):
+        super().__init__(index, what, reason)
+        self.index, self.what, self.reason = index, what, reason
+
+    def __str__(self) -> str:
+        return f"{self.what.format(j=self.index)} {self.reason}"
+
+
+class SingularMatrixError(MatrixError):
+    """A `MatrixError` for a matrix that fails `_require_log`."""
 
     def __init__(self, index: int, what: str = "matrix {j}"):
-        super().__init__(f"{what.format(j=index)} is singular: its smallest eigenvalue is "
-                         f"below {EIG_FLOOR_REL:g} of its largest, or none is positive, "
+        super().__init__(index, what, f"is singular: its smallest eigenvalue is below "
+                         f"{EIG_FLOOR_REL:g} of its largest, or none is positive, "
                          "or one is not finite")
-        self.index, self.what = index, what
-
-
-class _TooFarApartError(ValueError):
-    """Pair `index` of a `_pencil` solve, named ``what.format(j=index)``, gives a
-    computed eigenvalue that is not finite and positive."""
-
-    def __init__(self, index: int, what: str):
-        super().__init__("a generalized eigenvalue is not finite and positive: "
-                         f"{what.format(j=index)} are too far apart to compare in double "
-                         "precision")
-        self.index, self.what = index, what
+        self.args = index, what  # this constructor's, so that pickle can rebuild it
 
 
 def clamped_eigenvalue_count() -> int:
@@ -111,9 +114,9 @@ def _stack(mats: Sequence[np.ndarray] | np.ndarray, what: str, dim: int | None =
     """`mats`, a sequence of matrices or one ``(n, d, d)`` array, as one
     C-contiguous float ``(n, d, d)`` array (one memory layout for every
     caller, so sums run in the same order), with d = `dim` or else matrix
-    0's order.  A matrix of another shape, a non-square matrix 0 or an array
-    that is not a stack raises a ``ValueError``; errors call matrix j
-    ``what.format(j=j)``."""
+    0's order.  A matrix of another shape or a non-square matrix 0 raises a
+    `MatrixError` naming it ``what``, an array that is not a stack a
+    ``ValueError``."""
     if isinstance(mats, np.ndarray):
         if mats.ndim != 3:
             raise ValueError(f"expected an (n, d, d) stack, got shape {mats.shape}")
@@ -122,11 +125,11 @@ def _stack(mats: Sequence[np.ndarray] | np.ndarray, what: str, dim: int | None =
         shapes = [np.shape(m) for m in mats]
     want = (dim, dim) if dim is not None else shapes[0] if shapes else (0, 0)
     if len(want) != 2 or want[0] != want[1]:
-        raise ValueError(f"{what.format(j=0)} must be square, got shape {want}")
+        raise MatrixError(0, what, f"must be square, got shape {want}")
     for j, shape in enumerate(shapes):
         if shape != want:
-            raise ValueError(f"{what.format(j=j)} dim {shape} does not match {want}: "
-                             "matrices differ in dimension")
+            raise MatrixError(j, what, f"dim {shape} does not match {want}: "
+                              "matrices differ in dimension")
     return np.ascontiguousarray(mats, dtype=float).reshape(len(mats), *want)
 
 
@@ -134,19 +137,19 @@ def _check_square_symmetric(mats: Sequence[np.ndarray] | np.ndarray,
                             what: str = "matrix {j}", dim: int | None = None,
                             spd: bool = False) -> np.ndarray:
     """`_stack` of `mats`, every matrix finite (checked first), symmetric and,
-    with `spd`, passing `_require_log`; errors name the matrix as `_stack`'s do."""
+    with `spd`, passing `_require_log`; a `MatrixError` names the first that fails."""
     stack = _stack(mats, what, dim)
     finite = np.isfinite(stack).all(axis=(1, 2))
     if not finite.all():
-        raise ValueError(f"{what.format(j=np.argmin(finite))} has a non-finite entry")
+        raise MatrixError(int(np.argmin(finite)), what, "has a non-finite entry")
     for s in _blocks(len(stack)):
         b = stack[s]
         scale = np.maximum(np.abs(b).max(axis=(1, 2), initial=0.0), 1e-300)
         asym = np.abs(b - b.swapaxes(1, 2)).max(axis=(1, 2), initial=0.0)
         bad = np.flatnonzero(asym > SYMMETRY_RTOL * scale)
         if bad.size:
-            raise ValueError(f"{what.format(j=s.start + bad[0])} is not symmetric within "
-                             f"{SYMMETRY_RTOL} relative")
+            raise MatrixError(s.start + int(bad[0]), what,
+                              f"is not symmetric within {SYMMETRY_RTOL} relative")
     if spd:
         _require_log(np.linalg.eigvalsh((stack + stack.swapaxes(1, 2)) / 2.0), what)
     return stack
@@ -174,7 +177,7 @@ def _pencil(a: np.ndarray, b: np.ndarray, vectors: bool = False, what: str = "th
     `vectors`, ``(lam, W^T Y)`` for ``lam, Y = eigh(W A W^T)``, so that
     ``X^T B X = I``.  The caller proves A and B (`_check_square_symmetric`); a
     computed eigenvalue that is not finite and positive, from two such matrices
-    too far apart for double precision, raises `_TooFarApartError` naming the
+    too far apart for double precision, raises a `MatrixError` naming the
     first such pair j of the stack as ``what``."""
     try:
         w = np.linalg.inv(np.linalg.cholesky(b))
@@ -184,7 +187,8 @@ def _pencil(a: np.ndarray, b: np.ndarray, vectors: bool = False, what: str = "th
     lam, y = np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
     ok = np.isfinite(lam).all(axis=-1) & (lam[..., 0] > 0)
     if not ok.all():
-        raise _TooFarApartError(int(np.argmin(ok)), what)
+        raise MatrixError(int(np.argmin(ok)), what, "are too far apart to compare in double "
+                          "precision: a generalized eigenvalue is not finite and positive")
     return (lam, w.T @ y) if vectors else lam
 
 
@@ -321,11 +325,10 @@ def frechet_mean(
 
     Raises
     ------
-    ValueError
-        If matrix j is not square, symmetric, finite and of matrix 0's shape.
-    SingularMatrixError
-        Naming matrix j of `mats`: the first whose W_j fails `_require_log`,
-        or, if M fails first, the first that fails it itself.
+    MatrixError
+        Naming matrix j of `mats` if it is not square, symmetric, finite and
+        of matrix 0's shape; as `SingularMatrixError`, the first whose W_j
+        fails `_require_log`, or, if M fails first, the first that fails it.
     FrechetMeanError
         If the residual is still above `tol` after `max_iter` iterations;
         the exception carries the last residual.
@@ -410,7 +413,7 @@ def mdm_fit(
     CPUs, maps the classes, so `mean` must be safe to call from several
     threads; the centroids are the same bytes on any CPU count, and the
     first failing class in class order raises its own exception, a
-    `SingularMatrixError` renamed to ``covariance j`` of `covs`.
+    `MatrixError` renamed to ``covariance j`` of `covs`.
     """
     if len(covs) != len(labels):
         raise ValueError("covs and labels lengths differ")
@@ -425,8 +428,9 @@ def mdm_fit(
     def fit(idx: list[int]) -> np.ndarray:
         try:
             return mean(covs[idx], tol=tol, max_iter=max_iter)
-        except SingularMatrixError as exc:  # named in `covs`, not in its class
-            raise SingularMatrixError(idx[exc.index], "covariance {j}") from None
+        except MatrixError as exc:  # named in `covs`, not in its class
+            exc.index, exc.what = idx[exc.index], "covariance {j}"
+            raise
 
     with ThreadPoolExecutor(max_workers=min(len(groups), _usable_cpus())) as pool:
         centroids = tuple(pool.map(fit, groups.values()))
@@ -582,11 +586,11 @@ def trace_to_json(trace: SelectionTrace) -> str:
 
 
 def trace_from_json(text: str) -> SelectionTrace:
-    """The trace in `text`; a ``ValueError`` unless each field passes
-    `montage._json_value` (channels and iterations integers, distances and
+    """The trace in `text`; a ``ValueError`` unless it passes `montage._json_object`
+    and each field `_json_value` (channels and iterations integers, distances and
     drops numbers), its steps are numbered 1..m in order, they and its
     survivors take each channel ``0..n-1`` once and each survivor has one drop."""
-    doc = _json_value(json.loads(text), "object", "trace")
+    doc = _json_object(text, "trace")
 
     def field(obj: dict, key: str, kind: str):
         return _json_value(obj.get(key), kind, f"trace {key}")

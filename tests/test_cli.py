@@ -774,26 +774,6 @@ class TestTrainEval:
         r2 = (tmp_path / "o2" / "rows.csv").read_bytes()
         assert r1 == r2
 
-    def test_only_a_covariance_is_renamed_to_its_cache_epoch(self, tmp_path):
-        # a centroid, or a pair of centroids too far apart to compare, keeps its own name
-        split_epochs = [5, 9]
-        for exc in (spdgeom.SingularMatrixError(1, "centroid {j}"),
-                    spdgeom._TooFarApartError(0, "centroid 0 and centroid 1"),
-                    ValueError("a generalized eigenvalue is not finite and positive")):
-            with pytest.raises(type(exc)) as err, \
-                    cli._naming_epochs(tmp_path, 2, split_epochs):
-                raise exc
-            assert err.value is exc
-        for exc, renamed in [
-                (spdgeom.SingularMatrixError(1, "covariance {j}"),
-                 spdgeom.SingularMatrixError(9, "epoch {j}'s covariance")),
-                (spdgeom._TooFarApartError(1, "covariance {j} and centroid 0"),
-                 spdgeom._TooFarApartError(9, "epoch {j}'s covariance and centroid 0"))]:
-            with pytest.raises(ValueError) as err, cli._naming_epochs(tmp_path, 2, split_epochs):
-                raise exc
-            assert str(err.value) == (f"{tmp_path / 'S002' / 'index.json'}: "
-                                      f"{type(exc).__name__}: {renamed}")
-
 
 class TestSelectChannels:
     @pytest.mark.parametrize("channels, discriminative, selected", [
@@ -952,6 +932,88 @@ class TestOneSubjectFails:
         assert main(["train-eval", "--config", str(cfg)]) == 0
         reason = _only_s002_failed(capsys, tmp_path / "out", clean)
         assert reason.startswith(f"ValueError: {index.parent / file}: {message}")
+
+
+class TestLoadableEpochDamage:
+    """An epoch of S002's cache that loads, but whose covariance a kernel
+    cannot take, fails S002 alone in ``train-eval`` and ``select-channels``,
+    named as its cache epoch after the path of S002's ``index.json``; S001's
+    and S003's rows and traces keep the bytes of the undamaged run."""
+
+    COMMANDS = ("train-eval", "select-channels")
+
+    @pytest.fixture(scope="class")
+    def cohort(self, tmp_path_factory) -> Path:
+        """A prepared three-subject CSV cohort and, under ``clean/<command>``,
+        the outputs of each command on it at ``feat21``."""
+        root = tmp_path_factory.mktemp("loadable_damage")
+        _csv_cohort(root, np.random.default_rng(11))
+        cfg = self._config(root, root)
+        assert main(["prepare", "--config", cfg]) == 0
+        for command in self.COMMANDS:
+            assert main([command, "--config", cfg,
+                         "--output-dir", str(root / "clean" / command)]) == 0
+        return root
+
+    @staticmethod
+    def _config(root: Path, cohort: Path) -> str:
+        return str(write_config(root / "feat21.cfg", dataset_root=cohort / "data",
+                                subjects="1,2,3", runs="3", input_format="csv",
+                                channel_config="feat21"))
+
+    @pytest.mark.parametrize("command, split", [("train-eval", "train"), ("train-eval", "test"),
+                                                ("select-channels", "train")])
+    def test_asymmetric_epoch_fails_its_subject_naming_it(self, cohort, tmp_path, capsys,
+                                                          command, split):
+        cache = tmp_path / "cache"
+        shutil.copytree(cohort / "cache", cache)
+        covs, index = cli.read_epoch_cache(cache, 2)
+        labels = index["labels"]
+        part = signal.split(labels, 7, 0.25)[split == "test"]
+        epoch = part[-1]
+        same_class = [i for i in part if labels[i] == labels[epoch]]
+        assert epoch not in (part.index(epoch), same_class.index(epoch))  # not a stack place
+        covs[epoch] += np.triu(np.full(covs.shape[1:], 1e-3 * np.abs(covs[epoch]).max()), 1)
+        cli.write_epoch_cache(cache, 2, covs, labels, index["channel_names"])
+        capsys.readouterr()
+        assert main([command, "--config", self._config(tmp_path, cohort)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["failed_subjects"] == ["S002"]
+        assert json.loads(captured.err.splitlines()[-1])["failed"]["S002"] == (
+            f"ValueError: {cache / 'S002' / 'index.json'}: MatrixError: epoch {epoch}'s "
+            "covariance is not symmetric within 1e-10 relative")
+        out, clean = tmp_path / "out", cohort / "clean" / command
+        if command == "train-eval":  # the header, S001's and S003's rows
+            rows = (clean / "rows.csv").read_bytes().splitlines()
+            assert (out / "rows.csv").read_bytes().splitlines() == [rows[0], rows[1], rows[3]]
+        assert sorted(p.name for p in out.glob("trace_*.json")) == ["trace_S001.json",
+                                                                    "trace_S003.json"]
+        for trace in out.glob("trace_*.json"):
+            assert trace.read_bytes() == (clean / trace.name).read_bytes()
+
+    def test_only_a_covariance_is_renamed_to_its_cache_epoch(self, tmp_path):
+        # a centroid, or a pair of centroids too far apart to compare, keeps its own name
+        split_epochs = [5, 9]
+        far = ("are too far apart to compare in double precision: a generalized eigenvalue "
+               "is not finite and positive")
+        for exc in (spdgeom.SingularMatrixError(1, "centroid {j}"),
+                    spdgeom.MatrixError(0, "centroid 0 and centroid 1", far),
+                    ValueError("a generalized eigenvalue is not finite and positive")):
+            with pytest.raises(type(exc)) as err, \
+                    cli._naming_epochs(tmp_path, 2, split_epochs):
+                raise exc
+            assert err.value is exc
+        for exc, renamed in [
+                (spdgeom.SingularMatrixError(1, "covariance {j}"),
+                 spdgeom.SingularMatrixError(9, "epoch {j}'s covariance")),
+                (spdgeom.MatrixError(1, "covariance {j} and centroid 0", far),
+                 spdgeom.MatrixError(9, "epoch {j}'s covariance and centroid 0", far)),
+                (spdgeom.MatrixError(0, "covariance {j}", "has a non-finite entry"),
+                 spdgeom.MatrixError(5, "epoch {j}'s covariance", "has a non-finite entry"))]:
+            with pytest.raises(ValueError) as err, cli._naming_epochs(tmp_path, 2, split_epochs):
+                raise exc
+            assert str(err.value) == (f"{tmp_path / 'S002' / 'index.json'}: "
+                                      f"{type(exc).__name__}: {renamed}")
 
 
 def _memo_entries(tmp_path: Path, subject: str = "S002") -> list[Path]:
@@ -1558,6 +1620,8 @@ class TestCohortFileContract:
 
 #: One value of each JSON kind, as ``json.loads`` gives it.
 JSON_VALUES = [{}, [], "x", 3, 0.5, True, None]
+#: The damage that gives an object's key twice, with its value both times.
+REPEATED = object()
 
 
 def _json_kind(value) -> str:
@@ -1576,16 +1640,19 @@ def _json_paths(doc, path: tuple = ()):
 
 def _json_damages(doc, keep: tuple) -> list[tuple[tuple, object]]:
     """Every ``(path, value)`` that puts a value of another JSON kind at a
-    path of `doc`, or, with ``value`` the ``...`` marker, drops an object key.
-    Left out as still valid: an integer for a number, and dropping a key of
-    an object at a path in `keep`, whose keys are data, not fields."""
+    path of `doc`, or, with ``value`` the ``...`` marker, drops an object key,
+    or, with `REPEATED`, gives it twice.  Left out as still valid: an integer
+    for a number, and dropping a key of an object at a path in `keep`, whose
+    keys are data, not fields."""
     damages = []
     for path in _json_paths(doc):
         value = _json_at(doc, path)
         damages += [(path, new) for new in JSON_VALUES if _json_kind(new) not in (
             _json_kind(value), "integer" if type(value) is float else None)]
-        if path and type(_json_at(doc, path[:-1])) is dict and path[:-1] not in keep:
-            damages.append((path, ...))
+        if path and type(_json_at(doc, path[:-1])) is dict:
+            damages.append((path, REPEATED))
+            if path[:-1] not in keep:
+                damages.append((path, ...))
     return damages
 
 
@@ -1595,24 +1662,28 @@ def _json_at(doc, path: tuple):
     return doc
 
 
-def _damaged(doc, path: tuple, value):
-    """A copy of `doc` with `value` at `path`, or the key dropped."""
+def _damaged(doc, path: tuple, value) -> str:
+    """The JSON text of `doc` with `value` at `path`, the key dropped or,
+    for `REPEATED`, the key given twice."""
     if not path:
-        return value
+        return json.dumps(value)
     doc = json.loads(json.dumps(doc))
-    parent = _json_at(doc, path[:-1])
+    parent, key = _json_at(doc, path[:-1]), path[-1]
     if value is ...:
-        del parent[path[-1]]
+        del parent[key]
+    elif value is REPEATED:  # a marker key, renamed to `key` in the text
+        parent["\0repeated"] = parent[key]
+        return json.dumps(doc).replace(json.dumps("\0repeated"), json.dumps(key))
     else:
-        parent[path[-1]] = value
-    return doc
+        parent[key] = value
+    return json.dumps(doc)
 
 
 class TestJsonDamage:
-    """Each JSON document a command reads, given a value of another JSON type
-    or without a field: a per-subject file fails its subject alone, naming
-    the file; a cohort file fails the command, naming the file; and the
-    library call that reads it raises a ``ValueError``."""
+    """Each JSON document a command reads, given a value of another JSON type,
+    without a field or with a key twice: a per-subject file fails its subject
+    alone, naming the file; a cohort file fails the command, naming the file;
+    and the library call that reads it raises a ``ValueError``."""
 
     @pytest.fixture(scope="class")
     def chain(self, tmp_path_factory):
@@ -1659,10 +1730,30 @@ class TestJsonDamage:
     def test_damaged_value_fails_by_path(self, chain, data):
         root, files = chain
         name = data.draw(st.sampled_from(sorted(files)), label="file")
-        path, doc, keep, argv, clean, call = files[name]
+        doc, keep = files[name][1:3]
         where, value = data.draw(st.sampled_from(_json_damages(doc, keep)), label="damage")
+        self._fails_by_path(root, name, files[name], _damaged(doc, where, value))
+
+    @pytest.mark.parametrize("name", ["cohort", "index", "relevance", "trace"])
+    def test_repeated_key_fails_by_path(self, chain, name):
+        # each key of each object given twice, with one value, which json.loads
+        # alone would take without a word
+        root, files = chain
+        doc, keep = files[name][1:3]
+        for where, value in _json_damages(doc, keep):
+            if value is REPEATED:
+                message = self._fails_by_path(root, name, files[name],
+                                              _damaged(doc, where, value))
+                assert f"has key {where[-1]!r} twice in one object" in message
+
+    @staticmethod
+    def _fails_by_path(root: Path, name: str, file: tuple, damaged: str) -> str:
+        """Put the text `damaged` in the file of `file`, of kind `name`, for
+        one run of its command and of its library call; check that both
+        failed, the command by the file's path, and return its message."""
+        path, _, _, argv, clean, call = file
         text = path.read_text()
-        path.write_text(json.dumps(_damaged(doc, where, value)))
+        path.write_text(damaged)
         out, err = io.StringIO(), io.StringIO()
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -1676,12 +1767,13 @@ class TestJsonDamage:
             assert code == 1
             error = json.loads(err.getvalue())
             assert error["error"] == "ValueError" and error["message"].startswith(f"{path}: ")
-            return
+            return error["message"]
         assert code == 0 and json.loads(out.getvalue())["failed_subjects"] == ["S002"]
         reason = json.loads(err.getvalue().splitlines()[-1])["failed"]["S002"]
         # the cache check names the subject directory, which holds index.json
         assert reason.startswith(f"ValueError: {path.parent if name == 'index' else path}")
         assert json.loads((root / "out" / "rows.json").read_text()) == [clean]
+        return reason
 
 
 class TestErrorContract:

@@ -209,8 +209,15 @@ class TestSpatialMap:
         assert back.n == 4
         assert np.array_equal(back.mass, m.mass)
 
-    def test_csv_rejects_ragged(self, tmp_path):
+    @pytest.mark.parametrize("text, message", [
+        ("1.0,2.0\n3.0\n", "line 2: expected 2 numbers, got ['3.0']"),
+        ("1,2\n\n3,4,5\n", "line 3: expected 2 numbers, got ['3', '4', '5']"),
+        ("1,x\n0,1\n", "line 1: expected 2 numbers, got ['1', 'x']"),
+        ("0,1\n1,\n", "line 2: expected 2 numbers, got ['1', '']"),
+    ], ids=["short row", "long row", "no number", "empty field"])
+    def test_csv_rejects_ragged_naming_its_line(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
-        path.write_text("1.0,2.0\n3.0\n")
-        with pytest.raises(Exception):
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
             montage.load_spatial_map(path)
+        assert str(err.value) == message

@@ -250,6 +250,19 @@ def test_one_function_writes_files():
     assert found == []
 
 
+def test_no_private_exception_class():
+    # commands report a failure as type(exc).__name__, so the name of every
+    # exception class the package raises reaches its users
+    found = []
+    for path in sorted(Path(emdscalp.__file__).parent.glob("*.py")):
+        found += [f"{path.name}:{node.lineno}: {node.name}"
+                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(node, ast.ClassDef) and node.name.startswith("_")
+                  and any(name.endswith(("Error", "Exception", "Warning"))
+                          for name in [node.name, *map(ast.unparse, node.bases)])]
+    assert found == []
+
+
 def _checks_json_type(node: ast.AST) -> bool:
     """Whether `node` compares ``type(...)`` or tests ``isinstance`` against
     ``dict``, ``list`` or ``str``."""

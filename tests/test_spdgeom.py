@@ -1,5 +1,6 @@
 import inspect
 import json
+import pickle
 import re
 import threading
 
@@ -15,6 +16,7 @@ from numpy.testing import assert_allclose
 from emdscalp import spdgeom
 from emdscalp.spdgeom import (
     FrechetMeanError,
+    MatrixError,
     SingularMatrixError,
     backward_elimination,
     covariance,
@@ -82,6 +84,9 @@ NON_FINITE = pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 #: The rest of every `SingularMatrixError` message, after the matrix's name.
 SINGULAR = ("is singular: its smallest eigenvalue is below 1e-12 of its largest, "
             "or none is positive, or one is not finite$")
+#: The rest of the message of a pair too far apart, after the pair's name.
+FAR = ("are too far apart to compare in double precision: a generalized eigenvalue "
+       "is not finite and positive$")
 
 
 class TestCovariance:
@@ -200,25 +205,6 @@ class TestRiemannianDistance:
         w = rng.normal(size=(2, 2)) + 2.0 * np.eye(2)
         assert_allclose(riemannian_distance(w @ a @ w.T, w @ b @ w.T),
                         np.sqrt(2.0) * np.log(1e7), rtol=1e-6)
-
-    def test_pair_beyond_double_precision_is_a_value_error(self, rng):
-        # each passes the floor, but their pencil spreads over ~1e23, so the
-        # sign of its smallest computed eigenvalue is rounding's
-        rejected = 0
-        for _ in range(10):
-            qa, qb = (np.linalg.qr(rng.normal(size=(8, 8)))[0] for _ in range(2))
-            a = qa @ np.diag(np.logspace(-11.5, 0, 8)) @ qa.T
-            b = qb @ np.diag(np.logspace(0, -11.5, 8)) @ qb.T
-            a, b = (a + a.T) / 2, (b + b.T) / 2
-            w = np.linalg.inv(np.linalg.cholesky(a))
-            if np.linalg.eigvalsh(w @ b @ w.T)[0] > 0:
-                assert np.isfinite(riemannian_distance(a, b))
-                continue
-            rejected += 1
-            with pytest.raises(ValueError, match="^a generalized eigenvalue is not finite and "
-                                                 "positive: the matrices are too far apart"):
-                riemannian_distance(a, b)
-        assert rejected
 
     def test_asymmetry_within_tolerance_near_the_floor(self):
         # B's symmetric part has eigenvalues 1 and 2e-12; an antisymmetric part
@@ -424,6 +410,76 @@ def rank_deficient(rng, dim, rank):
     return (m + m.T) / 2
 
 
+class TestMatrixError:
+    """`MatrixError` names every matrix, or pair, that a kernel cannot take
+    by its index in the caller's stack, whatever the fault."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_damaged_covariance_named_by_its_stack_index(self, data):
+        n_classes = data.draw(st.integers(2, 3), label="n_classes")
+        dim = data.draw(st.integers(2, 4), label="dim")
+        extra = data.draw(st.lists(st.integers(0, n_classes - 1), max_size=6), label="extra")
+        classes = data.draw(st.permutations([*range(n_classes), *extra]), label="classes")
+        labels = [f"c{k}" for k in classes]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        covs = [rand_spd(rng, dim, spread=0.5) for _ in labels]
+        j = data.draw(st.integers(0, len(covs) - 1), label="j")
+        kind = data.draw(st.sampled_from(["non-finite", "asymmetric", "zeroed"]), label="kind")
+        r, c = data.draw(st.permutations(range(dim)), label="entry")[:2]
+        bad = covs[j].copy()
+        if kind == "non-finite":
+            bad[r, c] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]), label="value")
+        elif kind == "asymmetric":
+            bad[r, c] += 1e-6 * np.abs(bad).max()
+        else:
+            bad[r, :] = bad[:, r] = 0.0
+        damaged = covs[:j] + [bad] + covs[j + 1:]
+        model = mdm_fit(covs, labels)
+        for call in (lambda: mdm_fit(damaged, labels), lambda: mdm_predict(model, damaged)):
+            with pytest.raises(MatrixError, match=f"^covariance {j} ") as err:
+                call()
+            assert err.value.index == j
+
+    def test_pickle_keeps_class_and_renamed_message(self):
+        # an exception from a worker process comes back through pickle
+        for exc in (SingularMatrixError(3, "centroid {j}"),
+                    MatrixError(2, "matrix {j}", "has a non-finite entry")):
+            exc.index, exc.what = 7, "covariance {j}"
+            back = pickle.loads(pickle.dumps(exc))
+            assert (type(back), str(back), back.index) == (type(exc), str(exc), 7)
+
+    def test_pair_beyond_double_precision_is_a_value_error(self, rng):
+        # each passes the floor, but their pencil spreads over ~1e23, so the
+        # sign of its smallest computed eigenvalue is rounding's
+        rejected = 0
+        for _ in range(10):
+            qa, qb = (np.linalg.qr(rng.normal(size=(8, 8)))[0] for _ in range(2))
+            a = qa @ np.diag(np.logspace(-11.5, 0, 8)) @ qa.T
+            b = qb @ np.diag(np.logspace(0, -11.5, 8)) @ qb.T
+            a, b = (a + a.T) / 2, (b + b.T) / 2
+            w = np.linalg.inv(np.linalg.cholesky(a))
+            if np.linalg.eigvalsh(w @ b @ w.T)[0] > 0:
+                assert np.isfinite(riemannian_distance(a, b))
+                continue
+            rejected += 1
+            with pytest.raises(MatrixError, match=f"^the matrices {FAR}"):
+                riemannian_distance(a, b)
+        assert rejected
+
+    def test_pair_too_far_apart_names_covariance_and_centroid(self):
+        a, b = far_apart_pair(np.random.default_rng(0))
+        model = spdgeom.MDMModel(classes=("a", "b"), centroids=(np.eye(8), b))
+        with pytest.raises(MatrixError, match=f"^covariance 2 and centroid 1 {FAR}") as err:
+            mdm_predict(model, [np.eye(8), 2.0 * np.eye(8), a])
+        assert (err.value.index, err.value.what) == (2, "covariance {j} and centroid 1")
+
+    def test_centroid_pair_too_far_apart_named(self):
+        a, b = far_apart_pair(np.random.default_rng(0))
+        with pytest.raises(MatrixError, match=f"^centroid 0 and centroid 1 {FAR}"):
+            backward_elimination([a, b], target_k=2)
+
+
 class TestConcurrentClasses:
     """`mdm_fit` fits its classes on a thread pool, up to one worker per CPU."""
 
@@ -623,15 +679,6 @@ class TestMDM:
                 mdm_predict(model, [cov])
             with pytest.raises(SingularMatrixError, match=f"^second matrix {SINGULAR}"):
                 riemannian_distance(model.centroids[j % 2], cov)
-
-    def test_pair_too_far_apart_names_covariance_and_centroid(self):
-        a, b = far_apart_pair(np.random.default_rng(0))
-        model = spdgeom.MDMModel(classes=("a", "b"), centroids=(np.eye(8), b))
-        with pytest.raises(ValueError, match="^a generalized eigenvalue is not finite and "
-                                             "positive: covariance 2 and centroid 1 are too "
-                                             "far apart to compare in double precision$") as err:
-            mdm_predict(model, [np.eye(8), 2.0 * np.eye(8), a])
-        assert (err.value.index, err.value.what) == (2, "covariance {j} and centroid 1")
 
     def test_epoch_far_from_a_centroid_is_scored(self):
         # regular matrices of condition number 1e7, their pencil spread 1e14
@@ -843,13 +890,6 @@ class TestBackwardElimination:
         with pytest.raises(SingularMatrixError,
                            match=f"^centroid {0 if first else 1} {SINGULAR}"):
             backward_elimination(pair, target_k=2)
-
-    def test_centroid_pair_too_far_apart_named(self):
-        a, b = far_apart_pair(np.random.default_rng(0))
-        with pytest.raises(ValueError, match="^a generalized eigenvalue is not finite and "
-                                             "positive: centroid 0 and centroid 1 are too far "
-                                             "apart to compare in double precision$"):
-            backward_elimination([a, b], target_k=2)
 
     @NON_FINITE
     @pytest.mark.parametrize("first", [True, False])
