@@ -281,19 +281,18 @@ def read_epoch_cache(cache_dir: Path, subject: int) -> tuple[np.ndarray, dict]:
 # ---------------------------------------------------------------------------
 # derived-result memo
 
-#: Part of every memo key; bump it when ``spdgeom``'s numerics change.
-MEMO_VERSION = 6
+#: Part of every memo key; bump it when ``spdgeom``'s numerics or Fréchet defaults change.
+MEMO_VERSION = 7
 
 
 class DerivedMemo:
-    """A disk cache of one subject's ``spdgeom.frechet_mean`` and ``backward_elimination``.
+    """A disk cache of one subject's ``spdgeom.mdm_fit`` and ``backward_elimination``.
 
     Entries live in ``<cache_dir>/S<id>/derived/`` under content keys: a
-    centroid's key hashes the exact ``<f8`` bytes, count and shapes of its
-    class's covariances plus the Fréchet ``tol``/``max_iter``; a trace's key
-    hashes its centroids plus ``target_k``.  Other inputs give other keys,
-    so no entry can go stale.  A corrupt entry raises a ``ValueError`` that
-    names its file; it is never silently recomputed.
+    model's key hashes the exact ``<f8`` bytes, count and shapes of its
+    covariances plus its labels; a trace's key hashes its centroids plus
+    ``target_k``.  Other inputs give other keys, so no entry can go stale.  A
+    corrupt entry raises a ``ValueError`` naming its file, never silently recomputed.
     """
 
     def __init__(self, cache_dir: Path, subject: int):
@@ -308,23 +307,25 @@ class DerivedMemo:
             h.update(m)
         return h.hexdigest()
 
-    def frechet_mean(self, mats: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
-        """``spdgeom.frechet_mean`` of `mats`, computed at most once."""
-        path = self.root / f"centroid-{self._key('centroid', mats, float(tol), int(max_iter))}.npy"
-        dim = np.shape(mats[0])[0]
+    def mdm_fit(self, covs: np.ndarray, labels: list[str]) -> spdgeom.MDMModel:
+        """``spdgeom.mdm_fit`` of `covs` and `labels`, computed at most once; the
+        entry is the ``(n_classes, d, d)`` stack of its centroids."""
+        path = self.root / f"model-{self._key('model', covs, tuple(labels))}.npy"
         try:
-            mean = _read_npy(path)
+            stack = _read_npy(path)
         except FileNotFoundError:
-            mean = spdgeom.frechet_mean(mats, tol=tol, max_iter=max_iter)
+            model = spdgeom.mdm_fit(covs, labels)
             montage._write_file(path, lambda fh: np.save(
-                fh, mean.astype(_EPOCH_DTYPE, copy=False), allow_pickle=False))
-            return mean
+                fh, np.asarray(model.centroids, dtype=_EPOCH_DTYPE), allow_pickle=False))
+            return model
+        classes = tuple(stats._class_partition(labels))
+        shape = len(classes), covs.shape[-1], covs.shape[-1]
         with _reading(path):
-            if (mean.dtype.str, mean.shape) != (_EPOCH_DTYPE.str, (dim, dim)):
-                raise ValueError(f"centroid is {mean.dtype.str} {mean.shape}, "
-                                 f"expected {_EPOCH_DTYPE.str} {(dim, dim)}")
-            spdgeom._check_square_symmetric([mean], "centroid", spd=True)  # as a computed mean
-        return mean
+            if (stack.dtype.str, stack.shape) != (_EPOCH_DTYPE.str, shape):
+                raise ValueError(f"model is {stack.dtype.str} {stack.shape}, "
+                                 f"expected {_EPOCH_DTYPE.str} {shape}")
+            spdgeom._check_square_symmetric(stack, "centroid {j}", spd=True)  # as computed means
+        return spdgeom.MDMModel(classes=classes, centroids=tuple(stack))
 
     def elimination(self, centroids: Sequence[np.ndarray],
                     target_k: int) -> spdgeom.SelectionTrace:
@@ -354,7 +355,7 @@ def _riemannian_selection(cfg: ExperimentConfig, memo: DerivedMemo,
     ``select-channels`` alike: the surviving channel indices in order, their
     sorted montage names (channels outside the montage left out) and the
     trace.  `lookup` maps each montage electrode to its channel index."""
-    centroids = spdgeom.mdm_fit(train_covs, train_labels, mean=memo.frechet_mean).centroids
+    centroids = memo.mdm_fit(train_covs, train_labels).centroids
     trace = memo.elimination(centroids, cfg.target_k)
     subset = sorted(trace.final_subset)
     names = {i: name for name, i in lookup.items()}
@@ -589,8 +590,8 @@ def _naming_epochs(cache_dir: Path, subject: int, epochs: list[int]):
     except spdgeom.MatrixError as exc:
         if not exc.what.startswith("covariance {j}"):
             raise
-        exc.index = epochs[exc.index]
-        exc.what = exc.what.replace("covariance {j}", "epoch {j}'s covariance", 1)
+        exc.rename(epochs[exc.index],
+                   exc.what.replace("covariance {j}", "epoch {j}'s covariance", 1))
         with _reading(cache_dir / _subject_tag(subject) / "index.json"):
             raise
 
@@ -628,7 +629,7 @@ def _train_eval_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
         if cfg.channel_config != "all64":
             train_covs, test_covs = (spdgeom.restrict_channels(c, subset)
                                      for c in (train_covs, test_covs))
-        model = spdgeom.mdm_fit(train_covs, train_labels, mean=memo.frechet_mean)
+        model = memo.mdm_fit(train_covs, train_labels)
     with _naming_epochs(cache_dir, subject, test_epochs):
         preds = spdgeom.mdm_predict(model, test_covs)
     ev = stats.evaluate(preds, test_labels)
@@ -709,6 +710,9 @@ def cmd_select_channels(cfg: ExperimentConfig) -> dict:
 
 def cmd_emd(cfg: ExperimentConfig, map_args: list[str], cohort_args: list[str],
             baseline_map: str | None, rebalance_to: float) -> dict:
+    if not 0 < rebalance_to < math.inf:  # in every mass mode, though raw alone uses it
+        raise ValueError(f"--rebalance-to: target_total must be positive and finite, "
+                         f"got {rebalance_to}")
     layout = _load_layout(cfg)
     out_dir = Path(cfg.output_dir)
     # one baseline for both columns: rebalancing or normalizing makes a
@@ -865,22 +869,23 @@ def _read_rows_csv(path: Path) -> list[dict]:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+#: Flags that override a config key, by key; each subcommand takes the ones it reads.
+_OVERRIDES = {
+    "seed": {"type": int, "help": "override config seed"},
+    "metric": {"choices": METRICS, "help": "override ground metric"},
+    "mass": {"choices": MASS_MODES, "help": "override mass mode"},
+    "output_dir": {"help": "override output directory"},
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *keys: str) -> None:
     p.add_argument("--config", help="experiment config file")
-    p.add_argument("--seed", type=int, help="override config seed")
-    p.add_argument("--metric", choices=METRICS, help="override ground metric")
-    p.add_argument("--mass", choices=MASS_MODES, help="override mass mode")
-    p.add_argument("--output-dir", help="override output directory")
+    for key in keys:
+        p.add_argument(f"--{key.replace('_', '-')}", **_OVERRIDES[key])
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    overrides = {
-        "seed": args.seed,
-        "metric": args.metric,
-        "mass": args.mass,
-        "output_dir": args.output_dir,
-    }
-    return load_config(args.config, overrides)
+    return load_config(args.config, {key: getattr(args, key, None) for key in _OVERRIDES})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -896,15 +901,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=lambda a: cmd_prepare(_config_from_args(a)))
 
     p = sub.add_parser("train-eval", help="train and evaluate the covariance classifier")
-    _add_common(p)
+    _add_common(p, "seed", "output_dir")
     p.set_defaults(func=lambda a: cmd_train_eval(_config_from_args(a)))
 
     p = sub.add_parser("select-channels", help="run backward-elimination channel selection")
-    _add_common(p)
+    _add_common(p, "seed", "output_dir")
     p.set_defaults(func=lambda a: cmd_select_channels(_config_from_args(a)))
 
     p = sub.add_parser("emd", help="compare relevance maps against the baseline")
-    _add_common(p)
+    _add_common(p, "metric", "mass", "output_dir")
     p.add_argument("--maps", nargs="*", default=[], metavar="NAME=CSV",
                    help="spatial-map CSV files to compare")
     p.add_argument("--cohorts", nargs="*", default=[], metavar="NAME=JSON",
@@ -922,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=lambda a: cmd_plot(_config_from_args(a), a.map, a.out))
 
     p = sub.add_parser("report", help="tabulate rows with cohort summary and p-values")
-    _add_common(p)
+    _add_common(p, "output_dir")
     p.add_argument("--rows", nargs="+", required=True, help="rows.csv file(s)")
     p.set_defaults(func=lambda a: cmd_report(_config_from_args(a), a.rows))
 

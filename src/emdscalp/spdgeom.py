@@ -22,7 +22,7 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -70,11 +70,16 @@ class FrechetMeanError(RuntimeError):
 
 class MatrixError(ValueError):
     """Matrix `index` of a stack, named ``what.format(j=index)``, fails for `reason`;
-    a caller that knows the stack by another name sets `index` and `what`."""
+    a caller that knows the stack by another name calls `rename`."""
 
     def __init__(self, index: int, what: str, reason: str):
         super().__init__(index, what, reason)
         self.index, self.what, self.reason = index, what, reason
+
+    def rename(self, index: int, what: str) -> None:
+        """Rename it matrix `index` of the stack named `what`, in `args` too (repr, pickle)."""
+        self.index, self.what = index, what
+        self.args = index, what, *self.args[2:]
 
     def __str__(self) -> str:
         return f"{self.what.format(j=self.index)} {self.reason}"
@@ -392,28 +397,17 @@ def restrict_channels(cov: np.ndarray, subset: Sequence[int]) -> np.ndarray:
     return cov[..., idx[:, None], idx]
 
 
-def mdm_fit(
-    covs: Sequence[np.ndarray],
-    labels: Sequence[Hashable],
-    tol: float = 1e-8,
-    max_iter: int = 50,
-    mean: Callable[..., np.ndarray] | None = None,
-) -> MDMModel:
+def mdm_fit(covs: Sequence[np.ndarray], labels: Sequence[Hashable]) -> MDMModel:
     """Fit the minimum-distance-to-mean classifier.
 
     `covs` is a sequence of matrices or one ``(n, d, d)`` array; fit on a
     channel subset by passing ``restrict_channels(covs, subset)``.  One
-    Fréchet-mean centroid is estimated per class, in
+    `frechet_mean` centroid, at its defaults, is estimated per class, in
     ``stats._class_partition`` order; that order fixes the prediction
-    tie-break.
-    `mean`, called as ``mean(mats, tol=tol, max_iter=max_iter)`` with the
-    class's covariances as one ``(n_c, d, d)`` array, replaces
-    `frechet_mean` for each class, e.g. to return centroids the caller
-    already has.  A thread pool of one worker per class, up to the usable
-    CPUs, maps the classes, so `mean` must be safe to call from several
-    threads; the centroids are the same bytes on any CPU count, and the
-    first failing class in class order raises its own exception, a
-    `MatrixError` renamed to ``covariance j`` of `covs`.
+    tie-break.  A thread pool of one worker per class, up to the usable
+    CPUs, maps the classes; the centroids are the same bytes on any CPU
+    count, and the first failing class in class order raises its own
+    exception, a `MatrixError` renamed to ``covariance j`` of `covs`.
     """
     if len(covs) != len(labels):
         raise ValueError("covs and labels lengths differ")
@@ -423,13 +417,12 @@ def mdm_fit(
     groups = _class_partition(labels)
     if len(groups) < 2:
         raise ValueError("need at least 2 classes")
-    mean = frechet_mean if mean is None else mean
 
     def fit(idx: list[int]) -> np.ndarray:
         try:
-            return mean(covs[idx], tol=tol, max_iter=max_iter)
+            return frechet_mean(covs[idx])
         except MatrixError as exc:  # named in `covs`, not in its class
-            exc.index, exc.what = idx[exc.index], "covariance {j}"
+            exc.rename(idx[exc.index], "covariance {j}")
             raise
 
     with ThreadPoolExecutor(max_workers=min(len(groups), _usable_cpus())) as pool:

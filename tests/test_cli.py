@@ -2,9 +2,9 @@ import contextlib
 import csv
 import io
 import json
+import pickle
 import re
 import shutil
-import threading
 import weakref
 from dataclasses import fields, replace
 from pathlib import Path
@@ -1014,6 +1014,10 @@ class TestLoadableEpochDamage:
                 raise exc
             assert str(err.value) == (f"{tmp_path / 'S002' / 'index.json'}: "
                                       f"{type(exc).__name__}: {renamed}")
+            # `args` follows the rename, so repr and pickle name the cache epoch too
+            assert err.value.__cause__ is exc and repr(exc) == repr(renamed)
+            back = pickle.loads(pickle.dumps(exc))
+            assert (type(back), back.args, str(back)) == (type(exc), renamed.args, str(renamed))
 
 
 def _memo_entries(tmp_path: Path, subject: str = "S002") -> list[Path]:
@@ -1060,30 +1064,22 @@ class TestDerivedMemo:
         assert len(eliminations) == 2
 
     @pytest.mark.parametrize("same_key", [False, True], ids=["two-keys", "one-key"])
-    def test_concurrent_class_writes_do_not_collide(self, tmp_path, rng, monkeypatch,
-                                                    same_key):
-        # Two classes fitted on two threads store their centroids at the same
-        # moment; with equal covariances both write the same entry.
-        monkeypatch.setattr(spdgeom, "_usable_cpus", lambda: 2)
-        frechet_mean, barrier = spdgeom.frechet_mean, threading.Barrier(2, timeout=30)
-
-        def in_step(mats, **kwargs):
-            mean = frechet_mean(mats, **kwargs)
-            barrier.wait()
-            return mean
-
-        monkeypatch.setattr(spdgeom, "frechet_mean", in_step)
+    def test_second_fit_reads_the_one_entry(self, tmp_path, rng, monkeypatch, same_key):
+        # Two fits of one input write one entry, also when both classes hold
+        # the same covariances; the second fit reads it and fits nothing.
         first = [rand_spd(rng, 4) for _ in range(3)]
         covs = np.array(first + (first if same_key else [rand_spd(rng, 4) for _ in range(3)]))
         labels = [0, 0, 0, 1, 1, 1]
         memo = cli.DerivedMemo(tmp_path, 1)
-        fitted = spdgeom.mdm_fit(covs, labels, mean=memo.frechet_mean).centroids
+        fitted = memo.mdm_fit(covs, labels)
         entries = sorted(p.name for p in memo.root.iterdir())
-        assert len(entries) == 1 + (not same_key)
-        assert all(re.fullmatch(r"centroid-[0-9a-f]{64}\.npy", name) for name in entries)
-        monkeypatch.setattr(spdgeom, "frechet_mean", None)  # every centroid from the memo
-        read = spdgeom.mdm_fit(covs, labels, mean=memo.frechet_mean).centroids
-        assert [c.tobytes() for c in read] == [c.tobytes() for c in fitted]
+        assert len(entries) == 1
+        assert all(re.fullmatch(r"model-[0-9a-f]{64}\.npy", name) for name in entries)
+        monkeypatch.setattr(spdgeom, "mdm_fit", None)  # every centroid from the memo
+        read = memo.mdm_fit(covs, labels)
+        assert read.classes == fitted.classes == (0, 1)
+        assert [c.tobytes() for c in read.centroids] == [c.tobytes() for c in fitted.centroids]
+        assert sorted(p.name for p in memo.root.iterdir()) == entries
 
     def test_warm_memo_outputs_byte_identical(self, workspace):
         tmp_path, cfg = workspace
@@ -1095,8 +1091,8 @@ class TestDerivedMemo:
 
     @pytest.mark.parametrize("damage, kind", [
         (damage, kind) for damage in ("truncate", "garbage", "wrong shape")
-        for kind in ("centroid", "trace")
-    ] + [(damage, "centroid") for damage in ("NaN", "asymmetric", "negative definite",
+        for kind in ("model", "trace")
+    ] + [(damage, "model") for damage in ("NaN", "asymmetric", "negative definite",
                                              "below the floor")]
       + [(damage, "trace") for damage in (
           "channel out of range", "channel kept twice", "fractional channel", "NaN distance",
@@ -1111,18 +1107,19 @@ class TestDerivedMemo:
             entry.write_bytes(entry.read_bytes()[:-9])
         elif damage == "garbage":
             entry.write_bytes(b"\x93NUMPY garbage \xff")
-        elif kind == "centroid":
-            centroid = np.load(entry)
-            dim = len(centroid)
+        elif kind == "model":
+            model = np.load(entry)  # the last class's centroid is damaged
+            centroid = model[-1]
             if damage == "NaN":
                 centroid[0, 0] = np.nan
             elif damage == "asymmetric":
                 centroid[0, 1] += np.abs(centroid).max()
             elif damage == "below the floor":  # positive definite, but no logarithm
                 w, v = np.linalg.eigh(centroid)
-                centroid = (v * np.r_[1e-13 * w[-1], w[1:]]) @ v.T
-            np.save(entry, {"wrong shape": np.eye(3),
-                            "negative definite": -np.eye(dim)}.get(damage, centroid))
+                centroid[...] = (v * np.r_[1e-13 * w[-1], w[1:]]) @ v.T
+            elif damage == "negative definite":
+                centroid[...] = -np.eye(len(centroid))
+            np.save(entry, np.eye(3) if damage == "wrong shape" else model)
         else:
             trace = spdgeom.trace_from_json(entry.read_text())
             first, second, *rest = trace.removal_order
@@ -1147,7 +1144,7 @@ class TestDerivedMemo:
         reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
         assert reason.startswith(f"ValueError: {entry}: ")
         if damage in ("negative definite", "below the floor"):
-            assert reason.startswith(f"ValueError: {entry}: SingularMatrixError: centroid is "
+            assert reason.startswith(f"ValueError: {entry}: SingularMatrixError: centroid 1 is "
                                      "singular: ")
         assert entry.read_bytes() == damaged  # never silently recomputed
         rows = json.loads((tmp_path / "out" / "rows.json").read_text())
@@ -1173,7 +1170,7 @@ class TestDerivedMemo:
         tmp_path, cfg = workspace
         assert main(["prepare", "--config", str(cfg)]) == 0
         assert main(["train-eval", "--config", str(cfg)]) == 0
-        assert len(_memo_entries(tmp_path)) == 2
+        assert len(_memo_entries(tmp_path)) == 1  # the all64 model
         assert main(["prepare", "--config", str(cfg)]) == 0
         assert not (tmp_path / "cache" / "S002" / "derived").exists()
 
@@ -1348,11 +1345,13 @@ class TestEmdCommand:
         for column in ("emd_binary", "emd_weighted"):
             assert small[column] == pytest.approx(default[column] * 1e-8 / 21, rel=1e-9, abs=0)
 
-    def test_non_finite_rebalance_target_rejected(self, tmp_path, layout, capsys):
-        montage.save_spatial_map(relevance.mi_baseline(layout), tmp_path / "m.csv")
+    @pytest.mark.parametrize("mass", ["raw", "normalized"])
+    @pytest.mark.parametrize("target", ["nan", "-5", "0", "inf"])
+    def test_rebalance_target_checked_in_every_mass_mode(self, tmp_path, capsys, mass, target):
+        # before any map is read: the map named here does not exist
         cfg = write_config(tmp_path / "exp.cfg")
-        assert main(["emd", "--config", str(cfg), "--rebalance-to", "nan",
-                     "--maps", f"m={tmp_path/'m.csv'}"]) == 1
+        assert main(["emd", "--config", str(cfg), "--mass", mass, "--rebalance-to", target,
+                     "--maps", f"m={tmp_path / 'absent.csv'}"]) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"] == "ValueError"
         assert "target_total must be positive and finite" in err["message"]
@@ -1809,6 +1808,25 @@ class TestErrorContract:
         assert main(["plot", "--map", str(small), "--out", str(tmp_path / "m.svg")]) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["message"] == f"{small}: ValueError: grid order 3, expected 11"
+
+    @pytest.mark.parametrize("command, flag, value", [
+        (command, flag, value) for command, kept in {
+            "prepare": (), "train-eval": ("--seed", "--output-dir"),
+            "select-channels": ("--seed", "--output-dir"),
+            "emd": ("--metric", "--mass", "--output-dir"), "plot": (),
+            "report": ("--output-dir",)}.items()
+        for flag, value in (("--seed", "3"), ("--metric", "manhattan"),
+                            ("--mass", "normalized"), ("--output-dir", "elsewhere"))
+        if flag not in kept])
+    def test_flag_the_command_does_not_read_is_rejected(self, tmp_path, capsys, command, flag,
+                                                         value):
+        # a flag that would change nothing is a usage error, not silently ignored
+        cfg = write_config(tmp_path / "exp.cfg")
+        required = {"plot": ["--map", "m.csv", "--out", "m.svg"], "report": ["--rows", "r.csv"]}
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--config", str(cfg), *required.get(command, []), flag, value])
+        assert exit_.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
 
     def test_missing_config_gives_error_json(self, capsys):
         assert main(["train-eval", "--config", "/nonexistent/path.cfg"]) == 1

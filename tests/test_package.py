@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -158,7 +159,8 @@ def test_whole_chain_runs_without_scipy(tmp_path, rng):
     files = chain_digests(tmp_path, rng, names, {"run": None})["run"]
     assert {"out/emd/emd_table.json", "out/report/report.json",
             "out/select/trace_S001.json", "cache/S001/epochs.npy"} <= set(files)
-    assert len([f for f in files if f.startswith("cache/S001/derived/centroid-")]) == 6
+    assert len([f for f in files if f.startswith("cache/S001/derived/model-")]) == 3
+    assert not [f for f in files if f.startswith("cache/S001/derived/centroid-")]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
@@ -263,6 +265,17 @@ def test_no_private_exception_class():
     assert found == []
 
 
+def test_no_public_function_takes_a_callback():
+    # a callback crossing a module boundary runs one module's code on
+    # another's terms (threads, arguments); the caller composes results instead
+    found = [f"{module.__name__}.{name}({param.name})"
+             for module in MODULES for name in getattr(module, "__all__", ())
+             if inspect.isfunction(fn := getattr(module, name))
+             for param in inspect.signature(fn).parameters.values()
+             if "Callable" in str(param.annotation)]
+    assert found == []
+
+
 def _checks_json_type(node: ast.AST) -> bool:
     """Whether `node` compares ``type(...)`` or tests ``isinstance`` against
     ``dict``, ``list`` or ``str``."""
@@ -326,8 +339,8 @@ WRITERS = {
                      "[np.eye(n), np.diag(np.arange(1.0, n + 1))], 2))", "trace_S001.json"),
     "write_epoch_cache": ("cli.write_epoch_cache(root, 1, np.broadcast_to(np.eye(2), (n, 2, 2)),"
                           " ['T1'] * n, ['C3', 'C4'])", "S001/epochs.npy"),
-    "memo centroid": ("cli.DerivedMemo(root, 1).frechet_mean("
-                      "np.broadcast_to(np.eye(n), (2, n, n)), 1e-9, 50)", None),
+    "memo model": ("cli.DerivedMemo(root, 1).mdm_fit("
+                   "np.broadcast_to(np.eye(n), (2, n, n)), ['T1', 'T2'])", None),
     "memo trace": ("cli.DerivedMemo(root, 1).elimination("
                    "[np.eye(n), np.diag(np.arange(1.0, n + 1))], 2)", None),
     "save_spatial_map": ("montage.save_spatial_map(montage.SpatialMap(n, np.eye(n)), "

@@ -445,9 +445,27 @@ class TestMatrixError:
         # an exception from a worker process comes back through pickle
         for exc in (SingularMatrixError(3, "centroid {j}"),
                     MatrixError(2, "matrix {j}", "has a non-finite entry")):
-            exc.index, exc.what = 7, "covariance {j}"
+            exc.rename(7, "covariance {j}")
             back = pickle.loads(pickle.dumps(exc))
             assert (type(back), str(back), back.index) == (type(exc), str(exc), 7)
+
+    @pytest.mark.parametrize("bad, error, args", [
+        ([[1.0, 0.5], [0.0, 1.0]], MatrixError,
+         (2, "covariance {j}", "is not symmetric within 1e-10 relative")),
+        ([[1.0, 0.0], [0.0, 0.0]], SingularMatrixError, (2, "covariance {j}")),
+    ], ids=["asymmetric", "singular"])
+    def test_renamed_error_keeps_args_in_step(self, bad, error, args):
+        # matrix 1 of class "a" is covariance 2 of `covs`; `args` is each
+        # class's constructor arguments, so repr and pickle name it so too
+        eye = np.eye(2)
+        with pytest.raises(error) as err:
+            mdm_fit([eye, eye, np.array(bad), eye], ["a", "b", "a", "b"])
+        exc = err.value
+        assert type(exc) is error and exc.args == args
+        assert repr(exc) == f"{error.__name__}{args!r}"
+        assert str(exc).startswith("covariance 2 is ")
+        back = pickle.loads(pickle.dumps(exc))
+        assert (type(back), back.args, str(back)) == (error, args, str(exc))
 
     def test_pair_beyond_double_precision_is_a_value_error(self, rng):
         # each passes the floor, but their pencil spreads over ~1e23, so the
@@ -507,12 +525,13 @@ class TestConcurrentClasses:
         monkeypatch.setattr(spdgeom, "_usable_cpus", lambda: cpus)
         threads, barrier = {}, threading.Barrier(cpus, timeout=30)
 
-        def mean(mats, **kwargs):
+        def mean(mats):
             threads[len(mats)] = threading.get_ident()
             barrier.wait()
-            return frechet_mean(mats, **kwargs)
+            return frechet_mean(mats)
 
-        mdm_fit([rand_spd(rng, 3) for _ in range(5)], ["a", "a", "b", "b", "b"], mean=mean)
+        monkeypatch.setattr(spdgeom, "frechet_mean", mean)
+        mdm_fit([rand_spd(rng, 3) for _ in range(5)], ["a", "a", "b", "b", "b"])
         assert len(threads) == 2 and len(set(threads.values())) == cpus
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -531,16 +550,17 @@ class TestConcurrentClasses:
                 covs[2 * k + (cls == "b")] = rank_deficient(rng, 4, 2)
         raised_on = []
 
-        def mean(mats, **kwargs):
+        def mean(mats):
             try:
-                return frechet_mean(mats, **kwargs)
+                return frechet_mean(mats)
             except SingularMatrixError:
                 raised_on.append(threading.get_ident())
                 raise
 
+        monkeypatch.setattr(spdgeom, "frechet_mean", mean)
         with pytest.raises(SingularMatrixError,
                            match=f"^covariance {named} is singular: ") as err:
-            mdm_fit(covs, labels, mean=mean)
+            mdm_fit(covs, labels)
         assert err.value.index == named
         assert raised_on and threading.get_ident() not in raised_on
 
@@ -549,24 +569,26 @@ class TestConcurrentClasses:
         covs = [rand_spd(rng, 3) for _ in range(9)]
         labels = [0, 1, 2] * 3
 
-        def mean(mats, **kwargs):
+        def mean(mats):
             k = next(k for k in range(3) if mats[0].tobytes() == covs[k].tobytes())
             if k in failing:
                 raise ValueError(f"class {k} failed")
-            return frechet_mean(mats, **kwargs)
+            return frechet_mean(mats)
 
+        monkeypatch.setattr(spdgeom, "frechet_mean", mean)
         for cpus in (1, 2, 3):
             monkeypatch.setattr(spdgeom, "_usable_cpus", lambda: cpus)
             with pytest.raises(ValueError, match=f"^class {failing[0]} failed$"):
-                mdm_fit(covs, labels, mean=mean)
+                mdm_fit(covs, labels)
 
-    def test_non_convergence_raises_the_first_class_error(self, rng, two_cpus):
+    def test_non_convergence_raises_the_first_class_error(self, rng, monkeypatch, two_cpus):
         covs = [rand_spd(rng, 5, spread=2.0) for _ in range(8)]
         labels = ["x", "y"] * 4
         with pytest.raises(FrechetMeanError) as first:
             frechet_mean(covs[0::2], max_iter=1)
+        monkeypatch.setattr(spdgeom, "frechet_mean", lambda mats: frechet_mean(mats, max_iter=1))
         with pytest.raises(FrechetMeanError) as fit:
-            mdm_fit(covs, labels, max_iter=1)
+            mdm_fit(covs, labels)
         assert str(fit.value) == str(first.value)
         assert fit.value.residual == first.value.residual
 

@@ -50,7 +50,9 @@ class TestClassPartition:
             with pytest.raises(ValueError, match="^need at least 2 classes to split$"):
                 signal.split(labels, seed=0)
             return
-        model = spdgeom.mdm_fit(covs, labels, mean=lambda mats, **_: mats.mean(axis=0))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spdgeom, "frechet_mean", lambda mats: mats.mean(axis=0))
+            model = spdgeom.mdm_fit(covs, labels)
         assert model.classes == tuple(groups)
         for c, centroid in zip(model.classes, model.centroids):
             assert np.array_equal(centroid, covs[groups[c]].mean(axis=0))
