@@ -382,10 +382,10 @@ def _subset_for_config(cfg: ExperimentConfig, layout: montage.GridLayout,
     path = cfg.relevance_pattern.format(subject=subject)
     with _reading(path):
         scores = relevance.ingest_external(path, layout)
-    selected = relevance.top_k(scores, cfg.target_k, class_mode=cfg.class_mode)
-    missing = [c for c in selected if c not in lookup]
-    if missing:
-        raise ValueError(f"relevance names not present in recording: {sorted(missing)}")
+        selected = relevance.top_k(scores, cfg.target_k, class_mode=cfg.class_mode)
+        missing = [c for c in selected if c not in lookup]
+        if missing:
+            raise ValueError(f"relevance names not present in recording: {sorted(missing)}")
     return sorted(lookup[c] for c in selected), sorted(selected), None
 
 
@@ -463,8 +463,9 @@ def _run_path(cfg: ExperimentConfig, subject: int, run: int) -> Path:
 
 
 def _prepare_subject(cfg: ExperimentConfig, cache_dir: Path, subject: int,
-                     missing: list[str]) -> tuple[str, int] | None:
-    """Epoch and cache one subject's runs; ``None`` when no run is usable.
+                     missing: list[str]) -> tuple[str, int, int] | None:
+    """Epoch and cache one subject's runs; return its tag, epoch count and
+    skipped-trial count, or ``None`` when no run is usable.
 
     Every run must hold only finite samples, give epoch covariances that
     pass ``_check_covariances`` and carry the first run's channel names, in
@@ -482,6 +483,7 @@ def _prepare_subject(cfg: ExperimentConfig, cache_dir: Path, subject: int,
             shutil.rmtree(derived)
     covs: list[np.ndarray] = []  # one (n_epochs, c, c) array per run
     labels: list[str] = []
+    skipped = 0
     first: tuple[Path, list[str], float] | None = None
     for run in cfg.runs:
         path = _run_path(cfg, subject, run)
@@ -501,7 +503,8 @@ def _prepare_subject(cfg: ExperimentConfig, cache_dir: Path, subject: int,
             if not np.isfinite(rec.data).all():
                 raise ValueError("holds non-finite samples")
             rec = signal.bandpass(rec, cfg.band_lo, cfg.band_hi)
-            epochs = signal.epoch_trials(rec)
+            epochs, run_skipped = signal.epoch_trials(rec)
+            skipped += run_skipped
             if epochs:
                 with np.errstate(over="ignore", invalid="ignore"):  # reported next
                     covs.append(spdgeom.covariance([e.data for e in epochs]))
@@ -513,7 +516,7 @@ def _prepare_subject(cfg: ExperimentConfig, cache_dir: Path, subject: int,
         missing.append(f"{tag}: no usable runs")
         return None
     write_epoch_cache(cache_dir, subject, np.concatenate(covs), labels, first[1])
-    return tag, len(labels)
+    return tag, len(labels), skipped
 
 
 def cmd_prepare(cfg: ExperimentConfig) -> dict:
@@ -523,11 +526,12 @@ def cmd_prepare(cfg: ExperimentConfig) -> dict:
     missing: list[str] = []
     done, failed = _each_subject(cfg, "prepare", lambda subject: _prepare_subject(
         cfg, cache_dir, subject, missing))
-    summary = dict(d for d in done if d is not None)
-    if not summary:
+    done = [d for d in done if d is not None]
+    if not done:
         raise ValueError(f"no subjects could be prepared; missing: {missing}; "
                          f"failed: {failed}")
-    report = {"cached": summary, "failed_subjects": failed, "missing": sorted(missing)}
+    report = {"cached": {tag: n for tag, n, _ in done}, "failed_subjects": failed,
+              "missing": sorted(missing), "skipped_trials": {tag: k for tag, _, k in done}}
     if missing:
         print(json.dumps({"warning": "partial cohort", "missing": sorted(missing)}),
               file=sys.stderr)
@@ -819,8 +823,11 @@ def cmd_report(cfg: ExperimentConfig, row_files: list[str]) -> dict:
         except ValueError:
             return None
 
-    pvalues = {c1: {c2: 1.0 if c1 == c2 else pvalue(overall[c1], overall[c2])
-                    for c2 in configs} for c1 in configs}
+    # the test is symmetric bit for bit (W+ and W- sum exactly), so each pair runs once
+    pvalues = {c: {c: 1.0} for c in configs}
+    for i, c1 in enumerate(configs):
+        for c2 in configs[i + 1:]:
+            pvalues[c1][c2] = pvalues[c2][c1] = pvalue(overall[c1], overall[c2])
     _write_csv(out_dir / "pvalues.csv", [["", *configs]] + [
         [c1, *("" if pvalues[c1][c2] is None else repr(pvalues[c1][c2]) for c2 in configs)]
         for c1 in configs])
@@ -894,7 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="EEG channel-relevance pipeline with exact earth mover's "
                     "distance agreement scoring",
     )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("prepare", help="ingest recordings into the epoch cache")
     _add_common(p)
@@ -937,9 +944,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if not hasattr(args, "func"):
-        parser.print_help()
-        return 2
     try:
         result = args.func(args)
     except Exception as exc:  # contract: nonzero exit, JSON error on stderr

@@ -14,7 +14,6 @@ products over all channels (Burrus, "Block realization of digital filters",
 from __future__ import annotations
 
 import csv
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -33,8 +32,6 @@ __all__ = [
     "epoch_trials",
     "split",
 ]
-
-log = logging.getLogger(__name__)
 
 #: annotation code -> epoch label (fist movement/imagery); other codes are rest
 LABEL_CODES = {"T1": "Left", "T2": "Right"}
@@ -105,9 +102,11 @@ def _edf_float(raw: bytes, what: str) -> float:
     return value
 
 
-def _parse_tals(buf: bytes, sample_rate: float) -> list[Annotation]:
-    annotations = []
-    for tal in buf.split(b"\x00"):
+def _parse_tals(buf: bytes, sample_rate: float) -> tuple[float | None, list[Annotation]]:
+    """The onset in seconds of `buf`'s first TAL if that is a time-keeping
+    TAL, ``+<onset>\\x14\\x14`` with no duration, else None; and its annotations."""
+    start, annotations = None, []
+    for n, tal in enumerate(buf.split(b"\x00")):
         if not tal:
             continue
         fields = tal.split(b"\x14")
@@ -119,12 +118,15 @@ def _parse_tals(buf: bytes, sample_rate: float) -> list[Annotation]:
         else:
             onset_b, dur_b = head, b"0"
         try:
-            onset = float(onset_b.decode("latin-1")) * sample_rate
+            onset_s = float(onset_b.decode("latin-1"))
             duration = float(dur_b.decode("latin-1")) * sample_rate
         except ValueError:
             raise ValueError(f"unknown annotation encoding: {tal!r}") from None
+        onset = onset_s * sample_rate
         if not (np.isfinite(onset) and np.isfinite(duration)):
             raise ValueError(f"unknown annotation encoding: {tal!r}")
+        if n == 0 and head[:1] in b"+-" and head == onset_b and len(fields) > 2 and not fields[1]:
+            start = onset_s  # a signed onset, no duration and an empty first annotation
         for text in fields[1:]:
             code = text.decode("latin-1").strip()
             if code:  # empty text = record-keeping timestamp, not an event
@@ -135,7 +137,7 @@ def _parse_tals(buf: bytes, sample_rate: float) -> list[Annotation]:
                         code=code,
                     )
                 )
-    return annotations
+    return start, annotations
 
 
 def read_recording(path: str | Path) -> Recording:
@@ -147,7 +149,9 @@ def read_recording(path: str | Path) -> Recording:
     share one sampling rate.  The header size field must be 256 bytes per
     signal plus 256, and the file exactly the header plus its record count
     of records (a count of -1 reads every whole record the file holds).
-    EDF+D, whose records need not be contiguous, is rejected.
+    EDF+D, whose records need not be contiguous, is rejected; in EDF+C,
+    record r's first TAL must be a time-keeping TAL whose onset is record
+    0's plus r record durations, within 1e-6 s.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 256:
@@ -223,9 +227,16 @@ def read_recording(path: str | Path) -> Recording:
         byte_lo, byte_hi = 2 * offsets[i], 2 * offsets[i + 1]
         for r in range(n_records):
             rec_off = header_bytes + r * record_bytes
-            annotations.extend(
-                _parse_tals(raw[rec_off + byte_lo:rec_off + byte_hi], sample_rate)
-            )
+            start, found = _parse_tals(raw[rec_off + byte_lo:rec_off + byte_hi], sample_rate)
+            annotations.extend(found)
+            if raw[192:197] == b"EDF+C" and i == ann_idx[0]:
+                if start is None:
+                    raise ValueError(f"EDF+C record {r} does not start with a time-keeping TAL")
+                if r == 0:
+                    first = start
+                elif abs(start - (first + r * duration)) > 1e-6:
+                    raise ValueError(f"EDF+C record {r} starts at {start!r} s, "
+                                     f"not {first + r * duration!r} s")
     annotations.sort(key=lambda a: (a.onset, a.code))
     return Recording(names, sample_rate, data, annotations)
 
@@ -429,15 +440,15 @@ def bandpass(rec: Recording, lo: float = 8.0, hi: float = 30.0) -> Recording:
                      list(rec.annotations))
 
 
-def epoch_trials(rec: Recording) -> list[Epoch]:
+def epoch_trials(rec: Recording) -> tuple[list[Epoch], int]:
     """Cut labeled trials into consecutive non-overlapping epochs.
 
     Each trial labeled by `LABEL_CODES` contributes `EPOCHS_PER_TRIAL`
     epochs of `EPOCH_S` seconds from its onset, all inheriting the trial
-    label, in trial order.  Other codes (rest) are ignored.  Trials
-    extending past the end of the data are skipped; the count is logged.
-    Each ``Epoch.data`` is a view into ``rec.data``, not a copy: it keeps
-    the recording alive and changes with it.
+    label, in trial order.  Other codes (rest) are ignored.  Returns the
+    epochs and the number of labeled trials skipped because they extend
+    past the end of the data.  Each ``Epoch.data`` is a view into
+    ``rec.data``, not a copy: it keeps the recording alive and changes with it.
     """
     slice_len = int(round(EPOCH_S * rec.sample_rate))
     if slice_len < 1:
@@ -455,9 +466,7 @@ def epoch_trials(rec: Recording) -> list[Epoch]:
         for s in range(EPOCHS_PER_TRIAL):
             start = ann.onset + s * slice_len
             epochs.append(Epoch(rec.data[:, start:start + slice_len], label))
-    if skipped:
-        log.warning("skipped %d truncated trial(s) extending past end of data", skipped)
-    return epochs
+    return epochs, skipped
 
 
 def split(epoch_labels: Sequence[str], seed: int,

@@ -336,7 +336,8 @@ def frechet_mean(
         fails `_require_log`, or, if M fails first, the first that fails it.
     FrechetMeanError
         If the residual is still above `tol` after `max_iter` iterations;
-        the exception carries the last residual.
+        the exception carries the last residual, and its message also the
+        largest condition number of a ``W_i`` at the last evaluation.
     """
     if len(mats) == 0:
         raise ValueError("need at least one matrix")
@@ -370,7 +371,8 @@ def frechet_mean(
         mean = sq @ _spectral(_newton_direction(grad, logw, us, tol), np.exp) @ sq
         newton = True
     raise FrechetMeanError(
-        f"no convergence after {max_iter} iterations (residual {residual:.3e})",
+        f"no convergence after {max_iter} iterations (residual {residual:.3e}; the "
+        f"largest whitened condition number is {np.exp(np.ptp(logw, axis=1).max()):.3e})",
         residual=residual,
     )
 

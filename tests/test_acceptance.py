@@ -222,8 +222,8 @@ def test_criterion_08_preprocessing_contract(rng):
     fs = 160.0
     # one 4 s labeled trial -> exactly 4 epochs x 160 samples
     rec = make_motor_recording(rng, ["C3", "C4"], n_trials=1, sample_rate=fs)
-    epochs = epoch_trials(rec)
-    assert len(epochs) == 4
+    epochs, skipped = epoch_trials(rec)
+    assert (len(epochs), skipped) == (4, 0)
     assert all(e.data.shape == (2, 160) for e in epochs)
 
     t = np.arange(int(10 * fs)) / fs

@@ -2,9 +2,12 @@ import contextlib
 import csv
 import io
 import json
+import os
 import pickle
 import re
 import shutil
+import subprocess
+import sys
 import weakref
 from dataclasses import fields, replace
 from pathlib import Path
@@ -16,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from emdscalp import cli, montage, relevance, signal, spdgeom, transport
+from emdscalp import cli, montage, relevance, signal, spdgeom, stats, transport
 from emdscalp.cli import load_config, main, render_map_svg
 
 from helpers import make_motor_recording, rand_spd, recording_to_edf
@@ -225,7 +228,7 @@ class TestPrepare:
         covs, _ = cli.read_epoch_cache(tmp_path / "cache", 1)
         expected = [np.cov(e.data) for run in ("S001R03.edf", "S001R04.edf")
                     for e in signal.epoch_trials(signal.bandpass(
-                        signal.read_recording(tmp_path / "data" / "S001" / run)))]
+                        signal.read_recording(tmp_path / "data" / "S001" / run)))[0]]
         assert covs.tobytes() == np.stack(expected).tobytes()
 
     def test_no_run_is_alive_at_the_next_read(self, workspace, monkeypatch):
@@ -380,6 +383,43 @@ class TestPrepare:
         assert reason == (f"ValueError: {run}: ValueError: EDF+D (discontinuous) "
                           "recordings are not supported")
 
+    def test_edf_with_a_repeated_record_fails_only_its_subject(self, workspace, capsys):
+        tmp_path, cfg = workspace
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        clean = _tree(tmp_path / "cache" / "S001")
+        capsys.readouterr()
+        run = tmp_path / "data" / "S002" / "S002R03.edf"
+        raw = bytearray(run.read_bytes())
+        header, n_records = int(raw[184:192]), int(raw[236:244])
+        size = (len(raw) - header) // n_records
+        raw[header + 3 * size:header + 4 * size] = raw[header + 2 * size:header + 3 * size]
+        run.write_bytes(bytes(raw))
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        assert (list(summary["cached"]), summary["failed_subjects"]) == (["S001"], ["S002"])
+        reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
+        assert reason == f"ValueError: {run}: ValueError: EDF+C record 3 starts at 2.0 s, not 3.0 s"
+        assert _tree(tmp_path / "cache" / "S001") == clean
+
+    def test_trial_past_the_end_is_counted_in_the_summary(self, workspace, rng):
+        # S001's run 4 ends inside its last trial, which is skipped: the
+        # summary counts it, and stderr holds no text line
+        tmp_path, _ = workspace
+        rec = make_motor_recording(rng, CHANNELS_6, n_trials=12, discriminative=(1, 2))
+        recording_to_edf(tmp_path / "data" / "S001" / "S001R04.edf",
+                         replace(rec, data=rec.data[:, :-3 * 160]))
+        cfg = write_config(tmp_path / "one.cfg", subjects="1")
+        src = str(Path(cli.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "emdscalp.cli", "prepare", "--config", str(cfg)],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [src, *filter(None, [os.environ.get("PYTHONPATH")])])})
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout) == {"cached": {"S001": 48 + 44}, "failed_subjects": [],
+                                           "missing": [], "skipped_trials": {"S001": 1}}
+
     def test_edf_with_halved_record_count_fails_only_its_subject(self, workspace, capsys):
         tmp_path, cfg = workspace
         run = tmp_path / "data" / "S002" / "S002R03.edf"
@@ -433,6 +473,16 @@ class TestPrepare:
         assert json.loads(captured.out)["failed_subjects"] == ["S001"]
         reason = json.loads(captured.err.splitlines()[-1])["failed"]["S001"]
         assert reason.startswith(f"ValueError: {run}: Error: field larger than field limit")
+
+    def test_no_usable_run_anywhere_fails(self, workspace, capsys):
+        tmp_path, _ = workspace
+        cfg = write_config(tmp_path / "exp9.cfg", runs="9")
+        assert main(["prepare", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        missing = [str(tmp_path / "data" / "S001" / "S001R09.edf"), "S001: no usable runs",
+                   str(tmp_path / "data" / "S002" / "S002R09.edf"), "S002: no usable runs"]
+        assert err == {"error": "ValueError", "message": f"no subjects could be prepared; "
+                                                         f"missing: {missing}; failed: []"}
 
     def test_no_subject_prepared_fails(self, workspace, capsys):
         tmp_path, cfg = workspace
@@ -689,6 +739,40 @@ class TestTrainEval:
         assert main(["train-eval", "--config", str(cfg)]) == 0
         cohort = json.loads((tmp_path / "out" / "cohort_xnet.json").read_text())
         assert cohort["selections"]["S001"] == ["C3", "C4", "Cz"]
+
+    def test_mi21_needs_every_baseline_channel(self, workspace, layout, capsys):
+        tmp_path, _ = workspace
+        cfg = write_config(tmp_path / "mi.cfg", channel_config="mi21")
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["train-eval", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        present = set(layout.resolve_all(CHANNELS_6))
+        missing = [c for c in relevance.MI_BASELINE_CHANNELS if c not in present]
+        reason = f"ValueError: recording lacks baseline channels: {missing}"
+        assert err == {"error": "ValueError", "message": "no subject completed train-eval; "
+                       f"failures: {({'S001': reason, 'S002': reason})}"}
+
+    def test_relevance_naming_a_channel_the_recording_lacks_fails_its_subject(
+            self, workspace, capsys):
+        tmp_path, _ = workspace
+        doc = {"channels": ["FC5", "C3", "C4", "Cz", "Fp1", "Oz"],
+               "pooled": [0.1, 0.9, 0.8, 0.7, 0.0, 0.2]}
+        (tmp_path / "rel_001.json").write_text(json.dumps(doc))
+        bad = tmp_path / "rel_002.json"  # P3 is a montage electrode, not a recorded one
+        bad.write_text(json.dumps({"channels": doc["channels"] + ["P3"],
+                                   "pooled": doc["pooled"] + [1.0]}))
+        cfg = write_config(tmp_path / "ext.cfg", channel_config="feat21",
+                           relevance_source="external:xnet",
+                           relevance_pattern="rel_{subject:03d}.json", target_k=3)
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["train-eval", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["failed_subjects"] == ["S002"]
+        reason = json.loads(captured.err.splitlines()[-1])["failed"]["S002"]
+        assert reason == (f"ValueError: {bad}: ValueError: relevance names not present in "
+                          "recording: ['P3']")
 
     def test_mi21_trains_on_exactly_21_channels(self, tmp_path, rng):
         channels = [c + "." for c in relevance.MI_BASELINE_CHANNELS] + ["Fp1.", "Oz.."]
@@ -1096,7 +1180,7 @@ class TestDerivedMemo:
                                              "below the floor")]
       + [(damage, "trace") for damage in (
           "channel out of range", "channel kept twice", "fractional channel", "NaN distance",
-          "infinite drop", "iterations out of order")])
+          "infinite drop", "iterations out of order", "another problem")])
     def test_corrupt_entry_fails_its_subject(self, workspace, capsys, kind, damage):
         tmp_path, _ = workspace
         cfg = write_config(tmp_path / "feat.cfg", channel_config="feat21", target_k=2)
@@ -1135,6 +1219,8 @@ class TestDerivedMemo:
                     float("inf"), *trace.final_loo_drops[1:])),
                 "iterations out of order": replace(trace, removal_order=(
                     replace(first, iteration=2), replace(second, iteration=1), *rest)),
+                "another problem": replace(trace, final_subset=(0, 1), removal_order=(
+                    replace(first, removed=2), replace(second, removed=3))),
             }[damage]))
         damaged = entry.read_bytes()
         capsys.readouterr()
@@ -1146,6 +1232,9 @@ class TestDerivedMemo:
         if damage in ("negative definite", "below the floor"):
             assert reason.startswith(f"ValueError: {entry}: SingularMatrixError: centroid 1 is "
                                      "singular: ")
+        if damage == "another problem":  # a valid trace that reduces 4 channels to 2
+            assert reason == f"ValueError: {entry}: ValueError: trace reduces 4 channels to 2, " \
+                             "not 6 to 2"
         assert entry.read_bytes() == damaged  # never silently recomputed
         rows = json.loads((tmp_path / "out" / "rows.json").read_text())
         assert [r["subject"] for r in rows] == [1]
@@ -1362,6 +1451,13 @@ class TestEmdCommand:
         err = json.loads(capsys.readouterr().err.strip())
         assert "no model maps" in err["message"]
 
+    @pytest.mark.parametrize("flag", ["--maps", "--cohorts"])
+    def test_model_without_a_name_rejected(self, tmp_path, capsys, flag):
+        cfg = write_config(tmp_path / "exp.cfg")
+        assert main(["emd", "--config", str(cfg), flag, "m.csv"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError", "message": "expected NAME=PATH, got 'm.csv'"}
+
 
 class TestPlotCommand:
     def test_marker_per_electrode(self, tmp_path, layout):
@@ -1488,6 +1584,40 @@ class TestReportCommand:
                 assert abs(p[c1][c2] - p[c2][c1]) < 1e-12
         assert abs(p["all64"]["mi21"] - 0.0279) <= 0.003
         assert abs(p["all64"]["feat21"] - 0.0014) <= 0.003
+
+    def test_each_pair_is_tested_once(self, tmp_path, monkeypatch):
+        # the test is symmetric bit for bit, so the lower triangle mirrors the upper
+        rows = write_fixture_rows(tmp_path / "rows.csv")
+        calls, wilcoxon = [], stats.wilcoxon_signed_rank
+        monkeypatch.setattr(stats, "wilcoxon_signed_rank",
+                            lambda x, y: calls.append((x, y)) or wilcoxon(x, y))
+        assert main(["report", "--config", str(write_config(tmp_path / "exp.cfg")),
+                     "--rows", str(rows)]) == 0
+        assert len(calls) == 3
+        p = json.loads((tmp_path / "out" / "report.json").read_text())["pvalues"]
+        for x, y in calls:
+            assert wilcoxon(y, x).p_value == wilcoxon(x, y).p_value
+        assert p["mi21"]["all64"] == p["all64"]["mi21"] != p["feat21"]["all64"]
+
+    def test_column_that_no_row_fills_is_left_empty(self, tmp_path):
+        # the two configurations were scored on other class names, so each
+        # recall column holds one configuration's rows only
+        header = "subject,channel_config,chance,overall,recall_{},recall_{}\n"
+        (tmp_path / "a.csv").write_text(header.format("Left", "Right") + "1,all64,0.5,0.9,1,0.8\n")
+        (tmp_path / "b.csv").write_text(header.format("Down", "Up") + "1,mi21,0.5,0.7,0.6,0.8\n")
+        cfg = write_config(tmp_path / "exp.cfg")
+        assert main(["report", "--config", str(cfg), "--rows", str(tmp_path / "a.csv"),
+                     str(tmp_path / "b.csv")]) == 0
+        header, row, footer = (tmp_path / "out" / "table.csv").read_text().splitlines()
+        assert header == ("ID,chance,all64_overall,all64_Down,all64_Left,all64_Right,all64_Up,"
+                          "mi21_overall,mi21_Down,mi21_Left,mi21_Right,mi21_Up")
+        assert row == "1,50.00,90.00,,100.00,80.00,,70.00,60.00,,,80.00"
+        assert footer.split(",")[1:] == ["50.00±0.00", "90.00±0.00", "", "100.00±0.00",
+                                         "80.00±0.00", "", "70.00±0.00", "60.00±0.00", "", "",
+                                         "80.00±0.00"]
+        summary = json.loads((tmp_path / "out" / "report.json").read_text())["summary"]
+        assert sorted(summary) == ["all64_Left", "all64_Right", "all64_overall", "chance",
+                                   "mi21_Down", "mi21_Up", "mi21_overall"]
 
     def test_single_row_footer_sd_zero(self, tmp_path):
         p = tmp_path / "rows.csv"
@@ -1827,6 +1957,15 @@ class TestErrorContract:
             main([command, "--config", str(cfg), *required.get(command, []), flag, value])
         assert exit_.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_no_subcommand_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.rstrip().endswith("error: the following arguments are required: "
+                                              "command")
 
     def test_missing_config_gives_error_json(self, capsys):
         assert main(["train-eval", "--config", "/nonexistent/path.cfg"]) == 1

@@ -172,6 +172,11 @@ class TestWeightedMap:
         with pytest.raises(ValueError, match="negative weight"):
             montage.weighted_map({"C3": -1.0}, layout)
 
+    @pytest.mark.parametrize("weight", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, layout, weight):
+        with pytest.raises(ValueError, match="^non-finite weight for 'C4'$"):
+            montage.weighted_map({"C3": 1.0, "C4": weight}, layout)
+
     def test_unknown_name_rejected(self, layout):
         with pytest.raises(KeyError):
             montage.weighted_map({"ZZ1": 1.0}, layout)

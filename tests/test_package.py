@@ -252,6 +252,28 @@ def test_one_function_writes_files():
     assert found == []
 
 
+def _reports(node: ast.AST) -> bool:
+    """Whether `node` imports ``logging`` or ``warnings``, calls ``print`` or
+    names ``sys.stdout`` or ``sys.stderr``."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        modules = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+        return any(m.split(".")[0] in ("logging", "warnings") for m in modules)
+    return _called(node) == "print" or (isinstance(node, ast.Attribute)
+                                        and ast.unparse(node) in ("sys.stdout", "sys.stderr"))
+
+
+def test_only_cli_reports():
+    # a command's stdout is its JSON summary and its stderr JSON lines, so
+    # what the library finds (a skipped trial, a failed subject) travels in
+    # return values and cli alone writes it out
+    found = [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+             for path in sorted(Path(emdscalp.__file__).parent.glob("*.py"))
+             if path.name != "cli.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if _reports(node)]
+    assert found == []
+
+
 def test_no_private_exception_class():
     # commands report a failure as type(exc).__name__, so the name of every
     # exception class the package raises reaches its users

@@ -179,6 +179,11 @@ class TestTopK:
         with pytest.raises(ValueError, match="per_class_union"):
             top_k(scores, 1, class_mode="per_class_union")
 
+    def test_unknown_class_mode_rejected(self, layout):
+        scores = self._scores(layout, {"C3": 1.0})
+        with pytest.raises(ValueError, match="^unknown class_mode 'union'$"):
+            top_k(scores, 1, class_mode="union")
+
 
 class TestAggregateCohort:
     def test_single_subject(self):

@@ -1,5 +1,4 @@
 import json
-import logging
 import os
 import re
 
@@ -112,6 +111,72 @@ class TestEDFReader:
         else:
             assert read_recording(path).annotations == [
                 Annotation(int(0.5 * FS), int(FS), "T1")]
+
+    @pytest.mark.parametrize("edit, message", [
+        ("drop", "record 3 starts at 4.0 s, not 3.0 s"),
+        ("repeat", "record 3 starts at 2.0 s, not 3.0 s"),
+        ("swap", "record 2 starts at 3.0 s, not 2.0 s"),
+        (b"+1\x14T1\x14\x00", "record 1 does not start with a time-keeping TAL"),
+        (b"+1\x151\x14\x14\x00", "record 1 does not start with a time-keeping TAL"),
+        (b"1\x14\x14\x00", "record 1 does not start with a time-keeping TAL"),
+        (b"+1.01\x14\x14\x00", "record 1 starts at 1.01 s, not 1.0 s"),
+    ], ids=["dropped", "repeated", "swapped", "annotation first", "duration", "no sign",
+            "late"])
+    def test_edf_c_records_follow_their_time_keeping_tals(self, tmp_path, edit, message):
+        # record r of an EDF+C file starts r record durations after record 0,
+        # as the onset of its first TAL, +<onset>\x14\x14, says
+        path = write_edf(tmp_path / "a.edf", np.zeros((1, int(5 * FS))), FS)
+        raw = path.read_bytes()
+        size = (len(raw) - 768) // 5  # 160 samples, then 8 bytes of TALs
+        records = [bytearray(raw[768 + r * size:768 + (r + 1) * size]) for r in range(5)]
+        assert records[1][-8:] == b"+1\x14\x14\x00\x00\x00\x00"
+        if edit == "drop":
+            del records[3]
+        elif edit == "repeat":
+            records[3] = records[2]
+        elif edit == "swap":
+            records[2], records[3] = records[3], records[2]
+        else:  # record 1's time-keeping TAL replaced
+            records[1][-8:] = edit.ljust(8, b"\x00")
+        for reserved in (b"EDF+C", b""):
+            header = bytearray(raw[:768])
+            header[192:236] = reserved.ljust(44)
+            header[236:244] = str(len(records)).ljust(8).encode()
+            path.write_bytes(bytes(header) + b"".join(records))
+            if reserved:
+                with pytest.raises(ValueError, match=f"^EDF\\+C {re.escape(message)}$"):
+                    read_recording(path)
+            else:  # plain EDF keeps no time
+                assert read_recording(path).n_samples == len(records) * FS
+
+    @pytest.mark.parametrize("start, value, message", [
+        (244, b"0", "malformed header: record duration 0.0"),
+        (244, b"-1", "malformed header: record duration -1.0"),
+        (256, b"EDF Annotations", "recording has no data channels"),
+        (512, b"-32768", "malformed header: flat digital range on signal 0"),
+    ], ids=["zero record duration", "negative record duration", "no data channel",
+            "flat digital range"])
+    def test_bad_header_field_rejected(self, tmp_path, start, value, message):
+        # fields of a two-signal file: the record duration at 244, signal 0's
+        # label at 256 and its digital maximum at 256 + 128 * 2
+        path = write_edf(tmp_path / "a.edf", np.zeros((1, int(FS))), FS)
+        raw = bytearray(path.read_bytes())
+        width = {244: 8, 256: 16, 512: 8}[start]
+        raw[start:start + width] = value.ljust(width)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_recording(path)
+
+    @pytest.mark.parametrize("tal", [b"+inf\x14T1\x14", b"+0.5\x15nan\x14T1\x14"])
+    def test_non_finite_tal_onset_or_duration_rejected(self, tmp_path, tal):
+        path = write_edf(tmp_path / "a.edf", np.zeros((1, int(FS))), FS,
+                         annotations=[(0.5, 1.0, "T1")])
+        raw = path.read_bytes()
+        assert raw.endswith(b"+0\x14\x14\x00+0.5\x151\x14T1\x14\x00\x00\x00")
+        path.write_bytes(raw[:-18] + (b"+0\x14\x14\x00" + tal).ljust(18, b"\x00"))
+        with pytest.raises(ValueError, match=f"^unknown annotation encoding: "
+                                             f"{re.escape(repr(tal))}$"):
+            read_recording(path)
 
     def test_short_file_rejected(self, tmp_path):
         bad = tmp_path / "tiny.edf"
@@ -370,13 +435,29 @@ def mp_filtfilt(b, a, x):
         return [float(v) for v in y[edge:edge + n]]
 
 
+class TestRecording:
+    @pytest.mark.parametrize("data, rate, message", [
+        (np.zeros((2, 10)), FS, "data shape (2, 10) does not match 1 channel names"),
+        (np.zeros(10), FS, "data shape (10,) does not match 1 channel names"),
+        (np.zeros((1, 10)), 0.0, "sample_rate must be positive"),
+    ])
+    def test_shape_and_rate_checked(self, data, rate, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Recording(["a"], rate, data)
+
+
 class TestEpochTrials:
+    def test_rate_below_one_sample_per_epoch_rejected(self):
+        rec = Recording(["a"], 0.4, np.zeros((1, 10)), [Annotation(0, 4, "T1")])
+        with pytest.raises(ValueError, match=r"^sample rate 0.4 Hz gives empty 1.0 s epochs$"):
+            epoch_trials(rec)
+
     def test_single_trial_yields_four_left_epochs(self, rng):
         data = rng.normal(size=(3, int(6 * FS)))
         rec = Recording(["a", "b", "c"], FS, data,
                         [Annotation(int(FS), int(4 * FS), "T1")])
-        epochs = epoch_trials(rec)
-        assert len(epochs) == 4
+        epochs, skipped = epoch_trials(rec)
+        assert (len(epochs), skipped) == (4, 0)
         assert all(e.label == "Left" for e in epochs)
         assert all(e.data.shape == (3, 160) for e in epochs)
 
@@ -384,31 +465,30 @@ class TestEpochTrials:
         data = rng.normal(size=(2, int(6 * FS)))
         onset = int(FS)
         rec = Recording(["a", "b"], FS, data, [Annotation(onset, int(4 * FS), "T1")])
-        epochs = epoch_trials(rec)
+        epochs, _ = epoch_trials(rec)
         stitched = np.concatenate([e.data for e in epochs], axis=1)
         assert np.array_equal(stitched, data[:, onset:onset + 640])
 
     def test_rest_only_recording_gives_nothing(self):
         rec = Recording(["a"], FS, np.zeros((1, int(10 * FS))),
                         [Annotation(0, int(4 * FS), "T0")])
-        assert epoch_trials(rec) == []
+        assert epoch_trials(rec) == ([], 0)
 
     def test_93_trials_give_372_epochs(self, rng):
         rec = make_motor_recording(rng, ["a", "b"], n_trials=93)
-        epochs = epoch_trials(rec)
-        assert len(epochs) == 372
+        epochs, skipped = epoch_trials(rec)
+        assert (len(epochs), skipped) == (372, 0)
 
-    def test_truncated_trial_skipped_with_count(self, caplog, rng):
+    def test_truncated_trial_skipped_with_count(self, rng):
         data = rng.normal(size=(1, int(5 * FS)))
         anns = [
             Annotation(0, int(4 * FS), "T1"),
             Annotation(int(2 * FS), int(4 * FS), "T2"),  # runs past the end
         ]
         rec = Recording(["a"], FS, data, anns)
-        with caplog.at_level(logging.WARNING, logger="emdscalp.signal"):
-            epochs = epoch_trials(rec)
-        assert len(epochs) == 4
-        assert "skipped 1 truncated trial" in caplog.text
+        epochs, skipped = epoch_trials(rec)
+        assert (len(epochs), skipped) == (4, 1)
+        assert [e.label for e in epochs] == ["Left"] * 4
 
 
 class TestSplit:
@@ -476,7 +556,7 @@ class TestEDFMotorPipeline:
         back = read_recording(path)
         assert back.channel_names == ["Fc5", "C3", "C4", "Cz"]
         filtered = bandpass(back)
-        epochs = epoch_trials(filtered)
-        assert len(epochs) == 40
+        epochs, skipped = epoch_trials(filtered)
+        assert (len(epochs), skipped) == (40, 0)
         labels = {e.label for e in epochs}
         assert labels == {"Left", "Right"}

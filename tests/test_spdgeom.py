@@ -265,11 +265,29 @@ class TestFrechetMean:
         expected = np.diag(np.exp(np.mean([np.log(np.diag(d)) for d in diags], axis=0)))
         assert_allclose(m, expected, atol=1e-8)
 
+    _NO_CONVERGENCE = re.compile(r"no convergence after (\d+) iterations \(residual (\S+); the "
+                                 r"largest whitened condition number is (\S+)\)")
+
     def test_non_convergence_reports_residual(self, rng):
-        mats = [rand_spd(rng, 4, spread=2.0) for _ in range(5)]
+        mats = [rand_spd(rng, 4, spread=0.5) for _ in range(5)]
         with pytest.raises(FrechetMeanError) as err:
             frechet_mean(mats, tol=1e-14, max_iter=1)
         assert err.value.residual > 0
+        n, residual, kappa = self._NO_CONVERGENCE.fullmatch(str(err.value)).groups()
+        assert (n, residual) == ("1", f"{err.value.residual:.3e}")
+        assert 1.0 < float(kappa) < 1e3
+
+    def test_non_convergence_names_an_ill_conditioned_set(self):
+        # spectra {1e-11, 1e-6, 1e-3, 1}, one rotation each: every member
+        # passes the 1e-12 floor, but the rounding error of each log W_i,
+        # which grows with its condition number, stays above tol
+        rng = np.random.default_rng(0)
+        rotations = [np.linalg.qr(rng.normal(size=(4, 4)))[0] for _ in range(5)]
+        mats = [(q * [1e-11, 1e-6, 1e-3, 1.0]) @ q.T for q in rotations]
+        with pytest.raises(FrechetMeanError) as err:
+            frechet_mean([(m + m.T) / 2 for m in mats])
+        n, _, kappa = self._NO_CONVERGENCE.fullmatch(str(err.value)).groups()
+        assert n == "50" and float(kappa) > 1e10
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
@@ -644,6 +662,20 @@ class TestStackedKernels:
         with pytest.raises(ValueError,
                            match=rf"^{what} 3 dim \(5, 5\) does not match \(4, 4\)"):
             call(mats)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,)])
+    def test_matrix_0_that_is_not_square_is_named(self, shape):
+        with pytest.raises(MatrixError, match=f"^matrix 0 must be square, got shape "
+                                              f"{re.escape(str(shape))}$"):
+            frechet_mean([np.ones(shape)] * 2)
+
+    @pytest.mark.parametrize("covs, labels, message", [
+        ([np.eye(2)], ["a", "b"], "covs and labels lengths differ"),
+        ([], [], "no training examples"),
+    ])
+    def test_mdm_fit_needs_one_label_per_covariance(self, covs, labels, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            mdm_fit(covs, labels)
 
     def test_one_matrix_is_not_a_stack(self, rng):
         with pytest.raises(ValueError, match=r"^expected an \(n, d, d\) stack, got shape "
@@ -1060,11 +1092,12 @@ class TestBackwardElimination:
         ({"removal_order": {}}, "trace removal_order must be a JSON array, not dict"),
         ({"removal_order": [3]}, "trace removal_order must be a JSON object, not 3"),
         ({"format_version": True}, "trace format_version must be a JSON integer, not True"),
+        ({"format_version": 2}, "unsupported trace format_version: 2"),
         ({"final_subset": ...}, "trace final_subset must be a JSON array, not None"),
         ({"final_loo_drops": [float("nan")]}, "trace final_loo_drops must be a JSON number, "
                                               "not nan"),
     ], ids=["integer document", "removal_order object", "integer step", "bool version",
-            "no final_subset", "NaN drop"])
+            "version 2", "no final_subset", "NaN drop"])
     def test_malformed_trace_names_its_field(self, edit, message):
         """`edit` is a change to a valid trace (``...`` drops the key), or the whole text."""
         doc = {"format_version": 1, "final_subset": [1], "final_loo_drops": [0.5],

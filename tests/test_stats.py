@@ -119,6 +119,10 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="lengths"):
             evaluate(["A"], ["A", "B"])
 
+    def test_no_examples_rejected(self):
+        with pytest.raises(ValueError, match="^no examples to evaluate$"):
+            evaluate([], [])
+
 
 class TestChanceLevel:
     def test_balanced_majority(self):
@@ -236,6 +240,22 @@ class TestWilcoxon:
         d2 = np.sinh(d)
         res = wilcoxon_signed_rank(d2, np.zeros_like(d2))
         assert_allclose(res.p_value, base.p_value, atol=1e-12)
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.integers(5, 29).flatmap(lambda n: st.tuples(
+        *[st.lists(st.sampled_from([0.5, 0.6, 0.625, 0.7, 0.75, 0.8]), min_size=n, max_size=n)
+          for _ in range(2)])))
+    def test_swapped_samples_give_the_same_p_bit_for_bit(self, pair):
+        # report tests each pair of configurations once and mirrors the p-value
+        x, y = pair
+        try:
+            res = wilcoxon_signed_rank(x, y)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{exc}$"):
+                wilcoxon_signed_rank(y, x)
+            return
+        swapped = wilcoxon_signed_rank(y, x)
+        assert (swapped.p_value, swapped.mode) == (res.p_value, res.mode)
 
     def test_zero_differences_dropped_and_counted(self):
         x = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]

@@ -47,6 +47,11 @@ class TestSolveTransport:
         with pytest.raises(ValueError, match="unbalanced"):
             solve_transport(np.array([1.0]), np.array([2.0]), np.array([[1.0]]))
 
+    def test_shapes_other_than_the_costs_rejected(self):
+        with pytest.raises(ValueError, match="^supply/demand shapes do not match the cost "
+                                             "matrix$"):
+            solve_transport(np.array([1.0, 1.0]), np.array([2.0]), np.array([[1.0]]))
+
     def test_degenerate_equal_masses(self):
         # many zero-flow pivots but the optimum is still the identity pairing
         n = 8
@@ -191,6 +196,10 @@ class TestEMD:
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ValueError, match="grid order mismatch"):
             emd(unit_at(3, 0, 0), unit_at(4, 0, 0))
+
+    def test_unknown_mass_mode_rejected(self):
+        with pytest.raises(ValueError, match="^unknown mass_mode 'sum'$"):
+            emd(unit_at(3, 0, 0), unit_at(3, 0, 1), mass_mode="sum")
 
 
 class TestRebalance:
