@@ -347,46 +347,37 @@ class DerivedMemo:
 # ---------------------------------------------------------------------------
 # channel selection plumbing
 
-def _riemannian_selection(cfg: ExperimentConfig, memo: DerivedMemo,
-                          lookup: dict[str, int], train_covs: np.ndarray,
-                          train_labels: list[str]
-                          ) -> tuple[list[int], list[str], spdgeom.SelectionTrace]:
-    """One subject's elimination selection, for ``train-eval feat21`` and
-    ``select-channels`` alike: the surviving channel indices in order, their
-    sorted montage names (channels outside the montage left out) and the
-    trace.  `lookup` maps each montage electrode to its channel index."""
-    centroids = memo.mdm_fit(train_covs, train_labels).centroids
-    trace = memo.elimination(centroids, cfg.target_k)
-    subset = sorted(trace.final_subset)
-    names = {i: name for name, i in lookup.items()}
-    return subset, sorted(names[i] for i in subset if i in names), trace
-
-
 def _subset_for_config(cfg: ExperimentConfig, layout: montage.GridLayout,
                        lookup: dict[str, int], subject: int,
                        train_covs: np.ndarray, train_labels: list[str],
                        memo: DerivedMemo
                        ) -> tuple[list[int], list[str] | None, spdgeom.SelectionTrace | None]:
-    """Channel indices to train on; ``feat21`` also gives the selection's
-    montage names, and the riemannian source its trace."""
+    """One subject's channel selection: the channel indices to train on, in
+    order; for ``feat21`` also their sorted montage names (channels outside
+    the montage left out), and for the riemannian source the elimination
+    trace.  `lookup` maps each montage electrode to its channel index."""
     if cfg.channel_config == "all64":
         return list(range(train_covs.shape[-1])), None, None
-    if cfg.channel_config == "feat21" and cfg.relevance_source == "riemannian":
-        return _riemannian_selection(cfg, memo, lookup, train_covs, train_labels)
     if cfg.channel_config == "mi21":
         missing = [c for c in relevance.MI_BASELINE_CHANNELS if c not in lookup]
         if missing:
             raise ValueError(f"recording lacks baseline channels: {missing}")
         return sorted(lookup[c] for c in relevance.MI_BASELINE_CHANNELS), None, None
-    # feat21 from an external source
-    path = cfg.relevance_pattern.format(subject=subject)
-    with _reading(path):
-        scores = relevance.ingest_external(path, layout)
-        selected = relevance.top_k(scores, cfg.target_k, class_mode=cfg.class_mode)
-        missing = [c for c in selected if c not in lookup]
-        if missing:
-            raise ValueError(f"relevance names not present in recording: {sorted(missing)}")
-    return sorted(lookup[c] for c in selected), sorted(selected), None
+    trace = None
+    if cfg.relevance_source == "riemannian":
+        trace = memo.elimination(memo.mdm_fit(train_covs, train_labels).centroids, cfg.target_k)
+        subset = sorted(trace.final_subset)
+    else:
+        path = cfg.relevance_pattern.format(subject=subject)
+        with _reading(path):
+            scores = relevance.ingest_external(path, layout)
+            selected = relevance.top_k(scores, cfg.target_k, class_mode=cfg.class_mode)
+            missing = [c for c in selected if c not in lookup]
+            if missing:
+                raise ValueError(f"relevance names not present in recording: {sorted(missing)}")
+        subset = sorted(lookup[c] for c in selected)
+    names = {i: name for name, i in lookup.items()}
+    return subset, sorted(names[i] for i in subset if i in names), trace
 
 
 def _read_map(path: str, order: int | None) -> montage.SpatialMap:
@@ -608,21 +599,18 @@ def _write_trace(out_dir: Path, subject: int, trace: spdgeom.SelectionTrace) -> 
 def _write_cohort(out_dir: Path, model: str, selections: dict[str, list[str]]
                   ) -> tuple[str, dict[str, int]]:
     """Write ``cohort_<tag>.json``; return the tag and the channel counts."""
-    agg = relevance.aggregate_cohort(selections)
-    cohort = {
-        "model": model,
-        "subjects": list(agg.subjects),
-        "selections": {s: selections[s] for s in agg.subjects},
-        "counts": dict(sorted(agg.counts.items())),
-    }
+    counts = relevance.aggregate_cohort(selections)
     tag = model.replace("external:", "")
-    _write_json(out_dir / f"cohort_{tag}.json", cohort)
-    return tag, agg.counts
+    _write_json(out_dir / f"cohort_{tag}.json", {
+        "model": model, "subjects": sorted(selections), "selections": selections,
+        "counts": counts})
+    return tag, counts
 
 
 def _train_eval_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
-                        cache_dir: Path, out_dir: Path, subject: int,
-                        selections: dict[str, list[str]]) -> dict:
+                        cache_dir: Path, out_dir: Path, subject: int
+                        ) -> tuple[dict, list[str] | None]:
+    """One subject's ``rows.csv`` row, and for ``feat21`` its selection's montage names."""
     lookup, (train_covs, train_labels, train_epochs), (test_covs, test_labels, test_epochs) = \
         _read_split(cfg, layout, cache_dir, subject)
     memo = DerivedMemo(cache_dir, subject)
@@ -654,18 +642,18 @@ def _train_eval_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
         row[f"support_{c}"] = ev.support[c]
     if trace is not None:
         _write_trace(out_dir, subject, trace)
-    if names is not None:
-        selections[_subject_tag(subject)] = names
-    return row
+    return row, names
 
 
 def cmd_train_eval(cfg: ExperimentConfig) -> dict:
     layout = _load_layout(cfg)
     cache_dir = Path(cfg.cache_dir)
     out_dir = Path(cfg.output_dir)
-    selections: dict[str, list[str]] = {}
-    rows, failed = _each_subject(cfg, "train-eval", lambda subject: _train_eval_subject(
-        cfg, layout, cache_dir, out_dir, subject, selections))
+    done, failed = _each_subject(cfg, "train-eval", lambda subject: _train_eval_subject(
+        cfg, layout, cache_dir, out_dir, subject))
+    rows = [row for row, _ in done]
+    selections = {_subject_tag(row["subject"]): names for row, names in done
+                  if names is not None}
     _write_rows(out_dir, rows)
     if selections:  # feat21
         tag, counts = _write_cohort(out_dir, cfg.relevance_source, selections)
@@ -690,33 +678,30 @@ def _write_csv(path: Path, rows: list[list]) -> None:
     _write_utf8(path, text.getvalue())
 
 
-def _select_subject(cfg: ExperimentConfig, layout: montage.GridLayout,
-                    cache_dir: Path, out_dir: Path, subject: int) -> tuple[str, list[str]]:
-    lookup, (train_covs, train_labels, train_epochs), _ = _read_split(
-        cfg, layout, cache_dir, subject)
-    with _naming_epochs(cache_dir, subject, train_epochs):
-        _, names, trace = _riemannian_selection(
-            cfg, DerivedMemo(cache_dir, subject), lookup, train_covs, train_labels)
-    _write_trace(out_dir, subject, trace)
-    return _subject_tag(subject), names
-
-
 def cmd_select_channels(cfg: ExperimentConfig) -> dict:
+    """The channel selection of ``train-eval`` with ``feat21`` and the
+    riemannian source, without the classifier on the selected channels."""
+    cfg = replace(cfg, channel_config="feat21", relevance_source="riemannian")
     out_dir = Path(cfg.output_dir)
     layout = _load_layout(cfg)
     cache_dir = Path(cfg.cache_dir)
-    done, failed = _each_subject(cfg, "select-channels", lambda subject: _select_subject(
-        cfg, layout, cache_dir, out_dir, subject))
+
+    def select(subject: int) -> tuple[str, list[str]]:
+        lookup, (covs, labels, epochs), _ = _read_split(cfg, layout, cache_dir, subject)
+        with _naming_epochs(cache_dir, subject, epochs):
+            _, names, trace = _subset_for_config(cfg, layout, lookup, subject, covs, labels,
+                                                 DerivedMemo(cache_dir, subject))
+        _write_trace(out_dir, subject, trace)
+        return _subject_tag(subject), names
+
+    done, failed = _each_subject(cfg, "select-channels", select)
     _write_cohort(out_dir, "riemannian", dict(done))
     return {"subjects": len(done), "failed_subjects": failed,
             "output_dir": str(out_dir)}
 
 
 def cmd_emd(cfg: ExperimentConfig, map_args: list[str], cohort_args: list[str],
-            baseline_map: str | None, rebalance_to: float) -> dict:
-    if not 0 < rebalance_to < math.inf:  # in every mass mode, though raw alone uses it
-        raise ValueError(f"--rebalance-to: target_total must be positive and finite, "
-                         f"got {rebalance_to}")
+            baseline_map: str | None) -> dict:
     layout = _load_layout(cfg)
     out_dir = Path(cfg.output_dir)
     # one baseline for both columns: rebalancing or normalizing makes a
@@ -738,8 +723,8 @@ def cmd_emd(cfg: ExperimentConfig, map_args: list[str], cohort_args: list[str],
             raise ValueError(f"model {name!r} is given twice")
 
     def score(p: montage.SpatialMap, q: montage.SpatialMap) -> float:
-        if cfg.mass == "raw":
-            p, q = transport.rebalance(p, q, rebalance_to)
+        if cfg.mass == "raw":  # both at the built-in baseline's total
+            p, q = transport.rebalance(p, q, float(len(relevance.MI_BASELINE_CHANNELS)))
         return transport.emd(p, q, metric=cfg.metric, mass_mode=cfg.mass).distance
 
     results = [{"model": name, "emd_binary": score(_read_map(path, base.n), base),
@@ -922,10 +907,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cohorts", nargs="*", default=[], metavar="NAME=JSON",
                    help="cohort aggregate JSON files to compare")
     p.add_argument("--baseline-map", help="spatial-map CSV replacing the built-in baseline")
-    p.add_argument("--rebalance-to", type=float, default=21.0,
-                   help="common total mass in raw mode")
-    p.set_defaults(func=lambda a: cmd_emd(
-        _config_from_args(a), a.maps, a.cohorts, a.baseline_map, a.rebalance_to))
+    p.set_defaults(func=lambda a: cmd_emd(_config_from_args(a), a.maps, a.cohorts,
+                                          a.baseline_map))
 
     p = sub.add_parser("plot", help="render a spatial map as SVG")
     _add_common(p)

@@ -17,7 +17,6 @@ from .montage import GridLayout, SpatialMap, _json_object, _json_value, binary_m
 
 __all__ = [
     "RelevanceScores",
-    "CohortAggregate",
     "MI_BASELINE_CHANNELS",
     "ingest_external",
     "top_k",
@@ -46,14 +45,6 @@ class RelevanceScores:
     channels: tuple[str, ...]
     pooled: dict[str, float]
     per_class: dict[str, dict[str, float]] | None = None
-
-
-@dataclass(frozen=True)
-class CohortAggregate:
-    """How many subjects selected each channel in their top-k set."""
-
-    counts: dict[str, int]
-    subjects: tuple[str, ...]
 
 
 def ingest_external(file: str | Path, layout: GridLayout) -> RelevanceScores:
@@ -111,15 +102,15 @@ def top_k(scores: RelevanceScores, k: int, class_mode: str = "pooled") -> set[st
     raise ValueError(f"unknown class_mode {class_mode!r}")
 
 
-def aggregate_cohort(selections: Mapping[str, Iterable[str]]) -> CohortAggregate:
-    """Per-channel selection counts across subjects."""
+def aggregate_cohort(selections: Mapping[str, Iterable[str]]) -> dict[str, int]:
+    """How many subjects selected each channel, by channel name."""
     if not selections:
         raise ValueError("cohort is empty")
     counts: dict[str, int] = {}
     for chans in selections.values():
         for name in set(chans):
             counts[name] = counts.get(name, 0) + 1
-    return CohortAggregate(counts=counts, subjects=tuple(sorted(selections)))
+    return counts
 
 
 def mi_baseline(layout: GridLayout) -> SpatialMap:

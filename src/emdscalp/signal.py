@@ -253,8 +253,8 @@ def read_recording_csv(
     in sample units.  A data file without a header row, a data row that is
     not one number per channel, or an annotation row of fewer than three
     fields or whose onset and duration are not non-negative integers with
-    the onset inside the data, raises ``ValueError``; a row's error names
-    its file and line.
+    the onset inside the data, raises ``ValueError``; a data row's error
+    names its line, an annotation row's its file and line.
     """
     with open(data_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -270,8 +270,8 @@ def read_recording_csv(
             except ValueError:
                 values = None
             if values is None or len(values) != len(names):
-                raise ValueError(f"{data_path} line {reader.line_num}: expected "
-                                 f"{len(names)} numbers, got {row}")
+                raise ValueError(f"line {reader.line_num}: expected {len(names)} numbers, "
+                                 f"got {row}")
             columns.append(values)
     data = np.array(columns, dtype=float).T if columns else np.zeros((len(names), 0))
     annotations, n_samples = [], data.shape[1]
@@ -406,8 +406,9 @@ def bandpass(rec: Recording, lo: float = 8.0, hi: float = 30.0) -> Recording:
     ``3 * max(len(a), len(b))`` = 27 samples, filtered forward from the
     step-response steady state scaled by its first sample, then backward
     from the same state scaled by the forward output's last sample, and the
-    extension is cut off again.  A run of 27 samples or fewer raises
-    ``ValueError``.
+    extension is cut off again.  A run of 27 samples or fewer, or a band
+    whose rounded coefficients put a pole on or past the unit circle (an
+    edge very near 0 Hz or Nyquist), raises ``ValueError``.
 
     The recurrence runs over blocks of `_BLOCK_LEN` = 64 samples as matrix
     products over all channels at once, in float64 (see `_block_matrices`
@@ -420,6 +421,9 @@ def bandpass(rec: Recording, lo: float = 8.0, hi: float = 30.0) -> Recording:
     if not 0.0 < lo < hi < nyq:
         raise ValueError(f"invalid band edges ({lo}, {hi}) for Nyquist {nyq}")
     b, a = _butter_bandpass(lo / nyq, hi / nyq)
+    if (np.abs(np.roots(a)) >= 1.0).any():
+        raise ValueError(f"band ({lo}, {hi}) Hz is too close to 0 Hz or to Nyquist for a "
+                         f"stable filter at {rec.sample_rate} Hz")
     edge = 3 * max(len(a), len(b))
     x = rec.data
     n = x.shape[1]

@@ -537,7 +537,8 @@ def backward_elimination(centroids: Sequence[np.ndarray], target_k: int) -> Sele
     channel is scored by the inter-class centroid distance on the subset
     with that channel removed, and the channel whose removal leaves the
     largest remaining distance is permanently dropped (ties: lowest channel
-    index).  Repeats until `target_k` channels survive.  A step costs
+    index).  Repeats until `target_k` channels survive, for `target_k` in
+    [1, d]: d takes no step.  A step costs
     O(d^3): one pencil per class pair scores every candidate (module
     docstring).
     """
@@ -545,8 +546,8 @@ def backward_elimination(centroids: Sequence[np.ndarray], target_k: int) -> Sele
         raise ValueError("need at least 2 class centroids")
     centroids = _check_square_symmetric(centroids, "centroid {j}", spd=True)
     dim = centroids.shape[1]
-    if not 2 <= target_k < dim:
-        raise ValueError(f"target_k must be in [2, {dim}), got {target_k}")
+    if not 1 <= target_k <= dim:
+        raise ValueError(f"target_k must be in [1, {dim}], got {target_k}")
 
     subset = list(range(dim))
     steps: list[RemovalStep] = []

@@ -436,10 +436,11 @@ class TestPrepare:
         assert reason.endswith(f"bytes past the {n_records // 2} data records the header counts")
 
     @pytest.mark.parametrize("data, annotations", [
-        ("", None), (None, "160,640"), (None, "x,160,T1"), (None, "1.5,160,T1"),
-        (None, "-5,160,T1"), (None, "160,-1,T1"), (None, "99999,160,T1"),
-    ], ids=["no header row", "annotation row without code", "non-numeric onset",
-            "fractional onset", "negative onset", "negative duration", "onset past the data"])
+        ("", None), ("C3,C4\n1,2\n3\n", None), (None, "160,640"), (None, "x,160,T1"),
+        (None, "1.5,160,T1"), (None, "-5,160,T1"), (None, "160,-1,T1"), (None, "99999,160,T1"),
+    ], ids=["no header row", "short data row", "annotation row without code",
+            "non-numeric onset", "fractional onset", "negative onset", "negative duration",
+            "onset past the data"])
     def test_unparsable_csv_run_fails_only_its_subject(self, tmp_path, rng, capsys,
                                                        data, annotations):
         for sid in (1, 2):
@@ -458,8 +459,18 @@ class TestPrepare:
         assert (list(summary["cached"]), summary["failed_subjects"]) == (["S002"], ["S001"])
         reason = json.loads(captured.err.splitlines()[-1])["failed"]["S001"]
         assert reason.startswith(f"ValueError: {run}: ValueError: ")
+        assert reason.count(str(run)) == 1
         if annotations is not None:
             assert f"{sidecar} line 2: " in reason
+
+    def test_band_without_a_stable_filter_fails_its_subjects(self, workspace, capsys):
+        tmp_path, _ = workspace
+        cfg = write_config(tmp_path / "band.cfg", band_lo=70.0, band_hi=79.99)
+        assert main(["prepare", "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        run = tmp_path / "data" / "S001" / "S001R03.edf"
+        assert (f"'S001': 'ValueError: {run}: ValueError: band (70.0, 79.99) Hz is too close "
+                "to 0 Hz or to Nyquist for a stable filter at 160.0 Hz'") in err["message"]
 
     def test_csv_field_over_the_csv_limit_fails_only_its_subject(self, tmp_path, rng, capsys):
         for sid in (1, 2):
@@ -889,6 +900,33 @@ class TestSelectChannels:
         # the classifier trains on both surviving channels, named or not
         rows = json.loads((tmp_path / "feat" / "rows.json").read_text())
         assert [r["n_channels"] for r in rows] == [2, 2]
+
+    @pytest.mark.parametrize("target_k", [1, 6, 7])
+    def test_target_k_from_one_to_the_channel_count(self, workspace, capsys, target_k):
+        # one k rule for both selection sources and for select-channels:
+        # 1 <= k <= the 6 recorded channels
+        tmp_path, cfg = workspace
+        doc = {"channels": ["FC5", "C3", "C4", "Cz", "Fp1", "Oz"],
+               "pooled": [0.1, 0.9, 0.8, 0.7, 0.0, 0.2]}
+        for sid in (1, 2):
+            (tmp_path / f"rel_{sid:03d}.json").write_text(json.dumps(doc))
+        riemannian = {"channel_config": "feat21", "target_k": target_k}
+        external = dict(riemannian, relevance_source="external:xnet",
+                        relevance_pattern="rel_{subject:03d}.json")
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        for n, (command, keys, cohort) in enumerate([
+                ("train-eval", riemannian, "riemannian"), ("train-eval", external, "xnet"),
+                ("select-channels", riemannian, "riemannian")]):
+            run_cfg = write_config(tmp_path / f"k{n}.cfg", output_dir=f"out{n}", **keys)
+            capsys.readouterr()
+            if target_k <= 6:
+                assert main([command, "--config", str(run_cfg)]) == 0
+                written = json.loads((tmp_path / f"out{n}" / f"cohort_{cohort}.json").read_text())
+                assert [len(names) for names in written["selections"].values()] == [target_k] * 2
+            else:
+                assert main([command, "--config", str(run_cfg)]) == 1
+                err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+                assert err["message"].count("must be in [1, 6], got 7") == 2
 
     def test_missing_subject_reported_run_continues(self, workspace, capsys):
         tmp_path, _ = workspace
@@ -1415,35 +1453,6 @@ class TestEmdCommand:
         table = json.loads((tmp_path / "out" / "emd_table.json").read_text())
         assert [r["model"] for r in table] == ["near", "far"]
         assert [r["rank"] for r in table] == [1, 2]
-
-    def test_distances_scale_with_rebalance_target(self, tmp_path, layout):
-        # both columns are nonzero, and follow the mass scale far below 1
-        names = [e.name for e in layout.electrodes if e.name not in
-                 relevance.MI_BASELINE_CHANNELS][:30]
-        counts = {name: 1 + i % 4 for i, name in enumerate(names)}
-        (tmp_path / "ok.json").write_text(json.dumps({"counts": counts}))
-        cfg = write_config(tmp_path / "exp.cfg", target_k=21)
-        tables = []
-        for target in ("21", "1e-8"):
-            out = tmp_path / f"out{target}"
-            assert main(["emd", "--config", str(cfg), "--rebalance-to", target,
-                         "--output-dir", str(out), "--cohorts", f"c={tmp_path / 'ok.json'}"]) == 0
-            tables.append(json.loads((out / "emd_table.json").read_text()))
-        default, small = tables[0][0], tables[1][0]
-        assert default["emd_binary"] > 1 and default["emd_weighted"] > 1
-        for column in ("emd_binary", "emd_weighted"):
-            assert small[column] == pytest.approx(default[column] * 1e-8 / 21, rel=1e-9, abs=0)
-
-    @pytest.mark.parametrize("mass", ["raw", "normalized"])
-    @pytest.mark.parametrize("target", ["nan", "-5", "0", "inf"])
-    def test_rebalance_target_checked_in_every_mass_mode(self, tmp_path, capsys, mass, target):
-        # before any map is read: the map named here does not exist
-        cfg = write_config(tmp_path / "exp.cfg")
-        assert main(["emd", "--config", str(cfg), "--mass", mass, "--rebalance-to", target,
-                     "--maps", f"m={tmp_path / 'absent.csv'}"]) == 1
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"] == "ValueError"
-        assert "target_total must be positive and finite" in err["message"]
 
     def test_no_maps_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "exp.cfg")

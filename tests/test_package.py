@@ -274,6 +274,37 @@ def test_only_cli_reports():
     assert found == []
 
 
+def _outside_functions(node: ast.AST):
+    """The nodes under `node` that no function or lambda encloses."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _outside_functions(child)
+
+
+def _binds_shared_state(node: ast.AST) -> bool:
+    """Whether `node` assigns the integer 0 or a call whose name ends in
+    ``Lock``, ``Semaphore``, ``Condition``, ``Event`` or ``count``
+    (``itertools.count()``)."""
+    value = node.value if isinstance(node, (ast.Assign, ast.AnnAssign)) else None
+    return (isinstance(value, ast.Constant) and type(value.value) is int and value.value == 0
+            or _called(value).endswith(("Lock", "Semaphore", "Condition", "Event", "count")))
+
+
+def test_no_module_state():
+    # shared mutable module state (a counter starting at 0, a lock) races
+    # across mdm_fit's class threads, and a global statement rebinds it;
+    # diagnostics travel with results instead
+    found = []
+    for path in sorted(Path(emdscalp.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+                  for node in ast.walk(tree) if isinstance(node, (ast.Global, ast.Nonlocal))]
+        found += [f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+                  for node in _outside_functions(tree) if _binds_shared_state(node)]
+    assert found == []
+
+
 def test_no_private_exception_class():
     # commands report a failure as type(exc).__name__, so the name of every
     # exception class the package raises reaches its users

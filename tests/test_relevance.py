@@ -187,13 +187,10 @@ class TestTopK:
 
 class TestAggregateCohort:
     def test_single_subject(self):
-        agg = aggregate_cohort({"S001": {"C3"}})
-        assert agg.counts == {"C3": 1}
-        assert agg.subjects == ("S001",)
+        assert aggregate_cohort({"S001": {"C3"}}) == {"C3": 1}
 
     def test_fourteen_subjects_same_channel(self):
-        agg = aggregate_cohort({f"S{i:03d}": {"Cz"} for i in range(14)})
-        assert agg.counts == {"Cz": 14}
+        assert aggregate_cohort({f"S{i:03d}": {"Cz"} for i in range(14)}) == {"Cz": 14}
 
     def test_matches_brute_force_tally(self, layout, rng):
         names = list(layout.names)
@@ -201,10 +198,10 @@ class TestAggregateCohort:
             f"S{i:03d}": set(rng.choice(names, size=int(rng.integers(1, 22)), replace=False))
             for i in range(10)
         }
-        agg = aggregate_cohort(selections)
+        counts = aggregate_cohort(selections)
         for name in names:
             expected = sum(1 for sel in selections.values() if name in sel)
-            assert agg.counts.get(name, 0) == expected
+            assert counts.get(name, 0) == expected
 
     def test_subject_order_invariance(self, layout, rng):
         names = list(layout.names)
@@ -224,9 +221,9 @@ class TestAggregateCohort:
             f"S{i:03d}": set(rng.choice(names, size=21, replace=False))
             for i in range(14)
         }
-        agg = aggregate_cohort(selections)
-        wmap = weighted_map({n: float(c) for n, c in agg.counts.items()}, layout)
-        assert wmap.total == sum(agg.counts.values()) == 14 * 21
+        counts = aggregate_cohort(selections)
+        wmap = weighted_map({n: float(c) for n, c in counts.items()}, layout)
+        assert wmap.total == sum(counts.values()) == 14 * 21
 
 
 class TestMIBaseline:

@@ -282,11 +282,12 @@ class TestCSVReader:
             read_recording_csv(p)
 
     def test_bad_data_row_names_its_line(self, tmp_path):
+        # the file's path is the caller's to add, as for load_spatial_map
         p = tmp_path / "rec.csv"
         for row in ("3", "1.0,abc"):
             p.write_text(f"C3,C4\n1.0,2.0\n{row}\n4.0,5.0\n")
-            expected = f"{p} line 3: expected 2 numbers, got {row.split(',')}"
-            with pytest.raises(ValueError, match=re.escape(expected)):
+            expected = f"line 3: expected 2 numbers, got {row.split(',')}"
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
                 read_recording_csv(p)
 
     def test_short_annotation_row_rejected(self, tmp_path):
@@ -343,6 +344,16 @@ class TestBandpass:
             bandpass(rec, 30.0, 8.0)
         with pytest.raises(ValueError, match="band edges"):
             bandpass(rec, 8.0, 90.0)
+
+    @pytest.mark.parametrize("lo, hi", [(70.0, 79.99), (1e-300, 40.0)])
+    def test_unstable_rounded_design_rejected(self, rng, lo, hi):
+        # a root of the rounded a lies at |z| = 1.0003 or 1.0001 at 160 Hz,
+        # and the recurrence would grow past 1e20
+        rec = Recording(["a", "b"], FS, rng.normal(size=(2, 4000)))
+        with pytest.raises(ValueError, match=re.escape(
+                f"band ({lo}, {hi}) Hz is too close to 0 Hz or to Nyquist for a stable "
+                "filter at 160.0 Hz")):
+            bandpass(rec, lo, hi)
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(fs=st.floats(1.0, 5000.0),

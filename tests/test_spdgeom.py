@@ -1007,11 +1007,18 @@ class TestBackwardElimination:
         assert [s.removed for s in trace.removal_order] == [0, 1]
 
     def test_target_k_range(self, rng):
+        # 1 <= k <= d, the rule of relevance.top_k: k = d takes no step, and
+        # k = 1 ends on one channel, whose leave-one-out distance is 0
         covs, labels = make_spd_dataset(rng, 4, dim=4)
-        with pytest.raises(ValueError, match="target_k"):
-            backward_elimination(mdm_fit(covs, labels).centroids, target_k=1)
-        with pytest.raises(ValueError, match="target_k"):
-            backward_elimination(mdm_fit(covs, labels).centroids, target_k=4)
+        centroids = mdm_fit(covs, labels).centroids
+        for k in (0, 5):
+            with pytest.raises(ValueError, match=rf"^target_k must be in \[1, 4\], got {k}$"):
+                backward_elimination(centroids, target_k=k)
+        whole = backward_elimination(centroids, target_k=4)
+        assert (whole.removal_order, whole.final_subset) == ((), (0, 1, 2, 3))
+        one = backward_elimination(centroids, target_k=1)
+        assert len(one.removal_order) == 3 and len(one.final_subset) == 1
+        assert one.final_loo_drops[0] == pytest.approx(one.removal_order[-1].distance)
 
     def test_centroids_checked(self, rng):
         a = rand_spd(rng, 4)

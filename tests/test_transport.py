@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from emdscalp import transport
-from emdscalp.montage import SpatialMap
+from emdscalp.montage import SpatialMap, binary_map, weighted_map
+from emdscalp.relevance import MI_BASELINE_CHANNELS, mi_baseline
 from emdscalp.transport import TransportError, emd, ground_cost, rebalance, solve_transport
 
 from helpers import lp_emd, random_map_pair
@@ -88,6 +89,13 @@ class TestSolveTransport:
             solve_transport(np.array([1.0, np.inf]), np.array([1.0, 1.0]), np.ones((2, 2)))
         with pytest.raises(ValueError, match="costs must be finite"):
             solve_transport(np.ones(2), np.ones(2), np.array([[0.0, np.nan], [1.0, 0.0]]))
+
+    def test_zero_entry_rejected(self):
+        for supply, demand in (([1.0, 0.0], [1.0]), ([1.0], [0.0, 1.0])):
+            with pytest.raises(ValueError, match="^supply and demand entries must be positive "
+                                                 "and finite$"):
+                solve_transport(np.array(supply), np.array(demand),
+                                np.ones((len(supply), len(demand))))
 
     def test_blands_rule_reaches_the_same_optimum(self, rng, monkeypatch):
         # Bland's rule takes over after m * k Dantzig pivots; from pivot 0 it
@@ -190,8 +198,10 @@ class TestEMD:
 
     def test_zero_mass_rejected(self):
         zero = SpatialMap(3, np.zeros((3, 3)))
-        with pytest.raises(ValueError, match="positive total mass"):
-            emd(zero, unit_at(3, 0, 0))
+        for mass_mode in ("raw", "normalized"):
+            for p, q in ((zero, unit_at(3, 0, 0)), (unit_at(3, 0, 0), zero)):
+                with pytest.raises(ValueError, match="^both maps must have positive total mass$"):
+                    emd(p, q, mass_mode=mass_mode)
 
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ValueError, match="grid order mismatch"):
@@ -223,13 +233,25 @@ class TestRebalance:
 
     def test_zero_mass_rejected(self):
         zero = SpatialMap(3, np.zeros((3, 3)))
-        with pytest.raises(ValueError, match="zero-mass"):
-            rebalance(zero, unit_at(3, 0, 0), 1.0)
+        for p, q in ((zero, unit_at(3, 0, 0)), (unit_at(3, 0, 0), zero)):
+            with pytest.raises(ValueError, match="^cannot rebalance a zero-mass map$"):
+                rebalance(p, q, 1.0)
 
     @pytest.mark.parametrize("target", [0.0, -1.0, np.nan, np.inf])
     def test_target_must_be_positive_and_finite(self, target):
         with pytest.raises(ValueError, match="target_total must be positive and finite"):
             rebalance(unit_at(3, 0, 0), unit_at(3, 1, 1), target)
+
+    def test_distances_follow_a_target_far_below_1(self, layout):
+        # the solver's tolerances are relative, so rebalancing a cohort's binary
+        # and weighted maps and the baseline to 1e-8 scales each distance exactly
+        names = [e.name for e in layout.electrodes if e.name not in MI_BASELINE_CHANNELS][:30]
+        counts = {name: 1 + i % 4 for i, name in enumerate(names)}
+        base = mi_baseline(layout)
+        for smap in (binary_map(names[:21], layout), weighted_map(counts, layout)):
+            default, small = (emd(*rebalance(smap, base, t)).distance for t in (21.0, 1e-8))
+            assert default > 1
+            assert small == pytest.approx(default * 1e-8 / 21, rel=1e-9, abs=0)
 
     def test_scale_then_emd_homogeneity(self, rng):
         p, q = random_map_pair(rng, 4)
