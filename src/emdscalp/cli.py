@@ -84,6 +84,9 @@ class ExperimentConfig:
             ("sample_rate", 0.0 < self.sample_rate < math.inf, "positive and finite"),
             ("band_lo", 0.0 < self.band_lo < self.band_hi < math.inf,
              f"in (0, band_hi = {self.band_hi!r}) with a finite band_hi"),
+            ("band_hi", self.input_format != "csv" or self.band_hi < self.sample_rate / 2,
+             f"below Nyquist {self.sample_rate / 2} of csv input at sample_rate "
+             f"{self.sample_rate!r}"),
             ("seed", self.seed >= 0, ">= 0"),
             ("test_fraction", 0.0 < self.test_fraction < 1.0, "in (0, 1)"),
             ("shrinkage", 0.0 <= self.shrinkage < 1.0, "in [0, 1)"),
@@ -453,15 +456,14 @@ def _run_path(cfg: ExperimentConfig, subject: int, run: int) -> Path:
     return Path(cfg.dataset_root) / tag / f"{tag}R{run:02d}.{ext}"
 
 
-def _prepare_subject(cfg: ExperimentConfig, cache_dir: Path, subject: int,
-                     missing: list[str]) -> tuple[str, int, int] | None:
-    """Epoch and cache one subject's runs; return its tag, epoch count and
-    skipped-trial count, or ``None`` when no run is usable.
+def _prepare_subject(cfg: ExperimentConfig, cache_dir: Path, subject: int) -> tuple[str, int, int]:
+    """Epoch and cache one subject's runs, skipping absent files; return its
+    tag, epoch count and skipped-trial count.
 
     Every run must hold only finite samples, give epoch covariances that
     pass ``_check_covariances`` and carry the first run's channel names, in
     order, and its sample rate; otherwise a ``ValueError`` starts with the
-    file's path.
+    file's path.  A subject with no run holding a labeled trial fails too.
     Any earlier cache of the subject, and its derived-result memo, is
     invalidated first, so a subject that fails here is not read from a stale
     cache by later commands.
@@ -479,7 +481,6 @@ def _prepare_subject(cfg: ExperimentConfig, cache_dir: Path, subject: int,
     for run in cfg.runs:
         path = _run_path(cfg, subject, run)
         if not path.exists():
-            missing.append(str(path))
             continue
         ann = path.with_name(path.stem + "_annotations.csv")
         with _reading(path):
@@ -504,29 +505,22 @@ def _prepare_subject(cfg: ExperimentConfig, cache_dir: Path, subject: int,
         # the epochs are views into the recording: free both before the next read
         del rec, epochs
     if not covs:
-        missing.append(f"{tag}: no usable runs")
-        return None
+        raise ValueError(f"no usable run: none of runs {list(cfg.runs)} exists and holds "
+                         "a labeled trial")
     write_epoch_cache(cache_dir, subject, np.concatenate(covs), labels, first[1])
     return tag, len(labels), skipped
 
 
 def cmd_prepare(cfg: ExperimentConfig) -> dict:
-    if not cfg.subjects:
-        raise ValueError("config lists no subjects")
     cache_dir = Path(cfg.cache_dir)
-    missing: list[str] = []
-    done, failed = _each_subject(cfg, "prepare", lambda subject: _prepare_subject(
-        cfg, cache_dir, subject, missing))
-    done = [d for d in done if d is not None]
-    if not done:
-        raise ValueError(f"no subjects could be prepared; missing: {missing}; "
-                         f"failed: {failed}")
-    report = {"cached": {tag: n for tag, n, _ in done}, "failed_subjects": failed,
-              "missing": sorted(missing), "skipped_trials": {tag: k for tag, _, k in done}}
+    missing = sorted(str(path) for subject in cfg.subjects for run in cfg.runs
+                     if not (path := _run_path(cfg, subject, run)).exists())
     if missing:
-        print(json.dumps({"warning": "partial cohort", "missing": sorted(missing)}),
-              file=sys.stderr)
-    return report
+        print(json.dumps({"warning": "partial cohort", "missing": missing}), file=sys.stderr)
+    done, failed = _each_subject(cfg, "prepare", lambda subject: _prepare_subject(
+        cfg, cache_dir, subject))
+    return {"cached": {tag: n for tag, n, _ in done}, "failed_subjects": failed,
+            "missing": missing, "skipped_trials": {tag: k for tag, _, k in done}}
 
 
 def _each_subject(cfg: ExperimentConfig, command: str, run_one) -> tuple[list, list[str]]:
@@ -535,8 +529,10 @@ def _each_subject(cfg: ExperimentConfig, command: str, run_one) -> tuple[list, l
     A subject whose input or cache is missing or corrupt, or whose Fréchet
     mean does not converge, is reported on stderr and skipped; the run
     continues.  Returns the results and the failed subject tags; raises only
-    when none completes.
+    when the config lists no subject or none completes.
     """
+    if not cfg.subjects:
+        raise ValueError("config lists no subjects")
     results = []
     failed: dict[str, str] = {}
     for subject in sorted(cfg.subjects):

@@ -307,9 +307,7 @@ def riemannian_distance(a: np.ndarray, b: np.ndarray) -> float:
     and invariant under congruence A -> W A W^T.
     """
     a = _check_square_symmetric([a], "first matrix", spd=True)[0]
-    b = _check_square_symmetric([b], "second matrix", spd=True)[0]
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape[0]} vs {b.shape[0]}")
+    b = _check_square_symmetric([b], "second matrix", a.shape[0], spd=True)[0]
     w = _pencil(b, a)
     return float(np.sqrt((np.log(w) ** 2).sum()))
 

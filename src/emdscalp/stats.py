@@ -121,20 +121,13 @@ def _midranks(a: np.ndarray) -> np.ndarray:
 
 
 def _exact_pvalue(ranks: np.ndarray, w_plus: float) -> float:
-    # Null distribution of W+ over all 2^n sign assignments, enumerated by
-    # meet-in-the-middle; symmetric around sum(ranks)/2 even with midranks.
-    half = len(ranks) // 2
-
-    def all_sums(rs: np.ndarray) -> np.ndarray:
-        sums = np.zeros(1)
-        for r in rs:
-            sums = np.concatenate([sums, sums + r])
-        return sums
-
-    w = np.add.outer(all_sums(ranks[:half]), all_sums(ranks[half:])).ravel()
+    # W+ over all 2^n sign assignments, doubled one rank at a time (exact: every
+    # sum is a multiple of 0.5); symmetric around sum(ranks)/2 even with midranks.
+    w = np.zeros(2 ** len(ranks))
+    for i, r in enumerate(ranks):
+        np.add(w[:2**i], r, out=w[2**i:2**(i + 1)])
     mu = ranks.sum() / 2.0
-    observed = abs(w_plus - mu)
-    return float(np.mean(np.abs(w - mu) >= observed - 1e-12))
+    return float(np.mean(np.abs(w - mu) >= abs(w_plus - mu) - 1e-12))
 
 
 def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> PairedTestResult:

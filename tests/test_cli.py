@@ -104,10 +104,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="version"):
             load_config(p)
 
-    def test_duplicate_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("line, reason", [
+        ("seed = 2", "duplicate key 'seed'"), ("seed 2", "expected key = value, got 'seed 2'")],
+        ids=["duplicate key", "no equals sign"])
+    def test_bad_line_rejected_naming_it(self, tmp_path, line, reason):
         p = tmp_path / "a.cfg"
-        p.write_text("seed = 1\nseed = 2\n")
-        with pytest.raises(ValueError, match="duplicate"):
+        p.write_text(f"seed = 1\n{line}\n")
+        message = f"{p}: ValueError: config line 2: {reason}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_config(p)
 
     def test_feat21_external_requires_pattern(self, tmp_path):
@@ -163,6 +167,9 @@ class TestConfig:
         ({"relevance_pattern": "rel_{subj}.json"}, "relevance_pattern"),
         ({"relevance_pattern": "rel_{0}.json"}, "relevance_pattern"),
         ({"relevance_pattern": "rel_{.json"}, "relevance_pattern"),
+        ({"relevance_source": "gradcam"}, "relevance_source 'gradcam'"),
+        ({"input_format": "csv", "sample_rate": 50},
+         r"^band_hi must be below Nyquist 25\.0 of csv input at sample_rate 50\.0, got 30\.0$"),
     ])
     def test_bad_value_rejected_naming_its_key(self, tmp_path, edit, key):
         with pytest.raises(ValueError, match=key):
@@ -263,11 +270,12 @@ class TestPrepare:
         assert index_path.read_bytes() == first
         assert (tmp_path / "cache" / "S001" / "epochs.npy").read_bytes() == first_epochs
 
-    def test_empty_subject_list_fails(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["prepare", "train-eval", "select-channels"])
+    def test_empty_subject_list_fails(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path / "exp.cfg", subjects="")
-        assert main(["prepare", "--config", str(cfg)]) == 1
-        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err["error"] == "ValueError"
+        assert main([command, "--config", str(cfg)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err == {"error": "ValueError", "message": "config lists no subjects"}
 
     def test_partial_cohort_warns_but_succeeds(self, tmp_path, rng, capsys):
         build_dataset(tmp_path / "data", [1], [3, 4], ["C3..", "C4.."], rng,
@@ -489,11 +497,32 @@ class TestPrepare:
         tmp_path, _ = workspace
         cfg = write_config(tmp_path / "exp9.cfg", runs="9")
         assert main(["prepare", "--config", str(cfg)]) == 1
-        err = json.loads(capsys.readouterr().err.strip())
-        missing = [str(tmp_path / "data" / "S001" / "S001R09.edf"), "S001: no usable runs",
-                   str(tmp_path / "data" / "S002" / "S002R09.edf"), "S002: no usable runs"]
-        assert err == {"error": "ValueError", "message": f"no subjects could be prepared; "
-                                                         f"missing: {missing}; failed: []"}
+        warning, err = map(json.loads, capsys.readouterr().err.strip().splitlines())
+        assert warning == {"warning": "partial cohort", "missing": [
+            str(tmp_path / "data" / tag / f"{tag}R09.edf") for tag in ("S001", "S002")]}
+        reason = "ValueError: no usable run: none of runs [9] exists and holds a labeled trial"
+        assert err == {"error": "ValueError", "message": "no subject completed prepare; "
+                       f"failures: {({'S001': reason, 'S002': reason})}"}
+
+    def test_subject_without_a_labeled_trial_fails_alone(self, tmp_path, rng, capsys):
+        # S002's two runs hold only rest trials; S001's run 4 is absent
+        for tag, run in (("S001", 3), ("S002", 3), ("S002", 4)):
+            rec = make_motor_recording(rng, ["C3", "C4"], n_trials=8, discriminative=(1,))
+            if tag == "S002":
+                rec = replace(rec, annotations=[replace(a, code="T0") for a in rec.annotations])
+            write_csv_run(tmp_path / "data" / tag / f"{tag}R{run:02d}.csv", rec)
+        cfg = write_config(tmp_path / "exp.cfg", input_format="csv")
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        absent = [str(tmp_path / "data" / "S001" / "S001R04.csv")]
+        assert (list(summary["cached"]), summary["failed_subjects"], summary["missing"]) == (
+            ["S001"], ["S002"], absent)
+        warning, failed = map(json.loads, captured.err.splitlines())
+        assert warning == {"warning": "partial cohort", "missing": absent}
+        assert failed == {"warning": "subjects failed", "failed": {"S002": (
+            "ValueError: no usable run: none of runs [3, 4] exists and holds a labeled trial")}}
+        assert not (tmp_path / "cache" / "S002").exists()
 
     def test_no_subject_prepared_fails(self, workspace, capsys):
         tmp_path, cfg = workspace
@@ -1215,7 +1244,7 @@ class TestDerivedMemo:
         (damage, kind) for damage in ("truncate", "garbage", "wrong shape")
         for kind in ("model", "trace")
     ] + [(damage, "model") for damage in ("NaN", "asymmetric", "negative definite",
-                                             "below the floor")]
+                                             "below the floor", "single precision")]
       + [(damage, "trace") for damage in (
           "channel out of range", "channel kept twice", "fractional channel", "NaN distance",
           "infinite drop", "iterations out of order", "another problem")])
@@ -1241,6 +1270,8 @@ class TestDerivedMemo:
                 centroid[...] = (v * np.r_[1e-13 * w[-1], w[1:]]) @ v.T
             elif damage == "negative definite":
                 centroid[...] = -np.eye(len(centroid))
+            elif damage == "single precision":  # the right shape, rounded
+                model = model.astype("<f4")
             np.save(entry, np.eye(3) if damage == "wrong shape" else model)
         else:
             trace = spdgeom.trace_from_json(entry.read_text())
@@ -1270,6 +1301,9 @@ class TestDerivedMemo:
         if damage in ("negative definite", "below the floor"):
             assert reason.startswith(f"ValueError: {entry}: SingularMatrixError: centroid 1 is "
                                      "singular: ")
+        if damage == "single precision":
+            assert reason == (f"ValueError: {entry}: ValueError: model is <f4 {model.shape}, "
+                              f"expected <f8 {model.shape}")
         if damage == "another problem":  # a valid trace that reduces 4 channels to 2
             assert reason == f"ValueError: {entry}: ValueError: trace reduces 4 channels to 2, " \
                              "not 6 to 2"

@@ -226,3 +226,12 @@ class TestSpatialMap:
         with pytest.raises(ValueError) as err:
             montage.load_spatial_map(path)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, shape", [("", "(0,)"), ("1,2,3\n4,5,6\n", "(2, 3)")],
+                             ids=["empty", "2 x 3"])
+    def test_csv_rejects_non_square(self, tmp_path, text, shape):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as err:
+            montage.load_spatial_map(path)
+        assert str(err.value) == f"spatial map file must be square, got {shape}"

@@ -436,3 +436,19 @@ def test_readme_library_example_runs(capsys):
     distance, chance, test = capsys.readouterr().out.splitlines()
     assert float(distance) == pytest.approx(1.0149384999516553, rel=1e-12)
     assert (chance, test) == (repr(2 / 3), "0.0625 exact")
+
+
+def test_readme_config_and_command_lines_parse(tmp_path):
+    # README's config example loads and finds its layout, and each line of its
+    # "Command line" block parses with `cli.build_parser()`
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (tmp_path / "exp.cfg").write_text(readme.split("```ini\n", 1)[1].split("```", 1)[0],
+                                      encoding="utf-8")
+    cfg = cli.load_config(tmp_path / "exp.cfg")
+    assert cli._load_layout(cfg).names == montage.default_layout().names
+    section = readme.split("\n## Command line\n", 1)[1]
+    parser = cli.build_parser()
+    for line in section.split("```sh\n", 1)[1].split("```", 1)[0].splitlines():
+        program, *argv = line.split("#", 1)[0].split()
+        assert program == "emdscalp"
+        parser.parse_args(argv)

@@ -58,7 +58,7 @@ class TestEDFReader:
         raw[252:256] = b"0   "
         bad = tmp_path / "zero.edf"
         bad.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="malformed header"):
+        with pytest.raises(ValueError, match="^malformed header: claims 0 signals$"):
             read_recording(bad)
 
     def test_truncated_records_rejected(self, tmp_path):
@@ -153,36 +153,50 @@ class TestEDFReader:
         (244, b"0", "malformed header: record duration 0.0"),
         (244, b"-1", "malformed header: record duration -1.0"),
         (256, b"EDF Annotations", "recording has no data channels"),
+        (464, b"nan", "malformed header: bad physical min field b'nan     '"),
         (512, b"-32768", "malformed header: flat digital range on signal 0"),
+        (688, b"0", "malformed header: 0 samples per record"),
+        (272, b"EEG x", "channels with differing sample rates unsupported: [4.0, 160.0]"),
     ], ids=["zero record duration", "negative record duration", "no data channel",
-            "flat digital range"])
+            "NaN physical min", "flat digital range", "no samples per record",
+            "differing sample rates"])
     def test_bad_header_field_rejected(self, tmp_path, start, value, message):
         # fields of a two-signal file: the record duration at 244, signal 0's
-        # label at 256 and its digital maximum at 256 + 128 * 2
+        # label at 256, signal 1's (the annotations') at 272, and signal 0's
+        # physical minimum at 256 + 104 * 2, digital maximum at 256 + 128 * 2
+        # and samples per record at 256 + 216 * 2
         path = write_edf(tmp_path / "a.edf", np.zeros((1, int(FS))), FS)
         raw = bytearray(path.read_bytes())
-        width = {244: 8, 256: 16, 512: 8}[start]
+        width = {244: 8, 256: 16, 272: 16, 464: 8, 512: 8, 688: 8}[start]
         raw[start:start + width] = value.ljust(width)
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_recording(path)
 
-    @pytest.mark.parametrize("tal", [b"+inf\x14T1\x14", b"+0.5\x15nan\x14T1\x14"])
-    def test_non_finite_tal_onset_or_duration_rejected(self, tmp_path, tal):
+    @pytest.mark.parametrize("tal, message", [
+        (b"+inf\x14T1\x14", "unknown annotation encoding: b'+inf\\x14T1\\x14'"),
+        (b"+0.5\x15nan\x14T1\x14", "unknown annotation encoding: b'+0.5\\x15nan\\x14T1\\x14'"),
+        (b"+0.5\x151", "unknown annotation encoding: b'+0.5\\x151'"),
+        (b"+2\x14T1\x14", "annotation onset 320 outside data bounds"),
+    ], ids=["infinite onset", "NaN duration", "no annotation", "onset past the data"])
+    def test_bad_later_tal_rejected(self, tmp_path, tal, message):
+        # the TAL after the last record's time-keeping one
         path = write_edf(tmp_path / "a.edf", np.zeros((1, int(FS))), FS,
                          annotations=[(0.5, 1.0, "T1")])
         raw = path.read_bytes()
         assert raw.endswith(b"+0\x14\x14\x00+0.5\x151\x14T1\x14\x00\x00\x00")
         path.write_bytes(raw[:-18] + (b"+0\x14\x14\x00" + tal).ljust(18, b"\x00"))
-        with pytest.raises(ValueError, match=f"^unknown annotation encoding: "
-                                             f"{re.escape(repr(tal))}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             read_recording(path)
 
-    def test_short_file_rejected(self, tmp_path):
-        bad = tmp_path / "tiny.edf"
-        bad.write_bytes(b"0       ")
-        with pytest.raises(ValueError, match="malformed header"):
-            read_recording(bad)
+    @pytest.mark.parametrize("size, message", [
+        (8, "file shorter than 256 bytes"), (600, "truncated signal header block")])
+    def test_short_file_rejected(self, tmp_path, size, message):
+        # the first bytes of a two-signal file, whose header takes 768
+        path = write_edf(tmp_path / "a.edf", np.zeros((1, int(FS))), FS)
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ValueError, match=f"^malformed header: {message}$"):
+            read_recording(path)
 
     def test_garbled_annotation_rejected(self, tmp_path):
         data = np.zeros((1, int(FS)))

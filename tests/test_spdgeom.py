@@ -188,7 +188,8 @@ class TestRiemannianDistance:
             assert abs(d - dw) <= 1e-7 * max(d, 1.0)
 
     def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
+        with pytest.raises(ValueError, match=r"^second matrix dim \(3, 3\) does not match "
+                                             r"\(2, 2\): matrices differ in dimension$"):
             riemannian_distance(np.eye(2), np.eye(3))
 
     def test_non_spd_rejected(self):
