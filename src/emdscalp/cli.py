@@ -16,6 +16,7 @@ import math
 import os
 import shutil
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -517,29 +518,46 @@ def cmd_prepare(cfg: ExperimentConfig) -> dict:
                      if not (path := _run_path(cfg, subject, run)).exists())
     if missing:
         print(json.dumps({"warning": "partial cohort", "missing": missing}), file=sys.stderr)
+    # one subject at a time: each holds its whole recordings
     done, failed = _each_subject(cfg, "prepare", lambda subject: _prepare_subject(
-        cfg, cache_dir, subject))
+        cfg, cache_dir, subject), concurrent=False)
     return {"cached": {tag: n for tag, n, _ in done}, "failed_subjects": failed,
             "missing": missing, "skipped_trials": {tag: k for tag, _, k in done}}
 
 
-def _each_subject(cfg: ExperimentConfig, command: str, run_one) -> tuple[list, list[str]]:
-    """Apply ``run_one`` to every configured subject, in order.
+def _each_subject(cfg: ExperimentConfig, command: str, run_one, *,
+                  concurrent: bool) -> tuple[list, list[str]]:
+    """Apply ``run_one`` to every configured subject, in subject order.
 
     A subject whose input or cache is missing or corrupt, or whose Fréchet
     mean does not converge, is reported on stderr and skipped; the run
     continues.  Returns the results and the failed subject tags; raises only
-    when the config lists no subject or none completes.
+    when the config lists no subject or none completes.  With `concurrent`,
+    the subjects run on a pool of one thread per subject, up to the usable
+    CPUs (``spdgeom.mdm_fit`` then fits its classes on the subject's thread);
+    results, failures and stderr keep subject order, and any other exception
+    is the first in subject order, raised once no subject is left running.
     """
     if not cfg.subjects:
         raise ValueError("config lists no subjects")
-    results = []
-    failed: dict[str, str] = {}
-    for subject in sorted(cfg.subjects):
+    subjects = sorted(cfg.subjects)
+
+    def attempt(subject: int) -> tuple[object, str | None]:
         try:
-            results.append(run_one(subject))
+            return run_one(subject), None
         except (FileNotFoundError, spdgeom.FrechetMeanError, ValueError) as exc:
-            failed[_subject_tag(subject)] = f"{type(exc).__name__}: {exc}"
+            return None, f"{type(exc).__name__}: {exc}"
+
+    workers = min(len(subjects), spdgeom._usable_cpus()) if concurrent else 1
+    if workers > 1:
+        # map cancels the subjects not started once one raises; `with` waits for the rest
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(attempt, subjects))
+    else:
+        outcomes = [attempt(subject) for subject in subjects]
+    results = [result for result, error in outcomes if error is None]
+    failed = {_subject_tag(subject): error
+              for subject, (_, error) in zip(subjects, outcomes) if error is not None}
     if not results:
         raise ValueError(f"no subject completed {command}; failures: {failed}")
     if failed:
@@ -557,19 +575,40 @@ def _read_split(cfg: ExperimentConfig, layout: montage.GridLayout, cache_dir: Pa
     montage left out), then the shrunk covariances, one ``(n, d, d)`` array,
     labels and cache epoch numbers of its training and of its test epochs.
     Channel names that name one electrode twice, or labels that cannot be
-    split, raise a ``ValueError`` that starts with the path of ``index.json``."""
+    split, raise a ``ValueError`` that starts with the path of ``index.json``.
+
+    The subject is held as one copy: the array read from the cache is shrunk
+    in place and its rows permuted in place into the training epochs,
+    grouped by class in sorted-label (``stats._class_partition``) order and
+    ascending within a class (so ``spdgeom.mdm_fit`` fits each class on a view), then
+    the test epochs, ascending.  Both parts are views of that array."""
     covs, index = read_epoch_cache(cache_dir, subject)
-    covs, labels = spdgeom.shrink(covs, cfg.shrinkage), index["labels"]
-
-    def part(idx: list[int]) -> _Part:
-        return covs[idx], [labels[i] for i in idx], idx
-
+    labels = index["labels"]
+    spdgeom._shrink_in_place(covs, cfg.shrinkage)
     with _reading(cache_dir / _subject_tag(subject) / "index.json"):
         names = index["channel_names"]
         kept = [i for i, name in enumerate(names) if name in layout]
         lookup = dict(zip(layout.resolve_all(names[i] for i in kept), kept))
         train, test = signal.split(labels, cfg.seed, cfg.test_fraction)
-    return lookup, part(train), part(test)
+    train.sort(key=labels.__getitem__)  # stable: by class, ascending within a class
+    _permute_rows(covs, train + test)
+    n = len(train)
+    return (lookup, (covs[:n], [labels[i] for i in train], train),
+            (covs[n:], [labels[i] for i in test], test))
+
+
+def _permute_rows(rows: np.ndarray, order: list[int]) -> None:
+    """Move row ``order[k]`` of `rows` to row k, in place: each cycle of the
+    permutation is followed with one row held aside."""
+    done = [False] * len(order)
+    for start in range(len(order)):
+        if done[start] or order[start] == start:
+            continue
+        held, k = rows[start].copy(), start
+        while order[k] != start:
+            rows[k] = rows[order[k]]
+            done[k], k = True, order[k]
+        rows[k], done[k] = held, True
 
 
 @contextmanager
@@ -646,7 +685,7 @@ def cmd_train_eval(cfg: ExperimentConfig) -> dict:
     cache_dir = Path(cfg.cache_dir)
     out_dir = Path(cfg.output_dir)
     done, failed = _each_subject(cfg, "train-eval", lambda subject: _train_eval_subject(
-        cfg, layout, cache_dir, out_dir, subject))
+        cfg, layout, cache_dir, out_dir, subject), concurrent=True)
     rows = [row for row, _ in done]
     selections = {_subject_tag(row["subject"]): names for row, names in done
                   if names is not None}
@@ -690,7 +729,7 @@ def cmd_select_channels(cfg: ExperimentConfig) -> dict:
         _write_trace(out_dir, subject, trace)
         return _subject_tag(subject), names
 
-    done, failed = _each_subject(cfg, "select-channels", select)
+    done, failed = _each_subject(cfg, "select-channels", select, concurrent=True)
     _write_cohort(out_dir, "riemannian", dict(done))
     return {"subjects": len(done), "failed_subjects": failed,
             "output_dir": str(out_dir)}

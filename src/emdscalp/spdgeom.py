@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Hashable, Sequence
@@ -288,15 +289,20 @@ def shrink(cov: np.ndarray, shrinkage: float) -> np.ndarray:
     ``(1 - shrinkage) * S + shrinkage * (tr(S)/dim) * I``, of one matrix or
     of each in a stack ``(..., d, d)``; a stack gives the bytes of its
     matrices shrunk one by one.  Any positive `shrinkage` makes a
-    covariance positive definite."""
+    covariance positive definite.  `cov` is left as it is: the blend is
+    `_shrink_in_place` on a float copy, the same operations in the same order."""
+    return _shrink_in_place(np.array(cov, dtype=float), shrinkage)
+
+
+def _shrink_in_place(cov: np.ndarray, shrinkage: float) -> np.ndarray:
+    """`shrink` of the writeable float array `cov`, written over it; returns `cov`."""
     if not 0.0 <= shrinkage < 1.0:
         raise ValueError(f"shrinkage must be in [0, 1), got {shrinkage}")
-    cov = np.asarray(cov, dtype=float)
     scale = shrinkage * (np.trace(cov, axis1=-2, axis2=-1) / cov.shape[-1])
-    out = cov * (1.0 - shrinkage)
-    out += (scale * 0.0)[..., None, None]  # the formula's off-diagonal + 0.0: -0.0 -> +0.0
-    np.einsum("...ii->...i", out)[...] += scale[..., None]
-    return out
+    cov *= 1.0 - shrinkage
+    cov += (scale * 0.0)[..., None, None]  # the formula's off-diagonal + 0.0: -0.0 -> +0.0
+    np.einsum("...ii->...i", cov)[...] += scale[..., None]
+    return cov
 
 
 def riemannian_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -404,10 +410,14 @@ def mdm_fit(covs: Sequence[np.ndarray], labels: Sequence[Hashable]) -> MDMModel:
     channel subset by passing ``restrict_channels(covs, subset)``.  One
     `frechet_mean` centroid, at its defaults, is estimated per class, in
     ``stats._class_partition`` order; that order fixes the prediction
-    tie-break.  A thread pool of one worker per class, up to the usable
-    CPUs, maps the classes; the centroids are the same bytes on any CPU
-    count, and the first failing class in class order raises its own
-    exception, a `MatrixError` renamed to ``covariance j`` of `covs`.
+    tie-break.  A class whose rows are contiguous in `covs` is fitted on a
+    view of them, any other on a copy.  Called from the main thread, a
+    thread pool of one worker per class, up to the usable CPUs, maps the
+    classes; from any other thread, whose caller's pool already spends the
+    CPUs (``cli`` runs subjects so), the classes run one after the other on
+    it.  The centroids are the same bytes on any CPU count and thread, and
+    the first failing class in class order raises its own exception, a
+    `MatrixError` renamed to ``covariance j`` of `covs`.
     """
     if len(covs) != len(labels):
         raise ValueError("covs and labels lengths differ")
@@ -419,12 +429,16 @@ def mdm_fit(covs: Sequence[np.ndarray], labels: Sequence[Hashable]) -> MDMModel:
         raise ValueError("need at least 2 classes")
 
     def fit(idx: list[int]) -> np.ndarray:
+        # idx ascends, so its rows are contiguous when it spans len(idx) of them
+        rows = slice(idx[0], idx[-1] + 1) if idx[-1] - idx[0] == len(idx) - 1 else idx
         try:
-            return frechet_mean(covs[idx])
+            return frechet_mean(covs[rows])
         except MatrixError as exc:  # named in `covs`, not in its class
             exc.rename(idx[exc.index], "covariance {j}")
             raise
 
+    if threading.current_thread() is not threading.main_thread():
+        return MDMModel(classes=tuple(groups), centroids=tuple(map(fit, groups.values())))
     with ThreadPoolExecutor(max_workers=min(len(groups), _usable_cpus())) as pool:
         centroids = tuple(pool.map(fit, groups.values()))
     return MDMModel(classes=tuple(groups), centroids=centroids)

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import threading
 import weakref
 from dataclasses import fields, replace
 from pathlib import Path
@@ -1169,6 +1170,170 @@ class TestLoadableEpochDamage:
             assert err.value.__cause__ is exc and repr(exc) == repr(renamed)
             back = pickle.loads(pickle.dumps(exc))
             assert (type(back), back.args, str(back)) == (type(exc), renamed.args, str(renamed))
+
+
+class TestConcurrentSubjects:
+    """``train-eval`` and ``select-channels`` run their subjects on a pool of
+    up to one thread per usable CPU; what they write, print and report does
+    not depend on the CPU count."""
+
+    CHAIN = (("train-eval", "all64"), ("train-eval", "mi21"), ("train-eval", "feat21"),
+             ("select-channels", "all64"))
+
+    @pytest.fixture(scope="class")
+    def prepared(self, tmp_path_factory) -> Path:
+        """Four one-run CSV subjects of `CHANNELS_23`, prepared into ``cache``."""
+        root = tmp_path_factory.mktemp("concurrent_subjects")
+        rng = np.random.default_rng(23)
+        for sid in (1, 2, 3, 4):
+            rec = make_motor_recording(rng, CHANNELS_23, n_trials=8, discriminative=(8, 12))
+            write_csv_run(root / "data" / f"S{sid:03d}" / f"S{sid:03d}R03.csv", rec)
+        assert main(["prepare", "--config", str(self._config(root, root, "all64"))]) == 0
+        return root
+
+    @staticmethod
+    def _config(run: Path, cohort: Path, channel_config: str) -> Path:
+        return write_config(run / f"{channel_config}.cfg", dataset_root=cohort / "data",
+                            subjects="1,2,3,4", runs="3", input_format="csv",
+                            channel_config=channel_config)
+
+    def _chain(self, prepared: Path, run: Path, capsys, corrupt: bool = False) -> list:
+        """Run `CHAIN` in `run` on a copy of the prepared cache, with S002's
+        ``epochs.npy`` cut short if `corrupt`; each command's stdout and
+        stderr, `run`'s path replaced."""
+        shutil.copytree(prepared / "cache", run / "cache")
+        if corrupt:
+            npy = run / "cache" / "S002" / "epochs.npy"
+            npy.write_bytes(npy.read_bytes()[:-8])
+        capsys.readouterr()
+        printed = []
+        for command, channel_config in self.CHAIN:
+            assert main([command, "--config", str(self._config(run, prepared, channel_config)),
+                         "--output-dir", str(run / "out" / f"{command}-{channel_config}")]) == 0
+            captured = capsys.readouterr()
+            printed.append(tuple(text.replace(str(run), "<run>")
+                                 for text in (captured.out, captured.err)))
+        return printed
+
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["clean", "S002 corrupt"])
+    def test_same_bytes_and_reports_on_any_cpu_count(self, prepared, tmp_path, monkeypatch,
+                                                     capsys, corrupt):
+        # three subject threads on a host that may have fewer CPUs, switching
+        # often, so that any state the subjects' steps share shows up
+        outcomes, interval = [], sys.getswitchinterval()
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(spdgeom, "_usable_cpus", lambda: cpus)
+            run = tmp_path / f"cpus{cpus}"
+            sys.setswitchinterval(1e-5)
+            try:
+                printed = self._chain(prepared, run, capsys, corrupt)
+            finally:
+                sys.setswitchinterval(interval)
+            for out, err in printed:
+                assert json.loads(out)["failed_subjects"] == (["S002"] if corrupt else [])
+                assert bool(err) == corrupt
+            outcomes.append((_tree(run / "out"), printed))
+        assert len(outcomes[0][0]) == 18 - 2 * corrupt  # rows, cohorts, maps and traces
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    def test_two_subjects_run_at_once_on_two_cpus(self, prepared, tmp_path, monkeypatch,
+                                                  capsys):
+        # each subject's step waits at the barrier until another subject's
+        # arrives, so the commands complete only if two steps run at once;
+        # the class means run on the subjects' threads, not on helpers
+        monkeypatch.setattr(spdgeom, "_usable_cpus", lambda: 2)
+        barrier = threading.Barrier(2, timeout=10)
+        read_split, frechet_mean = cli._read_split, spdgeom.frechet_mean
+        subject_threads, mean_threads = set(), set()
+
+        def meet(cfg, layout, cache_dir, subject):
+            subject_threads.add(threading.get_ident())
+            barrier.wait()
+            return read_split(cfg, layout, cache_dir, subject)
+
+        def mean(mats):
+            mean_threads.add(threading.get_ident())
+            return frechet_mean(mats)
+
+        monkeypatch.setattr(cli, "_read_split", meet)
+        monkeypatch.setattr(spdgeom, "frechet_mean", mean)
+        for out, _ in self._chain(prepared, tmp_path, capsys):
+            assert json.loads(out)["failed_subjects"] == []
+        assert len(subject_threads) >= 2 and threading.get_ident() not in subject_threads
+        assert mean_threads and mean_threads <= subject_threads
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("command", ["train-eval", "select-channels"])
+    def test_other_error_is_the_first_subjects_on_any_cpu_count(self, prepared, tmp_path,
+                                                                monkeypatch, capsys, cpus,
+                                                                command):
+        # S002 and S003 raise an error that fails the command, not the subject;
+        # on two CPUs S003 (started when S001 ends) raises first in time
+        monkeypatch.setattr(spdgeom, "_usable_cpus", lambda: cpus)
+        read_split, s003_raised = cli._read_split, threading.Event()
+
+        def fail(cfg, layout, cache_dir, subject):
+            if subject == 3:
+                s003_raised.set()
+                raise RuntimeError("S003's step")
+            if subject == 2:
+                s003_raised.wait(timeout=30 if cpus > 1 else 0)
+                raise RuntimeError("S002's step")
+            return read_split(cfg, layout, cache_dir, subject)
+
+        monkeypatch.setattr(cli, "_read_split", fail)
+        shutil.copytree(prepared / "cache", tmp_path / "cache")
+        capsys.readouterr()
+        before = threading.active_count()
+        assert main([command, "--config", str(self._config(tmp_path, prepared, "all64"))]) == 1
+        assert threading.active_count() == before  # no worker left running
+        assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
+            "error": "RuntimeError", "message": "S002's step"}
+        assert s003_raised.is_set() == (cpus > 1)
+
+
+class TestReadSplit:
+    def test_one_shrunk_array_in_training_then_test_order(self, workspace, layout,
+                                                          monkeypatch):
+        # the parts are views of one array, training rows grouped by class,
+        # and each class's Fréchet mean reads the training rows themselves
+        tmp_path, cfg_path = workspace
+        assert main(["prepare", "--config", str(cfg_path)]) == 0
+        cfg = load_config(cfg_path)
+        cache = Path(cfg.cache_dir)
+        read_epoch_cache, loaded = cli.read_epoch_cache, []
+
+        def read(cache_dir, subject):
+            covs, index = read_epoch_cache(cache_dir, subject)
+            loaded.append(covs)
+            return covs, index
+
+        monkeypatch.setattr(cli, "read_epoch_cache", read)
+        _, (train, train_labels, train_epochs), (test, test_labels, test_epochs) = \
+            cli._read_split(cfg, layout, cache, 1)
+        # both parts lie in the very array the cache read returned
+        assert train.base is not None and train.base is test.base
+        assert np.shares_memory(loaded[0], train) and np.shares_memory(loaded[0], test)
+        assert train.flags.c_contiguous and test.flags.c_contiguous
+        covs, index = read_epoch_cache(cache, 1)
+        want, labels = spdgeom.shrink(covs, cfg.shrinkage), index["labels"]
+        for part, part_labels, epochs in ((train, train_labels, train_epochs),
+                                          (test, test_labels, test_epochs)):
+            assert [m.tobytes() for m in part] == [want[e].tobytes() for e in epochs]
+            assert part_labels == [labels[e] for e in epochs]
+        split_train, split_test = signal.split(labels, cfg.seed, cfg.test_fraction)
+        assert test_epochs == split_test
+        assert train_epochs == [e for c in sorted(set(labels)) for e in split_train
+                                if labels[e] == c]
+        frechet_mean, shared = spdgeom.frechet_mean, []
+
+        def mean(mats):
+            shared.append(np.shares_memory(mats, train))
+            return frechet_mean(mats)
+
+        monkeypatch.setattr(spdgeom, "frechet_mean", mean)
+        spdgeom.mdm_fit(train, train_labels)
+        assert shared == [True, True]
 
 
 def _memo_entries(tmp_path: Path, subject: str = "S002") -> list[Path]:
