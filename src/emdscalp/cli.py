@@ -196,7 +196,7 @@ def _subject_tag(subject: int) -> str:
 
 
 #: Cache layout version; ``read_epoch_cache`` accepts this one only.
-CACHE_FORMAT_VERSION = 4
+CACHE_FORMAT_VERSION = 5
 #: dtype of ``epochs.npy``: little-endian float64 round-trips every bit.
 _EPOCH_DTYPE = np.dtype("<f8")
 

@@ -4,9 +4,10 @@ EDF/EDF+ parsing, 8-30 Hz zero-phase bandpass, segmentation of labeled
 trials into fixed-length epochs, and seeded stratified train/test splitting.
 Annotations are kept in sample units throughout.
 
-The bandpass has the semantics of scipy's ``filtfilt`` on the coefficients
-of scipy's ``butter``, which `_butter_bandpass` reproduces byte for byte.
-Its recurrence runs over blocks of `_BLOCK_LEN` = 64 samples as matrix
+The bandpass has the semantics of scipy's ``sosfiltfilt`` on the
+second-order sections of scipy's ``butter`` design, whose zeros, poles and
+gain `_butter_bandpass` reproduces byte for byte.  Its recurrence runs on
+the sections' states over blocks of `_BLOCK_LEN` = 64 samples as matrix
 products over all channels (Burrus, "Block realization of digital filters",
 1972).
 """
@@ -291,21 +292,22 @@ def read_recording_csv(
 
 
 #: Butterworth order of the bandpass prototype; the digital filter has twice as
-#: many poles, so the recurrence carries ``2 * _ORDER`` states.
+#: many poles, in `_ORDER` second-order sections of 2 states each.
 _ORDER = 4
 #: Samples per block of the block recurrence: the block matrices are built in
 #: L steps and each block costs a (c, L) x (L, L + 8) product.
 _BLOCK_LEN = 64
 
 
-def _butter_bandpass(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Transfer-function coefficients ``(b, a)`` of the digital Butterworth
-    bandpass of order `_ORDER` with edges `lo`, `hi` as fractions of Nyquist.
+def _butter_bandpass(lo: float, hi: float) -> tuple[np.ndarray, float]:
+    """Poles and gain of the digital Butterworth bandpass of order `_ORDER`
+    with edges `lo`, `hi` as fractions of Nyquist; its zeros are `_ORDER` at
+    z = 1 and `_ORDER` at z = -1.
 
     The analog prototype's poles go through the bandpass substitution and
     the bilinear transform at a pre-warped sampling rate of 2, in the same
-    operations and order as scipy's ``butter(_ORDER, [lo, hi], "bandpass")``,
-    so both give the same bytes.
+    operations and order as scipy's ``butter(_ORDER, [lo, hi], "bandpass",
+    output="zpk")``, so both give the same bytes.
     """
     m = np.arange(-_ORDER + 1, _ORDER, 2, dtype=float)
     p = -np.exp(1j * np.pi * m / (2 * _ORDER))  # analog lowpass, cutoff 1 rad/s
@@ -314,101 +316,95 @@ def _butter_bandpass(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     p_lp = p * bw / 2
     p_bp = np.concatenate((p_lp + np.sqrt(p_lp**2 - wo**2),
                            p_lp - np.sqrt(p_lp**2 - wo**2)))
-    z_bp = np.zeros(_ORDER, dtype=complex)  # the other _ORDER zeros are at infinity
-    z_z = np.concatenate(((4.0 + z_bp) / (4.0 - z_bp), -np.ones(_ORDER)))
-    p_z = (4.0 + p_bp) / (4.0 - p_bp)
-    k_z = bw**_ORDER * np.real(np.prod(4.0 - z_bp) / np.prod(4.0 - p_bp))
-    return k_z * np.poly(z_z), np.poly(p_z)
+    # 4.0**_ORDER: the analog zeros are _ORDER at 0 and _ORDER at infinity
+    return (4.0 + p_bp) / (4.0 - p_bp), bw**_ORDER * np.real(4.0**_ORDER / np.prod(4.0 - p_bp))
 
 
-def _block_matrices(b: np.ndarray, a: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(Hᵀ, Oᵀ, R, (Fᴸ)ᵀ, zi, g)``: the direct-form-II-transposed recurrence
-    of ``(b, a)`` over blocks of ``L = _BLOCK_LEN`` samples (Burrus 1972), and
-    its steady state for a unit step, for row-vector states in the basis
-    below.
+def _sections(p: np.ndarray, k: float) -> np.ndarray:
+    """The ``(_ORDER, 6)`` sections ``[b0, b1, b2, 1, a1, a2]`` of the poles `p`
+    and gain `k`: one per conjugate pair ``q, q̄`` with ``a = [1, -(q + q̄), q·q̄]``,
+    the gain in the first.  The `_ORDER // 2` pairs nearest z = 1 take the
+    zeros at 1, ``b = [1, -2, 1]``, the others those at -1, ``b = [1, 2, 1]``,
+    so that no section's states grow far past the signal."""
+    # p holds two conjugate-closed halves, each as [q0, q1, q̄1, q̄0]
+    q = p.reshape(2, _ORDER)[:, :_ORDER // 2].ravel()
+    sos = np.zeros((_ORDER, 6))
+    sos[:, :4] = [1.0, 2.0, 1.0, 1.0]
+    sos[np.argsort(q.real)[_ORDER // 2:], 1] = -2.0
+    sos[:, 4], sos[:, 5] = -2.0 * q.real, q.real**2 + q.imag**2
+    sos[0, :3] *= k
+    return sos
 
-    A block ``X`` of shape ``(c, L)`` entered with states ``Z`` of shape
-    ``(c, m)`` leaves outputs ``X·Hᵀ + Z·Oᵀ`` and states ``Z·(Fᴸ)ᵀ + X·R``;
-    a constant unit input holds the states at `zi` and the output at `g`.
-    The four matrices come from running the recurrence itself, in float64,
-    for L steps from the m unit states and from a unit impulse; no power of
-    the companion matrix is formed.  The states are then carried in the
-    orthonormal basis of their L-step zero-input responses (the Q of
-    ``O = Q·U``): the direct-form states run to ~8x the output and their
-    responses cancel, which nearly doubled the filter's error.
+
+def _block_matrices(sos: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``(Hᵀ, Oᵀ, R, Aᴸ, zi)`` of the direct-form-II-transposed sections `sos`
+    for row-vector states, over blocks of ``L = _BLOCK_LEN`` samples (Burrus 1972).
+
+    One step maps states ``z`` and input ``x`` to states ``z·A + x·B`` and
+    output ``z·C + x·D``.  A block ``X`` (c, L) entered with states ``Z``
+    (c, m) leaves outputs ``X·Hᵀ + Z·Oᵀ`` and states ``Z·Aᴸ + X·R``, all run
+    in float64 for L steps from the m unit states and a unit impulse; a
+    constant unit input holds the states at ``zi = zi·A + B``.
     """
-    m, L = len(a) - 1, _BLOCK_LEN
+    m, L = 2 * len(sos), _BLOCK_LEN
+    # [[A, C], [B, D]]: one step from each unit state (rows 0..m-1) and a unit input
+    step = np.eye(m + 1)
+    x = step[:, m].copy()
+    for j, (b0, b1, b2, _, a1, a2) in enumerate(sos):
+        y = b0 * x + step[:, 2 * j]
+        step[:, 2 * j] = b1 * x - a1 * y + step[:, 2 * j + 1]
+        step[:, 2 * j + 1] = b2 * x - a2 * y
+        x = y
+    step[:, m] = x
     # rows 0..m-1 start from unit states, row m from rest with a unit impulse
-    z = np.vstack([np.eye(m), np.zeros((1, m))])
-    x = np.zeros(m + 1)
-    x[m] = 1.0
+    zx = np.eye(m + 1)
     outputs, states = np.empty((L, m + 1)), np.empty((L, m))
     for k in range(L):
-        y = b[0] * x + z[:, 0]
-        z_next = np.outer(x, b[1:]) - np.outer(y, a[1:])
-        z_next[:, :-1] += z[:, 1:]
-        z = z_next
-        outputs[k], states[k] = y, z[m]
-        x[m] = 0.0
+        zx = zx @ step
+        outputs[k], states[k] = zx[:, m], zx[m, :m]
+        zx[:, m] = 0.0
     h = outputs[:, m]  # impulse response
     lag = np.subtract.outer(np.arange(L), np.arange(L))
     ht = np.where(lag >= 0, h[np.maximum(lag, 0)], 0.0).T
-    q, u = np.linalg.qr(outputs[:, :m])
+    zi = np.linalg.solve((np.eye(m) - step[:m, :m]).T, step[m, :m])
     # an impulse at sample j of a block reaches the block's end state after L - j steps
-    r = states[::-1] @ u.T
-    flt = np.linalg.solve(u.T, z[:m] @ u.T)
-    # steady state of the direct form: zi = A·zi + B with A the transposed companion
-    i_minus_a = np.eye(m) - np.eye(m, k=1)
-    i_minus_a[:, 0] += a[1:]
-    zi = np.linalg.solve(i_minus_a, b[1:] - a[1:] * b[0])
-    return ht, q.T.copy(), r, flt, zi @ u.T, zi[0] + b[0]
+    return ht, outputs[:, :m].T, states[::-1], zx[:m, :m], zi
 
 
 def _filter_blocks(blocks: np.ndarray, mats: tuple[np.ndarray, ...], backward: bool) -> None:
     """Filter the ``(c, n_blocks, L)`` array `blocks` in place, forward or
     backward in time, from the steady state for its first sample in that
-    direction, with the `_block_matrices` `mats`.
-
-    Each block's first sample is subtracted before the products and its
-    steady-state output added back after, so the products see only what
-    varies within a block and a DC offset or a slow drift costs no digits.
-    The states carry the deviation from that steady state, starting at 0.
-    """
-    ht, ot, r, flt, zi, g = mats
+    direction, with the `_block_matrices` `mats`."""
+    ht, ot, r, a_l, zi = mats
     if backward:  # blocks in reverse order, each read by the reversed matrices
         ht, ot, r = ht[::-1, ::-1], ot[:, ::-1], r[::-1]
     # one product per block for its outputs and end states from its samples,
     # one from its start states
-    from_samples, from_states = np.hstack([ht, r]), np.hstack([ot, flt])
-    L, n_blocks = len(ht), blocks.shape[1]
-    order = range(n_blocks - 1, -1, -1) if backward else range(n_blocks)
-    offsets = blocks[:, :, -1 if backward else 0, None].copy()
-    blocks -= offsets
-    in_order = offsets[:, order]
-    shifts = (in_order[:, :-1] - in_order[:, 1:]) * zi
-    z = np.zeros((blocks.shape[0], len(zi)))
-    for step, k in enumerate(order):
+    from_samples, from_states = np.hstack([ht, r]), np.hstack([ot, a_l])
+    L = len(ht)
+    order = range(blocks.shape[1] - 1, -1, -1) if backward else range(blocks.shape[1])
+    z = blocks[:, order[0], -1 if backward else 0, None] * zi
+    for k in order:
         block = blocks[:, k]
         out = block @ from_samples
         out += z @ from_states
-        if step < n_blocks - 1:
-            z = out[:, L:] + shifts[:, step]
+        z = out[:, L:]
         block[...] = out[:, :L]
-    blocks += offsets * g
 
 
 def bandpass(rec: Recording, lo: float = 8.0, hi: float = 30.0) -> Recording:
     """Zero-phase Butterworth bandpass, applied forward-backward per channel.
 
-    4th-order design; shape and annotations are preserved.  The semantics are
-    those of scipy's ``filtfilt(b, a, x, axis=1)`` with its defaults:
-    each channel is extended at both ends by odd reflection of
-    ``3 * max(len(a), len(b))`` = 27 samples, filtered forward from the
-    step-response steady state scaled by its first sample, then backward
-    from the same state scaled by the forward output's last sample, and the
-    extension is cut off again.  A run of 27 samples or fewer, or a band
-    whose rounded coefficients put a pole on or past the unit circle (an
-    edge very near 0 Hz or Nyquist), raises ``ValueError``.
+    4th-order design in second-order sections; shape and annotations are
+    preserved.  The semantics are those of scipy's ``sosfiltfilt(sos, x,
+    axis=1)`` with its defaults: each channel is extended at both ends by
+    odd reflection of 27 samples, filtered forward from the step-response
+    steady state scaled by its first sample, then backward from the same
+    state scaled by the forward output's last sample, and the extension is
+    cut off again.  A run of 27 samples or fewer raises ``ValueError``, and
+    so does a band one of whose rounded sections ``[1, a1, a2]`` leaves the
+    stability triangle ``|a2| < 1, |a1| < 1 + a2`` (an edge very near 0 Hz
+    or Nyquist).
 
     The recurrence runs over blocks of `_BLOCK_LEN` = 64 samples as matrix
     products over all channels at once, in float64 (see `_block_matrices`
@@ -420,11 +416,12 @@ def bandpass(rec: Recording, lo: float = 8.0, hi: float = 30.0) -> Recording:
     nyq = rec.sample_rate / 2.0
     if not 0.0 < lo < hi < nyq:
         raise ValueError(f"invalid band edges ({lo}, {hi}) for Nyquist {nyq}")
-    b, a = _butter_bandpass(lo / nyq, hi / nyq)
-    if (np.abs(np.roots(a)) >= 1.0).any():
+    sos = _sections(*_butter_bandpass(lo / nyq, hi / nyq))
+    a1, a2 = sos[:, 4], sos[:, 5]  # a2 = q·q̄ >= 0; no rounding below flips the sign
+    if not ((a2 < 1.0) & (1.0 - np.abs(a1) + a2 > 0.0)).all():
         raise ValueError(f"band ({lo}, {hi}) Hz is too close to 0 Hz or to Nyquist for a "
                          f"stable filter at {rec.sample_rate} Hz")
-    edge = 3 * max(len(a), len(b))
+    edge = 3 * (2 * _ORDER + 1)
     x = rec.data
     n = x.shape[1]
     if n <= edge:
@@ -437,7 +434,7 @@ def bandpass(rec: Recording, lo: float = 8.0, hi: float = 30.0) -> Recording:
     work[:, start + n:] = 2 * x[:, -1:] - x[:, -2:-edge - 2:-1]
     work[:, :pad] = work[:, pad:pad + 1]
     blocks = work.reshape(x.shape[0], work.shape[1] // _BLOCK_LEN, _BLOCK_LEN)
-    mats = _block_matrices(b, a)
+    mats = _block_matrices(sos)
     _filter_blocks(blocks, mats, backward=False)
     _filter_blocks(blocks, mats, backward=True)
     return Recording(list(rec.channel_names), rec.sample_rate, work[:, start:start + n],

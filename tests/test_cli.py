@@ -16,6 +16,7 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+import scipy.signal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -217,6 +218,23 @@ class TestPrepare:
         assert main(["prepare", "--config", str(cfg)]) == 0
         index = json.loads((tmp_path / "cache" / "S001" / "index.json").read_text())
         assert abs(len(index["labels"]) - 372) <= 0.05 * 372
+
+    def test_delta_band_caches_the_covariances_of_sosfiltfilt(self, tmp_path, rng, capsys):
+        # paper-length runs: 15 trials, 12160 samples at 160 Hz
+        build_dataset(tmp_path / "data", [1, 2], [3], CHANNELS_6, rng, n_trials=15)
+        cfg = write_config(tmp_path / "exp.cfg", runs="3", band_lo=0.5, band_hi=4.0)
+        assert main(["prepare", "--config", str(cfg)]) == 0
+        assert json.loads(capsys.readouterr().out)["failed_subjects"] == []
+        sos = scipy.signal.butter(4, [0.5, 4.0], btype="bandpass", fs=160.0, output="sos")
+        for subject in (1, 2):
+            rec = signal.read_recording(tmp_path / "data" / f"S00{subject}"
+                                        / f"S00{subject}R03.edf")
+            filtered = signal.Recording(rec.channel_names, rec.sample_rate,
+                                        scipy.signal.sosfiltfilt(sos, rec.data, axis=1),
+                                        rec.annotations)
+            expected = np.stack([np.cov(e.data) for e in signal.epoch_trials(filtered)[0]])
+            covs, _ = cli.read_epoch_cache(tmp_path / "cache", subject)
+            assert np.abs(covs - expected).max() <= 1e-9 * np.abs(expected).max()
 
     def test_one_covariance_call_per_run(self, workspace, monkeypatch):
         tmp_path, cfg = workspace
@@ -474,12 +492,13 @@ class TestPrepare:
 
     def test_band_without_a_stable_filter_fails_its_subjects(self, workspace, capsys):
         tmp_path, _ = workspace
-        cfg = write_config(tmp_path / "band.cfg", band_lo=70.0, band_hi=79.99)
+        cfg = write_config(tmp_path / "band.cfg", band_lo=40.0, band_hi=79.999999999999)
         assert main(["prepare", "--config", str(cfg)]) == 1
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         run = tmp_path / "data" / "S001" / "S001R03.edf"
-        assert (f"'S001': 'ValueError: {run}: ValueError: band (70.0, 79.99) Hz is too close "
-                "to 0 Hz or to Nyquist for a stable filter at 160.0 Hz'") in err["message"]
+        assert (f"'S001': 'ValueError: {run}: ValueError: band (40.0, 79.999999999999) Hz "
+                "is too close to 0 Hz or to Nyquist for a stable filter at 160.0 Hz'"
+                ) in err["message"]
 
     def test_csv_field_over_the_csv_limit_fails_only_its_subject(self, tmp_path, rng, capsys):
         for sid in (1, 2):
@@ -575,7 +594,7 @@ class TestEpochCache:
         cli.write_epoch_cache(cache_dir, 5, arr, labels, names)
         got, index = cli.read_epoch_cache(cache_dir, 5)
         assert got.tobytes() == arr.tobytes()
-        assert index == {"format_version": 4, "labels": labels, "channel_names": names}
+        assert index == {"format_version": 5, "labels": labels, "channel_names": names}
 
     @settings(max_examples=60, deadline=None)
     @given(epoch=hnp.arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(2, 8)),
@@ -635,6 +654,15 @@ class TestEpochCache:
             index, format_version=3, subject=1, sample_rate=160.0, dtype="<f8", n_epochs=3,
             n_channels=2, trials=[0, 1, 2], slices=[0, 0, 0])))
         with pytest.raises(ValueError, match="index.json.*format_version 3.*re-run prepare"):
+            cli.read_epoch_cache(tmp_path, 1)
+
+    def test_format_4_cache_asks_for_prepare(self, tmp_path):
+        # format 4 held covariances of the transfer-function bandpass, which
+        # diverged at delta and theta bands
+        _, index_path = _cache_files(tmp_path)
+        index = json.loads(index_path.read_text())
+        index_path.write_text(json.dumps(dict(index, format_version=4)))
+        with pytest.raises(ValueError, match="index.json.*format_version 4.*re-run prepare"):
             cli.read_epoch_cache(tmp_path, 1)
 
     def test_truncated_array_rejected(self, tmp_path):

@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.signal
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -359,10 +359,10 @@ class TestBandpass:
         with pytest.raises(ValueError, match="band edges"):
             bandpass(rec, 8.0, 90.0)
 
-    @pytest.mark.parametrize("lo, hi", [(70.0, 79.99), (1e-300, 40.0)])
+    @pytest.mark.parametrize("lo, hi", [(40.0, 80.0 - 1e-12), (1e-300, 40.0)])
     def test_unstable_rounded_design_rejected(self, rng, lo, hi):
-        # a root of the rounded a lies at |z| = 1.0003 or 1.0001 at 160 Hz,
-        # and the recurrence would grow past 1e20
+        # a rounded section [1, a1, a2] has a root on the unit circle at 160 Hz:
+        # a1 = 1 + a2 puts one at z = -1, and a = [1, -2, 1] two at z = 1
         rec = Recording(["a", "b"], FS, rng.normal(size=(2, 4000)))
         with pytest.raises(ValueError, match=re.escape(
                 f"band ({lo}, {hi}) Hz is too close to 0 Hz or to Nyquist for a stable "
@@ -376,9 +376,13 @@ class TestBandpass:
         nyq = fs / 2.0
         lo, hi = sorted(e * nyq for e in edges)
         assert 0.0 < lo < hi < nyq
-        b, a = signal._butter_bandpass(lo / nyq, hi / nyq)
-        expected = scipy.signal.butter(4, [lo / nyq, hi / nyq], btype="bandpass")
-        assert (b.tobytes(), a.tobytes()) == tuple(c.tobytes() for c in expected)
+        p, k = signal._butter_bandpass(lo / nyq, hi / nyq)
+        z_ref, p_ref, k_ref = scipy.signal.butter(4, [lo / nyq, hi / nyq], btype="bandpass",
+                                                  output="zpk")
+        # the zeros the sections' b rows carry: four at z = 1, four at z = -1
+        assert z_ref.tobytes() == np.repeat([1.0 + 0j, -1.0 + 0j], 4).tobytes()
+        assert (p.tobytes(), np.float64(k).tobytes()) == (p_ref.tobytes(),
+                                                          np.float64(k_ref).tobytes())
 
     @pytest.mark.parametrize("n_channels", [1, 64])
     @pytest.mark.parametrize("n_samples", [28, 63, 64, 65, 129, 12054])
@@ -391,12 +395,58 @@ class TestBandpass:
         expected = scipy.signal.filtfilt(b, a, x, axis=1)
         assert np.abs(y - expected).max() <= 1e-10 * np.abs(expected).max()
 
+    @pytest.mark.parametrize("lo, hi", [(0.5, 4.0), (1.0, 4.0), (1.0, 3.0), (4.0, 8.0),
+                                        (0.5, 8.0), (13.0, 30.0), (60.0, 79.0),
+                                        (70.0, 79.99)])
+    def test_agrees_with_scipy_sosfiltfilt(self, rng, lo, hi):
+        # a paper-length run (76 s at 160 Hz) on a DC offset, at delta, theta,
+        # narrow and near-Nyquist bands
+        x = rng.normal(scale=50.0, size=(2, 12160)) + rng.normal(scale=300.0, size=(2, 1))
+        y = bandpass(Recording(["a", "b"], FS, x), lo, hi).data
+        sos = scipy.signal.butter(4, [lo, hi], btype="bandpass", fs=FS, output="sos")
+        expected = scipy.signal.sosfiltfilt(sos, x, axis=1)
+        assert np.abs(y - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(fs=st.floats(100.0, 1000.0),
+           edges=st.lists(st.floats(0.005, 0.995), min_size=2, max_size=2, unique=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_any_band_agrees_with_scipy_sosfiltfilt(self, fs, edges, seed):
+        nyq = fs / 2.0
+        lo, hi = sorted(e * nyq for e in edges)
+        r = np.random.default_rng(seed)
+        x = r.normal(scale=50.0, size=(2, 4000)) + r.normal(scale=300.0, size=(2, 1))
+        y = bandpass(Recording(["a", "b"], fs, x), lo, hi).data
+        sos = scipy.signal.butter(4, [lo, hi], btype="bandpass", fs=fs, output="sos")
+        expected = scipy.signal.sosfiltfilt(sos, x, axis=1)
+        assert np.abs(y - expected).max() <= 1e-10 * np.abs(expected).max()
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(fs=st.floats(100.0, 1000.0), lo_digits=st.floats(0.0, 300.0),
+           hi_digits=st.floats(0.0, 15.5))
+    @example(fs=FS, lo_digits=np.log10(2.0), hi_digits=14.0)  # about 40 to 80 - 8e-13 Hz
+    @example(fs=FS, lo_digits=300.0, hi_digits=np.log10(2.0))  # about 8e-299 to 40 Hz
+    def test_band_whose_sections_leave_the_triangle_rejected(self, fs, lo_digits, hi_digits):
+        # edges at lo_digits decades of Nyquist above 0 Hz and hi_digits below Nyquist
+        nyq = fs / 2.0
+        lo, hi = nyq * 10.0 ** -lo_digits, nyq * (1.0 - 10.0 ** -hi_digits)
+        assume(0.0 < lo < hi < nyq)
+        sos = signal._sections(*signal._butter_bandpass(lo / nyq, hi / nyq))
+        rec = Recording(["a", "b"], fs, np.random.default_rng(0).normal(size=(2, 400)))
+        if max(mp_pole_radius(a1, a2) for a1, a2 in sos[:, 4:]) >= 1:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"band ({lo}, {hi}) Hz is too close to 0 Hz or to Nyquist for a stable "
+                    f"filter at {fs} Hz")):
+                bandpass(rec, lo, hi)
+        else:  # a band that is kept does not diverge
+            assert np.abs(bandpass(rec, lo, hi).data).max() < 10 * np.abs(rec.data).max()
+
     def test_error_no_larger_than_scipy_filtfilt(self, rng):
         x = rng.normal(scale=50.0, size=(2, 1600)) + rng.normal(scale=300.0, size=(2, 1))
-        b, a = signal._butter_bandpass(8.0 / 80.0, 30.0 / 80.0)
-        exact = np.array([mp_filtfilt(b, a, row) for row in x])
+        sos = signal._sections(*signal._butter_bandpass(8.0 / 80.0, 30.0 / 80.0))
+        exact = np.array([mp_filtfilt(sos, row) for row in x])
         ours = bandpass(Recording(["a", "b"], FS, x)).data
-        theirs = scipy.signal.filtfilt(b, a, x, axis=1)
+        theirs = scipy.signal.sosfiltfilt(sos, x, axis=1)
         rms = lambda y: np.sqrt(np.mean((y - exact) ** 2))
         assert rms(ours) <= rms(theirs)
         assert np.abs(ours - exact).max() <= 1e-12 * np.abs(exact).max()
@@ -427,13 +477,36 @@ class TestBandpass:
                           "filter: need more than 27")
 
 
-def mp_filtfilt(b, a, x):
-    """``scipy.signal.filtfilt(b, a, x)`` of one channel by its definition:
-    odd extension, then the direct-form-II-transposed recurrence forward and
-    backward from the scaled step-response steady state, sample by sample in
-    40-digit arithmetic on the float64 coefficients."""
+def mp_pole_radius(a1, a2):
+    """The larger modulus of the roots of ``z² + a1·z + a2``, in 400-digit
+    arithmetic, read as exactly 1 within 1e-350: a root of a quadratic with
+    float64 coefficients that is off the unit circle is at least 2e-324 off."""
+    with mpmath.workdps(400):
+        a1, a2 = mpmath.mpf(float(a1)), mpmath.mpf(float(a2))
+        d = mpmath.sqrt(mpmath.mpc(a1 * a1 - 4 * a2))
+        radius = max(abs((-a1 + d) / 2), abs((-a1 - d) / 2))
+        return 1 if abs(radius - 1) < mpmath.mpf(10) ** -350 else radius
+
+
+def mp_filtfilt(sos, x):
+    """``scipy.signal.sosfiltfilt(sos, x)`` of one channel by its definition:
+    odd extension, then the direct-form-II-transposed recurrence of the
+    product of the sections forward and backward from the scaled
+    step-response steady state, sample by sample in 40-digit arithmetic on
+    the float64 coefficients."""
     with mpmath.workdps(40):
-        b, a, x = ([mpmath.mpf(float(v)) for v in seq] for seq in (b, a, x))
+        def times(p, q):
+            out = [mpmath.mpf(0)] * (len(p) + len(q) - 1)
+            for i, u in enumerate(p):
+                for j, v in enumerate(q):
+                    out[i + j] += u * v
+            return out
+
+        b, a = [mpmath.mpf(1)], [mpmath.mpf(1)]
+        for row in sos:
+            row = [mpmath.mpf(float(v)) for v in row]
+            b, a = times(b, row[:3]), times(a, row[3:])
+        x = [mpmath.mpf(float(v)) for v in x]
         m, edge = len(a) - 1, 3 * len(a)
         # (I - A) zi = B for A = companion(a).T, B = b[1:] - a[1:] b[0]
         i_minus_a = mpmath.eye(m)
