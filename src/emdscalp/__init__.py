@@ -1,9 +1,7 @@
-"""Quantifying agreement between EEG channel-relevance maps and motor-cortex
-domain knowledge with exact earth mover's distance, plus the Riemannian
-minimum-distance-to-mean classification pipeline that produces those maps.
-
-The package runs on numpy alone: no module imports scipy, so neither the
-package nor any command loads it.  README.md describes each module's method.
+"""Agreement between EEG channel-relevance maps and motor-cortex domain knowledge
+by exact earth mover's distance, with the Riemannian minimum-distance-to-mean
+pipeline that produces those maps, in numpy alone: no module imports scipy.
+Entry points are the names below and the ``emdscalp`` command (`emdscalp.cli`).
 """
 
 from .montage import (

@@ -1,8 +1,7 @@
-"""Command-line surface: prepare, train-eval, select-channels, emd, plot, report.
-
-Configuration lives in a flat versioned ``key = value`` file (grammar in the
-README); command-line flags override file keys.  All outputs are plain text
-(CSV/JSON/SVG) and byte-deterministic for a fixed config and seed.
+"""The ``emdscalp`` command: prepare, train-eval, select-channels, emd, plot and
+report, over a flat versioned ``key = value`` config whose keys flags override.
+Outputs are byte-deterministic for a fixed config.  Entry points are `main`,
+`build_parser` and `load_config`; README.md states each command's contract.
 """
 
 from __future__ import annotations
@@ -182,8 +181,6 @@ def _reading(path: str | Path):
 
 
 def _read_json(path: Path) -> dict:
-    """The JSON object in `path`; any other content is a ``ValueError``
-    that starts with the path."""
     with _reading(path):
         return montage._json_object(path.read_text(encoding="utf-8"), "document")
 
@@ -202,9 +199,6 @@ _EPOCH_DTYPE = np.dtype("<f8")
 
 
 def _check_cache(index: dict, covs: np.ndarray) -> None:
-    """Raise a ``ValueError`` unless `index` holds ``labels`` and
-    ``channel_names`` as JSON arrays of strings and `covs` is ``<f8`` of shape
-    ``(len(labels), d, d)`` for d channel names, passing ``_check_covariances``."""
     for key in ("labels", "channel_names"):
         for j, value in enumerate(montage._json_value(index.get(key), "array", key)):
             montage._json_value(value, "string", f"{key}[{j}]")
@@ -217,8 +211,7 @@ def _check_cache(index: dict, covs: np.ndarray) -> None:
 
 
 def _check_covariances(covs: np.ndarray) -> None:
-    """Raise a ``ValueError`` naming the first epoch of `covs` whose
-    covariance has a non-finite entry or zero trace, which no shrinkage mends."""
+    """Fail the first epoch with a non-finite entry or zero trace: no shrinkage mends them."""
     finite = np.isfinite(covs).all(axis=(1, 2))
     if not finite.all():
         raise ValueError(f"epoch {int(np.argmin(finite))}'s covariance has a non-finite entry")
@@ -230,14 +223,11 @@ def _check_covariances(covs: np.ndarray) -> None:
 
 def write_epoch_cache(cache_dir: Path, subject: int, covs: np.ndarray,
                       labels: list[str], channel_names: list[str]) -> Path:
-    """Store one subject's epochs, the ``(n_epochs, d, d)`` array `covs` of
-    their ``spdgeom.covariance`` with one of `labels` each and d
-    `channel_names`, as ``epochs.npy`` plus ``index.json``; return the
-    subject directory.  Any old index goes first and the new one last, so no
-    valid index ever stands over other data.  What ``_check_cache`` rejects
-    raises its ``ValueError``, naming the subject directory, before any file
-    is written or removed.
-    """
+    """Store one subject's epoch covariances `covs`, ``(n_epochs, d, d)`` with one of
+    `labels` each and d `channel_names`, as ``epochs.npy`` and ``index.json``, and
+    return the subject directory.  The old index goes first and the new one last,
+    so no index stands over other data.  Input the cache's readers would refuse
+    raises ``ValueError``, naming the subject directory, before any file changes."""
     subj_dir = cache_dir / _subject_tag(subject)
     index = {"channel_names": channel_names, "format_version": CACHE_FORMAT_VERSION,
              "labels": labels}
@@ -252,8 +242,6 @@ def write_epoch_cache(cache_dir: Path, subject: int, covs: np.ndarray,
 
 
 def _read_npy(path: Path) -> np.ndarray:
-    """Load a ``.npy`` file without pickle support, under `_reading`; bytes
-    past the header and data are an error too."""
     with _reading(path), open(path, "rb") as fh:
         data = np.load(fh, allow_pickle=False)
         read_bytes, file_bytes = fh.tell(), os.fstat(fh.fileno()).st_size
@@ -263,11 +251,11 @@ def _read_npy(path: Path) -> np.ndarray:
 
 
 def read_epoch_cache(cache_dir: Path, subject: int) -> tuple[np.ndarray, dict]:
-    """Load a subject written by ``write_epoch_cache``: its unshrunk epoch
-    covariances and its index.  Raises ``FileNotFoundError`` for a missing
-    file, a ``ValueError`` naming the file for an unsupported format version,
-    an unreadable array or one whose size disagrees with its header, and
-    ``_check_cache``'s, naming the subject directory."""
+    """A subject's unshrunk epoch covariances and index, as `write_epoch_cache`
+    stored them.  A missing file raises ``FileNotFoundError``; another format
+    version, an unreadable array or one whose size disagrees with its header
+    raises a ``ValueError`` naming the file, and data the writer would refuse
+    one naming the subject directory."""
     subj_dir = cache_dir / _subject_tag(subject)
     index_path = subj_dir / "index.json"
     index = _read_json(index_path)
@@ -290,14 +278,10 @@ MEMO_VERSION = 7
 
 
 class DerivedMemo:
-    """A disk cache of one subject's ``spdgeom.mdm_fit`` and ``backward_elimination``.
-
-    Entries live in ``<cache_dir>/S<id>/derived/`` under content keys: a
-    model's key hashes the exact ``<f8`` bytes, count and shapes of its
-    covariances plus its labels; a trace's key hashes its centroids plus
-    ``target_k``.  Other inputs give other keys, so no entry can go stale.  A
-    corrupt entry raises a ``ValueError`` naming its file, never silently recomputed.
-    """
+    """A disk cache of one subject's ``spdgeom.mdm_fit`` and ``backward_elimination``
+    in ``<cache_dir>/S<id>/derived/``, under sha256 content keys (README, "Derived-
+    result memo"), so no entry can go stale.  A corrupt entry raises a
+    ``ValueError`` naming its file; it is never silently recomputed."""
 
     def __init__(self, cache_dir: Path, subject: int):
         self.root = cache_dir / _subject_tag(subject) / "derived"
@@ -385,7 +369,6 @@ def _subset_for_config(cfg: ExperimentConfig, layout: montage.GridLayout,
 
 
 def _read_map(path: str, order: int | None) -> montage.SpatialMap:
-    """The spatial map in `path`, of grid order `order` unless that is None."""
     with _reading(path):
         smap = montage.load_spatial_map(path)
         if order is not None and smap.n != order:
@@ -408,7 +391,6 @@ SVG_CELL, SVG_MARGIN = 40, 20
 
 
 def _escape(text: str) -> str:
-    """`text` as SVG character data: ``&``, ``<`` and ``>`` as entities."""
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
@@ -458,17 +440,9 @@ def _run_path(cfg: ExperimentConfig, subject: int, run: int) -> Path:
 
 
 def _prepare_subject(cfg: ExperimentConfig, cache_dir: Path, subject: int) -> tuple[str, int, int]:
-    """Epoch and cache one subject's runs, skipping absent files; return its
-    tag, epoch count and skipped-trial count.
-
-    Every run must hold only finite samples, give epoch covariances that
-    pass ``_check_covariances`` and carry the first run's channel names, in
-    order, and its sample rate; otherwise a ``ValueError`` starts with the
-    file's path.  A subject with no run holding a labeled trial fails too.
-    Any earlier cache of the subject, and its derived-result memo, is
-    invalidated first, so a subject that fails here is not read from a stale
-    cache by later commands.
-    """
+    """Epoch and cache one subject's runs, skipping absent files; return its tag,
+    epoch count and skipped-trial count.  The old index and memo go first, so a
+    subject that fails here is never read from a stale cache later."""
     tag = _subject_tag(subject)
     derived = DerivedMemo(cache_dir, subject).root
     with _reading(cache_dir / tag):
@@ -527,17 +501,13 @@ def cmd_prepare(cfg: ExperimentConfig) -> dict:
 
 def _each_subject(cfg: ExperimentConfig, command: str, run_one, *,
                   concurrent: bool) -> tuple[list, list[str]]:
-    """Apply ``run_one`` to every configured subject, in subject order.
-
-    A subject whose input or cache is missing or corrupt, or whose Fréchet
-    mean does not converge, is reported on stderr and skipped; the run
-    continues.  Returns the results and the failed subject tags; raises only
-    when the config lists no subject or none completes.  With `concurrent`,
-    the subjects run on a pool of one thread per subject, up to the usable
-    CPUs (``spdgeom.mdm_fit`` then fits its classes on the subject's thread);
-    results, failures and stderr keep subject order, and any other exception
-    is the first in subject order, raised once no subject is left running.
-    """
+    """``run_one`` of each configured subject in subject order, and the sorted tags
+    of those that raised ``FileNotFoundError``, ``FrechetMeanError`` or
+    ``ValueError``, also reported on stderr; the others go on.  Raises when the
+    config lists no subject or none completes.  With `concurrent`, subjects run on
+    a pool of one thread per subject, up to the usable CPUs; results, failures and
+    stderr keep subject order, and any other exception is the first in subject
+    order, raised once no subject is left running."""
     if not cfg.subjects:
         raise ValueError("config lists no subjects")
     subjects = sorted(cfg.subjects)
@@ -571,17 +541,12 @@ _Part = tuple[np.ndarray, list[str], list[int]]
 
 def _read_split(cfg: ExperimentConfig, layout: montage.GridLayout, cache_dir: Path,
                 subject: int) -> tuple[dict[str, int], _Part, _Part]:
-    """A subject's channel index by montage electrode (channels outside the
-    montage left out), then the shrunk covariances, one ``(n, d, d)`` array,
-    labels and cache epoch numbers of its training and of its test epochs.
-    Channel names that name one electrode twice, or labels that cannot be
-    split, raise a ``ValueError`` that starts with the path of ``index.json``.
-
-    The subject is held as one copy: the array read from the cache is shrunk
-    in place and its rows permuted in place into the training epochs,
-    grouped by class in sorted-label (``stats._class_partition``) order and
-    ascending within a class (so ``spdgeom.mdm_fit`` fits each class on a view), then
-    the test epochs, ascending.  Both parts are views of that array."""
+    """A subject's channel index by montage electrode, then the shrunk covariances
+    ``(n, d, d)``, labels and cache epoch numbers of its training and its test
+    epochs.  The subject is held as one copy: the cache array is shrunk and its
+    rows permuted in place into the training epochs, grouped by class (so
+    ``spdgeom.mdm_fit`` fits each on a view), then the test epochs; both parts
+    are views of it.  Bad names or labels raise a ``ValueError`` naming ``index.json``."""
     covs, index = read_epoch_cache(cache_dir, subject)
     labels = index["labels"]
     spdgeom._shrink_in_place(covs, cfg.shrinkage)
@@ -598,8 +563,7 @@ def _read_split(cfg: ExperimentConfig, layout: montage.GridLayout, cache_dir: Pa
 
 
 def _permute_rows(rows: np.ndarray, order: list[int]) -> None:
-    """Move row ``order[k]`` of `rows` to row k, in place: each cycle of the
-    permutation is followed with one row held aside."""
+    """Move row ``order[k]`` of `rows` to row k, in place, holding one row aside."""
     done = [False] * len(order)
     for start in range(len(order)):
         if done[start] or order[start] == start:
@@ -633,7 +597,6 @@ def _write_trace(out_dir: Path, subject: int, trace: spdgeom.SelectionTrace) -> 
 
 def _write_cohort(out_dir: Path, model: str, selections: dict[str, list[str]]
                   ) -> tuple[str, dict[str, int]]:
-    """Write ``cohort_<tag>.json``; return the tag and the channel counts."""
     counts = relevance.aggregate_cohort(selections)
     tag = model.replace("external:", "")
     _write_json(out_dir / f"cohort_{tag}.json", {
@@ -832,7 +795,6 @@ def cmd_report(cfg: ExperimentConfig, row_files: list[str]) -> dict:
         summary[name] = [mean, sd]
     _write_csv(out_dir / "table.csv", [["ID", *columns], *table, footer])
 
-    # pairwise signed-rank p-values across configurations, on overall accuracies
     overall = {c: values(c, "overall") for c in configs}
 
     def pvalue(a: dict[int, float], b: dict[int, float]) -> float | None:
@@ -857,11 +819,8 @@ def cmd_report(cfg: ExperimentConfig, row_files: list[str]) -> dict:
 
 
 def _add_report_rows(path: Path, cell: dict[tuple[int, str], dict]) -> None:
-    """Add the rows of one ``rows.csv`` to `cell` under their (subject,
-    channel_config), each with an int ``subject``, a ``channel_config`` from
-    `CHANNEL_CONFIGS`, a float ``chance`` and, where present, a float
-    ``overall`` and ``recall_*``, each of these in [0, 1]; any other row, or
-    a key already in `cell`, is a ``ValueError`` that starts with the path."""
+    """Add one ``rows.csv``'s rows to `cell` by (subject, channel_config), or raise a
+    ``ValueError`` that starts with the path (README, "rows.csv / report")."""
     with _reading(path):
         for row in _read_rows_csv(path):
             if row["channel_config"] not in CHANNEL_CONFIGS:

@@ -1,11 +1,7 @@
-"""Electrode registry and projection of a montage onto a square grid.
-
-A montage is described by a plain-text mapping file that pins every
-electrode name to one cell of an ``n x n`` grid (``NAME,row,col`` records,
-``#`` comments).  The packaged ``physionet64_grid11.map`` covers the
-64-channel 10-10 montage on an 11 x 11 grid with the central/temporal line
-T9..T10 on row 5.  Spatial maps are nonnegative mass distributions over the
-same grid and are the objects compared by the transport module.
+"""Electrode montages on a square grid, the spatial maps over it, and the
+package's one file writer and JSON value rule.  Entry points are
+`default_layout` (the packaged 64-channel, 11 x 11 layout), `load_grid_layout`,
+`binary_map`, `weighted_map`, `load_spatial_map` and `save_spatial_map`.
 """
 
 from __future__ import annotations
@@ -48,12 +44,8 @@ class Electrode:
 
 @dataclass(frozen=True)
 class GridLayout:
-    """Deterministic electrode-name -> (row, col) assignment for a montage.
-
-    Immutable after construction; safe to share across workers.  Electrode
-    order is the mapping-file order and defines the montage order used for
-    deterministic tie-breaking elsewhere.
-    """
+    """Electrode name -> (row, col) of a montage, immutable and so safe to share.
+    Electrode order is the mapping-file order, the montage order ties break by."""
 
     n: int
     electrodes: tuple[Electrode, ...]
@@ -71,12 +63,9 @@ class GridLayout:
         return tuple(e.name for e in self.electrodes)
 
     def resolve(self, name: str) -> str:
-        """Return the canonical electrode name for `name`.
-
-        Lookup is exact first, then case-insensitive with trailing dots and
-        whitespace stripped (PhysioNet EDF labels pad names with dots).
-        Raises KeyError when the electrode is not part of the montage.
-        """
+        """The canonical name of `name`: exact, else case-insensitive with trailing
+        dots and whitespace stripped (PhysioNet pads EDF labels with dots);
+        ``KeyError`` for an electrode outside the montage."""
         if name in self.name_index:
             return name
         folded = name.strip().rstrip(".").casefold()
@@ -115,12 +104,8 @@ class GridLayout:
 
 @dataclass(frozen=True, eq=False)
 class SpatialMap:
-    """Nonnegative mass over an ``n x n`` grid.
-
-    For a binary map of k channels the total mass is k and every positive
-    entry is 1.  A zero-total map is representable but rejected by the
-    transport module.
-    """
+    """Finite nonnegative mass over an ``n x n`` grid, read-only, or a
+    ``ValueError``; a zero total is allowed here, but `transport` rejects it."""
 
     n: int
     mass: np.ndarray
@@ -142,21 +127,10 @@ class SpatialMap:
 
 
 def load_grid_layout(source: str) -> GridLayout:
-    """Parse mapping-file content into a validated GridLayout.
-
-    Parameters
-    ----------
-    source : str
-        Mapping text, one ``NAME,row,col`` record per line.  ``#`` starts a
-        comment; blank lines are ignored.  The grid order is
-        ``max(row, col) + 1`` over all records.
-
-    Raises
-    ------
-    ValueError
-        On malformed records, duplicate names, duplicate cells, or negative
-        coordinates.
-    """
+    """The layout in mapping text: one ``NAME,row,col`` record per line, ``#``
+    comments, blank lines ignored, grid order ``max(row, col) + 1``.  A malformed
+    record, a name or cell given twice, a negative coordinate or no electrode
+    raises ``ValueError``, naming the line of a bad record."""
     electrodes: list[Electrode] = []
     seen_names: set[str] = set()
     seen_cells: set[tuple[int, int]] = set()
@@ -188,6 +162,7 @@ def load_grid_layout(source: str) -> GridLayout:
 
 
 def load_grid_layout_file(path: str | Path) -> GridLayout:
+    """`load_grid_layout` of the UTF-8 file at `path`."""
     return load_grid_layout(Path(path).read_text(encoding="utf-8"))
 
 
@@ -219,8 +194,10 @@ def weighted_map(weights: Mapping[str, float], layout: GridLayout) -> SpatialMap
 
 
 def _write_file(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
-    """Create or replace `path`, and its directory, with what ``write(fh)``
-    writes to a binary file: the package's one writer (README, File formats)."""
+    """Create or replace `path`, and its directory, with what ``write(fh)`` writes
+    to a binary file: the package's one writer.  The bytes go to a temporary file
+    beside `path`, renamed over it, so a reader sees the old file or the whole new
+    one, and a failed write leaves no temporary file.  There is no ``fsync``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     # random: threads and processes may write one path at once
@@ -240,10 +217,10 @@ _JSON_KINDS = {"object": (dict,), "array": (list,), "string": (str,), "integer":
 
 
 def _json_value(value, kind: str, what: str):
-    """`value`, as `json.loads` gives it, if it is of the JSON `kind` named by
-    a key of `_JSON_KINDS` (a bool is no integer or number, and a number must
-    be finite and is returned as a float); else a ``ValueError`` naming
-    `what`: the package's one JSON value rule (README, File formats)."""
+    """`value`, as `json.loads` gives it, if it is of the JSON `kind` named by a key
+    of `_JSON_KINDS` (a bool is no integer or number, and a number must be finite
+    and is returned as a float); else a ``ValueError`` naming `what`: the
+    package's one JSON value rule."""
     if not isinstance(value, _JSON_KINDS[kind]) or isinstance(value, bool) or (
             kind == "number" and not abs(value) <= sys.float_info.max):  # NaN, inf, 1e400
         shown = type(value).__name__ if isinstance(value, (dict, list)) else repr(value)

@@ -1,10 +1,6 @@
-"""Channel-relevance ingestion, top-k extraction, and cohort aggregation.
-
-Relevance scores come from external per-model JSON exports (README, File
-formats: "Relevance JSON"); the covariance classifier's own selection is the
-final subset of its elimination trace.  The module also builds the
-21-channel motor-cortex baseline map that data-driven selections are
-compared against.
+"""Channel relevance: external relevance JSON files, top-k extraction, cohort
+counts and the 21-channel motor-cortex baseline map.  Entry points are
+`ingest_external`, `top_k`, `aggregate_cohort` and `mi_baseline`.
 """
 
 from __future__ import annotations
@@ -35,12 +31,8 @@ MI_BASELINE_CHANNELS = (
 
 @dataclass(frozen=True)
 class RelevanceScores:
-    """Per-channel importance from one source, montage-ordered.
-
-    `channels` lists the scored channels in montage order, which fixes the
-    deterministic tie-break used by `top_k`.  `per_class` is present only
-    for class-discriminative sources.
-    """
+    """Per-channel scores from one source; `channels` is in montage order, which
+    breaks `top_k`'s ties, and `per_class` is None for a source without classes."""
 
     channels: tuple[str, ...]
     pooled: dict[str, float]
@@ -48,12 +40,10 @@ class RelevanceScores:
 
 
 def ingest_external(file: str | Path, layout: GridLayout) -> RelevanceScores:
-    """Load and validate an external relevance JSON document.
-
-    Channel names are resolved by `GridLayout.resolve_all`; unknown names,
-    two names of one electrode, misaligned arrays, a key given twice and a
-    value that breaks `montage._json_value`'s rule for its field are rejected.
-    """
+    """The scores in an external relevance JSON file, names resolved by
+    `GridLayout.resolve_all`.  An unknown name, two names of one electrode, an
+    array not aligned with ``channels``, a key given twice or a value that breaks
+    `montage._json_value`'s rule for its field raises ``ValueError``."""
     doc = _json_object(Path(file).read_text(encoding="utf-8"), "document")
     channels = _json_value(doc.get("channels"), "array", "channels")
     names = layout.resolve_all(_json_value(c, "string", f"channels[{j}]")
@@ -81,12 +71,9 @@ def _ranked(scores: Mapping[str, float], order: tuple[str, ...]) -> list[str]:
 
 
 def top_k(scores: RelevanceScores, k: int, class_mode: str = "pooled") -> set[str]:
-    """The k most relevant channel names.
-
-    ``pooled`` takes the k highest pooled scores.  ``per_class_union``
-    takes each class's top-k list, unions them, and truncates back to k by
-    pooled score.  Ties always break towards the lower montage position.
-    """
+    """The `k` most relevant channel names, k in [1, channels]: ``pooled`` takes the
+    k highest pooled scores, ``per_class_union`` the k of highest pooled score in
+    the union of each class's top k.  Ties go to the lower montage position."""
     if not 1 <= k <= len(scores.channels):
         raise ValueError(f"k must be in [1, {len(scores.channels)}], got {k}")
     if class_mode == "pooled":

@@ -1,15 +1,8 @@
-"""EEG ingestion and preprocessing, in numpy alone.
-
-EDF/EDF+ parsing, 8-30 Hz zero-phase bandpass, segmentation of labeled
-trials into fixed-length epochs, and seeded stratified train/test splitting.
-Annotations are kept in sample units throughout.
-
-The bandpass has the semantics of scipy's ``sosfiltfilt`` on the
-second-order sections of scipy's ``butter`` design, whose zeros, poles and
-gain `_butter_bandpass` reproduces byte for byte.  Its recurrence runs on
-the sections' states over blocks of `_BLOCK_LEN` = 64 samples as matrix
-products over all channels (Burrus, "Block realization of digital filters",
-1972).
+"""EEG ingestion and preprocessing in numpy alone: EDF/EDF+ and CSV runs, the
+zero-phase Butterworth bandpass, epochs of labeled trials and the seeded
+stratified train/test split, with annotations in samples throughout.  Entry
+points are `read_recording`, `read_recording_csv`, `bandpass`, `epoch_trials`
+and `split`.
 """
 
 from __future__ import annotations
@@ -142,17 +135,12 @@ def _parse_tals(buf: bytes, sample_rate: float) -> tuple[float | None, list[Anno
 
 
 def read_recording(path: str | Path) -> Recording:
-    """Read an EDF/EDF+ file into physical units.
-
-    Digital values are mapped through each signal's physical/digital
-    calibration; 'EDF Annotations' channels are decoded into sample-unit
-    annotations and excluded from the data matrix.  All data channels must
-    share one sampling rate.  The header size field must be 256 bytes per
-    signal plus 256, and the file exactly the header plus its record count
-    of records (a count of -1 reads every whole record the file holds).
-    EDF+D, whose records need not be contiguous, is rejected; in EDF+C,
-    record r's first TAL must be a time-keeping TAL whose onset is record
-    0's plus r record durations, within 1e-6 s.
+    """An EDF/EDF+ file in physical units, its 'EDF Annotations' signals decoded
+    into sample-unit annotations.  The data signals must share one sample rate,
+    the header size field read 256 · (signals + 1) and the file hold exactly the
+    header and its record count of records (-1 reads every whole record).  EDF+D
+    is rejected; in EDF+C record r must start with a time-keeping TAL at record
+    0's onset plus r record durations, within 1e-6 s.  A breach is a ``ValueError``.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 256:
@@ -174,8 +162,7 @@ def read_recording(path: str | Path) -> Recording:
                          f"{header_bytes} for {ns} signals")
 
     def sig_field(block_off: int, width: int, i: int) -> bytes:
-        # block_off: byte offset of the field block within the per-signal
-        # header region (each block holds ns fixed-width entries)
+        # a field's block starts block_off * ns bytes into the signal headers
         start = 256 + block_off * ns + width * i
         return raw[start:start + width]
 
@@ -247,15 +234,12 @@ def read_recording_csv(
     annotation_path: str | Path | None = None,
     sample_rate: float = 160.0,
 ) -> Recording:
-    """Read the CSV alternative format.
-
-    `data_path`: header row of channel names, one column per channel.
-    `annotation_path`: optional sidecar with ``onset,duration,code`` rows
-    in sample units.  A data file without a header row, a data row that is
-    not one number per channel, or an annotation row of fewer than three
-    fields or whose onset and duration are not non-negative integers with
-    the onset inside the data, raises ``ValueError``; a data row's error
-    names its line, an annotation row's its file and line.
+    """A CSV run: a header row of channel names, then one number per channel a
+    row, blank lines skipped; the optional sidecar `annotation_path` holds
+    ``onset,duration,code`` rows in samples.  A missing header, a data row that is
+    not one number per channel, or an annotation row of fewer than three fields
+    or whose onset and duration are not non-negative integers with the onset
+    inside the data raises ``ValueError`` naming its line (and the sidecar).
     """
     with open(data_path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -300,15 +284,10 @@ _BLOCK_LEN = 64
 
 
 def _butter_bandpass(lo: float, hi: float) -> tuple[np.ndarray, float]:
-    """Poles and gain of the digital Butterworth bandpass of order `_ORDER`
-    with edges `lo`, `hi` as fractions of Nyquist; its zeros are `_ORDER` at
-    z = 1 and `_ORDER` at z = -1.
-
-    The analog prototype's poles go through the bandpass substitution and
-    the bilinear transform at a pre-warped sampling rate of 2, in the same
-    operations and order as scipy's ``butter(_ORDER, [lo, hi], "bandpass",
-    output="zpk")``, so both give the same bytes.
-    """
+    """Poles and gain of the digital Butterworth bandpass of order `_ORDER`, edges
+    `lo`, `hi` as fractions of Nyquist, whose zeros are `_ORDER` at z = 1 and
+    `_ORDER` at z = -1: the operations, in order, of scipy's ``butter(_ORDER,
+    [lo, hi], "bandpass", output="zpk")``, so both give the same bytes."""
     m = np.arange(-_ORDER + 1, _ORDER, 2, dtype=float)
     p = -np.exp(1j * np.pi * m / (2 * _ORDER))  # analog lowpass, cutoff 1 rad/s
     warped = 4.0 * np.tan(np.pi * np.array([lo, hi]) / 2.0)
@@ -337,15 +316,11 @@ def _sections(p: np.ndarray, k: float) -> np.ndarray:
 
 
 def _block_matrices(sos: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(Hᵀ, Oᵀ, R, Aᴸ, zi)`` of the direct-form-II-transposed sections `sos`
-    for row-vector states, over blocks of ``L = _BLOCK_LEN`` samples (Burrus 1972).
-
-    One step maps states ``z`` and input ``x`` to states ``z·A + x·B`` and
-    output ``z·C + x·D``.  A block ``X`` (c, L) entered with states ``Z``
-    (c, m) leaves outputs ``X·Hᵀ + Z·Oᵀ`` and states ``Z·Aᴸ + X·R``, all run
-    in float64 for L steps from the m unit states and a unit impulse; a
-    constant unit input holds the states at ``zi = zi·A + B``.
-    """
+    """``(Hᵀ, Oᵀ, R, Aᴸ, zi)`` of the direct-form-II-transposed sections `sos` for
+    row-vector states over blocks of ``L = _BLOCK_LEN`` samples (Burrus 1972).  A
+    step maps states ``z`` and input ``x`` to ``z·A + x·B`` and output ``z·C + x·D``;
+    a block ``X`` (c, L) entered with states ``Z`` (c, m) leaves outputs ``X·Hᵀ +
+    Z·Oᵀ`` and states ``Z·Aᴸ + X·R``; a constant unit input holds ``zi = zi·A + B``."""
     m, L = 2 * len(sos), _BLOCK_LEN
     # [[A, C], [B, D]]: one step from each unit state (rows 0..m-1) and a unit input
     step = np.eye(m + 1)
@@ -372,14 +347,11 @@ def _block_matrices(sos: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _filter_blocks(blocks: np.ndarray, mats: tuple[np.ndarray, ...], backward: bool) -> None:
-    """Filter the ``(c, n_blocks, L)`` array `blocks` in place, forward or
-    backward in time, from the steady state for its first sample in that
-    direction, with the `_block_matrices` `mats`."""
+    """Filter the ``(c, n_blocks, L)`` array `blocks` in place, forward or backward
+    in time, from the steady state for its first sample in that direction."""
     ht, ot, r, a_l, zi = mats
     if backward:  # blocks in reverse order, each read by the reversed matrices
         ht, ot, r = ht[::-1, ::-1], ot[:, ::-1], r[::-1]
-    # one product per block for its outputs and end states from its samples,
-    # one from its start states
     from_samples, from_states = np.hstack([ht, r]), np.hstack([ot, a_l])
     L = len(ht)
     order = range(blocks.shape[1] - 1, -1, -1) if backward else range(blocks.shape[1])
@@ -393,25 +365,15 @@ def _filter_blocks(blocks: np.ndarray, mats: tuple[np.ndarray, ...], backward: b
 
 
 def bandpass(rec: Recording, lo: float = 8.0, hi: float = 30.0) -> Recording:
-    """Zero-phase Butterworth bandpass, applied forward-backward per channel.
-
-    4th-order design in second-order sections; shape and annotations are
-    preserved.  The semantics are those of scipy's ``sosfiltfilt(sos, x,
-    axis=1)`` with its defaults: each channel is extended at both ends by
-    odd reflection of 27 samples, filtered forward from the step-response
-    steady state scaled by its first sample, then backward from the same
-    state scaled by the forward output's last sample, and the extension is
-    cut off again.  A run of 27 samples or fewer raises ``ValueError``, and
-    so does a band one of whose rounded sections ``[1, a1, a2]`` leaves the
-    stability triangle ``|a2| < 1, |a1| < 1 + a2`` (an edge very near 0 Hz
-    or Nyquist).
-
-    The recurrence runs over blocks of `_BLOCK_LEN` = 64 samples as matrix
-    products over all channels at once, in float64 (see `_block_matrices`
-    and `_filter_blocks`).  The output is a view into one work buffer,
-    which holds the extended run after as many copies of its first sample
-    as make the length a multiple of `_BLOCK_LEN`; those copies leave the
-    initial steady state as it is.
+    """Zero-phase 4th-order Butterworth bandpass of every channel, in second-order
+    sections, with the semantics of scipy's ``sosfiltfilt(sos, x, axis=1)`` at its
+    defaults: each channel is extended at both ends by odd reflection of 27
+    samples, filtered forward from the steady state scaled by its first sample,
+    then backward from that state scaled by the forward output's last sample, and
+    cut back.  Shape and annotations are kept; the data is a view into one work
+    buffer.  A run of 27 samples or fewer raises ``ValueError``, and so does a band
+    whose rounded sections ``[1, a1, a2]`` leave the stability triangle ``|a2| < 1,
+    |a1| < 1 + a2`` (an edge very near 0 Hz or Nyquist).
     """
     nyq = rec.sample_rate / 2.0
     if not 0.0 < lo < hi < nyq:
@@ -426,6 +388,7 @@ def bandpass(rec: Recording, lo: float = 8.0, hi: float = 30.0) -> Recording:
     n = x.shape[1]
     if n <= edge:
         raise ValueError(f"{n} samples are too few to filter: need more than {edge}")
+    # whole blocks: copies of the first sample go first and keep its steady state
     pad = -(n + 2 * edge) % _BLOCK_LEN
     start = pad + edge
     work = np.empty((x.shape[0], start + n + edge))
@@ -442,15 +405,11 @@ def bandpass(rec: Recording, lo: float = 8.0, hi: float = 30.0) -> Recording:
 
 
 def epoch_trials(rec: Recording) -> tuple[list[Epoch], int]:
-    """Cut labeled trials into consecutive non-overlapping epochs.
-
-    Each trial labeled by `LABEL_CODES` contributes `EPOCHS_PER_TRIAL`
-    epochs of `EPOCH_S` seconds from its onset, all inheriting the trial
-    label, in trial order.  Other codes (rest) are ignored.  Returns the
-    epochs and the number of labeled trials skipped because they extend
-    past the end of the data.  Each ``Epoch.data`` is a view into
-    ``rec.data``, not a copy: it keeps the recording alive and changes with it.
-    """
+    """The epochs of the labeled trials, in trial order, and the number of labeled
+    trials skipped because they run past the data.  A trial labeled by
+    `LABEL_CODES` gives `EPOCHS_PER_TRIAL` epochs of `EPOCH_S` seconds from its
+    onset, with its label; other codes are rest.  Each ``Epoch.data`` is a view
+    into ``rec.data``: it keeps the recording alive and changes with it."""
     slice_len = int(round(EPOCH_S * rec.sample_rate))
     if slice_len < 1:
         raise ValueError(f"sample rate {rec.sample_rate} Hz gives empty {EPOCH_S} s epochs")
@@ -472,14 +431,11 @@ def epoch_trials(rec: Recording) -> tuple[list[Epoch], int]:
 
 def split(epoch_labels: Sequence[str], seed: int,
           test_fraction: float = 0.2) -> tuple[list[int], list[int]]:
-    """Seeded stratified partition of epochs, given by their labels, into
-    (train, test) index lists, each in ascending order.
-
-    Total test size is ``round(test_fraction * n)``, allocated per class by
-    largest remainder and clamped so both classes appear on both sides.
-    `test_fraction` must lie in (0, 1).  Deterministic given the seed; train
-    and test together are exactly the indices ``0 .. n-1``.
-    """
+    """Seeded stratified split of epochs, given by their labels, into (train, test)
+    index lists, each ascending, together exactly ``0 .. n-1``.  The test side
+    takes ``round(test_fraction * n)``, shared among the classes by largest
+    remainder and clamped so every class is on both sides.  `test_fraction` must
+    lie in (0, 1), and each of at least 2 classes needs 2 epochs."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
     groups = _class_partition(epoch_labels)

@@ -1,19 +1,8 @@
-"""Riemannian geometry on SPD covariance matrices.
-
-Affine-invariant distance, Fréchet (geometric) mean, the minimum-distance-
-to-mean classifier, and backward-elimination channel selection driven by
-inter-class centroid distance.  The Fréchet mean takes safeguarded
-Riemannian Newton steps (`_newton_direction`).  Distances, `mdm_predict`
-and elimination share one generalized eigensolve, `_pencil`: a pair
-(X, C) becomes ``eig(W X W^T)`` by C's Cholesky whitener W, in numpy
-alone.  Each elimination step solves every class pair's pencil once and
-scores all leave-one-channel-out candidates from it with a contour-integral
-trace formula (`_leave_one_out_sq`).  Matrices are plain float ndarrays;
-`_stack` makes a set of them one ``(n, d, d)`` array, which the kernels
-work through in blocks of `_BLOCK` matrices.  Matrix square roots and
-logarithms go through symmetric eigendecomposition.  A matrix a kernel
-cannot take, or a pair too far apart, raises a `MatrixError` naming its index
-in the stack (`SingularMatrixError` if `_require_log` finds no logarithm).
+"""Riemannian geometry on SPD covariance matrices: the affine-invariant distance,
+the Fréchet mean, the minimum-distance-to-mean classifier and backward-elimination
+channel selection by inter-class centroid distance.  Entry points are `covariance`,
+`shrink`, `frechet_mean`, `mdm_fit`, `mdm_predict` and `backward_elimination`; a
+matrix a kernel cannot take raises a `MatrixError` naming it.
 """
 
 from __future__ import annotations
@@ -53,11 +42,10 @@ __all__ = [
 SYMMETRY_RTOL = 1e-10
 #: `_require_log` rejects a spectrum with an eigenvalue below this fraction of its largest.
 EIG_FLOOR_REL = 1e-12
-#: Relative residual at which `_newton_direction`'s conjugate gradients stop
-#: (unless ``tol / 4`` is larger).
+#: Relative residual at which `_newton_direction`'s conjugate gradients stop.
 _CG_RTOL = 1e-6
-#: Matrices per batched call: blocks bound the stacked temporaries (whitened
-#: matrices, eigenvectors, Hessian products) at ``_BLOCK x d x d``.
+#: Matrices per batched call: stacked temporaries stay at ``_BLOCK x d x d``, and
+#: sums run in matrix order, so every result is that of one matrix at a time.
 _BLOCK = 32
 
 
@@ -97,13 +85,11 @@ class SingularMatrixError(MatrixError):
 
 
 def clamped_eigenvalue_count() -> int:
-    """0: no eigenvalue is clamped, since `frechet_mean` rejects a singular
-    matrix instead.  The benchmark harness still reads this count."""
+    """0: no eigenvalue is ever clamped.  The benchmark harness still reads it."""
     return 0
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -111,18 +97,13 @@ def _usable_cpus() -> int:
 
 
 def _blocks(n: int):
-    """Slices of ``range(n)`` of at most `_BLOCK` items, in order."""
     return (slice(i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK))
 
 
 def _stack(mats: Sequence[np.ndarray] | np.ndarray, what: str, dim: int | None = None
            ) -> np.ndarray:
-    """`mats`, a sequence of matrices or one ``(n, d, d)`` array, as one
-    C-contiguous float ``(n, d, d)`` array (one memory layout for every
-    caller, so sums run in the same order), with d = `dim` or else matrix
-    0's order.  A matrix of another shape or a non-square matrix 0 raises a
-    `MatrixError` naming it ``what``, an array that is not a stack a
-    ``ValueError``."""
+    """`mats` as one C-contiguous float ``(n, d, d)`` array, d = `dim` or matrix 0's
+    order: one memory layout for every caller, so sums run in one order."""
     if isinstance(mats, np.ndarray):
         if mats.ndim != 3:
             raise ValueError(f"expected an (n, d, d) stack, got shape {mats.shape}")
@@ -142,8 +123,7 @@ def _stack(mats: Sequence[np.ndarray] | np.ndarray, what: str, dim: int | None =
 def _check_square_symmetric(mats: Sequence[np.ndarray] | np.ndarray,
                             what: str = "matrix {j}", dim: int | None = None,
                             spd: bool = False) -> np.ndarray:
-    """`_stack` of `mats`, every matrix finite (checked first), symmetric and,
-    with `spd`, passing `_require_log`; a `MatrixError` names the first that fails."""
+    """`_stack` of `mats`, each proven finite, symmetric and, with `spd`, by `_require_log`."""
     stack = _stack(mats, what, dim)
     finite = np.isfinite(stack).all(axis=(1, 2))
     if not finite.all():
@@ -162,9 +142,9 @@ def _check_square_symmetric(mats: Sequence[np.ndarray] | np.ndarray,
 
 
 def _require_log(w: np.ndarray, what: str = "matrix {j}", start: int = 0) -> np.ndarray:
-    """`w`, ascending spectra of one matrix or a stack, if each eigenvalue is
-    above `EIG_FLOOR_REL` of its largest (false for NaN, or for a largest not
-    finite and positive); else `SingularMatrixError` names the first failing j + `start`."""
+    """`w`, ascending spectra of one matrix or a stack, if each eigenvalue is above
+    `EIG_FLOOR_REL` of its largest (never for NaN, or a largest not finite and
+    positive); else `SingularMatrixError` names j + `start`.  The one logarithm rule."""
     ok = (w > EIG_FLOOR_REL * w[..., -1:]).all(axis=-1)
     if not ok.all():
         raise SingularMatrixError(start + int(np.argmin(ok)), what)
@@ -172,19 +152,18 @@ def _require_log(w: np.ndarray, what: str = "matrix {j}", start: int = 0) -> np.
 
 
 def _spd_eigh(m: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of the symmetric part of `m` (or a stack), proven by `_require_log`."""
     w, V = np.linalg.eigh((m + np.swapaxes(m, -1, -2)) / 2.0)
     return _require_log(w, start=start), V
 
 
 def _pencil(a: np.ndarray, b: np.ndarray, vectors: bool = False, what: str = "the matrices"):
-    """Ascending eigenvalues of ``A x = lam B x``, `a` one matrix or a stack:
-    ``eigvalsh(W A W^T)`` for B's Cholesky whitener ``W = L^{-1}``; with
-    `vectors`, ``(lam, W^T Y)`` for ``lam, Y = eigh(W A W^T)``, so that
-    ``X^T B X = I``.  The caller proves A and B (`_check_square_symmetric`); a
-    computed eigenvalue that is not finite and positive, from two such matrices
-    too far apart for double precision, raises a `MatrixError` naming the
-    first such pair j of the stack as ``what``."""
+    """Ascending eigenvalues of ``A x = lam B x``, `a` one matrix or a stack, as
+    ``eigvalsh(W A W^T)`` for B's Cholesky whitener ``W = L^{-1}``; with `vectors`,
+    ``(lam, W^T Y)`` for ``lam, Y = eigh(W A W^T)``, so that ``X^T B X = I``.  The
+    caller proves A and B; if B's lower triangle, which may differ from the proven
+    symmetric part by the asymmetry allowed, has no factor, the symmetric part is
+    factored.  A computed eigenvalue not finite and positive (a pair too far apart
+    for double precision) raises a `MatrixError` naming the first such pair j."""
     try:
         w = np.linalg.inv(np.linalg.cholesky(b))
     except np.linalg.LinAlgError:  # the lower triangle, not the symmetric part proven
@@ -206,18 +185,14 @@ def _spectral(m: np.ndarray, fn) -> np.ndarray:
 def _newton_direction(grad: np.ndarray, logw: np.ndarray, us: np.ndarray,
                       tol: float) -> np.ndarray:
     """Newton step xi of `frechet_mean` for its n whitened matrices
-    ``W_i = U_i diag(exp(logw_i)) U_i^T`` (``us[i]``, ``logw[i]``): the
-    solution of ``H xi = grad`` by conjugate gradients from ``grad / n``.
-    ``H xi = sum_i U_i (G_i * U_i^T xi U_i) U_i^T``, elementwise in G_i, is
-    minus the derivative of ``sum_i log(exp(-xi/2) W_i exp(-xi/2))`` at 0,
-    with ``G_i[j, k] = (d/2) coth(d/2) >= 1`` for ``d = logw_ij - logw_ik``
-    (1 where d = 0), so H is positive definite.  The G_i are built once per
-    call, into one array; they and each Hessian product go block by block
-    of `_BLOCK` matrices.  CG stops at
-    ``||r|| <= max(_CG_RTOL ||grad||, tol / 4)``: near the mean the
-    absolute term lets the next residual reach `tol` in one step, where a
-    relative one alone leaves it at ``_CG_RTOL ||grad||``.
-    """
+    ``W_i = U_i diag(exp(logw_i)) U_i^T`` (``us[i]``, ``logw[i]``): ``H xi = grad``
+    solved by conjugate gradients from ``grad / n``.  ``H xi = sum_i U_i (G_i *
+    U_i^T xi U_i) U_i^T``, elementwise in G_i, is minus the derivative of
+    ``sum_i log(exp(-xi/2) W_i exp(-xi/2))`` at 0, with ``G_i[j, k] = (d/2)
+    coth(d/2) >= 1`` for ``d = logw_ij - logw_ik`` (1 where d = 0), so H is
+    positive definite.  CG stops at ``||r|| <= max(_CG_RTOL ||grad||, tol / 4)``:
+    near the mean the absolute term lets the next residual reach `tol` in one step
+    (an inexact-Newton forcing term, Eisenstat & Walker 1996)."""
     n = len(us)
     uts, gs = us.transpose(0, 2, 1), np.ones_like(us)
     for s in _blocks(n):
@@ -252,13 +227,10 @@ def _newton_direction(grad: np.ndarray, logw: np.ndarray, us: np.ndarray,
 def covariance(epochs: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
     """Unshrunk sample covariances of epochs, one ``(n, c, c)`` array.
 
-    `epochs` is a sequence of ``(c, t)`` arrays (views into a recording do)
-    or one ``(n, c, t)`` array; each matrix has the bytes of ``np.cov`` of
-    its epoch.  Epochs are copied `_BLOCK` at a time, so the temporaries stay
-    at ``_BLOCK x c x t``.  `shrink` blends the result towards the scaled
-    identity.  An epoch of another shape than epoch 0, with fewer than 2
-    samples or with a non-finite sample raises a ``ValueError`` naming
-    ``epoch j``.
+    `epochs` is a sequence of ``(c, t)`` arrays or one ``(n, c, t)`` array; each
+    matrix has the bytes of ``np.cov`` of its epoch.  An epoch of another shape
+    than epoch 0, with fewer than 2 samples or with a non-finite sample raises a
+    ``ValueError`` naming ``epoch j``.
     """
     if len(epochs) == 0:
         raise ValueError("need at least one epoch")
@@ -285,17 +257,14 @@ def covariance(epochs: Sequence[np.ndarray] | np.ndarray) -> np.ndarray:
 
 
 def shrink(cov: np.ndarray, shrinkage: float) -> np.ndarray:
-    """Blend towards the scaled identity,
-    ``(1 - shrinkage) * S + shrinkage * (tr(S)/dim) * I``, of one matrix or
-    of each in a stack ``(..., d, d)``; a stack gives the bytes of its
-    matrices shrunk one by one.  Any positive `shrinkage` makes a
-    covariance positive definite.  `cov` is left as it is: the blend is
-    `_shrink_in_place` on a float copy, the same operations in the same order."""
+    """``(1 - shrinkage) * S + shrinkage * (tr(S)/dim) * I`` of one matrix or of each
+    in a ``(..., d, d)`` stack, as a new array with the bytes of the matrices shrunk
+    one by one.  `shrinkage` must be in [0, 1); any positive value makes a
+    covariance positive definite."""
     return _shrink_in_place(np.array(cov, dtype=float), shrinkage)
 
 
 def _shrink_in_place(cov: np.ndarray, shrinkage: float) -> np.ndarray:
-    """`shrink` of the writeable float array `cov`, written over it; returns `cov`."""
     if not 0.0 <= shrinkage < 1.0:
         raise ValueError(f"shrinkage must be in [0, 1), got {shrinkage}")
     scale = shrinkage * (np.trace(cov, axis1=-2, axis2=-1) / cov.shape[-1])
@@ -306,12 +275,10 @@ def _shrink_in_place(cov: np.ndarray, shrinkage: float) -> np.ndarray:
 
 
 def riemannian_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Affine-invariant Riemannian distance between two SPD matrices.
-
-    ``delta(A, B) = || log(A^{-1/2} B A^{-1/2}) ||_F``, from the eigenvalues
-    of ``W B W^T`` for A's Cholesky whitener W.  Symmetric, zero iff A == B,
-    and invariant under congruence A -> W A W^T.
-    """
+    """Affine-invariant distance ``|| log(A^{-1/2} B A^{-1/2}) ||_F`` between SPD
+    matrices: symmetric, zero iff A == B, invariant under congruence.  A matrix
+    that fails `_check_square_symmetric` with `spd` (B at A's order), or a pair
+    too far apart (`_pencil`), raises a `MatrixError` naming it."""
     a = _check_square_symmetric([a], "first matrix", spd=True)[0]
     b = _check_square_symmetric([b], "second matrix", a.shape[0], spd=True)[0]
     w = _pencil(b, a)
@@ -323,25 +290,21 @@ def frechet_mean(
     tol: float = 1e-8,
     max_iter: int = 50,
 ) -> np.ndarray:
-    """Fréchet (Karcher) mean of SPD matrices under the affine metric.
+    """Fréchet (Karcher) mean of SPD matrices under the affine-invariant metric.
 
-    Riemannian Newton iteration from the arithmetic mean M (README, "Fréchet
-    mean"), safeguarded by plain steps; each evaluation diagonalizes every
-    whitened ``W_i = M^{-1/2} A_i M^{-1/2}`` once, in blocks of `_BLOCK`
-    matrices summed in matrix order, and it stops at ``|| sum_i log W_i ||_F
-    <= tol``; every evaluation counts against `max_iter`.  `mats` is a
-    sequence of matrices or one ``(n, d, d)`` array; both give the same bytes.
+    Newton iteration (`_newton_direction`) from the arithmetic mean M; a Newton
+    iterate that does not lower the residual gives way to the plain step from the
+    last accepted point.  It stops at ``|| sum_i log W_i ||_F <= tol`` for
+    ``W_i = M^{-1/2} A_i M^{-1/2}``, every evaluation counting against
+    `max_iter`.  `mats` is a sequence of matrices or one ``(n, d, d)`` array; both
+    give the same bytes.
 
-    Raises
-    ------
-    MatrixError
-        Naming matrix j of `mats` if it is not square, symmetric, finite and
-        of matrix 0's shape; as `SingularMatrixError`, the first whose W_j
-        fails `_require_log`, or, if M fails first, the first that fails it.
-    FrechetMeanError
-        If the residual is still above `tol` after `max_iter` iterations;
-        the exception carries the last residual, and its message also the
-        largest condition number of a ``W_i`` at the last evaluation.
+    Raises `MatrixError` naming matrix j of `mats` if it is not square, symmetric,
+    finite and of matrix 0's shape; as `SingularMatrixError`, the first whose W_j,
+    or, if M fails first, whose own spectrum fails `_require_log`.  Raises
+    `FrechetMeanError`, carrying the last residual, if the residual is above `tol`
+    after `max_iter` evaluations; its message gives the largest condition number
+    of a W_i at the last evaluation.
     """
     if len(mats) == 0:
         raise ValueError("need at least one matrix")
@@ -394,9 +357,8 @@ class MDMModel:
 
 
 def restrict_channels(cov: np.ndarray, subset: Sequence[int]) -> np.ndarray:
-    """Principal submatrix on the given channel indices, of one covariance
-    or of each in a stack ``(..., d, d)``; an index outside ``0..d-1``
-    raises a ``ValueError``."""
+    """Principal submatrix on the channel indices `subset`, of one covariance or of
+    each in a ``(..., d, d)`` stack; an index outside ``0..d-1`` raises ``ValueError``."""
     cov, idx = np.asarray(cov, dtype=float), np.asarray(subset, dtype=int)
     if ((idx < 0) | (idx >= cov.shape[-1])).any():
         raise ValueError(f"channel subset out of range for dim {cov.shape[-1]}")
@@ -404,19 +366,15 @@ def restrict_channels(cov: np.ndarray, subset: Sequence[int]) -> np.ndarray:
 
 
 def mdm_fit(covs: Sequence[np.ndarray], labels: Sequence[Hashable]) -> MDMModel:
-    """Fit the minimum-distance-to-mean classifier.
+    """Minimum-distance-to-mean classifier: one `frechet_mean` centroid per class,
+    at its defaults, in ``stats._class_partition`` order, which fixes the
+    prediction tie-break.  `covs` is a sequence of matrices or an ``(n, d, d)``
+    array; a class whose rows are contiguous in it is fitted on a view.
 
-    `covs` is a sequence of matrices or one ``(n, d, d)`` array; fit on a
-    channel subset by passing ``restrict_channels(covs, subset)``.  One
-    `frechet_mean` centroid, at its defaults, is estimated per class, in
-    ``stats._class_partition`` order; that order fixes the prediction
-    tie-break.  A class whose rows are contiguous in `covs` is fitted on a
-    view of them, any other on a copy.  Called from the main thread, a
-    thread pool of one worker per class, up to the usable CPUs, maps the
-    classes; from any other thread, whose caller's pool already spends the
-    CPUs (``cli`` runs subjects so), the classes run one after the other on
-    it.  The centroids are the same bytes on any CPU count and thread, and
-    the first failing class in class order raises its own exception, a
+    From the main thread the classes run on a pool of one thread per class, up to
+    the usable CPUs; from any other thread (``cli``'s subject threads) one after
+    the other on it, so no pool waits on itself.  The centroids are the same
+    bytes either way.  The first failing class in class order raises, a
     `MatrixError` renamed to ``covariance j`` of `covs`.
     """
     if len(covs) != len(labels):
@@ -445,15 +403,13 @@ def mdm_fit(covs: Sequence[np.ndarray], labels: Sequence[Hashable]) -> MDMModel:
 
 
 def mdm_predict(model: MDMModel, covs: Sequence[np.ndarray]) -> list[Hashable]:
-    """Class of the nearest centroid for each covariance in `covs` (a
-    sequence of matrices or one ``(n, d, d)`` array); ties go to the first
-    class of ``model.classes``.
-
-    One `_pencil` solve per centroid C gives every
-    ``riemannian_distance(C, X)^2 = sum log^2 eig(X, C)`` of the stack.
-    The centroids, then the covariances, must pass `_check_square_symmetric`
-    with `spd` at the model's dimension; an error names the first that fails.
-    """
+    """Class of the nearest centroid for each covariance in `covs` (a sequence of
+    matrices or an ``(n, d, d)`` array); ties go to the first of ``model.classes``.
+    One `_pencil` solve per centroid C gives every ``sum log^2 eig(X, C)``.  The
+    centroids, then the covariances, must pass `_check_square_symmetric` with
+    `spd` at the model's order, or a `MatrixError` names the first that fails
+    (``centroid k``, ``covariance j``), as it does a pair too far apart; no failing
+    matrix is scored."""
     centroids = _check_square_symmetric(model.centroids, "centroid {j}", model.dim, spd=True)
     stack = _check_square_symmetric(covs, "covariance {j}", model.dim, spd=True)
     w = np.array([_pencil(stack, c, what=f"covariance {{j}} and centroid {k}")
@@ -473,13 +429,9 @@ class RemovalStep:
 
 @dataclass(frozen=True)
 class SelectionTrace:
-    """Full record of a backward-elimination run.
-
-    `removal_order` holds one step per removed channel; `final_subset` is
-    the surviving channel set; `final_loo_drops[i]` is how much the
-    inter-class centroid distance falls when ``final_subset[i]`` is left
-    out, which ranks the survivors by importance.
-    """
+    """A backward-elimination run: one step per removed channel, the surviving
+    `final_subset`, and `final_loo_drops[i]`, how much the inter-class distance
+    falls when ``final_subset[i]`` is left out."""
 
     removal_order: tuple[RemovalStep, ...]
     final_subset: tuple[int, ...]
@@ -487,27 +439,23 @@ class SelectionTrace:
 
 
 def _leave_one_out_sq(loglam: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``sum_k log^2 mu_jk`` for every channel j, where mu_j are the
-    eigenvalues of the pencil (log eigenvalues `loglam`, eigenvectors `x`
-    from `_pencil`) with channel j removed.
+    """``sum_k log^2 mu_jk`` for every channel j, mu_j the eigenvalues of the pencil
+    (log eigenvalues `loglam`, eigenvectors `x` from `_pencil`) without channel j.
 
-    Removing channel j restricts the pencil to the hyperplane
-    ``X[j] . y = 0`` of its eigenbasis (Golub 1973), so mu_j are the zeros
-    of ``f_j(z) = sum_i X[j, i]^2 / (lam_i - z)`` and ``f_j'/f_j`` has
-    residue +1 at each mu_jk and -1 at each lam_i.  Hence
-    ``sum_k log^2 mu_jk = sum_i log^2 lam_i + (1/2 pi i) oint log^2 z
-    f_j'(z)/f_j(z) dz``, exactly also when some X[j, i] is 0 or lam repeats.
-    In ``w = log z`` the integrand is ``w^2 S2/S1`` with
-    ``S_p = sum_i X[j, i]^2 E_i^p`` and ``E_i = 1/expm1(log lam_i - w)``;
-    its singularities are ``[log lam_1, log lam_d]`` and the translates by
-    +-2 pi i.  The trapezoidal rule on the ellipse with those foci, halfway
-    (in the Bernstein parameter rho) to the translates, converges like
-    ``rho^-N`` (Trefethen & Weideman 2014), which fixes the node count N
-    for double precision.  For a narrow spectrum that ellipse is wide
-    against the interval, and the sum cancels terms of size ``|w|^2`` on
-    it down to a result of the order of the squared half-length; rho is
-    capped at 4, which keeps near-identical pencils as accurate as solving
-    each restricted pencil.
+    Removing channel j restricts the pencil to the hyperplane ``X[j] . y = 0`` of
+    its eigenbasis (Golub 1973), so mu_j are the zeros of ``f_j(z) = sum_i
+    X[j, i]^2 / (lam_i - z)`` and ``f_j'/f_j`` has residue +1 at each mu_jk and -1
+    at each lam_i.  Hence ``sum_k log^2 mu_jk = sum_i log^2 lam_i + (1/2 pi i)
+    oint log^2 z f_j'(z)/f_j(z) dz``, exactly also when some X[j, i] is 0 or lam
+    repeats.  In ``w = log z`` the integrand is ``w^2 S2/S1`` with ``S_p = sum_i
+    X[j, i]^2 E_i^p`` and ``E_i = 1/expm1(log lam_i - w)``; its singularities are
+    ``[log lam_1, log lam_d]`` and the translates by +-2 pi i.  The trapezoidal
+    rule on the ellipse with those foci, halfway (in the Bernstein parameter rho)
+    to the translates, converges like ``rho^-N`` (Trefethen & Weideman 2014),
+    which fixes the node count N for double precision.  For a narrow spectrum
+    that ellipse is wide against the interval, and the sum cancels terms of size
+    ``|w|^2`` down to the order of the squared half-length; rho is capped at 4,
+    which keeps near-identical pencils as accurate as solving each restricted one.
     """
     mid = (loglam[0] + loglam[-1]) / 2.0
     # Half-length of the focal interval, floored at 64 eps |mid|: a log lam that the
@@ -525,8 +473,7 @@ def _leave_one_out_sq(loglam: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _distances(centroids: np.ndarray, subset: Sequence[int]) -> tuple[float, np.ndarray]:
-    # Sum of pairwise centroid distances on `subset` (a single pair for two
-    # classes), and the same sum on `subset` less each channel in turn.
+    # summed pairwise centroid distance on `subset`, and on `subset` less each channel
     cut = restrict_channels(centroids, subset)
     full, loo = 0.0, np.zeros(len(subset))
     for i in range(len(cut)):
@@ -542,17 +489,15 @@ def _distances(centroids: np.ndarray, subset: Sequence[int]) -> tuple[float, np.
 
 
 def backward_elimination(centroids: Sequence[np.ndarray], target_k: int) -> SelectionTrace:
-    """Backward-elimination channel selection on centroid distance.
+    """Backward-elimination channel selection on inter-class centroid distance.
 
     `centroids` are the class centroids on the full channel set, e.g.
-    ``mdm_fit(covs, labels).centroids``.  At each iteration every candidate
-    channel is scored by the inter-class centroid distance on the subset
-    with that channel removed, and the channel whose removal leaves the
-    largest remaining distance is permanently dropped (ties: lowest channel
-    index).  Repeats until `target_k` channels survive, for `target_k` in
-    [1, d]: d takes no step.  A step costs
-    O(d^3): one pencil per class pair scores every candidate (module
-    docstring).
+    ``mdm_fit(covs, labels).centroids``.  Each step drops the channel whose
+    removal leaves the largest summed pairwise distance (ties: the lowest channel
+    index) until `target_k` in [1, d] survive.  A step costs O(d^3): one pencil per
+    class pair scores every candidate (`_leave_one_out_sq`).  Fewer than 2
+    centroids or another `target_k` raise ``ValueError``; a centroid that fails
+    `_check_square_symmetric` with `spd`, or a pair too far apart, a `MatrixError`.
     """
     if len(centroids) < 2:
         raise ValueError("need at least 2 class centroids")
@@ -565,8 +510,7 @@ def backward_elimination(centroids: Sequence[np.ndarray], target_k: int) -> Sele
     steps: list[RemovalStep] = []
     full, scores = _distances(centroids, subset)
     while len(subset) > target_k:
-        # argmax returns the first maximum; subset is ascending, so ties
-        # remove the lowest channel index.
+        # argmax takes the first maximum and subset ascends: ties drop the lowest index
         pos = int(np.argmax(scores))
         steps.append(RemovalStep(iteration=len(steps) + 1, removed=subset[pos],
                                  distance=float(scores[pos])))

@@ -1,9 +1,6 @@
-"""Evaluation metrics and paired hypothesis testing.
-
-Per-class recall with both overall-accuracy conventions (support-weighted
-and macro), the majority-class chance level, cohort subject selection, the
-Wilcoxon signed-rank test (exact sign enumeration up to n=20, tie-corrected
-normal approximation beyond), and cohort mean/SD summaries.
+"""Evaluation metrics and paired testing.  Entry points are `evaluate` (per-class
+recall, support-weighted and macro overall accuracy), `chance_level`,
+`select_subjects`, `wilcoxon_signed_rank` and `cohort_summary`.
 """
 
 from __future__ import annotations
@@ -29,12 +26,8 @@ EXACT_LIMIT = 20
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Per-class recall plus the two overall-accuracy conventions.
-
-    `overall` is support-weighted (plain accuracy, the convention that
-    reproduces published cohort tables); `overall_macro` is the unweighted
-    mean of per-class recalls.
-    """
+    """Per-class recall and support; `overall` is support-weighted (plain accuracy,
+    as published cohort tables report it), `overall_macro` the mean recall."""
 
     per_class_recall: dict[Hashable, float]
     overall: float
@@ -86,8 +79,7 @@ def evaluate(preds: Sequence[Hashable], labels: Sequence[Hashable]) -> EvalResul
 
 
 def chance_level(labels: Sequence[Hashable]) -> float:
-    """Chance-level accuracy of a test label set: the majority-class
-    proportion."""
+    """Chance-level accuracy of nonempty test labels: the majority-class share."""
     n = len(labels)
     if n == 0:
         raise ValueError("labels must be nonempty")
@@ -96,11 +88,7 @@ def chance_level(labels: Sequence[Hashable]) -> float:
 
 def select_subjects(results: Mapping[str, EvalResult], chance: Mapping[str, float],
                     margin: float = 0.10) -> tuple[str, ...]:
-    """Subjects whose overall accuracy beats chance by at least `margin`.
-
-    The boundary counts as selected (>=).  Raising the margin never adds
-    subjects.
-    """
+    """Subjects, sorted, whose overall accuracy is at least chance + `margin`."""
     if set(results) != set(chance):
         raise ValueError("results and chance maps must share the same subjects")
     return tuple(
@@ -131,14 +119,11 @@ def _exact_pvalue(ranks: np.ndarray, w_plus: float) -> float:
 
 
 def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> PairedTestResult:
-    """Two-sided Wilcoxon signed-rank test on paired samples.
-
-    Zero differences are dropped; tied absolute differences receive
-    midranks.  With n <= `EXACT_LIMIT` nonzero differences the p-value
-    enumerates all sign assignments (mode ``exact``); beyond, it uses the
-    tie-corrected Gaussian with ``Var(W+) = sum(ranks^2) / 4`` (mode
-    ``normal-approx``).
-    """
+    """Two-sided Wilcoxon signed-rank test on paired samples, zero differences
+    dropped and ties midranked.  With n <= `EXACT_LIMIT` nonzero differences the
+    p-value enumerates all sign assignments (mode ``exact``), beyond it is the
+    tie-corrected normal approximation (``normal-approx``).  Unequal lengths,
+    non-finite values or fewer than 5 nonzero differences raise ``ValueError``."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1:
@@ -171,11 +156,8 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> PairedTestRe
 
 
 def cohort_summary(values: Sequence[float]) -> tuple[float, float]:
-    """Mean and sample standard deviation (ddof=1; 0 for a single value).
-
-    The sample convention is the one that reproduces published cohort
-    tables.
-    """
+    """Mean and sample standard deviation (ddof=1, as published cohort tables use;
+    0 for one value) of nonempty finite `values`."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError("values must be nonempty")

@@ -1,13 +1,8 @@
-"""Exact earth mover's distance between grid spatial maps.
-
-The distance is the optimum of the classical transportation problem: move
-the mass of one map into the other at minimum total cost, where the ground
-cost is the pairwise distance between grid cells.  The problem is solved
-exactly, not by an entropic approximation, by a transportation simplex in
-numpy (`solve_transport`), and every solve ends with an optimality
-certificate from linear-programming duality that does not rely on the
-pivoting (`_certify`).  Its tolerances are relative to the total mass and
-the largest cost, so the distance scales with the masses at any scale.
+"""Exact earth mover's distance between grid spatial maps: the optimum of the
+balanced transportation problem with grid-cell distances as ground costs, by a
+transportation simplex in numpy whose every solve ends with a duality
+certificate that does not trust the pivoting.  Entry points are `emd`,
+`rebalance`, `ground_cost` and `solve_transport`.
 """
 
 from __future__ import annotations
@@ -44,11 +39,8 @@ class TransportError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class TransportPlan:
-    """Optimal mass flows with the marginals they satisfy.
-
-    ``flows[i, j]`` is the mass moved from source cell i to destination
-    cell j; row sums reproduce ``src_mass`` and column sums ``dst_mass``.
-    """
+    """Optimal flows: ``flows[i, j]`` is the mass moved from source cell i to
+    destination cell j, with row sums ``src_mass`` and column sums ``dst_mass``."""
 
     flows: np.ndarray
     src_mass: np.ndarray
@@ -57,6 +49,8 @@ class TransportPlan:
 
 @dataclass(frozen=True, eq=False)
 class EMDResult:
+    """An `emd` distance and an optimal plan on the full grid."""
+
     distance: float
     plan: TransportPlan
 
@@ -66,10 +60,8 @@ def ground_cost(
     dst: Sequence[tuple[int, int]],
     metric: str = "euclidean",
 ) -> np.ndarray:
-    """Ground-cost matrix between two lists of grid-cell coordinates.
-
-    `metric` is ``euclidean`` or ``manhattan``, in grid-cell units.
-    """
+    """Distances between two nonempty lists of grid cells, in grid-cell units, by
+    `metric` ``euclidean`` or ``manhattan``; another metric raises ``ValueError``."""
     if len(src) == 0 or len(dst) == 0:
         raise ValueError("coordinate lists must be nonempty")
     a = np.asarray(src, dtype=float).reshape(len(src), 2)
@@ -90,15 +82,11 @@ def _dantzig_pivots(m: int, k: int) -> int:
 
 def _least_cost_basis(a: np.ndarray, b: np.ndarray, costs: np.ndarray
                       ) -> tuple[dict[int, float], list[set[int]]]:
-    """Starting basis of the matrix-minimum (least-cost) rule: cells in
-    ascending cost order (ties row-major) each take the most flow their row
-    and column have left, and close one of them; the last open row and the
-    last open column stay open until they meet.  That gives m + k - 1 cells,
-    some possibly of zero flow, forming a spanning tree of the m row nodes
-    ``0..m-1`` and the k column nodes ``m..m+k-1``.
-
-    Returns the flows by cell ``i * k + j`` and each node's tree neighbours.
-    """
+    """Least-cost starting basis: cells in ascending cost order (ties row-major)
+    each take the most flow their row and column have left and close one; the last
+    open row and column stay open until they meet.  Returns the flows by cell
+    ``i * k + j`` of the m + k - 1 cells, some of zero flow, and each node's
+    neighbours in their spanning tree (rows ``0..m-1``, columns ``m..m+k-1``)."""
     m, k = costs.shape
     left_a, left_b = a.tolist(), b.tolist()
     row_open, col_open = [True] * m, [True] * k
@@ -127,11 +115,9 @@ def _least_cost_basis(a: np.ndarray, b: np.ndarray, costs: np.ndarray
 
 def _tree(adj: list[set[int]], costs: list[list[float]], m: int
           ) -> tuple[list[float], list[int], list[int]]:
-    """Potentials, parents and depths of the basis tree rooted at row 0.
-
-    The potentials are the duals: row i's is u_i, column j's (node m + j)
-    v_j, with u_0 = 0 and ``u_i + v_j = costs[i][j]`` on every tree cell.
-    """
+    """Potentials, parents and depths of the basis tree rooted at row 0; the
+    potentials are the duals u_i, v_j (node m + j), u_0 = 0 and ``u_i + v_j =
+    costs[i][j]`` on every tree cell."""
     n = len(adj)
     pot, parent, depth = [0.0] * n, [-1] * n, [0] * n
     stack = [0]
@@ -147,18 +133,12 @@ def _tree(adj: list[set[int]], costs: list[list[float]], m: int
 
 def _simplex(a: np.ndarray, b: np.ndarray, costs: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Transportation simplex from `_least_cost_basis`: optimal flows and the
-    duals u, v of the final tree.
-
-    Each pivot takes the tree potentials afresh, enters the cell of most
-    negative reduced cost ``c_ij - u_i - v_j`` (Dantzig), finds its cycle by
-    walking both ends up the tree to their common ancestor, and moves flow
-    around it; the leaving cell is the lowest-numbered one among those that
-    block.  Optimality is a reduced cost no lower than ``-1e-12 max(C, 1)``.
-    After `_dantzig_pivots` pivots, the entering cell becomes the
-    lowest-numbered one of negative reduced cost, which is Bland's rule and
-    cannot cycle.
-    """
+    """Transportation simplex from `_least_cost_basis`: optimal flows and the final
+    tree's duals u, v.  A pivot enters the cell of most negative reduced cost
+    ``c_ij - u_i - v_j`` (Dantzig), and the lowest-numbered blocking cell leaves;
+    after `_dantzig_pivots` pivots the lowest-numbered negative cell enters, which
+    is Bland's rule and cannot cycle.  It stops when no reduced cost is below
+    ``-_REDUCED_RTOL max(C, 1)``."""
     m, k = costs.shape
     cost_rows = costs.tolist()
     flow, adj = _least_cost_basis(a, b, costs)
@@ -221,17 +201,11 @@ def _simplex(a: np.ndarray, b: np.ndarray, costs: np.ndarray
 
 def _certify(a: np.ndarray, b: np.ndarray, costs: np.ndarray, flows: np.ndarray,
              u: np.ndarray, v: np.ndarray) -> None:
-    """Prove `flows` optimal by weak duality, or raise a `TransportError`
-    naming the check that fails.
-
-    The flows must be finite and nonnegative, with row sums `a` and column
-    sums `b` within ``MASS_RTOL`` of the total.  The duals u, v must be
-    feasible: every reduced cost ``c_ij - u_i - v_j`` at least
-    ``-1e-12 max(C, 1)``.  The primal cost ``sum C x`` must be within 1e-9
-    of the dual ``a.u + b.v``, relative to the magnitude of the terms the two
-    sums add up.  Then no plan costs less than the dual, up to those
-    tolerances.
-    """
+    """Prove `flows` optimal by weak duality, or raise a `TransportError` naming the
+    check that fails: the flows finite and nonnegative with row sums `a` and column
+    sums `b` within ``MASS_RTOL`` of the total, every reduced cost at least
+    ``-_REDUCED_RTOL max(C, 1)``, and the primal ``sum C x`` within ``_GAP_RTOL`` of
+    the dual ``a.u + b.v``, relative to the magnitude of the terms they add up."""
     total = a.sum()
     if not (np.isfinite(flows).all() and (flows >= 0).all()):
         raise TransportError("certificate: flows are not finite and nonnegative")
@@ -255,31 +229,13 @@ def solve_transport(
     demand: np.ndarray,
     costs: np.ndarray,
 ) -> np.ndarray:
-    """Exact solve of the balanced transportation problem.
+    """Optimal ``(m, k)`` flows of the balanced transportation problem: nonnegative,
+    with row sums `supply` and column sums `demand`, of least ``sum(costs * flows)``.
 
-    Minimises ``sum(costs * flows)`` over nonnegative flows whose row sums
-    equal `supply` and column sums equal `demand`, by the transportation
-    simplex (`_simplex`), and proves the result optimal (`_certify`).
-
-    Parameters
-    ----------
-    supply : ndarray, shape (m,)
-        Positive finite source masses.
-    demand : ndarray, shape (k,)
-        Positive finite destination masses; total must match `supply` within
-        ``MASS_RTOL`` relative (it is then balanced exactly).
-    costs : ndarray, shape (m, k)
-        Finite nonnegative ground costs.
-
-    Returns
-    -------
-    flows : ndarray, shape (m, k)
-        An optimal flow.
-
-    Raises
-    ------
-    TransportError
-        If the optimality certificate fails.
+    `supply` (m) and `demand` (k) must be positive and finite, their totals equal
+    within ``MASS_RTOL`` relative (`demand` is then scaled to `supply`'s total),
+    and `costs` finite; otherwise ``ValueError``.  A plan that fails `_certify`
+    raises `TransportError`.
     """
     a = np.array(supply, dtype=float)
     b = np.array(demand, dtype=float)
@@ -306,17 +262,11 @@ def emd(
     metric: str = "euclidean",
     mass_mode: str = "raw",
 ) -> EMDResult:
-    """Exact earth mover's distance between two spatial maps.
-
-    The minimum over all transport plans of the total mass-times-distance
-    moved, subject to both marginal constraints.  In ``raw`` mode the two
-    totals must already agree within ``MASS_RTOL`` relative (rebalance
-    first otherwise); ``normalized`` divides each map by its total for
-    probability semantics.
-
-    Returns the distance together with an optimal plan expanded back onto
-    the full flattened grid (row-major cell order).
-    """
+    """Exact earth mover's distance between two spatial maps of one grid order,
+    with an optimal plan on the full grid in row-major cell order.  In ``raw``
+    `mass_mode` the totals must agree within ``MASS_RTOL`` relative (`rebalance`
+    first); ``normalized`` divides each map by its total.  A zero-total map,
+    another grid order or an unknown mode raises ``ValueError``."""
     if p.n != q.n:
         raise ValueError(f"grid order mismatch: {p.n} vs {q.n}")
     tp, tq = p.total, q.total
@@ -336,8 +286,7 @@ def emd(
         raise ValueError(f"unknown mass_mode {mass_mode!r}")
 
     n = p.n
-    # Zero-mass cells are dropped from the solver's node set; the plan is
-    # re-expanded onto the full grid afterwards.
+    # zero-mass cells leave the solver's node set; the plan returns to the full grid
     src_idx = np.flatnonzero(pm > 0)
     dst_idx = np.flatnonzero(qm > 0)
     src_cells = [(int(c) // n, int(c) % n) for c in src_idx]

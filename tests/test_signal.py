@@ -289,6 +289,14 @@ class TestCSVReader:
         assert_allclose(rec.data, data)
         assert rec.annotations == [Annotation(160, 640, "T1")]
 
+    def test_blank_lines_between_data_rows_are_skipped(self, tmp_path):
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        plain.write_text("C3,C4\n1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+        spaced.write_text("C3,C4\n1.0,2.0\n\n3.0,4.0\n\n\n5.0,6.0\n\n")
+        want, got = read_recording_csv(plain), read_recording_csv(spaced)
+        assert got.channel_names == want.channel_names == ["C3", "C4"]
+        assert got.data.shape == (2, 3) and got.data.tobytes() == want.data.tobytes()
+
     def test_data_file_without_header_rejected(self, tmp_path):
         p = tmp_path / "rec.csv"
         p.write_text("")

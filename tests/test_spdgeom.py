@@ -1,5 +1,6 @@
 import inspect
 import json
+import os
 import pickle
 import re
 import threading
@@ -523,6 +524,13 @@ class TestConcurrentClasses:
     @pytest.fixture
     def two_cpus(self, monkeypatch):
         monkeypatch.setattr(spdgeom, "_usable_cpus", lambda: 2)
+
+    def test_usable_cpus_without_an_affinity_call(self, monkeypatch):
+        # a platform without os.sched_getaffinity counts every CPU, at least one
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for count, usable in ((3, 3), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+            assert spdgeom._usable_cpus() == usable
 
     @pytest.mark.parametrize("n_classes", [2, 3])
     def test_centroids_byte_identical_for_any_cpu_count(self, rng, monkeypatch, n_classes):
